@@ -98,7 +98,6 @@ from .torsion import (
     solution_from_payload,
     solution_to_payload,
     solve_discrete_torsion,
-    sup_norm,
     torsion_function,
 )
 

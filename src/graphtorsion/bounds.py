@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import GraphToolError
 from .graph import MetricGraph
@@ -52,19 +52,7 @@ class BoundRecord:
     note: str = ""
 
     def to_payload(self) -> dict:
-        return {
-            "name": self.name,
-            "label": self.label,
-            "relation": self.relation,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "slack": self.slack,
-            "status": self.status,
-            "applicability": self.applicability,
-            "tolerance": self.tolerance,
-            "proven": self.proven,
-            "note": self.note,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -121,15 +109,18 @@ class BoundsReport:
         return "\n".join(lines)
 
 
+def _status(slack: float, scale: float, violation_tol: float, equality_tol: float) -> str:
+    if slack < -violation_tol * scale:
+        return VIOLATED
+    if abs(slack) <= equality_tol * scale:
+        return EQUALITY
+    return HOLDS
+
+
 def _classify(lhs: float, rhs: float, violation_tol: float, equality_tol: float) -> tuple[float, str]:
     """Slack and status for the relation lhs <= rhs."""
     slack = rhs - lhs
-    scale = max(abs(lhs), abs(rhs), 1e-300)
-    if slack < -violation_tol * scale:
-        return slack, VIOLATED
-    if abs(slack) <= equality_tol * scale:
-        return slack, EQUALITY
-    return slack, HOLDS
+    return slack, _status(slack, max(abs(lhs), abs(rhs), 1e-300), violation_tol, equality_tol)
 
 
 def _star_closed_form_cheeger(g: MetricGraph) -> float | None:
@@ -238,22 +229,20 @@ def audit(
           "<=", L ** 3 / (12.0 * E * E), T, ALWAYS)
 
     # split by how many endpoints are Dirichlet; a loop counts its vertex twice
-    edges_dn = [e for e in g.edges
-                if (e.tail in dirichlet) + (e.head in dirichlet) == 1]
-    edges_nn = [e for e in g.edges
-                if e.tail not in dirichlet and e.head not in dirichlet]
-    s_dn = math.fsum(e.length for e in edges_dn)
-    s_nn = math.fsum(e.length for e in edges_nn)
-    if edges_dn:
-        c_dn = math.fsum(1.0 / e.length for e in edges_dn)
+    arr = g.arrays
+    ends_d = arr.dirichlet[arr.tail].astype(int) + arr.dirichlet[arr.head]
+    len_dn, len_nn = arr.length[ends_d == 1], arr.length[ends_d == 0]
+    n_dn, n_nn = len(len_dn), len(len_nn)
+    s_dn, s_nn = math.fsum(len_dn), math.fsum(len_nn)
+    if n_dn:
+        c_dn = math.fsum(1.0 / len_dn)
         stower_bound = sum_cubes / 12.0 + (s_dn + 2.0 * s_nn) ** 2 / (4.0 * c_dn)
     else:
         # no natural vertex survives gluing, only the cubes term remains
         stower_bound = sum_cubes / 12.0
     exact("stower_lower", "stower comparison lower bound, equality for stowers",
           "<=", stower_bound, T, ALWAYS,
-          note=f"{len(edges_dn)} edges with one Dirichlet endpoint, "
-               f"{len(edges_nn)} with none")
+          note=f"{n_dn} edges with one Dirichlet endpoint, {n_nn} with none")
 
     exact("inradius_vertex_lower", "Inr^3 / (3 (|V|-|V_D|+1)^3) <= T",
           "<=", inr ** 3 / (3.0 * (n_free_vertices + 1) ** 3), T, ALWAYS,
@@ -305,13 +294,7 @@ def audit(
         s1, _ = _classify(lo, lam, lam_tol, lam_tol)
         s2, _ = _classify(lam, hi, lam_tol, lam_tol)
         slack = min(s1, s2)
-        scale = max(abs(lam), 1e-300)
-        if slack < -lam_tol * scale:
-            status = VIOLATED
-        elif abs(slack) <= lam_tol * scale:
-            status = EQUALITY
-        else:
-            status = HOLDS
+        status = _status(slack, max(abs(lam), 1e-300), lam_tol, lam_tol)
         records.append(BoundRecord(
             "heat_sandwich", "(pi^2/(24T)^(2/3)) <= lambda_1 <= L/T via |p|_L1 = T",
             "sandwich", lo, hi, slack, status, ALWAYS, lam_tol, True,
@@ -329,8 +312,6 @@ def audit(
                 "closed-form Cheeger constant known only for equilateral stars with Dirichlet leaves")
 
     if g.is_equilateral(1e-9):
-        n_dn = len(edges_dn)
-        n_nn = len(edges_nn)
         if n_dn:
             s_count = n_dn + 2 * n_nn
             rhs = 12.0 * n_dn * E ** 3 / (L * L * (E * n_dn + 3.0 * s_count ** 2))

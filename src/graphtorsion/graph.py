@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
 
+import numpy as np
+
 from .errors import (
     DisconnectedGraph,
     DuplicateId,
@@ -123,6 +125,17 @@ class MetricGraph:
         return {e.id: e for e in self.edges}
 
     @cached_property
+    def arrays(self) -> "EdgeArrays":
+        """The edges as arrays over vertex indices (positions in ``vertices``)."""
+        index = {v.id: i for i, v in enumerate(self.vertices)}
+        return EdgeArrays(
+            tail=np.array([index[e.tail] for e in self.edges], dtype=np.int64),
+            head=np.array([index[e.head] for e in self.edges], dtype=np.int64),
+            length=np.array([e.length for e in self.edges], dtype=np.float64),
+            dirichlet=np.array([v.bc == DIRICHLET for v in self.vertices], dtype=bool),
+        )
+
+    @cached_property
     def _incidence(self) -> dict[str, tuple[Edge, ...]]:
         inc: dict[str, list[Edge]] = {v.id: [] for v in self.vertices}
         for e in self.edges:
@@ -186,18 +199,23 @@ class MetricGraph:
 
     # -- distances and inradius -----------------------------------------
 
-    def dirichlet_distances(self) -> "DistanceField":
-        """Exact multi-source shortest-path distance from every vertex to the Dirichlet set."""
+    def _dijkstra(self, sources: Iterable[str], target: str | None = None) -> dict[str, float]:
+        """Shortest-path distance from the nearest source to every vertex.
+
+        With a target, the search stops once the target's distance is final.
+        """
         import heapq
 
         dist = {v.id: math.inf for v in self.vertices}
         heap: list[tuple[float, str]] = []
-        for vid in self.dirichlet_vertices:
+        for vid in sources:
             dist[vid] = 0.0
             heap.append((0.0, vid))
         heapq.heapify(heap)
         while heap:
             d, u = heapq.heappop(heap)
+            if u == target:
+                break
             if d > dist[u]:
                 continue
             for e in self._incidence[u]:
@@ -206,43 +224,28 @@ class MetricGraph:
                 if nd < dist[w]:
                     dist[w] = nd
                     heapq.heappush(heap, (nd, w))
-        return DistanceField(graph=self, values=dist)
+        return dist
+
+    def dirichlet_distances(self) -> "DistanceField":
+        """Exact multi-source shortest-path distance from every vertex to the Dirichlet set."""
+        return DistanceField(graph=self, values=self._dijkstra(self.dirichlet_vertices))
 
     def distance_between(self, u: str, w: str) -> float:
         """Exact shortest-path distance between two vertices."""
-        import heapq
-
         self.vertex(u)
         self.vertex(w)
-        dist = {v.id: math.inf for v in self.vertices}
-        dist[u] = 0.0
-        heap = [(0.0, u)]
-        while heap:
-            d, a = heapq.heappop(heap)
-            if a == w:
-                return d
-            if d > dist[a]:
-                continue
-            for e in self._incidence[a]:
-                b = e.head if e.tail == a else e.tail
-                nd = d + e.length
-                if nd < dist[b]:
-                    dist[b] = nd
-                    heapq.heappush(heap, (nd, b))
-        return dist[w]
+        return self._dijkstra([u], target=w)[w]
 
     def inradius(self) -> "InradiusWitness":
         """Largest distance to the Dirichlet set, with a witness point."""
-        field = self.dirichlet_distances()
-        best = None
-        for e in self.edges:
-            du, dw = field.values[e.tail], field.values[e.head]
-            peak = 0.5 * (du + dw + e.length)
-            offset = min(max(0.5 * (dw - du + e.length), 0.0), e.length)
-            if best is None or peak > best[0]:
-                best = (peak, e.id, offset)
-        value, eid, offset = best
-        return InradiusWitness(value=value, edge=eid, offset=offset)
+        dist = self.dirichlet_distances().values
+        d = np.array([dist[v.id] for v in self.vertices])
+        arr = self.arrays
+        du, dw, ln = d[arr.tail], d[arr.head], arr.length
+        peak = 0.5 * (du + dw + ln)
+        k = int(np.argmax(peak))
+        offset = min(max(0.5 * (dw[k] - du[k] + ln[k]), 0.0), ln[k])
+        return InradiusWitness(value=float(peak[k]), edge=self.edges[k].id, offset=float(offset))
 
     # -- Dirichlet gluing and 2-edge-connectivity ------------------------
 
@@ -287,8 +290,16 @@ class DistanceField:
         x = min(max(offset, 0.0), e.length)
         return min(self.values[e.tail] + x, self.values[e.head] + e.length - x)
 
-    def max_vertex(self) -> float:
-        return max(self.values.values())
+
+@dataclass(frozen=True)
+class EdgeArrays:
+    """Edge k runs from vertex tail[k] to vertex head[k] and has length length[k];
+    dirichlet[i] tells whether vertex i is a Dirichlet vertex."""
+
+    tail: np.ndarray
+    head: np.ndarray
+    length: np.ndarray
+    dirichlet: np.ndarray
 
 
 @dataclass(frozen=True)

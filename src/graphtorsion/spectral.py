@@ -5,6 +5,12 @@ nodes, Dirichlet nodes are eliminated, and eigenpairs of the stiffness/mass
 pencil come out of shift-free inverse power iteration on a factorization of
 the stiffness matrix, with mass-orthogonal deflation for higher modes.
 Eigenvalue error decays like h^2.
+
+The mesh is held as arrays.  Node i < |V| is the graph vertex vertices[i];
+the interior nodes follow edge by edge, tail to head.  Segments run edge by
+edge too, so the stiffness and mass matrices, the trapezoid weights and the
+node list of the JSON payload are all built from the same arrays without a
+per-node loop.
 """
 
 from __future__ import annotations
@@ -17,11 +23,16 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .errors import BadParameters, NoConvergence
-from .graph import DIRICHLET, MetricGraph
+from .graph import MetricGraph
 from .torsion import TorsionSolution, torsion_function
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 10000
+# Largest mesh build_mesh makes.  Assembly, splu and one solve take about
+# 700 bytes per node (measured on star(3) at 500k nodes), so the 16M nodes of
+# star(2, [1e-6, 1]) at the default h would need about 11 GB, more than an
+# 8 GB machine has.
+MAX_MESH_NODES = 2_000_000
 
 
 def default_h(g: MetricGraph) -> float:
@@ -29,33 +40,35 @@ def default_h(g: MetricGraph) -> float:
 
 
 @dataclass(frozen=True)
-class MeshNode:
-    """Sample point: either an original vertex or an interior point of an edge."""
-
-    edge: str | None
-    offset: float
-    vertex: str | None = None
-
-
-@dataclass(frozen=True)
 class Mesh:
+    """Uniform P1 mesh of a graph, held as arrays.
+
+    Nodes 0..|V|-1 are the vertices in ``graph.vertices`` order; the interior
+    nodes follow edge by edge, node_edge holding the edge index (-1 on a
+    vertex node) and node_offset the distance k*h from the edge tail.  Edge e
+    is cut into segments_per_edge[e] segments of width l/n; segment s joins
+    seg_tail[s] to seg_head[s], edge by edge from tail to head.
+    """
+
     graph: MetricGraph
     h_target: float
-    nodes: tuple[MeshNode, ...]
-    segments: tuple[tuple[int, int, float], ...]
-    vertex_node: dict[str, int]
-    edge_nodes: dict[str, tuple[int, ...]]
-    subdivisions: dict[str, int]
+    segments_per_edge: np.ndarray
+    node_edge: np.ndarray
+    node_offset: np.ndarray
+    seg_tail: np.ndarray
+    seg_head: np.ndarray
+    seg_width: np.ndarray
     free: np.ndarray
     h_eff: float
 
+    @property
+    def n_nodes(self) -> int:
+        return len(self.node_edge)
+
     def trapezoid_weights(self) -> np.ndarray:
         """Row sums of the consistent mass matrix: exact integrals of the hats."""
-        w = np.zeros(len(self.nodes))
-        for i, j, h in self.segments:
-            w[i] += 0.5 * h
-            w[j] += 0.5 * h
-        return w
+        ends = np.array([self.seg_tail, self.seg_head]).T.ravel()
+        return np.bincount(ends, weights=np.repeat(0.5 * self.seg_width, 2), minlength=self.n_nodes)
 
 
 def build_mesh(g: MetricGraph, h_target: float | None = None) -> Mesh:
@@ -64,44 +77,43 @@ def build_mesh(g: MetricGraph, h_target: float | None = None) -> Mesh:
         h_target = default_h(g)
     if not (h_target > 0 and math.isfinite(h_target)):
         raise BadParameters(f"h_target must be positive, got {h_target!r}")
-    nodes: list[MeshNode] = []
-    vertex_node: dict[str, int] = {}
-    for v in g.vertices:
-        vertex_node[v.id] = len(nodes)
-        nodes.append(MeshNode(None, 0.0, v.id))
-    segments: list[tuple[int, int, float]] = []
-    edge_nodes: dict[str, tuple[int, ...]] = {}
-    subdivisions: dict[str, int] = {}
-    h_eff = 0.0
-    for e in g.edges:
-        n = max(2, math.ceil(e.length / h_target - 1e-12))
-        subdivisions[e.id] = n
-        h = e.length / n
-        h_eff = max(h_eff, h)
-        chain = [vertex_node[e.tail]]
-        for k in range(1, n):
-            chain.append(len(nodes))
-            nodes.append(MeshNode(e.id, k * h))
-        chain.append(vertex_node[e.head])
-        edge_nodes[e.id] = tuple(chain)
-        for a, b in zip(chain, chain[1:]):
-            segments.append((a, b, h))
-    free = np.array(
-        [i for i, nd in enumerate(nodes) if nd.vertex is None or not g.is_dirichlet(nd.vertex)],
-        dtype=int,
-    )
-    return Mesh(g, h_target, tuple(nodes), tuple(segments), vertex_node, edge_nodes, subdivisions, free, h_eff)
+    arr = g.arrays
+    nv = len(g.vertices)
+    counts = np.maximum(2.0, np.ceil(arr.length / h_target - 1e-12))
+    needed = nv + float(np.sum(counts - 1.0))
+    if needed > MAX_MESH_NODES:
+        raise BadParameters(
+            f"mesh at h_target={h_target!r} needs {needed:.0f} nodes, "
+            f"more than the {MAX_MESH_NODES} allowed"
+        )
+    counts = counts.astype(np.int64)
+    inner = counts - 1
+    widths = arr.length / counts
+    edge_of_node = np.repeat(np.arange(len(counts)), inner)
+    first = np.cumsum(inner) - inner  # first interior node of each edge, counted from nv
+    k = np.arange(len(edge_of_node)) - first[edge_of_node] + 1
+    node_edge = np.concatenate([np.full(nv, -1), edge_of_node])
+    node_offset = np.concatenate([np.zeros(nv), k * widths[edge_of_node]])
+
+    edge_of_seg = np.repeat(np.arange(len(counts)), counts)
+    s = np.arange(len(edge_of_seg)) - (np.cumsum(counts) - counts)[edge_of_seg]
+    inside = nv + first[edge_of_seg] + s  # interior node after segment s
+    seg_tail = np.where(s == 0, arr.tail[edge_of_seg], inside - 1)
+    seg_head = np.where(s == counts[edge_of_seg] - 1, arr.head[edge_of_seg], inside)
+    free = np.concatenate([np.flatnonzero(~arr.dirichlet), np.arange(nv, len(node_edge))])
+    return Mesh(g, h_target, counts, node_edge, node_offset, seg_tail, seg_head,
+                widths[edge_of_seg], free, float(widths.max()))
 
 
 def _assemble(mesh: Mesh) -> tuple[scipy.sparse.csr_matrix, scipy.sparse.csr_matrix]:
-    n = len(mesh.nodes)
-    rows, cols, kdata, mdata = [], [], [], []
-    for i, j, h in mesh.segments:
-        k = 1.0 / h
-        rows += [i, i, j, j]
-        cols += [i, j, i, j]
-        kdata += [k, -k, -k, k]
-        mdata += [h / 3.0, h / 6.0, h / 6.0, h / 3.0]
+    n = mesh.n_nodes
+    i, j, h = mesh.seg_tail, mesh.seg_head, mesh.seg_width
+    k = 1.0 / h
+    # per segment (i,i), (i,j), (j,i), (j,j): duplicates are summed in segment order
+    rows = np.array([i, i, j, j]).T.ravel()
+    cols = np.array([i, j, i, j]).T.ravel()
+    kdata = np.array([k, -k, -k, k]).T.ravel()
+    mdata = np.array([h / 3.0, h / 6.0, h / 6.0, h / 3.0]).T.ravel()
     K = scipy.sparse.coo_matrix((kdata, (rows, cols)), shape=(n, n)).tocsr()
     M = scipy.sparse.coo_matrix((mdata, (rows, cols)), shape=(n, n)).tocsr()
     return K, M
@@ -129,16 +141,20 @@ class SpectralResult:
         return self.values[k]
 
     def to_payload(self) -> dict:
+        mesh, nv = self.mesh, len(self.mesh.graph.vertices)
+        edge_ids = [e.id for e in mesh.graph.edges]
+        nodes = [{"edge": None, "offset": 0.0, "vertex": v.id} for v in mesh.graph.vertices]
+        nodes += [
+            {"edge": edge_ids[e], "offset": x, "vertex": None}
+            for e, x in zip(mesh.node_edge[nv:].tolist(), mesh.node_offset[nv:].tolist())
+        ]
         return {
-            "h_target": self.mesh.h_target,
-            "h_eff": self.mesh.h_eff,
+            "h_target": mesh.h_target,
+            "h_eff": mesh.h_eff,
             "eigenvalues": list(self.eigenvalues),
             "residuals": list(self.residuals),
             "iterations": list(self.iterations),
-            "nodes": [
-                {"edge": nd.edge, "offset": nd.offset, "vertex": nd.vertex}
-                for nd in self.mesh.nodes
-            ],
+            "nodes": nodes,
             "values": [list(map(float, row)) for row in self.values],
         }
 
@@ -217,7 +233,7 @@ def lowest_eigenpairs(
         resids.append(float(np.linalg.norm(r)))
         iters.append(converged_at)
 
-    values = np.zeros((k, len(mesh.nodes)))
+    values = np.zeros((k, mesh.n_nodes))
     for row, vec in enumerate(found):
         values[row, free] = vec
     # fix the ground-state sign so its integral is positive
@@ -326,14 +342,15 @@ def landscape_check(
     if solution is None:
         solution = torsion_function(g)
     field = g.dirichlet_distances()
+    mesh = spectral.mesh
     h = spectral.h_eff
+    seg_start = np.cumsum(mesh.segments_per_edge) - mesh.segments_per_edge
     out: list[LandscapeRatio] = []
     for mode, (lam, phi) in enumerate(zip(spectral.eigenvalues, spectral.values)):
         sup_phi = float(np.max(np.abs(phi)))
+        phi_tail, phi_head = phi[mesh.seg_tail], phi[mesh.seg_head]
         best = None
-        for e in g.edges:
-            chain = spectral.mesh.edge_nodes[e.id]
-            n = len(chain) - 1
+        for e, n, first in zip(g.edges, mesh.segments_per_edge.tolist(), seg_start.tolist()):
             he = e.length / n
             poly = solution.poly(e.id)
             for t in range(samples_per_edge + 1):
@@ -342,7 +359,7 @@ def landscape_check(
                     continue
                 s = min(int(x / he), n - 1)
                 frac = x / he - s
-                phix = (1.0 - frac) * phi[chain[s]] + frac * phi[chain[s + 1]]
+                phix = (1.0 - frac) * phi_tail[first + s] + frac * phi_head[first + s]
                 ratio = abs(phix) / (lam * sup_phi * poly.value(x))
                 if best is None or ratio > best[0]:
                     best = (ratio, e.id, x)

@@ -92,15 +92,15 @@ class Prediction:
 
 
 def _need_vertex(g: MetricGraph, vid: str) -> None:
-    if not any(v.id == vid for v in g.vertices):
+    if vid not in g._vmap:
         raise PreconditionViolated(f"vertex {vid!r} does not exist")
 
 
 def _need_edge(g: MetricGraph, eid: str) -> Edge:
-    for e in g.edges:
-        if e.id == eid:
-            return e
-    raise PreconditionViolated(f"edge {eid!r} does not exist")
+    try:
+        return g._emap[eid]
+    except KeyError:
+        raise PreconditionViolated(f"edge {eid!r} does not exist") from None
 
 
 def apply(g: MetricGraph, op: SurgeryOp) -> MetricGraph:

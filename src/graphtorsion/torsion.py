@@ -13,9 +13,9 @@ raises rather than returning a number of unknown quality.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -39,17 +39,14 @@ class DiscreteSystem:
     """Vertex system over the natural vertices.
 
     matrix is symmetric positive definite; solving matrix @ g = weight gives
-    the vertex unknowns.  weight[v] is the metric degree (loops twice),
-    coupling[e] = 1/length for edges with both ends natural (loops included,
-    though a loop couples a vertex to itself and cancels from the matrix),
-    dirichlet_weight[v] sums 1/length over edges joining v to the Dirichlet set.
+    the vertex unknowns.  weight[v] is the metric degree (loops twice).  Each
+    edge adds 1/length to the weighted graph Laplacian restricted to the
+    natural vertices; a loop couples a vertex to itself and cancels.
     """
 
     order: tuple[str, ...]
     matrix: np.ndarray
     weight: np.ndarray
-    coupling: dict[str, float]
-    dirichlet_weight: dict[str, float]
 
 
 @dataclass(frozen=True)
@@ -85,12 +82,6 @@ class EdgePoly:
         l = self.length
         return (self.b ** 3 - (self.b - l) ** 3) / 3.0
 
-    def argmax(self) -> float:
-        return min(max(self.b, 0.0), self.length)
-
-    def max(self) -> float:
-        return self.value(self.argmax())
-
 
 @dataclass(frozen=True)
 class SupWitness:
@@ -108,44 +99,39 @@ class TorsionSolution:
     kirchhoff_residual: float = 0.0
     discrete: DiscreteTorsion | None = field(default=None, compare=False)
 
+    @cached_property
+    def _poly_by_edge(self) -> dict[str, EdgePoly]:
+        return {p.edge: p for p in self.edge_polys}
+
     def poly(self, edge_id: str) -> EdgePoly:
-        for p in self.edge_polys:
-            if p.edge == edge_id:
-                return p
-        raise UnknownEdge(f"no edge {edge_id!r} in solution")
+        try:
+            return self._poly_by_edge[edge_id]
+        except KeyError:
+            raise UnknownEdge(f"no edge {edge_id!r} in solution") from None
 
     def value_at(self, edge_id: str, offset: float) -> float:
         return self.poly(edge_id).value(offset)
 
-    def sup_norm(self) -> float:
-        return self.sup.value
-
 
 def assemble_discrete_system(g: MetricGraph) -> DiscreteSystem:
+    arr = g.arrays
     order = g.natural_vertices
-    idx = {vid: i for i, vid in enumerate(order)}
     n = len(order)
+    unknown = np.full(len(g.vertices), n)  # n marks a Dirichlet end
+    unknown[~arr.dirichlet] = np.arange(n)
+    proper = arr.tail != arr.head  # a loop cancels from the matrix
+    i, j = unknown[arr.tail[proper]], unknown[arr.head[proper]]
+    mu = 1.0 / arr.length[proper]
+    # entries (i,i), (j,j), (i,j), (j,i) edge by edge, so each entry sums its terms
+    # in edge order; those on a Dirichlet end are dropped
+    rows = np.array([i, j, i, j]).T.ravel()
+    cols = np.array([i, j, j, i]).T.ravel()
+    vals = np.array([mu, mu, -mu, -mu]).T.ravel()
+    keep = (rows < n) & (cols < n)
     mat = np.zeros((n, n))
+    np.add.at(mat, (rows[keep], cols[keep]), vals[keep])
     weight = np.array([g.metric_degree(v) for v in order])
-    coupling: dict[str, float] = {}
-    dirichlet_weight: dict[str, float] = {vid: 0.0 for vid in order}
-    for e in g.edges:
-        t_nat, h_nat = e.tail in idx, e.head in idx
-        mu = 1.0 / e.length
-        if t_nat and h_nat:
-            coupling[e.id] = mu
-            if not e.is_loop:
-                i, j = idx[e.tail], idx[e.head]
-                mat[i, i] += mu
-                mat[j, j] += mu
-                mat[i, j] -= mu
-                mat[j, i] -= mu
-        elif t_nat or h_nat:
-            vid = e.tail if t_nat else e.head
-            dirichlet_weight[vid] += mu
-            mat[idx[vid], idx[vid]] += mu
-        # both ends Dirichlet: no unknown touched
-    return DiscreteSystem(order, mat, weight, coupling, dirichlet_weight)
+    return DiscreteSystem(order, mat, weight)
 
 
 def solve_discrete_torsion(g: MetricGraph) -> DiscreteTorsion:
@@ -167,30 +153,28 @@ def solve_discrete_torsion(g: MetricGraph) -> DiscreteTorsion:
 def torsion_function(g: MetricGraph) -> TorsionSolution:
     """Solve for the torsion function and package the edgewise quadratics."""
     disc = solve_discrete_torsion(g)
-    vv = {v.id: (0.0 if v.bc == DIRICHLET else 0.5 * disc.values[v.id]) for v in g.vertices}
-    polys = []
-    for e in g.edges:
-        vt, vh = vv[e.tail], vv[e.head]
-        b = 0.5 * e.length + (vh - vt) / e.length
-        polys.append(EdgePoly(e.id, e.tail, e.head, e.length, b, vt))
-    polys = tuple(polys)
+    arr = g.arrays
+    ln = arr.length
+    v = np.zeros(len(g.vertices))
+    v[~arr.dirichlet] = [0.5 * disc.values[vid] for vid in g.natural_vertices]
+    vt, vh = v[arr.tail], v[arr.head]
+    b = 0.5 * ln + (vh - vt) / ln
+    polys = tuple(
+        EdgePoly(e.id, e.tail, e.head, e.length, bk, ck)
+        for e, bk, ck in zip(g.edges, b.tolist(), vt.tolist())
+    )
+    vv = dict(zip([vtx.id for vtx in g.vertices], v.tolist()))
 
-    residual = 0.0
-    flux: dict[str, float] = {vid: 0.0 for vid in g.natural_vertices}
-    for p in polys:
-        if p.tail in flux:
-            flux[p.tail] += p.derivative(0.0)
-        if p.head in flux:
-            flux[p.head] -= p.derivative(p.length)
-    if flux:
-        residual = max(abs(v) for v in flux.values())
+    # inward derivative sums, added edge by edge: v'(0) = b at the tail, -v'(l) at the head
+    flux = np.bincount(np.array([arr.tail, arr.head]).T.ravel(), np.array([b, ln - b]).T.ravel(),
+                       minlength=len(v))
+    residual = float(np.abs(flux[~arr.dirichlet]).max(initial=0.0))
 
-    best: SupWitness | None = None
-    for p in polys:
-        x = p.argmax()
-        val = p.value(x)
-        if best is None or val > best.value:
-            best = SupWitness(val, p.edge, x)
+    # v peaks on each edge at the vertex x = b of the parabola, clamped to [0, l]
+    x = np.minimum(np.maximum(b, 0.0), ln)
+    peak = -0.5 * x * x + b * x + vt
+    k = int(np.argmax(peak))
+    best = SupWitness(float(peak[k]), polys[k].edge, float(x[k]))
 
     t_edge = math.fsum(p.integral() for p in polys)
     t_formula = math.fsum(e.length ** 3 for e in g.edges) / 12.0 + 0.25 * disc.discrete_rigidity
@@ -221,10 +205,6 @@ def rigidity(sol: TorsionSolution) -> float:
         _require_close("rigidity (integral of v)", t_edge, "rigidity (vertex identity)", t_formula)
     _require_close("rigidity (integral of v)", t_edge, "stored rigidity", sol.rigidity)
     return sol.rigidity
-
-
-def sup_norm(sol: TorsionSolution) -> SupWitness:
-    return sol.sup
 
 
 def dirichlet_energy(sol: TorsionSolution) -> float:
@@ -339,15 +319,3 @@ def solution_from_payload(payload: dict) -> TorsionSolution:
         )
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed torsion solution payload: {exc}") from None
-
-
-def solution_dumps(sol: TorsionSolution, indent: int | None = 2) -> str:
-    return json.dumps(solution_to_payload(sol), indent=indent)
-
-
-def solution_loads(text: str) -> TorsionSolution:
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"invalid JSON: {exc}") from None
-    return solution_from_payload(payload)

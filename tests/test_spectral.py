@@ -34,15 +34,15 @@ from graphtorsion.spectral import _assemble, build_mesh
 
 def test_mesh_subdivision_rule():
     mesh = build_mesh(lasso(1.5, 2.0), h_target=0.3)
-    assert mesh.subdivisions["e1"] == 5
-    assert mesh.subdivisions["e2"] == 7
+    assert mesh.segments_per_edge[0] == 5  # e1
+    assert mesh.segments_per_edge[1] == 7  # e2
     # e1 splits at exactly 0.3, e2 at 2/7; the coarser one wins
     assert mesh.h_eff == pytest.approx(0.3, rel=1e-12)
 
 
 def test_mesh_minimum_two_segments():
     mesh = build_mesh(lasso(), h_target=10.0)
-    assert all(n == 2 for n in mesh.subdivisions.values())
+    assert all(n == 2 for n in mesh.segments_per_edge)
 
 
 def test_mesh_weights_integrate_one():
@@ -62,8 +62,26 @@ def test_mesh_rejects_bad_target():
 def test_mesh_dirichlet_nodes_pinned():
     g = path_dn([1.0])
     mesh = build_mesh(g, h_target=0.5)
-    pinned = set(range(len(mesh.nodes))) - set(mesh.free)
-    assert pinned == {mesh.vertex_node["v0"]}
+    pinned = set(range(mesh.n_nodes)) - set(mesh.free)
+    assert pinned == {[v.id for v in g.vertices].index("v0")}
+
+
+def test_mesh_layout_vertices_then_edge_interiors():
+    # the node order spectrum --json reports and the benchmark's P1 check rebuild
+    g = lasso(1.5, 2.0)
+    nodes = lowest_eigenpairs(g, h_target=0.3).to_payload()["nodes"]
+    expected = [{"edge": None, "offset": 0.0, "vertex": v.id} for v in g.vertices]
+    for e, n in zip(g.edges, (5, 7)):
+        expected += [
+            {"edge": e.id, "offset": k * (e.length / n), "vertex": None} for k in range(1, n)
+        ]
+    assert nodes == expected
+
+
+def test_mesh_node_budget():
+    # the default h = l_min/16 cuts the unit edge into 16,000,000 segments
+    with pytest.raises(BadParameters, match="16000017"):
+        build_mesh(star(2, [1e-6, 1.0]))
 
 
 # -- eigenvalues on intervals ---------------------------------------------
@@ -166,7 +184,7 @@ def test_ground_state_sign_and_payload():
     payload = res.to_payload()
     json.dumps(payload)
     assert payload["eigenvalues"] == list(res.eigenvalues)
-    assert len(payload["values"][0]) == len(res.mesh.nodes)
+    assert len(payload["values"][0]) == res.mesh.n_nodes
 
 
 # -- heat content ---------------------------------------------------------

@@ -260,7 +260,10 @@ class MetricGraph:
 
     def is_doubly_connected_after_glue(self) -> bool:
         """True when the graph, with V_D identified to a point, has no bridges."""
-        return not _has_bridge(self.glue_dirichlet())
+        arr = self.arrays
+        rep = np.arange(len(self.vertices))
+        rep[arr.dirichlet] = np.argmax(arr.dirichlet)  # every Dirichlet vertex onto the first
+        return not _has_bridge_in(rep[arr.tail], rep[arr.head], len(self.vertices))
 
     # -- serialization ---------------------------------------------------
 
@@ -311,42 +314,47 @@ class InradiusWitness:
 
 def _has_bridge(g: MetricGraph) -> bool:
     """Bridge detection on the multigraph skeleton; loops are never bridges."""
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
+    arr = g.arrays
+    return _has_bridge_in(arr.tail, arr.head, len(g.vertices))
+
+
+def _has_bridge_in(tail: np.ndarray, head: np.ndarray, n_vertices: int) -> bool:
+    """Whether the multigraph on vertices 0..n_vertices-1 with edges k = (tail[k],
+    head[k]) has a bridge.  Loops are skipped; a parallel edge closes a cycle."""
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n_vertices)]
+    for k, (a, b) in enumerate(zip(tail.tolist(), head.tolist())):
+        if a != b:
+            adj[a].append((b, k))
+            adj[b].append((a, k))
+    index = [-1] * n_vertices
+    low = [0] * n_vertices
     counter = 0
-    # iterative DFS, entering edge tracked by id so parallel edges work
-    for root in (v.id for v in g.vertices):
-        if root in index:
+    # iterative DFS, entering edge tracked by index so parallel edges work
+    for root in range(n_vertices):
+        if index[root] >= 0:
             continue
-        stack = [(root, None, iter(g._incidence[root]))]
         index[root] = low[root] = counter
         counter += 1
+        stack = [(root, -1, iter(adj[root]))]
         while stack:
             u, in_edge, it = stack[-1]
-            advanced = False
-            for e in it:
-                if e.is_loop:
+            for w, k in it:
+                if k == in_edge:
                     continue
-                if e.id == in_edge:
-                    continue
-                w = e.head if e.tail == u else e.tail
-                if w in index:
-                    # back edge: fold in and keep consuming this frame
-                    low[u] = min(low[u], index[w])
-                    continue
-                index[w] = low[w] = counter
-                counter += 1
-                stack.append((w, e.id, iter(g._incidence[w])))
-                advanced = True
-                break
-            if advanced:
-                continue
-            stack.pop()
-            if stack:
-                parent = stack[-1][0]
-                low[parent] = min(low[parent], low[u])
-                if low[u] > index[parent]:
-                    return True
+                if index[w] < 0:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append((w, k, iter(adj[w])))
+                    break
+                # back edge: fold in and keep consuming this frame
+                low[u] = min(low[u], index[w])
+            else:
+                stack.pop()
+                if stack:
+                    parent = stack[-1][0]
+                    low[parent] = min(low[parent], low[u])
+                    if low[u] > index[parent]:
+                        return True
     return False
 
 

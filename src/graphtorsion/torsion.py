@@ -2,13 +2,25 @@
 
 The torsion function solves -v'' = 1 on every edge, vanishes at Dirichlet
 vertices and satisfies continuity plus a zero-sum condition on inward
-derivatives at natural vertices.  Its values at natural vertices come from a
-small symmetric positive-definite vertex system; edgewise the function is the
-quadratic v(x) = -x^2/2 + b x + c in the offset x from the edge tail.
+derivatives at natural vertices.  Edgewise it is the quadratic
+v(x) = -x^2/2 + b x + c in the offset x from the edge tail; its values at the
+natural vertices come from one symmetric positive-definite vertex system, the
+weighted graph Laplacian over the natural vertices, held as a sparse matrix.
 
-Rigidity is computed two independent ways (vertex-system identity and exact
-edgewise integration) and the two must agree to 1e-10 relative; a mismatch
-raises rather than returning a number of unknown quality.
+The vertex system is factored once by a sparse LU in symmetric mode: a
+minimum-degree ordering of A + A^T and no pivoting, in effect a
+minimum-degree LDL^T, so memory is linear in |V| on tree-like graphs.  The
+first solve is then refined with the same factor.  Each step takes the
+residual edge by edge from the fluxes (x_t - x_h)/l, which subtract nearby
+values before dividing, where A @ x would add terms of widely different
+lengths and lose the small ones; it solves for the correction and adds it.
+Refinement stops once a correction no longer changes the float64 solution
+(max|d| <= 2^-52 max|x|) or after MAX_REFINE steps.
+
+Rigidity is computed three independent ways: the vertex-system identity,
+exact edgewise integration of v, and the Dirichlet energy of v.  The routes
+must agree to REL_TOL relative, and the Kirchhoff residual must stay below
+it; a mismatch raises rather than returning a number of unknown quality.
 """
 
 from __future__ import annotations
@@ -19,7 +31,8 @@ from functools import cached_property
 from typing import Mapping
 
 import numpy as np
-import scipy.linalg
+import scipy.sparse
+import scipy.sparse.linalg
 
 from .errors import (
     BadParameters,
@@ -32,21 +45,36 @@ from .errors import (
 from .graph import DIRICHLET, MetricGraph
 
 REL_TOL = 1e-10
+MAX_REFINE = 4  # refinement steps after the first solve; past them the cross-checks decide
+EPS = 2.0 ** -52  # float64 machine epsilon: a smaller relative correction changes nothing
 
 
 @dataclass(frozen=True)
 class DiscreteSystem:
     """Vertex system over the natural vertices.
 
-    matrix is symmetric positive definite; solving matrix @ g = weight gives
-    the vertex unknowns.  weight[v] is the metric degree (loops twice).  Each
-    edge adds 1/length to the weighted graph Laplacian restricted to the
-    natural vertices; a loop couples a vertex to itself and cancels.
+    matrix is symmetric positive definite, in CSC form with sorted indices and
+    no duplicates; solving matrix @ g = weight gives the vertex unknowns.
+    weight[v] is the metric degree (loops twice).  Each edge adds 1/length to
+    the weighted graph Laplacian restricted to the natural vertices; a loop
+    couples a vertex to itself and cancels.  tail[k] and head[k] are the
+    unknowns at the ends of edge k, len(order) at a Dirichlet end, and
+    length[k] its length.
     """
 
     order: tuple[str, ...]
-    matrix: np.ndarray
+    matrix: scipy.sparse.csc_array
     weight: np.ndarray
+    tail: np.ndarray
+    head: np.ndarray
+    length: np.ndarray
+
+    def residual(self, x: np.ndarray) -> np.ndarray:
+        """weight - matrix @ x[:n], summed from the edge fluxes; x[n] must be 0."""
+        n = len(self.order)
+        f = (x[self.tail] - x[self.head]) / self.length
+        flux = np.bincount(self.tail, f, minlength=n + 1) - np.bincount(self.head, f, minlength=n + 1)
+        return self.weight - flux[:n]
 
 
 @dataclass(frozen=True)
@@ -119,19 +147,34 @@ def assemble_discrete_system(g: MetricGraph) -> DiscreteSystem:
     n = len(order)
     unknown = np.full(len(g.vertices), n)  # n marks a Dirichlet end
     unknown[~arr.dirichlet] = np.arange(n)
-    proper = arr.tail != arr.head  # a loop cancels from the matrix
-    i, j = unknown[arr.tail[proper]], unknown[arr.head[proper]]
+    tail, head = unknown[arr.tail], unknown[arr.head]
+    weight = (np.bincount(tail, arr.length, minlength=n + 1)
+              + np.bincount(head, arr.length, minlength=n + 1))[:n]
+    proper = tail != head  # a loop cancels from the matrix
+    i, j = tail[proper], head[proper]
     mu = 1.0 / arr.length[proper]
-    # entries (i,i), (j,j), (i,j), (j,i) edge by edge, so each entry sums its terms
-    # in edge order; those on a Dirichlet end are dropped
-    rows = np.array([i, j, i, j]).T.ravel()
-    cols = np.array([i, j, j, i]).T.ravel()
-    vals = np.array([mu, mu, -mu, -mu]).T.ravel()
-    keep = (rows < n) & (cols < n)
-    mat = np.zeros((n, n))
-    np.add.at(mat, (rows[keep], cols[keep]), vals[keep])
-    weight = np.array([g.metric_degree(v) for v in order])
-    return DiscreteSystem(order, mat, weight)
+    # entries (i,i), (j,j), (i,j), (j,i) of each edge, those on a Dirichlet end
+    # dropped, sorted by (column, row) and summed where they meet
+    rows = np.concatenate((i, j, i, j))
+    cols = np.concatenate((i, j, j, i))
+    keep = ((rows < n) & (cols < n)).nonzero()[0]
+    key = cols[keep] * n + rows[keep]
+    perm = key.argsort(kind="stable")
+    key = key[perm]
+    opens = np.empty(len(key), dtype=bool)  # where a new (column, row) entry begins
+    opens[:1] = True
+    np.not_equal(key[1:], key[:-1], out=opens[1:])
+    first = opens.nonzero()[0]
+    key = key[first]
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.bincount(key // n, minlength=n).cumsum(out=indptr[1:])
+    nmu = -mu
+    vals = np.concatenate((mu, mu, nmu, nmu))[keep[perm]]
+    mat = scipy.sparse.csc_array(
+        (np.add.reduceat(vals, first), (key % n).astype(np.int32), indptr),
+        shape=(n, n), copy=False,
+    )
+    return DiscreteSystem(order, mat, weight, tail, head, arr.length)
 
 
 def solve_discrete_torsion(g: MetricGraph) -> DiscreteTorsion:
@@ -140,23 +183,34 @@ def solve_discrete_torsion(g: MetricGraph) -> DiscreteTorsion:
     if n == 0:
         return DiscreteTorsion(sys, {}, 0.0)
     try:
-        cho = scipy.linalg.cho_factor(sys.matrix)
-        sol = scipy.linalg.cho_solve(cho, sys.weight)
-    except scipy.linalg.LinAlgError as exc:
-        raise SingularSystem(f"vertex system not positive definite: {exc}") from None
-    if not np.all(np.isfinite(sol)):
+        lu = scipy.sparse.linalg.splu(sys.matrix, permc_spec="MMD_AT_PLUS_A",
+                                      diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    except RuntimeError as exc:
+        raise SingularSystem(f"vertex system is singular: {exc}") from None
+    x = np.zeros(n + 1)  # x[n] = 0 is the value at every Dirichlet end
+    sol = x[:n]
+    sol += lu.solve(sys.weight)
+    negligible = EPS * np.abs(sol).max()
+    for _ in range(MAX_REFINE):
+        d = lu.solve(sys.residual(x))
+        sol += d
+        if not np.abs(d).max() > negligible:  # a NaN stops here too
+            break
+    if not np.isfinite(sol).all():
         raise SingularSystem("vertex system produced non-finite values")
-    values = {vid: float(sol[i]) for i, vid in enumerate(sys.order)}
+    values = dict(zip(sys.order, sol.tolist()))
     return DiscreteTorsion(sys, values, float(sys.weight @ sol))
 
 
 def torsion_function(g: MetricGraph) -> TorsionSolution:
     """Solve for the torsion function and package the edgewise quadratics."""
     disc = solve_discrete_torsion(g)
+    sys = disc.system
+    n = len(sys.order)
     arr = g.arrays
     ln = arr.length
     v = np.zeros(len(g.vertices))
-    v[~arr.dirichlet] = [0.5 * disc.values[vid] for vid in g.natural_vertices]
+    v[~arr.dirichlet] = 0.5 * np.fromiter(disc.values.values(), float, n)
     vt, vh = v[arr.tail], v[arr.head]
     b = 0.5 * ln + (vh - vt) / ln
     polys = tuple(
@@ -165,10 +219,9 @@ def torsion_function(g: MetricGraph) -> TorsionSolution:
     )
     vv = dict(zip([vtx.id for vtx in g.vertices], v.tolist()))
 
-    # inward derivative sums, added edge by edge: v'(0) = b at the tail, -v'(l) at the head
-    flux = np.bincount(np.array([arr.tail, arr.head]).T.ravel(), np.array([b, ln - b]).T.ravel(),
-                       minlength=len(v))
-    residual = float(np.abs(flux[~arr.dirichlet]).max(initial=0.0))
+    # inward derivative sums at the natural vertices: v'(0) = b at the tail, -v'(l) at the head
+    flux = np.bincount(sys.tail, b, minlength=n + 1) + np.bincount(sys.head, ln - b, minlength=n + 1)
+    residual = float(np.abs(flux[:n]).max(initial=0.0))
 
     # v peaks on each edge at the vertex x = b of the parabola, clamped to [0, l]
     x = np.minimum(np.maximum(b, 0.0), ln)

@@ -7,6 +7,7 @@ the package's assembly or traversal code.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import scipy.linalg
@@ -35,6 +36,46 @@ def brute_has_bridge(g) -> bool:
         if len(seen) != len(ids):
             return True
     return False
+
+
+def exact_rigidity(g) -> Fraction:
+    """Torsional rigidity in exact rational arithmetic on the float lengths.
+
+    T = sum l^3/12 + w.x/4 where A x = w: A is the weighted Laplacian over the
+    natural vertices (1/l per non-loop edge, edges to the Dirichlet set on the
+    diagonal) and w the metric degrees, loops counted twice.  A is symmetric
+    positive definite, so elimination without pivoting never meets a zero pivot.
+    """
+    pos = {v.id: k for k, v in enumerate(v for v in g.vertices if v.bc == "natural")}
+    n = len(pos)
+    a = [[Fraction(0)] * n for _ in range(n)]
+    w = [Fraction(0)] * n
+    cubes = Fraction(0)
+    for e in g.edges:
+        ln = Fraction(e.length)
+        cubes += ln ** 3
+        ends = [pos[vid] for vid in (e.tail, e.head) if vid in pos]
+        for k in ends:
+            w[k] += ln
+        if e.tail == e.head:
+            continue
+        for k in ends:
+            a[k][k] += 1 / ln
+        if len(ends) == 2:
+            i, j = ends
+            a[i][j] -= 1 / ln
+            a[j][i] -= 1 / ln
+    x = list(w)
+    for c in range(n):
+        for r in range(c + 1, n):
+            f = a[r][c] / a[c][c]
+            if f:
+                for k in range(c, n):
+                    a[r][k] -= f * a[c][k]
+                x[r] -= f * x[c]
+    for c in reversed(range(n)):
+        x[c] = (x[c] - sum(a[c][k] * x[k] for k in range(c + 1, n))) / a[c][c]
+    return cubes / 12 + sum(p * q for p, q in zip(w, x)) / 4
 
 
 def bellman_ford_dirichlet(g) -> dict[str, float]:

@@ -207,6 +207,13 @@ def test_doubly_connected_classification():
     assert not path_dn([1.0, 1.0]).is_doubly_connected_after_glue()
 
 
+def test_doubly_connected_matches_brute_force_on_glued_graph():
+    # the bridge test runs on the index arrays without building the glued graph
+    for seed in range(200):
+        g = random_graph(seed)
+        assert g.is_doubly_connected_after_glue() == (not brute_has_bridge(g.glue_dirichlet()))
+
+
 # -- serialization --------------------------------------------------------
 
 

@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import (
+    exact_rigidity,
     fem_rigidity,
     lasso_rigidity,
     sampled_sup,
@@ -41,7 +43,7 @@ from graphtorsion.families import (
     star,
     stower,
 )
-from graphtorsion.torsion import _require_close, edgewise_dirichlet_quadratics
+from graphtorsion.torsion import REL_TOL, _require_close, edgewise_dirichlet_quadratics
 
 REL = 1e-10
 
@@ -221,6 +223,31 @@ def test_fem_oracle_agreement():
         exact = T(g)
         approx = fem_rigidity(g, h)
         assert approx == pytest.approx(exact, rel=5e-3)
+
+
+def test_wide_length_ratios_never_raise():
+    # lengths log-uniform over 14 decades; every rigidity route must still agree
+    for seed in range(300):
+        g = random_graph(seed, length_range=(1e-7, 1e7))
+        rigidity(torsion_function(g))
+
+
+def test_wide_length_ratios_match_exact_solve():
+    for seed in (44, 53, 64, 72, 75):
+        g = random_graph(seed, length_range=(1e-7, 1e7))
+        want = float(exact_rigidity(g))
+        assert rigidity(torsion_function(g)) == pytest.approx(want, rel=REL_TOL)
+
+
+def test_long_path_stays_sparse():
+    # 30,001 vertices: the dense vertex matrix alone would need about 7 GB
+    n = 30_000
+    g = path_dd([1.0 / n] * n)
+    sol = torsion_function(g)
+    assert sol.rigidity == pytest.approx(1.0 / 12.0, rel=1e-12)
+    matrix = sol.discrete.system.matrix
+    assert scipy.sparse.issparse(matrix)
+    assert matrix.nnz <= 3 * len(g.natural_vertices)
 
 
 # -- variational characterization -----------------------------------------

@@ -5,9 +5,13 @@ Dirichlet (the function vanishes) and natural (continuity plus zero net
 flux).  This package solves the torsion problem exactly edge by edge,
 computes low eigenvalues by finite elements, audits a family of
 isoperimetric inequalities, and optimizes edge lengths at fixed topology.
+
+The root exports each module's entry points, the graph type and its loaders,
+the surgery operations and every error class; result types and the graph
+families are imported from their modules.
 """
 
-from .bounds import BoundRecord, BoundsReport, audit, equality_witnesses
+from .bounds import audit, equality_witnesses
 from .errors import (
     BadParameters,
     CrossCheckMismatch,
@@ -25,23 +29,8 @@ from .errors import (
     ValidationError,
     ZeroEnergy,
 )
-from .families import (
-    caterpillar,
-    family_examples,
-    family_generator,
-    flower,
-    lasso,
-    path_dd,
-    path_dn,
-    pumpkin_chain,
-    random_graph,
-    star,
-    stower,
-)
 from .graph import (
-    DistanceField,
     Edge,
-    InradiusWitness,
     MetricGraph,
     Vertex,
     from_payload,
@@ -51,8 +40,6 @@ from .graph import (
     reorient,
 )
 from .shape_opt import (
-    OptimizationTrajectory,
-    TrajectoryPoint,
     dT_dlength,
     grad_check,
     gradient,
@@ -60,12 +47,6 @@ from .shape_opt import (
     with_lengths,
 )
 from .spectral import (
-    HeatContent,
-    LandscapeRatio,
-    Mesh,
-    SpectralResult,
-    build_mesh,
-    ground_state,
     integrated_heat_content,
     landscape_check,
     lowest_eigenpairs,
@@ -77,7 +58,6 @@ from .surgery import (
     Direction,
     Glue,
     Lengthen,
-    Prediction,
     Scale,
     UnfoldParallel,
     apply,
@@ -85,13 +65,7 @@ from .surgery import (
     reduce_to_pumpkin_chain,
 )
 from .torsion import (
-    DiscreteSystem,
-    DiscreteTorsion,
-    EdgePoly,
     PiecewiseQuadratic,
-    SupWitness,
-    TorsionSolution,
-    assemble_discrete_system,
     dirichlet_energy,
     polya_quotient,
     rigidity,

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 
 from .errors import GraphToolError
 from .graph import MetricGraph
-from .spectral import ground_state
+from .spectral import lowest_eigenpairs
 from .torsion import rigidity, torsion_function
 
 EXACT_VIOLATION_TOL = 1e-8
@@ -173,7 +173,7 @@ def audit(
     lam_error: str | None = None
     if spectral:
         try:
-            gs = ground_state(g, h_target=h_target, tol=tol, max_iter=max_iter)
+            gs = lowest_eigenpairs(g, 1, h_target, tol, max_iter)
             lam = gs.eigenvalues[0]
             h_eff = gs.h_eff
         except GraphToolError as exc:
@@ -195,20 +195,22 @@ def audit(
                         applicability, None, True, why)
         )
 
-    def with_lambda(name, label, relation, applicability, build, note="") -> None:
+    def no_lambda(name, label, relation, applicability) -> None:
+        records.append(
+            BoundRecord(name, label, relation, None, None, None,
+                        ERROR if lam_error else NOT_APPLICABLE, applicability, None, True,
+                        lam_error or "spectral solve disabled")
+        )
+
+    def with_lambda(name, label, relation, applicability, build) -> None:
         if lam is None:
-            status = ERROR if lam_error else NOT_APPLICABLE
-            why = lam_error or "spectral solve disabled"
-            records.append(
-                BoundRecord(name, label, relation, None, None, None, status,
-                            applicability, None, True, note or why)
-            )
+            no_lambda(name, label, relation, applicability)
             return
         lhs, rhs = build(lam)
         slack, status = _classify(lhs, rhs, lam_tol, lam_tol)
         records.append(
             BoundRecord(name, label, relation, lhs, rhs, slack, status, applicability,
-                        lam_tol, True, note)
+                        lam_tol, True)
         )
 
     # upper bounds by total length
@@ -282,12 +284,10 @@ def audit(
                 "(pi/12^(1/3))^2 <= lambda_1 * T^(2/3) when Dirichlet-glued and bridgeless",
                 "<=", DOUBLY_CONNECTED_ONLY, "graph has a bridge after gluing the Dirichlet set")
 
+    sandwich = ("heat_sandwich", "(pi^2/(24T)^(2/3)) <= lambda_1 <= L/T via |p|_L1 = T",
+                "sandwich")
     if lam is None:
-        records.append(BoundRecord(
-            "heat_sandwich", "(pi^2/(24T)^(2/3)) <= lambda_1 <= L/T via |p|_L1 = T",
-            "sandwich", None, None, None,
-            ERROR if lam_error else NOT_APPLICABLE, ALWAYS, None, True,
-            lam_error or "spectral solve disabled"))
+        no_lambda(*sandwich, ALWAYS)
     else:
         lo = math.pi ** 2 / (24.0 * T) ** (2.0 / 3.0)
         hi = L / T
@@ -295,10 +295,8 @@ def audit(
         s2, _ = _classify(lam, hi, lam_tol, lam_tol)
         slack = min(s1, s2)
         status = _status(slack, max(abs(lam), 1e-300), lam_tol, lam_tol)
-        records.append(BoundRecord(
-            "heat_sandwich", "(pi^2/(24T)^(2/3)) <= lambda_1 <= L/T via |p|_L1 = T",
-            "sandwich", lo, hi, slack, status, ALWAYS, lam_tol, True,
-            f"lambda_1 = {lam!r}"))
+        records.append(BoundRecord(*sandwich, lo, hi, slack, status, ALWAYS, lam_tol, True,
+                                   f"lambda_1 = {lam!r}"))
 
     h_star = _star_closed_form_cheeger(g)
     if h_star is not None:

@@ -18,7 +18,7 @@ from .errors import BadParameters, GraphToolError, ValidationError
 from .graph import MetricGraph, load, loads
 from .shape_opt import grad_check, optimize
 from .spectral import integrated_heat_content, lowest_eigenpairs
-from .torsion import solution_to_payload, torsion_function
+from .torsion import rigidity, solution_to_payload, torsion_function
 
 USAGE_ERROR = 1
 SOLVER_ERROR = 2
@@ -55,14 +55,15 @@ def _parse_lengths(text: str | None):
 
 def _cmd_torsion(args) -> tuple[str, int]:
     sol = torsion_function(_read_graph(args.graph))
+    rigidity(sol)  # raises unless the energy route agrees
     return json.dumps(solution_to_payload(sol), indent=2), 0
 
 
 def _cmd_rigidity(args) -> tuple[str, int]:
-    sol = torsion_function(_read_graph(args.graph))
+    t = rigidity(torsion_function(_read_graph(args.graph)))
     if args.json:
-        return json.dumps({"rigidity": sol.rigidity}), 0
-    return _fmt(sol.rigidity, args.precision), 0
+        return json.dumps({"rigidity": t}), 0
+    return _fmt(t, args.precision), 0
 
 
 def _cmd_spectrum(args) -> tuple[str, int]:
@@ -258,6 +259,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "bounds" and args.graph is None and args.batch is None:
         parser.error("bounds needs a graph file or --batch DIR")
+    if args.precision < 0:
+        parser.error(f"--precision must be non-negative, got {args.precision}")
     try:
         text, code = args.run(args)
     except (ValidationError, BadParameters) as exc:

@@ -23,28 +23,25 @@ def _expand(lengths, n: int, what: str) -> list[float]:
     return vals
 
 
-def path_dn(lengths=None) -> MetricGraph:
-    """Path with a Dirichlet first vertex and natural vertices elsewhere."""
+def _path(lengths, last_bc: str) -> MetricGraph:
+    """Path v0 - v1 - ... - vn with a Dirichlet v0, vn tagged last_bc, natural between."""
     if lengths is None:
         lengths = [1.0]
     vals = [float(x) for x in lengths] if not isinstance(lengths, (int, float)) else [float(lengths)]
     n = len(vals)
-    verts = [("v0", DIRICHLET)] + [(f"v{i}", NATURAL) for i in range(1, n + 1)]
+    verts = [("v0", DIRICHLET)] + [(f"v{i}", NATURAL) for i in range(1, n)] + [(f"v{n}", last_bc)]
     edges = [(f"e{i}", f"v{i - 1}", f"v{i}", vals[i - 1]) for i in range(1, n + 1)]
     return make_graph(verts, edges)
+
+
+def path_dn(lengths=None) -> MetricGraph:
+    """Path with a Dirichlet first vertex and natural vertices elsewhere."""
+    return _path(lengths, NATURAL)
 
 
 def path_dd(lengths=None) -> MetricGraph:
     """Path with Dirichlet conditions at both endpoints."""
-    if lengths is None:
-        lengths = [1.0]
-    vals = [float(x) for x in lengths] if not isinstance(lengths, (int, float)) else [float(lengths)]
-    n = len(vals)
-    verts = [("v0", DIRICHLET)]
-    verts += [(f"v{i}", NATURAL) for i in range(1, n)]
-    verts += [(f"v{n}", DIRICHLET)]
-    edges = [(f"e{i}", f"v{i - 1}", f"v{i}", vals[i - 1]) for i in range(1, n + 1)]
-    return make_graph(verts, edges)
+    return _path(lengths, DIRICHLET)
 
 
 def star(k: int, lengths=None) -> MetricGraph:

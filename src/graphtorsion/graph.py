@@ -158,11 +158,6 @@ class MetricGraph:
         except KeyError:
             raise UnknownEdge(f"no edge {eid!r}") from None
 
-    def incident(self, vid: str) -> tuple[Edge, ...]:
-        """Edges meeting vid; a loop appears once in the tuple."""
-        self.vertex(vid)
-        return self._incidence[vid]
-
     @cached_property
     def dirichlet_vertices(self) -> tuple[str, ...]:
         return tuple(v.id for v in self.vertices if v.bc == DIRICHLET)
@@ -236,7 +231,7 @@ class MetricGraph:
         self.vertex(w)
         return self._dijkstra([u], target=w)[w]
 
-    def inradius(self) -> "InradiusWitness":
+    def inradius(self) -> "PointWitness":
         """Largest distance to the Dirichlet set, with a witness point."""
         dist = self.dirichlet_distances().values
         d = np.array([dist[v.id] for v in self.vertices])
@@ -245,7 +240,7 @@ class MetricGraph:
         peak = 0.5 * (du + dw + ln)
         k = int(np.argmax(peak))
         offset = min(max(0.5 * (dw[k] - du[k] + ln[k]), 0.0), ln[k])
-        return InradiusWitness(value=float(peak[k]), edge=self.edges[k].id, offset=float(offset))
+        return PointWitness(value=float(peak[k]), edge=self.edges[k].id, offset=float(offset))
 
     # -- Dirichlet gluing and 2-edge-connectivity ------------------------
 
@@ -306,7 +301,9 @@ class EdgeArrays:
 
 
 @dataclass(frozen=True)
-class InradiusWitness:
+class PointWitness:
+    """A value (an inradius, a supremum) attained at ``offset`` along edge ``edge``."""
+
     value: float
     edge: str
     offset: float

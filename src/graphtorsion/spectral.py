@@ -137,9 +137,6 @@ class SpectralResult:
     def h_eff(self) -> float:
         return self.mesh.h_eff
 
-    def eigenfunction(self, k: int) -> np.ndarray:
-        return self.values[k]
-
     def to_payload(self) -> dict:
         mesh, nv = self.mesh, len(self.mesh.graph.vertices)
         edge_ids = [e.id for e in mesh.graph.edges]
@@ -177,6 +174,10 @@ def lowest_eigenpairs(
     max_iter: int = DEFAULT_MAX_ITER,
     mesh: Mesh | None = None,
 ) -> SpectralResult:
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise BadParameters(f"tol must be finite and non-negative, got {tol!r}")
+    if max_iter < 1:
+        raise BadParameters(f"max_iter must be at least 1, got {max_iter!r}")
     if mesh is None:
         mesh = build_mesh(g, h_target)
     if k < 1:
@@ -241,15 +242,6 @@ def lowest_eigenpairs(
     if w @ values[0] < 0:
         values[0] = -values[0]
     return SpectralResult(mesh, tuple(lams), values, tuple(resids), tuple(iters))
-
-
-def ground_state(
-    g: MetricGraph,
-    h_target: float | None = None,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> SpectralResult:
-    return lowest_eigenpairs(g, 1, h_target, tol, max_iter)
 
 
 # -- integrated heat content ----------------------------------------------

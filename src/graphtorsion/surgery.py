@@ -104,21 +104,11 @@ def _need_edge(g: MetricGraph, eid: str) -> Edge:
 
 
 def apply(g: MetricGraph, op: SurgeryOp) -> MetricGraph:
-    if isinstance(op, Glue):
-        return _glue(g, op)
-    if isinstance(op, AddDirichlet):
-        return _add_dirichlet(g, op)
-    if isinstance(op, AttachPendant):
-        return _attach_pendant(g, op)
-    if isinstance(op, AddEdge):
-        return _add_edge(g, op)
-    if isinstance(op, Lengthen):
-        return _lengthen(g, op)
-    if isinstance(op, Scale):
-        return _scale(g, op)
-    if isinstance(op, UnfoldParallel):
-        return _unfold(g, op)
-    raise PreconditionViolated(f"unknown operation {op!r}")
+    try:
+        build, _ = _OPS[type(op)]
+    except KeyError:
+        raise PreconditionViolated(f"unknown operation {op!r}") from None
+    return build(g, op)
 
 
 def predicted_direction(
@@ -132,33 +122,21 @@ def predicted_direction(
     AddEdge only carries a guarantee when the torsion takes equal values at the
     two endpoints; pass the graph (or a solved torsion) to certify that.
     """
-    if isinstance(op, Glue):
-        return Prediction(Direction.NON_INCREASING)
-    if isinstance(op, AddDirichlet):
-        return Prediction(Direction.STRICT_DECREASE)
-    if isinstance(op, AttachPendant):
-        return Prediction(Direction.NON_DECREASING)
-    if isinstance(op, AddEdge):
-        if op.u == op.w:
-            return Prediction(Direction.NON_DECREASING)
+    if type(op) not in _OPS:
+        return None
+    _, direction = _OPS[type(op)]
+    if isinstance(op, Scale):
+        return Prediction(direction, op.factor ** 3)
+    if isinstance(op, AddEdge) and op.u != op.w:
         if solution is None:
             if g is None:
                 return None
             solution = torsion_function(g)
         vu = solution.vertex_values.get(op.u)
         vw = solution.vertex_values.get(op.w)
-        if vu is None or vw is None:
+        if vu is None or vw is None or not abs(vu - vw) <= value_tol * max(1.0, solution.sup.value):
             return None
-        if abs(vu - vw) <= value_tol * max(1.0, solution.sup.value):
-            return Prediction(Direction.NON_DECREASING)
-        return None
-    if isinstance(op, Lengthen):
-        return Prediction(Direction.STRICT_INCREASE)
-    if isinstance(op, Scale):
-        return Prediction(Direction.EXACT_SCALE, op.factor ** 3)
-    if isinstance(op, UnfoldParallel):
-        return Prediction(Direction.STRICT_INCREASE)
-    return None
+    return Prediction(direction)
 
 
 # -- the individual operations --------------------------------------------
@@ -270,6 +248,18 @@ def _unfold(g: MetricGraph, op: UnfoldParallel) -> MetricGraph:
     merged = Edge(e1.id, e1.tail, e1.head, e1.length + e2.length)
     edges = tuple(merged if x.id == e1.id else x for x in g.edges if x.id != e2.id)
     return MetricGraph(g.vertices, edges)
+
+
+# builder and rigidity direction per operation; AddEdge's holds only when certified
+_OPS = {
+    Glue: (_glue, Direction.NON_INCREASING),
+    AddDirichlet: (_add_dirichlet, Direction.STRICT_DECREASE),
+    AttachPendant: (_attach_pendant, Direction.NON_DECREASING),
+    AddEdge: (_add_edge, Direction.NON_DECREASING),
+    Lengthen: (_lengthen, Direction.STRICT_INCREASE),
+    Scale: (_scale, Direction.EXACT_SCALE),
+    UnfoldParallel: (_unfold, Direction.STRICT_INCREASE),
+}
 
 
 # -- reduction to a pumpkin chain -----------------------------------------

@@ -17,10 +17,11 @@ lengths and lose the small ones; it solves for the correction and adds it.
 Refinement stops once a correction no longer changes the float64 solution
 (max|d| <= 2^-52 max|x|) or after MAX_REFINE steps.
 
-Rigidity is computed three independent ways: the vertex-system identity,
-exact edgewise integration of v, and the Dirichlet energy of v.  The routes
-must agree to REL_TOL relative, and the Kirchhoff residual must stay below
-it; a mismatch raises rather than returning a number of unknown quality.
+Rigidity has three independent routes: exact edgewise integration of v, the
+vertex-system identity, and the Dirichlet energy of v.  torsion_function checks
+the integral against the vertex identity and the Kirchhoff residual;
+rigidity() adds the energy route.  Each check holds to REL_TOL relative, and a
+mismatch raises rather than returning a number of unknown quality.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .errors import (
     ValidationError,
     ZeroEnergy,
 )
-from .graph import DIRICHLET, MetricGraph
+from .graph import DIRICHLET, MetricGraph, PointWitness
 
 REL_TOL = 1e-10
 MAX_REFINE = 4  # refinement steps after the first solve; past them the cross-checks decide
@@ -79,8 +80,11 @@ class DiscreteSystem:
 
 @dataclass(frozen=True)
 class DiscreteTorsion:
+    """values solves system.matrix @ values = system.weight (float64, indexed like
+    system.order); the torsion function takes half of it at each natural vertex."""
+
     system: DiscreteSystem
-    values: dict[str, float]
+    values: np.ndarray
     discrete_rigidity: float
 
 
@@ -112,18 +116,11 @@ class EdgePoly:
 
 
 @dataclass(frozen=True)
-class SupWitness:
-    value: float
-    edge: str
-    offset: float
-
-
-@dataclass(frozen=True)
 class TorsionSolution:
     vertex_values: dict[str, float]
     edge_polys: tuple[EdgePoly, ...]
     rigidity: float
-    sup: SupWitness
+    sup: PointWitness
     kirchhoff_residual: float = 0.0
     discrete: DiscreteTorsion | None = field(default=None, compare=False)
 
@@ -136,9 +133,6 @@ class TorsionSolution:
             return self._poly_by_edge[edge_id]
         except KeyError:
             raise UnknownEdge(f"no edge {edge_id!r} in solution") from None
-
-    def value_at(self, edge_id: str, offset: float) -> float:
-        return self.poly(edge_id).value(offset)
 
 
 def assemble_discrete_system(g: MetricGraph) -> DiscreteSystem:
@@ -181,7 +175,7 @@ def solve_discrete_torsion(g: MetricGraph) -> DiscreteTorsion:
     sys = assemble_discrete_system(g)
     n = len(sys.order)
     if n == 0:
-        return DiscreteTorsion(sys, {}, 0.0)
+        return DiscreteTorsion(sys, np.zeros(0), 0.0)
     try:
         lu = scipy.sparse.linalg.splu(sys.matrix, permc_spec="MMD_AT_PLUS_A",
                                       diag_pivot_thresh=0.0, options={"SymmetricMode": True})
@@ -198,8 +192,7 @@ def solve_discrete_torsion(g: MetricGraph) -> DiscreteTorsion:
             break
     if not np.isfinite(sol).all():
         raise SingularSystem("vertex system produced non-finite values")
-    values = dict(zip(sys.order, sol.tolist()))
-    return DiscreteTorsion(sys, values, float(sys.weight @ sol))
+    return DiscreteTorsion(sys, sol, float(sys.weight @ sol))
 
 
 def torsion_function(g: MetricGraph) -> TorsionSolution:
@@ -210,7 +203,7 @@ def torsion_function(g: MetricGraph) -> TorsionSolution:
     arr = g.arrays
     ln = arr.length
     v = np.zeros(len(g.vertices))
-    v[~arr.dirichlet] = 0.5 * np.fromiter(disc.values.values(), float, n)
+    v[~arr.dirichlet] = 0.5 * disc.values
     vt, vh = v[arr.tail], v[arr.head]
     b = 0.5 * ln + (vh - vt) / ln
     polys = tuple(
@@ -227,7 +220,7 @@ def torsion_function(g: MetricGraph) -> TorsionSolution:
     x = np.minimum(np.maximum(b, 0.0), ln)
     peak = -0.5 * x * x + b * x + vt
     k = int(np.argmax(peak))
-    best = SupWitness(float(peak[k]), polys[k].edge, float(x[k]))
+    best = PointWitness(float(peak[k]), polys[k].edge, float(x[k]))
 
     t_edge = math.fsum(p.integral() for p in polys)
     t_formula = math.fsum(e.length ** 3 for e in g.edges) / 12.0 + 0.25 * disc.discrete_rigidity
@@ -272,26 +265,6 @@ class PiecewiseQuadratic:
     """Edgewise u(x) = a x^2 + b x + c, keyed by edge id, offsets from the tail."""
 
     coeffs: Mapping[str, tuple[float, float, float]]
-
-    def value(self, g: MetricGraph, edge_id: str, x: float) -> float:
-        a, b, c = self.coeffs[edge_id]
-        return a * x * x + b * x + c
-
-    @staticmethod
-    def from_vertex_values(
-        g: MetricGraph,
-        values: Mapping[str, float],
-        curvature: Mapping[str, float] | None = None,
-    ) -> "PiecewiseQuadratic":
-        """Continuous function matching the given vertex values, with optional
-        per-edge quadratic coefficient (default 0, i.e. edgewise linear)."""
-        coeffs = {}
-        for e in g.edges:
-            a = 0.0 if curvature is None else float(curvature.get(e.id, 0.0))
-            vt, vh = values[e.tail], values[e.head]
-            b = (vh - vt) / e.length - a * e.length
-            coeffs[e.id] = (a, b, vt)
-        return PiecewiseQuadratic(coeffs)
 
 
 def polya_quotient(g: MetricGraph, u: PiecewiseQuadratic) -> float:
@@ -362,7 +335,7 @@ def solution_from_payload(payload: dict) -> TorsionSolution:
             EdgePoly(d["id"], d["tail"], d["head"], d["length"], d["b"], d["c"])
             for d in payload["edges"]
         )
-        sup = SupWitness(**payload["sup"])
+        sup = PointWitness(**payload["sup"])
         return TorsionSolution(
             dict(payload["vertex_values"]),
             polys,

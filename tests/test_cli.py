@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import graphtorsion
-from graphtorsion import NoConvergence, load
+from graphtorsion import CrossCheckMismatch, NoConvergence, load
 from graphtorsion.bounds import ERROR, VIOLATED, BoundRecord, BoundsReport
 from graphtorsion.cli import main
 
@@ -232,6 +232,34 @@ def test_solver_failure_exit_2(path_dn_file, capsys, monkeypatch):
     rc, _, err = run_cli(["rigidity", path_dn_file], capsys)
     assert rc == 2
     assert "solver failure" in err
+
+
+@pytest.mark.parametrize("command", ["rigidity", "torsion"])
+def test_energy_route_runs_on_cli(command, path_dn_file, capsys, monkeypatch):
+    import graphtorsion.cli as cli_mod
+
+    def mismatch(sol):
+        raise CrossCheckMismatch("synthetic energy mismatch")
+
+    monkeypatch.setattr(cli_mod, "rigidity", mismatch)
+    rc, out, err = run_cli([command, path_dn_file], capsys)
+    assert rc == 2
+    assert out == ""
+    assert "synthetic energy mismatch" in err
+
+
+def test_negative_precision_is_usage_error(path_dn_file, capsys):
+    rc, out, err = run_cli(["rigidity", path_dn_file, "--precision", "-1"], capsys)
+    assert rc == 1
+    assert out == ""
+    assert "--precision" in err
+
+
+@pytest.mark.parametrize("tol, code", [("nan", 1), ("0", 0)])
+def test_spectrum_tol(tol, code, path_dn_file, capsys):
+    rc, out, err = run_cli(["spectrum", path_dn_file, "--h", "0.25", "--tol", tol], capsys)
+    assert rc == code, err
+    assert out.startswith("lambda_1 = ") == (code == 0)
 
 
 def fake_report(status):

@@ -10,7 +10,6 @@ from _oracles import fem_eigenvalues
 from graphtorsion import (
     BadParameters,
     NoConvergence,
-    ground_state,
     integrated_heat_content,
     landscape_check,
     lowest_eigenpairs,
@@ -120,7 +119,7 @@ def test_galerkin_overestimates():
 
 
 def test_star_ground_state():
-    res = ground_state(star(3, [1.0, 1.0, 1.0]), h_target=1 / 64)
+    res = lowest_eigenpairs(star(3, [1.0, 1.0, 1.0]), 1, h_target=1 / 64)
     assert abs(res.eigenvalues[0] - (math.pi / 2.0) ** 2) <= 1e-3
 
 
@@ -175,10 +174,19 @@ def test_solver_rejects_bad_requests():
         lowest_eigenpairs(lasso(), k=1, h_target=1 / 16, max_iter=1)
 
 
+@pytest.mark.parametrize("tol, max_iter", [
+    (math.nan, 10000), (math.inf, 10000), (-1e-10, 10000), (1e-10, 0),
+])
+def test_solver_rejects_bad_iteration_controls(tol, max_iter):
+    # raised before any iteration, not as NoConvergence after max_iter of them
+    with pytest.raises(BadParameters):
+        lowest_eigenpairs(lasso(), k=1, h_target=1 / 16, tol=tol, max_iter=max_iter)
+
+
 def test_ground_state_sign_and_payload():
-    res = ground_state(star(3, [1.0, 1.0, 1.0]), h_target=1 / 16)
+    res = lowest_eigenpairs(star(3, [1.0, 1.0, 1.0]), 1, h_target=1 / 16)
     w = res.mesh.trapezoid_weights()
-    phi = res.eigenfunction(0)
+    phi = res.values[0]
     assert w @ phi > 0
     assert phi.min() >= -1e-6 * phi.max()
     payload = res.to_payload()

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 
 from .errors import GraphToolError
 from .graph import MetricGraph
-from .spectral import lowest_eigenpairs
+from .spectral import check_controls, lowest_eigenpairs
 from .torsion import rigidity, torsion_function
 
 EXACT_VIOLATION_TOL = 1e-8
@@ -155,7 +155,12 @@ def audit(
     max_iter: int = 10000,
     spectral: bool = True,
 ) -> BoundsReport:
-    """Evaluate every applicable inequality record on the graph."""
+    """Evaluate every applicable inequality record on the graph.
+
+    Bad mesh or iteration controls raise BadParameters before any solve; a
+    failure of the lambda_1 solve itself becomes error records.
+    """
+    check_controls(h_target, tol, max_iter)
     sol = torsion_function(g)
     T = rigidity(sol)
     L = g.total_length()

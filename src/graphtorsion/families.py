@@ -29,6 +29,8 @@ def _path(lengths, last_bc: str) -> MetricGraph:
         lengths = [1.0]
     vals = [float(x) for x in lengths] if not isinstance(lengths, (int, float)) else [float(lengths)]
     n = len(vals)
+    if n == 0:
+        raise BadParameters("a path needs at least one edge")
     verts = [("v0", DIRICHLET)] + [(f"v{i}", NATURAL) for i in range(1, n)] + [(f"v{n}", last_bc)]
     edges = [(f"e{i}", f"v{i - 1}", f"v{i}", vals[i - 1]) for i in range(1, n + 1)]
     return make_graph(verts, edges)

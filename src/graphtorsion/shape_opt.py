@@ -155,8 +155,10 @@ def optimize(
     n = len(g.edges)
     if floor is None:
         floor = 1e-4 * total / n
-    if floor <= 0.0:
-        raise BadParameters(f"floor must be positive, got {floor!r}")
+    if not (floor > 0.0 and math.isfinite(floor)):
+        raise BadParameters(f"floor must be positive and finite, got {floor!r}")
+    if max_iters < 1:
+        raise BadParameters(f"max_iters must be at least 1, got {max_iters!r}")
     if any(e.length < floor for e in g.edges):
         raise BadParameters("an edge is already below the floor")
 

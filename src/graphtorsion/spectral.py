@@ -2,15 +2,19 @@
 
 Each edge is subdivided uniformly, hat functions live on the subdivision
 nodes, Dirichlet nodes are eliminated, and eigenpairs of the stiffness/mass
-pencil come out of shift-free inverse power iteration on a factorization of
-the stiffness matrix, with mass-orthogonal deflation for higher modes.
-Eigenvalue error decays like h^2.
+pencil (K0, M0) come out of block inverse subspace iteration with
+Rayleigh-Ritz (Parlett, The Symmetric Eigenvalue Problem, ch. 14) on one
+sparse factorization of K0.  A seeded random block of k + GUARD columns moves
+as a whole, so a cluster, or a ground state the start barely touches,
+converges with the rest; iteration stops once each of the k lowest Ritz
+values moves by at most tol relative.  Eigenvalue error decays like h^2.
 
 The mesh is held as arrays.  Node i < |V| is the graph vertex vertices[i];
 the interior nodes follow edge by edge, tail to head.  Segments run edge by
 edge too, so the stiffness and mass matrices, the trapezoid weights and the
 node list of the JSON payload are all built from the same arrays without a
-per-node loop.
+per-node loop.  K0 and M0 come straight over the free nodes from the CSC
+builder of the torsion vertex system, one sorted pattern for both.
 """
 
 from __future__ import annotations
@@ -19,15 +23,17 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
 from .errors import BadParameters, NoConvergence
 from .graph import MetricGraph
-from .torsion import TorsionSolution, torsion_function
+from .torsion import TorsionSolution, _sym_csc, torsion_function
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 10000
+GUARD = 3  # block columns beyond the k wanted modes; they speed up a cluster at mode k
 # Largest mesh build_mesh makes.  Assembly, splu and one solve take about
 # 700 bytes per node (measured on star(3) at 500k nodes), so the 16M nodes of
 # star(2, [1e-6, 1]) at the default h would need about 11 GB, more than an
@@ -37,6 +43,17 @@ MAX_MESH_NODES = 2_000_000
 
 def default_h(g: MetricGraph) -> float:
     return min(e.length for e in g.edges) / 16.0
+
+
+def check_controls(h_target: float | None, tol: float = DEFAULT_TOL,
+                   max_iter: int = DEFAULT_MAX_ITER) -> None:
+    """Raise BadParameters for a mesh width, tolerance or iteration cap no solve can use."""
+    if h_target is not None and not (h_target > 0 and math.isfinite(h_target)):
+        raise BadParameters(f"h_target must be positive, got {h_target!r}")
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise BadParameters(f"tol must be finite and non-negative, got {tol!r}")
+    if max_iter < 1:
+        raise BadParameters(f"max_iter must be at least 1, got {max_iter!r}")
 
 
 @dataclass(frozen=True)
@@ -73,10 +90,9 @@ class Mesh:
 
 def build_mesh(g: MetricGraph, h_target: float | None = None) -> Mesh:
     """Uniform per-edge subdivision with ceil(length/h_target) segments, at least 2."""
+    check_controls(h_target)
     if h_target is None:
         h_target = default_h(g)
-    if not (h_target > 0 and math.isfinite(h_target)):
-        raise BadParameters(f"h_target must be positive, got {h_target!r}")
     arr = g.arrays
     nv = len(g.vertices)
     counts = np.maximum(2.0, np.ceil(arr.length / h_target - 1e-12))
@@ -105,18 +121,14 @@ def build_mesh(g: MetricGraph, h_target: float | None = None) -> Mesh:
                 widths[edge_of_seg], free, float(widths.max()))
 
 
-def _assemble(mesh: Mesh) -> tuple[scipy.sparse.csr_matrix, scipy.sparse.csr_matrix]:
-    n = mesh.n_nodes
-    i, j, h = mesh.seg_tail, mesh.seg_head, mesh.seg_width
-    k = 1.0 / h
-    # per segment (i,i), (i,j), (j,i), (j,j): duplicates are summed in segment order
-    rows = np.array([i, i, j, j]).T.ravel()
-    cols = np.array([i, j, i, j]).T.ravel()
-    kdata = np.array([k, -k, -k, k]).T.ravel()
-    mdata = np.array([h / 3.0, h / 6.0, h / 6.0, h / 3.0]).T.ravel()
-    K = scipy.sparse.coo_matrix((kdata, (rows, cols)), shape=(n, n)).tocsr()
-    M = scipy.sparse.coo_matrix((mdata, (rows, cols)), shape=(n, n)).tocsr()
-    return K, M
+def _pencil(mesh: Mesh) -> list[scipy.sparse.csc_array]:
+    """Stiffness K0 and consistent mass M0 over the free nodes, in mesh.free order."""
+    nf = len(mesh.free)
+    unknown = np.full(mesh.n_nodes, nf)  # nf marks a Dirichlet node
+    unknown[mesh.free] = np.arange(nf)
+    w = mesh.seg_width
+    return _sym_csc(nf, unknown[mesh.seg_tail], unknown[mesh.seg_head],
+                    (1.0 / w, -1.0 / w), (w / 3.0, w / 6.0))
 
 
 @dataclass(frozen=True)
@@ -124,7 +136,8 @@ class SpectralResult:
     """Lowest eigenpairs of the Dirichlet pencil on a fixed mesh.
 
     values holds one row per mode over all mesh nodes (zeros at Dirichlet
-    nodes), each mass-normalized.
+    nodes), each mass-normalized.  The modes share one block iteration, so
+    iterations repeats its count once per mode.
     """
 
     mesh: Mesh
@@ -156,16 +169,6 @@ class SpectralResult:
         }
 
 
-def _start_vector(n: int, mode: int) -> np.ndarray:
-    # deterministic dense pseudo-noise: reproducible, scale-free, and with
-    # generic overlap even on symmetric graphs where an all-ones start fails.
-    # Must differ per mode: in a degenerate eigenspace the deflated vectors
-    # are exactly the projections of earlier starts, so reusing one start
-    # would leave the rest of the eigenspace invisible.
-    i = np.arange(n)
-    return np.sin((1.31 + 0.41 * mode) * i + 0.7 + mode) + 0.3 * np.cos((2.17 + 0.23 * mode) * i + 0.1)
-
-
 def lowest_eigenpairs(
     g: MetricGraph,
     k: int = 1,
@@ -174,10 +177,7 @@ def lowest_eigenpairs(
     max_iter: int = DEFAULT_MAX_ITER,
     mesh: Mesh | None = None,
 ) -> SpectralResult:
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise BadParameters(f"tol must be finite and non-negative, got {tol!r}")
-    if max_iter < 1:
-        raise BadParameters(f"max_iter must be at least 1, got {max_iter!r}")
+    check_controls(h_target, tol, max_iter)
     if mesh is None:
         mesh = build_mesh(g, h_target)
     if k < 1:
@@ -186,62 +186,30 @@ def lowest_eigenpairs(
     nf = len(free)
     if k > nf:
         raise BadParameters(f"asked for {k} modes but the mesh has only {nf} free nodes")
-    K, M = _assemble(mesh)
-    K0 = K[np.ix_(free, free)].tocsc()
-    M0 = M[np.ix_(free, free)].tocsr()
+    K0, M0 = _pencil(mesh)
     lu = scipy.sparse.linalg.splu(K0)
-
-    found: list[np.ndarray] = []
-    lams: list[float] = []
-    resids: list[float] = []
-    iters: list[int] = []
-
-    def m_orth(x: np.ndarray) -> np.ndarray:
-        for _ in range(2):
-            for v in found:
-                x = x - (v @ (M0 @ x)) * v
-        return x
-
-    for _mode in range(k):
-        x = m_orth(_start_vector(nf, _mode))
-        nx = math.sqrt(x @ (M0 @ x))
-        if not (nx > 0 and math.isfinite(nx)):
-            raise NoConvergence("deflated start vector collapsed")
-        x = x / nx
-        lam_prev = None
-        lam = math.inf
-        converged_at = None
-        for it in range(1, max_iter + 1):
-            y = lu.solve(M0 @ x)
-            y = m_orth(y)
-            ny = math.sqrt(y @ (M0 @ y))
-            if not (ny > 0 and math.isfinite(ny)):
-                raise NoConvergence("inverse iteration collapsed")
-            y = y / ny
-            lam = float(y @ (K0 @ y))
-            x = y
-            if lam_prev is not None and abs(lam - lam_prev) <= tol * abs(lam):
-                converged_at = it
-                break
-            lam_prev = lam
-        if converged_at is None:
-            raise NoConvergence(
-                f"mode {len(found)}: Rayleigh quotient not settled after {max_iter} iterations"
-            )
-        r = K0 @ x - lam * (M0 @ x)
-        found.append(x)
-        lams.append(lam)
-        resids.append(float(np.linalg.norm(r)))
-        iters.append(converged_at)
+    x = np.random.default_rng(0).standard_normal((nf, min(k + GUARD, nf)))
+    prev = None
+    for it in range(1, max_iter + 1):
+        y = lu.solve(M0 @ x)
+        lam, v = scipy.linalg.eigh(y.T @ (K0 @ y), y.T @ (M0 @ y))  # Rayleigh-Ritz on span(y)
+        x = y @ v
+        if prev is not None and (np.abs(lam[:k] - prev[:k]) <= tol * np.abs(lam[:k])).all():
+            break
+        prev = lam
+    else:
+        raise NoConvergence(f"Ritz values not settled after {max_iter} iterations")
+    x = x[:, :k]
+    lams = lam[:k]
+    resids = np.linalg.norm(K0 @ x - (M0 @ x) * lams, axis=0)
 
     values = np.zeros((k, mesh.n_nodes))
-    for row, vec in enumerate(found):
-        values[row, free] = vec
+    values[:, free] = x.T
     # fix the ground-state sign so its integral is positive
     w = mesh.trapezoid_weights()
     if w @ values[0] < 0:
         values[0] = -values[0]
-    return SpectralResult(mesh, tuple(lams), values, tuple(resids), tuple(iters))
+    return SpectralResult(mesh, tuple(lams.tolist()), values, tuple(resids.tolist()), (it,) * k)
 
 
 # -- integrated heat content ----------------------------------------------

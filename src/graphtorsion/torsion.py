@@ -135,6 +135,41 @@ class TorsionSolution:
             raise UnknownEdge(f"no edge {edge_id!r} in solution") from None
 
 
+def _sym_csc(n: int, i: np.ndarray, j: np.ndarray,
+             *terms: tuple[np.ndarray, np.ndarray]) -> list[scipy.sparse.csc_array]:
+    """Symmetric n x n CSC matrices summed over the pairs (i[k], j[k]).
+
+    Each (diag, off) in terms gives one matrix: pair k adds diag[k] at (i,i)
+    and (j,j) and off[k] at (i,j) and (j,i); index n marks an eliminated end,
+    whose entries are dropped.  The entries are keyed by (column, row), sorted
+    once with a stable argsort and summed with np.add.reduceat, so every
+    matrix has sorted indices, no duplicates and the same pattern.
+    """
+    rows = np.concatenate((i, j, i, j))
+    cols = np.concatenate((i, j, j, i))
+    keep = ((rows < n) & (cols < n)).nonzero()[0]
+    key = cols[keep] * n + rows[keep]
+    del rows, cols
+    perm = key.argsort(kind="stable")
+    key = key[perm]
+    src = keep[perm]
+    opens = np.empty(len(key), dtype=bool)  # where a new (column, row) entry begins
+    opens[:1] = True
+    np.not_equal(key[1:], key[:-1], out=opens[1:])
+    first = opens.nonzero()[0]
+    key = key[first]
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.bincount(key // n, minlength=n).cumsum(out=indptr[1:])
+    indices = (key % n).astype(np.int32)
+    return [
+        scipy.sparse.csc_array(
+            (np.add.reduceat(np.concatenate((diag, diag, off, off))[src], first), indices, indptr),
+            shape=(n, n), copy=False,
+        )
+        for diag, off in terms
+    ]
+
+
 def assemble_discrete_system(g: MetricGraph) -> DiscreteSystem:
     arr = g.arrays
     order = g.natural_vertices
@@ -145,29 +180,8 @@ def assemble_discrete_system(g: MetricGraph) -> DiscreteSystem:
     weight = (np.bincount(tail, arr.length, minlength=n + 1)
               + np.bincount(head, arr.length, minlength=n + 1))[:n]
     proper = tail != head  # a loop cancels from the matrix
-    i, j = tail[proper], head[proper]
     mu = 1.0 / arr.length[proper]
-    # entries (i,i), (j,j), (i,j), (j,i) of each edge, those on a Dirichlet end
-    # dropped, sorted by (column, row) and summed where they meet
-    rows = np.concatenate((i, j, i, j))
-    cols = np.concatenate((i, j, j, i))
-    keep = ((rows < n) & (cols < n)).nonzero()[0]
-    key = cols[keep] * n + rows[keep]
-    perm = key.argsort(kind="stable")
-    key = key[perm]
-    opens = np.empty(len(key), dtype=bool)  # where a new (column, row) entry begins
-    opens[:1] = True
-    np.not_equal(key[1:], key[:-1], out=opens[1:])
-    first = opens.nonzero()[0]
-    key = key[first]
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    np.bincount(key // n, minlength=n).cumsum(out=indptr[1:])
-    nmu = -mu
-    vals = np.concatenate((mu, mu, nmu, nmu))[keep[perm]]
-    mat = scipy.sparse.csc_array(
-        (np.add.reduceat(vals, first), (key % n).astype(np.int32), indptr),
-        shape=(n, n), copy=False,
-    )
+    (mat,) = _sym_csc(n, tail[proper], head[proper], (mu, -mu))
     return DiscreteSystem(order, mat, weight, tail, head, arr.length)
 
 

@@ -1,11 +1,13 @@
 """Inequality audit: classification, applicability, equality witnesses."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
-from graphtorsion import audit, equality_witnesses
+import graphtorsion.bounds as bounds_mod
+from graphtorsion import BadParameters, audit, equality_witnesses
 from graphtorsion.bounds import (
     EQUALITY,
     ERROR,
@@ -96,6 +98,27 @@ def test_audit_without_spectrum():
         assert "disabled" in r.note
     assert report.record("saint_venant").status == HOLDS
     assert report.violated() == []
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"h_target": 0.0}, {"h_target": math.inf}, {"h_target": math.nan},
+    {"tol": math.nan}, {"tol": -1e-10}, {"max_iter": 0},
+])
+def test_audit_rejects_bad_controls_before_solving(kwargs, monkeypatch):
+    def no_solve(g):
+        raise AssertionError("audit solved before checking its arguments")
+
+    monkeypatch.setattr(bounds_mod, "torsion_function", no_solve)
+    with pytest.raises(BadParameters):
+        audit(lasso(), **kwargs)
+
+
+def test_audit_solve_failure_is_error_record():
+    # one iteration cannot show the Ritz values settling: NoConvergence, not a usage error
+    report = audit(lasso(), h_target=1 / 16, max_iter=1)
+    assert report.lambda1 is None
+    assert report.record("polya_product").status == ERROR
+    assert "not settled" in report.record("polya_product").note
 
 
 def test_applicability_gating():

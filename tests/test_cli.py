@@ -262,6 +262,28 @@ def test_spectrum_tol(tol, code, path_dn_file, capsys):
     assert out.startswith("lambda_1 = ") == (code == 0)
 
 
+@pytest.mark.parametrize("option", [["--tol", "nan"], ["--h", "inf"], ["--h", "0"]])
+def test_bounds_bad_option_is_usage_error(option, path_dn_file, capsys):
+    # the same exit code and message as spectrum, not a solver error per record
+    rc, out, err = run_cli(["bounds", path_dn_file, *option], capsys)
+    assert rc == 1
+    assert out == ""
+    assert "solver error" not in err
+    spectrum_rc, _, spectrum_err = run_cli(["spectrum", path_dn_file, *option], capsys)
+    assert spectrum_rc == 1
+    assert err == spectrum_err
+
+
+@pytest.mark.parametrize("option", [
+    ["--floor", "nan"], ["--floor", "inf"], ["--iters", "0"], ["--iters", "-1"],
+])
+def test_optimize_bad_option_is_usage_error(option, path_dn_file, capsys):
+    rc, out, err = run_cli(["optimize", path_dn_file, *option], capsys)
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("graphtorsion: ")
+
+
 def fake_report(status):
     rec = BoundRecord(
         "saint_venant", "label", "<=", 1.0, 2.0, 1.0, status, "always", 1e-8,

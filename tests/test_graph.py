@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from _oracles import bellman_ford_dirichlet, brute_has_bridge
 from graphtorsion import (
+    BadParameters,
     DisconnectedGraph,
     DuplicateId,
     Edge,
@@ -28,6 +29,7 @@ from graphtorsion.families import (
     caterpillar,
     flower,
     lasso,
+    path_dd,
     path_dn,
     random_graph,
     star,
@@ -103,6 +105,12 @@ def test_isolated_vertex_rejected():
             [("a", "dirichlet"), ("b", "natural"), ("c", "natural")],
             [("e1", "a", "b", 1.0)],
         )
+
+
+@pytest.mark.parametrize("family", [path_dn, path_dd])
+def test_empty_path_rejected(family):
+    with pytest.raises(BadParameters, match="a path needs at least one edge"):
+        family([])
 
 
 # -- basic metrics --------------------------------------------------------

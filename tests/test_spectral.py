@@ -25,7 +25,7 @@ from graphtorsion.families import (
     random_graph,
     star,
 )
-from graphtorsion.spectral import _assemble, build_mesh
+from graphtorsion.spectral import _pencil, build_mesh
 
 
 # -- meshes ---------------------------------------------------------------
@@ -137,8 +137,9 @@ def test_degenerate_pair_resolved():
     g = star(3, [1.0, 1.0, 1.0])
     res = lowest_eigenpairs(g, k=3, h_target=1 / 32)
     assert abs(res.eigenvalues[1] - res.eigenvalues[2]) <= 1e-6 * res.eigenvalues[1]
-    _, M = _assemble(res.mesh)
-    gram = res.values @ (M @ res.values.T)
+    _, M0 = _pencil(res.mesh)
+    x = res.values[:, res.mesh.free]
+    gram = x @ (M0 @ x.T)
     assert np.max(np.abs(gram - np.eye(3))) <= 1e-8
 
 
@@ -148,15 +149,37 @@ def test_eigenvalues_sorted():
     assert all(a <= b * (1 + 1e-9) for a, b in zip(lams, lams[1:]))
 
 
-def test_matches_dense_solver():
+def _found_graph():
+    # lambda_1 is the sine on the 4.1975 edge between two Dirichlet vertices;
+    # a start vector with little overlap once returned lambda_2 = 0.570010 here
+    ends = [("v0", "v1", 2.5116), ("v1", "v2", 1.9216), ("v1", "v3", 0.5612),
+            ("v1", "v3", 0.2009), ("v3", "v2", 0.1677), ("v0", "v3", 0.1771),
+            ("v2", "v3", 1.7306), ("v1", "v1", 0.128), ("v3", "v0", 4.1975),
+            ("v2", "v3", 0.7644), ("v3", "v0", 2.2651), ("v0", "v2", 4.028),
+            ("v2", "v0", 1.4094), ("v2", "v2", 0.5588)]
+    return make_graph(
+        [("v0", "dirichlet"), ("v1", "dirichlet"), ("v2", "natural"), ("v3", "dirichlet")],
+        [(f"e{i}", a, b, length) for i, (a, b, length) in enumerate(ends)],
+    )
+
+
+def _dense_cases():
     rng = np.random.default_rng(5)
-    for _ in range(5):
-        g = random_graph(rng)
-        h = min(e.length for e in g.edges) / 8.0
-        res = lowest_eigenpairs(g, k=3, h_target=h)
-        dense = fem_eigenvalues(g, h, 3)
-        for got, want in zip(res.eigenvalues, dense):
-            assert got == pytest.approx(want, rel=1e-7)
+    cases = [pytest.param(g, 3, min(e.length for e in g.edges) / 8.0, id=f"random{i}")
+             for i, g in enumerate(random_graph(rng) for _ in range(5))]
+    return cases + [
+        pytest.param(_found_graph(), 1, 0.128 / 4.0, id="fourteen_edges"),
+        pytest.param(star(3, [1.0, 1.0 + 1e-7, 1.0 - 1e-7]), 3, 1 / 16, id="star_1e-7"),
+        pytest.param(star(3, [1.0, 1.0 + 1e-4, 1.0 - 1e-4]), 3, 1 / 16, id="star_1e-4"),
+        pytest.param(star(5), 5, 1 / 16, id="star5_equilateral"),
+    ]
+
+
+@pytest.mark.parametrize("g, k, h", _dense_cases())
+def test_matches_dense_solver(g, k, h):
+    res = lowest_eigenpairs(g, k=k, h_target=h)
+    dense = fem_eigenvalues(g, h, k)
+    assert res.eigenvalues == pytest.approx(dense, rel=1e-9)
 
 
 def test_residuals_small():

@@ -50,6 +50,7 @@ from .spectral import (
     integrated_heat_content,
     landscape_check,
     lowest_eigenpairs,
+    secular_lambda1,
 )
 from .surgery import (
     AddDirichlet,

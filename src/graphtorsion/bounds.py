@@ -1,11 +1,14 @@
 """Audit of rigidity and ground-state inequalities on a concrete graph.
 
 Every inequality the library knows is evaluated as a record with explicit
-left/right values, slack and a status.  Exact records (no eigenvalue
-involved) are judged at 1e-8 relative, records involving the FEM lambda_1 at
-10 * h_eff^2 relative.  Strict inequalities are audited as non-strict with
-the slack reported, so a borderline case shows up as equality rather than a
-false violation.
+left/right values, slack and a status.  lambda_1 comes from the secular
+matrix over the natural vertices (spectral.secular_lambda1), started from the
+torsion solution and certified by inertia to 2e-9 relative, so every record,
+with or without lambda_1, is judged at the same unitless tolerances: violated
+below -1e-8 relative, equality within 1e-6.  No mesh is built: h_target is
+validated and otherwise unused, and the report's h_eff is None.  Strict
+inequalities are audited as non-strict with the slack reported, so a
+borderline case shows up as equality rather than a false violation.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import asdict, dataclass
 
 from .errors import GraphToolError
 from .graph import MetricGraph
-from .spectral import check_controls, lowest_eigenpairs
+from .spectral import check_controls, secular_lambda1
 from .torsion import rigidity, torsion_function
 
 EXACT_VIOLATION_TOL = 1e-8
@@ -158,7 +161,8 @@ def audit(
     """Evaluate every applicable inequality record on the graph.
 
     Bad mesh or iteration controls raise BadParameters before any solve; a
-    failure of the lambda_1 solve itself becomes error records.
+    failure of the lambda_1 solve itself becomes error records.  tol and
+    max_iter steer the lambda_1 iteration; h_target is only validated.
     """
     check_controls(h_target, tol, max_iter)
     sol = torsion_function(g)
@@ -174,17 +178,13 @@ def audit(
     sup = sol.sup.value
 
     lam: float | None = None
-    h_eff: float | None = None
     lam_error: str | None = None
     if spectral:
         try:
-            gs = lowest_eigenpairs(g, 1, h_target, tol, max_iter)
-            lam = gs.eigenvalues[0]
-            h_eff = gs.h_eff
+            lam = secular_lambda1(g, sol, tol, max_iter)
         except GraphToolError as exc:
             lam_error = str(exc)
 
-    lam_tol = None if h_eff is None else 10.0 * h_eff * h_eff
     records: list[BoundRecord] = []
 
     def exact(name, label, relation, lhs, rhs, applicability, proven=True, note="") -> None:
@@ -210,13 +210,8 @@ def audit(
     def with_lambda(name, label, relation, applicability, build) -> None:
         if lam is None:
             no_lambda(name, label, relation, applicability)
-            return
-        lhs, rhs = build(lam)
-        slack, status = _classify(lhs, rhs, lam_tol, lam_tol)
-        records.append(
-            BoundRecord(name, label, relation, lhs, rhs, slack, status, applicability,
-                        lam_tol, True)
-        )
+        else:
+            exact(name, label, relation, *build(lam), applicability)
 
     # upper bounds by total length
     exact("saint_venant", "T <= L^3/3, equality only for the Dirichlet-Neumann interval",
@@ -296,12 +291,10 @@ def audit(
     else:
         lo = math.pi ** 2 / (24.0 * T) ** (2.0 / 3.0)
         hi = L / T
-        s1, _ = _classify(lo, lam, lam_tol, lam_tol)
-        s2, _ = _classify(lam, hi, lam_tol, lam_tol)
-        slack = min(s1, s2)
-        status = _status(slack, max(abs(lam), 1e-300), lam_tol, lam_tol)
-        records.append(BoundRecord(*sandwich, lo, hi, slack, status, ALWAYS, lam_tol, True,
-                                   f"lambda_1 = {lam!r}"))
+        slack = min(lam - lo, hi - lam)
+        status = _status(slack, max(abs(lam), 1e-300), EXACT_VIOLATION_TOL, EXACT_EQUALITY_TOL)
+        records.append(BoundRecord(*sandwich, lo, hi, slack, status, ALWAYS, EXACT_VIOLATION_TOL,
+                                   True, f"lambda_1 = {lam!r}"))
 
     h_star = _star_closed_form_cheeger(g)
     if h_star is not None:
@@ -330,7 +323,7 @@ def audit(
     exact("makai_probe", "probe: T < 4 L Inr^2 (open whether it always holds here)",
           "<", T, 4.0 * L * inr * inr, ALWAYS, proven=False)
 
-    return BoundsReport(tuple(records), L, E, T, inr, lam, h_eff)
+    return BoundsReport(tuple(records), L, E, T, inr, lam, None)
 
 
 def equality_witnesses() -> list[tuple[str, MetricGraph, list[str]]]:

@@ -180,9 +180,9 @@ def _add_common(p: argparse.ArgumentParser, graph_arg: bool = True) -> None:
                    help="significant digits for text output (default 12)")
 
 
-def _add_mesh(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--h", type=float, default=None, metavar="H",
-                   help="target mesh width (default: min edge length / 16)")
+def _add_mesh(p: argparse.ArgumentParser,
+              h_help: str = "target mesh width (default: min edge length / 16)") -> None:
+    p.add_argument("--h", type=float, default=None, metavar="H", help=h_help)
     p.add_argument("--tol", type=float, default=1e-10, metavar="T",
                    help="iteration tolerance (default 1e-10)")
 
@@ -213,7 +213,7 @@ def build_parser() -> _Parser:
     p.add_argument("graph", nargs="?", default=None,
                    help="graph JSON file, or - for stdin; optional with --batch")
     _add_common(p, graph_arg=False)
-    _add_mesh(p)
+    _add_mesh(p, "accepted and checked; the exact lambda_1 needs no mesh")
     p.add_argument("--batch", metavar="DIR", default=None,
                    help="audit every .json file in a directory")
     p.set_defaults(run=_cmd_bounds)

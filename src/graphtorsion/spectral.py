@@ -1,4 +1,13 @@
-"""P1 finite elements on metric graphs: ground states, heat content, landscape checks.
+"""Spectra of metric graphs: the exact lambda_1 from the secular matrix, and P1
+finite elements for higher modes, heat content and landscape checks.
+
+secular_lambda1 returns the exact lowest Dirichlet eigenvalue from the
+secular matrix A(k) over the natural vertices, the torsion system's size and
+sparsity pattern, by Rayleigh functional iteration from the torsion function;
+the pivot signs of one LDL^T of A(k (1 - DELTA)) certify it (Sylvester's law
+of inertia).  No mesh is built, so lambda_1 carries no discretization error
+and costs a few vertex-sized factorizations.  The audit takes lambda_1 from
+here; spectrum, heat-check and landscape_check use the finite elements below.
 
 Each edge is subdivided uniformly, hat functions live on the subdivision
 nodes, Dirichlet nodes are eliminated, and eigenpairs of the stiffness/mass
@@ -29,7 +38,7 @@ import scipy.sparse.linalg
 
 from .errors import BadParameters, NoConvergence
 from .graph import MetricGraph
-from .torsion import TorsionSolution, _sym_csc, torsion_function
+from .torsion import EPS, DiscreteSystem, SymPattern, TorsionSolution, symmetric_lu, torsion_function
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 10000
@@ -127,8 +136,8 @@ def _pencil(mesh: Mesh) -> list[scipy.sparse.csc_array]:
     unknown = np.full(mesh.n_nodes, nf)  # nf marks a Dirichlet node
     unknown[mesh.free] = np.arange(nf)
     w = mesh.seg_width
-    return _sym_csc(nf, unknown[mesh.seg_tail], unknown[mesh.seg_head],
-                    (1.0 / w, -1.0 / w), (w / 3.0, w / 6.0))
+    pattern = SymPattern.build(nf, unknown[mesh.seg_tail], unknown[mesh.seg_head])
+    return [pattern.matrix(1.0 / w, -1.0 / w), pattern.matrix(w / 3.0, w / 6.0)]
 
 
 @dataclass(frozen=True)
@@ -210,6 +219,242 @@ def lowest_eigenpairs(
     if w @ values[0] < 0:
         values[0] = -values[0]
     return SpectralResult(mesh, tuple(lams.tolist()), values, tuple(resids.tolist()), (it,) * k)
+
+
+# -- exact lambda_1 from the secular matrix ------------------------------------
+
+DELTA = 1e-9  # the certificate factors A(k (1 - DELTA)) below the returned k
+# Smallest relative move of k that the iteration resolves: q is a sum of terms
+# that cancel at its root, so its rounding moves the root by some 1e-15
+# relative, more on graphs of many edges.
+K_FLOOR = 1e-13
+NEWTON_TOL = 64 * EPS  # a bracket this narrow (relative) ends the root search
+NEWTON_LAST = 1e-8  # a Newton step this small (relative) is the last one
+
+
+def _slopes(z: np.ndarray, s: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The k-derivatives of c = k/sin z and d = k tan(z/2) at z = k l, given
+    s = sin z and t = tan(z/2): (s - z cos z)/s^2 and t + z (1 + t^2)/2.
+    s - z cos z cancels for small z, but its error, some ulps of z, meets
+    (x_t - x_h)^2, which is small on a short edge; and the slopes steer only
+    the iteration, not where it stops (q = 0, A(k) x = 0)."""
+    return (s - z * np.cos(z)) / (s * s), t + 0.5 * z * (1.0 + t * t)
+
+
+class _Secular:
+    """The secular matrix A(k) of a graph, on its torsion system's pattern.
+
+    A(k) is the weighted Laplacian over the natural vertices with conductance
+    c = k/sin(kl) on each non-loop edge, less d = k tan(kl/2) on the diagonal
+    at each edge end on a natural vertex (a loop counts both ends), so A(0) is
+    the torsion matrix.  For x over the natural vertices (0 at Dirichlet ends)
+    q(k; x) = x.A(k)x = sum c (x_t - x_h)^2 - d (x_t^2 + x_h^2) equals
+    int u'^2 - k^2 int u^2 for u = (x_t sin(k(l-s)) + x_h sin(ks)) / sin(kl)
+    edge by edge, and dq/dk = -2k int u^2 < 0.  On (0, pi/l_max) A(k) has no
+    pole, and its negative eigenvalues count the Dirichlet eigenvalues below
+    k^2 (Berkolaiko and Kuchment, Introduction to Quantum Graphs, 2013).
+    """
+
+    def __init__(self, sys: DiscreteSystem, k_lo: float, k_hi: float, max_iter: int):
+        self.n = len(sys.order)
+        self.tail, self.head, self.length = sys.tail, sys.head, sys.length
+        self.proper = (sys.tail != sys.head).nonzero()[0]
+        self.pattern = sys.pattern
+        self.matrix = sys.matrix.copy()  # refilled in place for each k
+        self.k_lo, self.k_hi = k_lo, k_hi
+        self.left = max_iter - 1  # iterations after the first quotient
+        self.max_iter = max_iter
+
+    def spend(self) -> None:
+        if self.left < 1:
+            raise NoConvergence(f"secular lambda_1 not settled after {self.max_iter} iterations")
+        self.left -= 1
+
+    def _ends(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        xp = np.append(x, 0.0)  # index n is every Dirichlet end
+        return xp[self.tail], xp[self.head]
+
+    def factor(self, k: float) -> scipy.sparse.linalg.SuperLU:
+        """LDL^T of A(k) with the torsion solve's options; RuntimeError if exactly singular."""
+        z = k * self.length
+        c = k / np.sin(z)[self.proper]
+        d = k * np.tan(0.5 * z)
+        data = self.pattern.fill(c, -c)
+        ends = np.bincount(self.tail, d, minlength=self.n + 1) + np.bincount(self.head, d, minlength=self.n + 1)
+        data[self.pattern.diagonal] -= ends[:self.n]
+        self.matrix.data[:] = data
+        return symmetric_lu(self.matrix)
+
+    def negatives(self, lu: scipy.sparse.linalg.SuperLU) -> int | None:
+        """Negative eigenvalues of the factored A(k), by Sylvester's law from the
+        pivots of its LDL^T; None if the factorization pivoted off the diagonal."""
+        if not np.array_equal(lu.perm_r, lu.perm_c):
+            return None
+        return int(np.count_nonzero(lu.U.diagonal() < 0.0))
+
+    def inertia(self, k: float) -> tuple[int | None, scipy.sparse.linalg.SuperLU | None]:
+        """negatives() of A(k) and its factor; (None, None) when A(k) is exactly singular."""
+        try:
+            lu = self.factor(k)
+        except RuntimeError:
+            return None, None
+        count = self.negatives(lu)
+        if count is None:
+            raise NoConvergence(f"the factor of A({k!r}) pivoted, so its inertia cannot be read")
+        return count, lu
+
+    def slope(self, k: float, x: np.ndarray) -> np.ndarray:
+        """A'(k) x, summed edge by edge from c' (x_t - x_h) and d' x."""
+        z = k * self.length
+        dc, dd = _slopes(z, np.sin(z), np.tan(0.5 * z))
+        xt, xh = self._ends(x)
+        f = dc * (xt - xh)
+        out = np.bincount(self.tail, f - dd * xt, minlength=self.n + 1)
+        out += np.bincount(self.head, -f - dd * xh, minlength=self.n + 1)
+        return out[:self.n]
+
+    def step(self, lu: scipy.sparse.linalg.SuperLU, k: float, x: np.ndarray) -> np.ndarray | None:
+        """A(k)^-1 A'(k) x from the factor lu of A(k), scaled to max |.| = 1;
+        None when the solve overflowed."""
+        y = lu.solve(self.slope(k, x))
+        scale = float(np.abs(y).max())
+        return y / scale if 0.0 < scale < math.inf else None
+
+    def rayleigh(self, x: np.ndarray, k: float | None = None) -> float | None:
+        """p(x), the root of q(.; x) on [k_lo, k_hi), by Newton's method kept
+        inside a bracket by bisection, from k (default: the quotient of the
+        piecewise-linear interpolant, the small-k limit of q).  k_lo when q is
+        already negative there (rounding on a graph where k_lo is exact), None
+        when q stays positive up to k_hi.  p(x)^2 >= lambda_1."""
+        xt, xh = self._ends(x)
+        diff, both = (xt - xh) ** 2, xt * xt + xh * xh
+        live = both > 0.0  # an edge between Dirichlet ends adds nothing
+        diff, both, ln = diff[live], both[live], self.length[live]
+
+        def q(k: float) -> tuple[float, float]:
+            """q(k; x) and dq/dk, edge by edge from c, d, c' and d'."""
+            z = k * ln
+            s, t = np.sin(z), np.tan(0.5 * z)
+            dc, dd = _slopes(z, s, t)
+            return k * float(diff @ (1.0 / s) - both @ t), float(dc @ diff - dd @ both)
+
+        if k is None:
+            k = math.sqrt(float(diff @ (1.0 / ln)) / float(ln @ (0.5 * both - diff / 6.0)))
+        lo, hi = self.k_lo, self.k_hi
+        if not lo < k < hi:
+            k = 0.5 * (lo + hi)
+        for _ in range(100):
+            val, der = q(k)
+            if val > 0.0:
+                lo = k
+            elif val < 0.0:
+                hi = k
+            else:
+                return k
+            step = k - val / der if der < 0.0 else math.nan
+            if lo <= step <= hi and abs(step - k) <= NEWTON_LAST * k:
+                return step  # the step's own error is of the order of its square
+            if step >= hi == self.k_hi:  # past the open end: look for a sign change below k_hi
+                hi *= 1.0 - 4.0 * EPS
+                if q(hi)[0] > 0.0:
+                    return None
+            if not lo < step < hi:  # also a NaN step
+                step = 0.5 * (lo + hi)
+            if hi - lo <= NEWTON_TOL * hi:
+                return lo
+            k = step
+        return k
+
+    def settle(self, x: np.ndarray, k: float, tol: float) -> tuple[float | None, np.ndarray, bool]:
+        """Rayleigh functional iteration x <- A(s)^-1 A'(s) x, k <- p(x) (Ruhe,
+        SIAM J. Numer. Anal. 10, 1973) with s = k (1 - DELTA), until k moves by
+        at most tol relative.  The shift costs nothing in the limit, where x
+        still tends to the null vector of A(k), and makes the last factor the
+        certificate: True when it has no negative pivot, so no eigenvalue lies
+        below s^2 while p(x) >= k_1."""
+        while True:
+            self.spend()
+            shift = k * (1.0 - DELTA)
+            try:
+                lu = self.factor(shift)
+            except RuntimeError:
+                return shift, x, False  # A(shift) exactly singular: an eigenvalue sits there
+            y = self.step(lu, shift, x)
+            if y is None:
+                return k, x, False
+            x, prev = y, k
+            k = self.rayleigh(x, prev)
+            if k is None:
+                return None, x, False
+            if abs(k - prev) <= max(tol, K_FLOOR) * k:
+                return k, x, self.negatives(lu) == 0
+
+
+def secular_lambda1(
+    g: MetricGraph,
+    solution: TorsionSolution | None = None,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
+) -> float:
+    """Exact lowest Dirichlet eigenvalue, from the secular matrix A(k) over the
+    natural vertices (the torsion system's size), certified by its inertia.
+
+    Rayleigh functional iteration, shifted to s = k (1 - DELTA), starts from
+    the torsion function's vertex values and stops once k moves by at most
+    tol relative.  Its last factor is the certificate (else one more factor
+    at the final k (1 - DELTA)): no negative pivot means no eigenvalue below
+    s^2, and p(x)^2 >= lambda_1, so lambda_1 is bracketed to about 2 DELTA
+    relative.  When the iteration settled on a higher eigenvalue, bisection on
+    the pivot count isolates lambda_1 and the iteration restarts from an
+    inverse-iteration step at the midpoint of the isolating interval; a
+    multiple lambda_1 that bisection cannot split ends the bisection.  When q
+    has no root below pi/l_max and A stays positive definite there,
+    lambda_1 = (pi/l_max)^2.  The result is at least pi^2/(4 L^2) (Nicaise).
+    Every factorization after the first quotient counts against max_iter,
+    the extra certificate aside; NoConvergence when they run out.
+    """
+    check_controls(None, tol, max_iter)
+    if solution is None or solution.discrete is None:
+        solution = torsion_function(g)
+    sys = solution.discrete.system
+    k_lo = math.pi / (2.0 * math.fsum(sys.length.tolist()))
+    k_hi = math.pi / float(sys.length.max())
+    if not sys.order:  # every vertex Dirichlet: the edges are separate intervals
+        return k_hi * k_hi
+    sec = _Secular(sys, k_lo, k_hi, max_iter)
+    start = solution.discrete.values
+    x, k = start, sec.rayleigh(start)
+    lo, hi, hi_count = k_lo, k_hi, None  # no eigenvalue below lo; hi_count below hi
+    tight = min(max(tol, K_FLOOR), DELTA)
+    while True:
+        certified = False
+        if k is not None:
+            k, x, certified = sec.settle(x, k, tol)
+        top = k_hi if k is None else k
+        if not certified:
+            below, _ = sec.inertia(top * (1.0 - DELTA))
+            certified = below == 0
+        if certified:
+            return max(top * top, k_lo * k_lo)
+        if top * (1.0 - DELTA) < hi:
+            hi, hi_count = top * (1.0 - DELTA), below
+        # settled above lambda_1: bisect on the count until one eigenvalue is alone
+        x = None
+        while x is None:
+            if hi - lo <= tight * hi:
+                return max(hi * hi, k_lo * k_lo)  # count(lo) = 0 certifies hi
+            isolated = hi_count == 1
+            sec.spend()
+            mid = 0.5 * (lo + hi)
+            count, lu = sec.inertia(mid)
+            if count == 0:
+                lo = mid
+            else:
+                hi, hi_count = mid, count
+            if isolated and lu is not None:
+                # mid is nearer lambda_1 than lambda_2: restart from the torsion function
+                x = sec.step(lu, mid, start)
+        k = sec.rayleigh(x, mid)
 
 
 # -- integrated heat content ----------------------------------------------

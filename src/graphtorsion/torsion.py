@@ -51,6 +51,58 @@ EPS = 2.0 ** -52  # float64 machine epsilon: a smaller relative correction chang
 
 
 @dataclass(frozen=True)
+class SymPattern:
+    """Sparsity pattern of symmetric n x n CSC matrices summed over pairs (i[k], j[k]).
+
+    Pair k adds diag[k] at (i,i) and (j,j) and off[k] at (i,j) and (j,i);
+    index n marks an eliminated end, whose entries are dropped.  The entries
+    are keyed by (column, row), sorted once with a stable argsort, and each
+    fill sums them with np.add.reduceat, so every matrix built on the pattern
+    has sorted indices, no duplicates and the same structure.
+    """
+
+    n: int
+    src: np.ndarray  # pair term of each kept entry, in (column, row) order
+    first: np.ndarray  # where each distinct entry opens in src
+    indices: np.ndarray
+    indptr: np.ndarray
+
+    @classmethod
+    def build(cls, n: int, i: np.ndarray, j: np.ndarray) -> "SymPattern":
+        rows = np.concatenate((i, j, i, j))
+        cols = np.concatenate((i, j, j, i))
+        keep = ((rows < n) & (cols < n)).nonzero()[0]
+        key = cols[keep] * n + rows[keep]
+        del rows, cols
+        perm = key.argsort(kind="stable")
+        key = key[perm]
+        src = keep[perm]
+        opens = np.empty(len(key), dtype=bool)  # where a new (column, row) entry begins
+        opens[:1] = True
+        np.not_equal(key[1:], key[:-1], out=opens[1:])
+        first = opens.nonzero()[0]
+        key = key[first]
+        indptr = np.zeros(n + 1, dtype=np.int32)
+        np.bincount(key // n, minlength=n).cumsum(out=indptr[1:])
+        indices = (key % n).astype(np.int32)
+        return cls(n, src, first, indices, indptr)
+
+    def fill(self, diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+        """The data array of the matrix with pair terms diag and off."""
+        return np.add.reduceat(np.concatenate((diag, diag, off, off))[self.src], self.first)
+
+    def matrix(self, diag: np.ndarray, off: np.ndarray) -> scipy.sparse.csc_array:
+        return scipy.sparse.csc_array((self.fill(diag, off), self.indices, self.indptr),
+                                      shape=(self.n, self.n), copy=False)
+
+    @cached_property
+    def diagonal(self) -> np.ndarray:
+        """Position in the data array of entry (c, c), for each column c."""
+        cols = np.repeat(np.arange(self.n, dtype=np.int32), np.diff(self.indptr))
+        return (self.indices == cols).nonzero()[0]
+
+
+@dataclass(frozen=True)
 class DiscreteSystem:
     """Vertex system over the natural vertices.
 
@@ -60,7 +112,8 @@ class DiscreteSystem:
     the weighted graph Laplacian restricted to the natural vertices; a loop
     couples a vertex to itself and cancels.  tail[k] and head[k] are the
     unknowns at the ends of edge k, len(order) at a Dirichlet end, and
-    length[k] its length.
+    length[k] its length.  pattern holds the matrix's structure over the
+    non-loop edges, for other matrices of the same graph (the secular matrix).
     """
 
     order: tuple[str, ...]
@@ -69,6 +122,7 @@ class DiscreteSystem:
     tail: np.ndarray
     head: np.ndarray
     length: np.ndarray
+    pattern: SymPattern
 
     def residual(self, x: np.ndarray) -> np.ndarray:
         """weight - matrix @ x[:n], summed from the edge fluxes; x[n] must be 0."""
@@ -135,41 +189,6 @@ class TorsionSolution:
             raise UnknownEdge(f"no edge {edge_id!r} in solution") from None
 
 
-def _sym_csc(n: int, i: np.ndarray, j: np.ndarray,
-             *terms: tuple[np.ndarray, np.ndarray]) -> list[scipy.sparse.csc_array]:
-    """Symmetric n x n CSC matrices summed over the pairs (i[k], j[k]).
-
-    Each (diag, off) in terms gives one matrix: pair k adds diag[k] at (i,i)
-    and (j,j) and off[k] at (i,j) and (j,i); index n marks an eliminated end,
-    whose entries are dropped.  The entries are keyed by (column, row), sorted
-    once with a stable argsort and summed with np.add.reduceat, so every
-    matrix has sorted indices, no duplicates and the same pattern.
-    """
-    rows = np.concatenate((i, j, i, j))
-    cols = np.concatenate((i, j, j, i))
-    keep = ((rows < n) & (cols < n)).nonzero()[0]
-    key = cols[keep] * n + rows[keep]
-    del rows, cols
-    perm = key.argsort(kind="stable")
-    key = key[perm]
-    src = keep[perm]
-    opens = np.empty(len(key), dtype=bool)  # where a new (column, row) entry begins
-    opens[:1] = True
-    np.not_equal(key[1:], key[:-1], out=opens[1:])
-    first = opens.nonzero()[0]
-    key = key[first]
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    np.bincount(key // n, minlength=n).cumsum(out=indptr[1:])
-    indices = (key % n).astype(np.int32)
-    return [
-        scipy.sparse.csc_array(
-            (np.add.reduceat(np.concatenate((diag, diag, off, off))[src], first), indices, indptr),
-            shape=(n, n), copy=False,
-        )
-        for diag, off in terms
-    ]
-
-
 def assemble_discrete_system(g: MetricGraph) -> DiscreteSystem:
     arr = g.arrays
     order = g.natural_vertices
@@ -180,9 +199,18 @@ def assemble_discrete_system(g: MetricGraph) -> DiscreteSystem:
     weight = (np.bincount(tail, arr.length, minlength=n + 1)
               + np.bincount(head, arr.length, minlength=n + 1))[:n]
     proper = tail != head  # a loop cancels from the matrix
+    pattern = SymPattern.build(n, tail[proper], head[proper])
     mu = 1.0 / arr.length[proper]
-    (mat,) = _sym_csc(n, tail[proper], head[proper], (mu, -mu))
-    return DiscreteSystem(order, mat, weight, tail, head, arr.length)
+    return DiscreteSystem(order, pattern.matrix(mu, -mu), weight, tail, head, arr.length, pattern)
+
+
+def symmetric_lu(matrix: scipy.sparse.csc_array) -> scipy.sparse.linalg.SuperLU:
+    """splu in symmetric mode: a minimum-degree ordering of A + A^T and
+    diagonal pivots, in effect LDL^T.  Only an exactly zero diagonal pivot
+    moves off the diagonal (perm_r then differs from perm_c); RuntimeError
+    when the matrix is exactly singular."""
+    return scipy.sparse.linalg.splu(matrix, permc_spec="MMD_AT_PLUS_A",
+                                   diag_pivot_thresh=0.0, options={"SymmetricMode": True})
 
 
 def solve_discrete_torsion(g: MetricGraph) -> DiscreteTorsion:
@@ -191,8 +219,7 @@ def solve_discrete_torsion(g: MetricGraph) -> DiscreteTorsion:
     if n == 0:
         return DiscreteTorsion(sys, np.zeros(0), 0.0)
     try:
-        lu = scipy.sparse.linalg.splu(sys.matrix, permc_spec="MMD_AT_PLUS_A",
-                                      diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+        lu = symmetric_lu(sys.matrix)
     except RuntimeError as exc:
         raise SingularSystem(f"vertex system is singular: {exc}") from None
     x = np.zeros(n + 1)  # x[n] = 0 is the value at every Dirichlet end

@@ -162,6 +162,55 @@ def fem_eigenvalues(g, h: float, k: int) -> list[float]:
     return [float(v) for v in vals[:k]]
 
 
+def secular_count(g, k: float) -> int:
+    """Dirichlet eigenvalues below k^2, for k > 0 with k l / pi not an integer.
+
+    An eigenfunction vanishing at every natural vertex is a Dirichlet mode of
+    single edges: ceil(k l / pi) - 1 of them lie below k^2 on an edge of
+    length l.  The others are fixed by their vertex values through the dense
+    secular matrix: k cot(k l) on the diagonal for each edge end at a natural
+    vertex, -k / sin(k l) between the two ends, -2k tan(k l / 2) for a loop;
+    its negative eigenvalues count them.
+    """
+    pos = {v.id: i for i, v in enumerate(v for v in g.vertices if v.bc == "natural")}
+    a = np.zeros((len(pos), len(pos)))
+    count = 0
+    for e in g.edges:
+        kl = k * e.length
+        count += math.ceil(kl / math.pi) - 1
+        i, j = pos.get(e.tail), pos.get(e.head)
+        if e.tail == e.head:
+            if i is not None:
+                a[i, i] -= 2.0 * k * math.tan(kl / 2.0)
+            continue
+        for x in (i, j):
+            if x is not None:
+                a[x, x] += k / math.tan(kl)
+        if i is not None and j is not None:
+            a[i, j] -= k / math.sin(kl)
+            a[j, i] -= k / math.sin(kl)
+    if pos:
+        count += int(np.sum(np.linalg.eigvalsh(a) < 0.0))
+    return count
+
+
+def secular_lambda1(g) -> float:
+    """Lowest Dirichlet eigenvalue by bisection on secular_count.
+
+    The sine on the longest edge is a test function, so lambda_1 <= (pi /
+    l_max)^2, and the count is at least 1 just above pi / l_max; bisection on
+    k runs down to a few ulps.
+    """
+    lo, hi = 0.0, math.pi / max(e.length for e in g.edges) * (1.0 + 1e-12)
+    while hi - lo > 4.0 * np.spacing(hi):
+        mid = 0.5 * (lo + hi)
+        if secular_count(g, mid) >= 1:
+            hi = mid
+        else:
+            lo = mid
+    return hi * hi
+
+
 def sampled_sup(sol, per_edge: int = 600) -> float:
     """Max of the torsion polynomials over a dense sample grid."""
     best = 0.0

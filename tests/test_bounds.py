@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import graphtorsion.bounds as bounds_mod
-from graphtorsion import BadParameters, audit, equality_witnesses
+from graphtorsion import BadParameters, Scale, apply, audit, equality_witnesses
 from graphtorsion.bounds import (
     EQUALITY,
     ERROR,
@@ -86,7 +86,24 @@ def test_audit_covers_every_record():
     assert [r.name for r in report.records] == ALL_RECORDS
     assert report.violated() == []
     assert report.errored() == []
-    assert report.lambda1 is not None and report.h_eff is not None
+    assert report.lambda1 is not None and report.h_eff is None
+    assert report.lambda1 == pytest.approx((math.pi / 2.0) ** 2, rel=1e-12)
+
+
+LAMBDA_RECORDS = ["polya_product", "landscape_inf", "kohler_jobin", "kohler_jobin_doubly",
+                  "heat_sandwich"]
+
+
+def test_lambda_records_do_not_depend_on_units():
+    # lambda_1 is exact, so its records are judged at the unitless exact tolerances
+    base = audit(star(3))
+    for f in (1.0, 10.0, 100.0):
+        report = audit(apply(star(3), Scale(f)))
+        assert report.lambda1 * f * f == pytest.approx(base.lambda1, rel=1e-12), f
+        for name in LAMBDA_RECORDS:
+            r = report.record(name)
+            assert r.status == base.record(name).status, (f, name)
+            assert r.tolerance == EXACT_VIOLATION_TOL, (f, name)
 
 
 def test_audit_without_spectrum():

@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -282,6 +283,38 @@ def test_optimize_bad_option_is_usage_error(option, path_dn_file, capsys):
     assert rc == 1
     assert out == ""
     assert err.startswith("graphtorsion: ")
+
+
+def short_edge_star(capsys, monkeypatch):
+    """stdin holding star:2 with edges 1e-6 and 1, where a mesh at the default
+    h = l_min/16 would need 16,000,017 nodes."""
+    rc, graph, _ = run_cli(["gen", "star:2", "--lengths", "0.000001,1"], capsys)
+    assert rc == 0
+    monkeypatch.setattr(sys, "stdin", io.StringIO(graph))
+
+
+def test_bounds_short_edge_needs_no_mesh(capsys, monkeypatch):
+    short_edge_star(capsys, monkeypatch)
+    rc, out, err = run_cli(["bounds", "-", "--json"], capsys)
+    assert rc == 0, err
+    payload = json.loads(out)
+    assert payload["lambda1"] == pytest.approx(math.pi ** 2 / (1.0 + 1e-6) ** 2, rel=1e-12)
+    assert payload["h_eff"] is None
+
+
+@pytest.mark.parametrize("h", ["0", "inf"])
+def test_bounds_still_checks_h(h, capsys, monkeypatch):
+    short_edge_star(capsys, monkeypatch)
+    rc, out, err = run_cli(["bounds", "-", "--h", h], capsys)
+    assert rc == 1
+    assert out == ""
+    assert "h_target" in err
+
+
+def test_bounds_tol_zero_terminates(lasso_file, capsys):
+    rc, out, err = run_cli(["bounds", lasso_file, "--tol", "0", "--json"], capsys)
+    assert rc == 0, err
+    assert json.loads(out)["lambda1"] > 0.0
 
 
 def fake_report(status):

@@ -1,4 +1,5 @@
-"""Finite element spectra: meshes, eigenpairs, heat content, landscape bound."""
+"""Finite element spectra: meshes, eigenpairs, heat content, landscape bound;
+the exact lambda_1 from the secular matrix."""
 
 import json
 import math
@@ -6,7 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from _oracles import fem_eigenvalues
+from _oracles import fem_eigenvalues, secular_count
+from _oracles import secular_lambda1 as dense_secular_lambda1
 from graphtorsion import (
     BadParameters,
     NoConvergence,
@@ -14,6 +16,7 @@ from graphtorsion import (
     landscape_check,
     lowest_eigenpairs,
     make_graph,
+    secular_lambda1,
     torsion_function,
 )
 from graphtorsion.families import (
@@ -25,7 +28,7 @@ from graphtorsion.families import (
     random_graph,
     star,
 )
-from graphtorsion.spectral import _pencil, build_mesh
+from graphtorsion.spectral import DELTA, _pencil, _Secular, build_mesh
 
 
 # -- meshes ---------------------------------------------------------------
@@ -299,3 +302,89 @@ def test_landscape_mode_metadata():
     ratios, _ = landscape_check(g, modes=2, h_target=1 / 32)
     assert [r.mode for r in ratios] == [0, 1]
     assert all(0.0 <= r.offset <= 1.0 for r in ratios)
+
+
+# -- exact lambda_1 from the secular matrix ---------------------------------
+
+
+def _battery(seed, count):
+    rng = np.random.default_rng(seed)
+    return [random_graph(rng) for _ in range(count)]
+
+
+def assert_exact_lambda1(g, lam):
+    """lam matches the dense secular oracle to 1e-12, and the oracle's own count
+    finds no eigenvalue below the bracket lam (1 - DELTA)^2 and one below lam."""
+    assert lam == pytest.approx(dense_secular_lambda1(g), rel=1e-12)
+    k = math.sqrt(lam)
+    assert secular_count(g, k * (1.0 - DELTA)) == 0
+    assert secular_count(g, k * (1.0 + 1e-12)) >= 1
+
+
+def test_secular_matches_dense_oracle_on_battery():
+    for g in _battery(2024, 120):
+        assert_exact_lambda1(g, secular_lambda1(g, torsion_function(g)))
+
+
+@pytest.mark.parametrize("index", [
+    43,  # the iteration from the torsion start first settles on lambda_2 = 0.0782157
+    309,  # the Dirichlet-Neumann path: the root sits ulps below the Nicaise bound
+])
+def test_secular_on_criterion6_battery_graphs(index):
+    g = _battery(6, index + 1)[index]
+    lam = secular_lambda1(g)
+    assert_exact_lambda1(g, lam)
+    assert lam >= (math.pi / (2.0 * g.total_length())) ** 2
+
+
+def test_secular_fourteen_edge_graph():
+    g = _found_graph()
+    lam = secular_lambda1(g)
+    assert lam == pytest.approx((math.pi / 4.1975) ** 2, rel=1e-12)
+    assert_exact_lambda1(g, lam)
+
+
+def test_secular_long_fine_path():
+    # 10^5 edges: a P1 mesh at the default h would need 1.6M nodes
+    lam = secular_lambda1(path_dd([1e-5] * 10 ** 5))
+    assert lam == pytest.approx(math.pi ** 2, rel=1e-10)
+
+
+def test_secular_double_ground_state():
+    # two equal Dirichlet-Neumann edges at one Dirichlet vertex: lambda_1 is double
+    g = make_graph([("c", "dirichlet"), ("a", "natural"), ("b", "natural")],
+                   [("e0", "c", "a", 1.0), ("e1", "c", "b", 1.0)])
+    assert secular_lambda1(g, max_iter=50) == pytest.approx((math.pi / 2.0) ** 2, rel=1e-12)
+
+
+@pytest.mark.parametrize("g, exact", [
+    (star(3), (math.pi / 2.0) ** 2),
+    (path_dn([2.0]), (math.pi / 4.0) ** 2),
+    (path_dd([1.0, 3.0]), (math.pi / 4.0) ** 2),
+    (flower(2, [1.0, 2.0]), (math.pi / 2.0) ** 2),
+])
+def test_secular_closed_forms(g, exact):
+    assert secular_lambda1(g) == pytest.approx(exact, rel=1e-12)
+
+
+def test_secular_tol_zero_terminates():
+    assert secular_lambda1(lasso(), tol=0.0) == pytest.approx(dense_secular_lambda1(lasso()), rel=1e-12)
+
+
+def test_secular_rejects_bad_controls_and_runs_out():
+    with pytest.raises(BadParameters):
+        secular_lambda1(lasso(), tol=math.nan)
+    with pytest.raises(BadParameters):
+        secular_lambda1(lasso(), max_iter=0)
+    with pytest.raises(NoConvergence, match="not settled"):
+        secular_lambda1(lasso(), max_iter=1)
+
+
+def test_secular_matrix_tends_to_torsion_matrix():
+    # A(k) refills the torsion matrix's pattern; c -> 1/l and d -> 0 as k -> 0
+    sys = torsion_function(random_graph(5)).discrete.system
+    sec = _Secular(sys, 0.0, math.inf, 1)
+    sec.factor(1e-9)
+    assert np.array_equal(sec.matrix.indices, sys.matrix.indices)
+    assert np.array_equal(sec.matrix.indptr, sys.matrix.indptr)
+    assert sec.matrix.data == pytest.approx(sys.matrix.data, rel=1e-15)

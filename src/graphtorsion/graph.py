@@ -5,10 +5,16 @@ carry positive lengths and whose vertices carry a boundary tag, either
 "dirichlet" or "natural".  Validation enforces the standing assumptions:
 connected, at least one edge, at least one Dirichlet vertex, every length a
 positive finite real.
+
+Ids plus index arrays are the primary form: ``vertex_ids``, ``edge_ids`` and
+``arrays`` (tail, head, length, Dirichlet mask).  The Vertex and Edge objects in
+``vertices`` and ``edges`` are built on first access; a graph made from objects
+keeps the ones it was given.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 from dataclasses import dataclass
@@ -56,7 +62,11 @@ class Edge:
         ln = self.length
         if isinstance(ln, bool) or not isinstance(ln, (int, float)):
             raise NonPositiveLength(f"edge {self.id!r}: length must be a number, got {ln!r}")
-        if not math.isfinite(ln) or ln <= 0:
+        try:
+            ok = ln > 0 and math.isfinite(ln)
+        except OverflowError:  # an integer too large for a float
+            ok = False
+        if not ok:
             raise NonPositiveLength(f"edge {self.id!r}: length must be positive and finite, got {ln!r}")
         object.__setattr__(self, "length", float(ln))
 
@@ -65,147 +75,144 @@ class Edge:
         return self.tail == self.head
 
 
-@dataclass(frozen=True)
 class MetricGraph:
     """Validated metric graph.  Construction raises on any malformed input."""
 
-    vertices: tuple[Vertex, ...]
-    edges: tuple[Edge, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "vertices", tuple(self.vertices))
-        object.__setattr__(self, "edges", tuple(self.edges))
-        self._check()
+    def __init__(self, vertices: Iterable[Vertex], edges: Iterable[Edge]) -> None:
+        vertices, edges = tuple(vertices), tuple(edges)
+        self._build([v.id for v in vertices], [v.bc for v in vertices], [e.id for e in edges],
+                    [e.tail for e in edges], [e.head for e in edges], [e.length for e in edges])
+        self.__dict__.update(vertices=vertices, edges=edges)
 
     # -- validation ------------------------------------------------------
 
-    def _check(self) -> None:
-        seen: set[str] = set()
-        for v in self.vertices:
-            if v.id in seen:
-                raise DuplicateId(f"duplicate vertex id {v.id!r}")
-            seen.add(v.id)
-        eseen: set[str] = set()
-        vids = {v.id for v in self.vertices}
-        for e in self.edges:
-            if e.id in eseen:
-                raise DuplicateId(f"duplicate edge id {e.id!r}")
-            eseen.add(e.id)
-            for end in (e.tail, e.head):
-                if end not in vids:
-                    raise UnknownVertex(f"edge {e.id!r} references unknown vertex {end!r}")
-        if not any(v.bc == DIRICHLET for v in self.vertices):
+    def _build(self, vids: list, bcs: list, eids: list, tails: list, heads: list,
+               lengths: list) -> None:
+        """Check ids, ends, the Dirichlet set and connectivity of entries already checked
+        one by one; only when a set-wide check fails is the first bad entry looked for."""
+        index = dict(zip(vids, range(len(vids))))
+        try:
+            if len(index) < len(vids) or len(set(eids)) < len(eids):
+                raise KeyError
+            tail, head = [index[t] for t in tails], [index[h] for h in heads]
+        except (KeyError, TypeError):
+            _first_unknown(vids, eids, tails, heads, index)
+            raise
+        dirichlet = np.array([bc == DIRICHLET for bc in bcs], dtype=bool)
+        if not dirichlet.any():
             raise EmptyDirichletSet("graph has no Dirichlet vertex")
-        if not self.edges:
+        if not eids:
             raise DisconnectedGraph("graph has no edges; a compact metric graph needs at least one")
         # connectivity over the skeleton, isolated vertices included
-        adj: dict[str, list[str]] = {v.id: [] for v in self.vertices}
-        for e in self.edges:
-            adj[e.tail].append(e.head)
-            adj[e.head].append(e.tail)
-        start = self.vertices[0].id
-        stack, reached = [start], {start}
+        adj, ends = _adjacency(tail, head, len(vids))
+        reached, stack = [False] * len(vids), [0]
+        reached[0] = True
         while stack:
-            for w in adj[stack.pop()]:
-                if w not in reached:
-                    reached.add(w)
+            u = stack.pop()
+            for k in adj[u]:
+                w = ends[k] - u
+                if not reached[w]:
+                    reached[w] = True
                     stack.append(w)
-        if len(reached) != len(self.vertices):
-            missing = sorted(vids - reached)
+        if not all(reached):
+            missing = sorted(v for v, r in zip(vids, reached) if not r)
             raise DisconnectedGraph(f"graph is not connected; unreachable vertices {missing}")
+        self.vertex_ids: tuple[str, ...] = tuple(vids)
+        self.edge_ids: tuple[str, ...] = tuple(eids)
+        self.arrays = EdgeArrays(np.array(tail, dtype=np.int64), np.array(head, dtype=np.int64),
+                                 np.array(lengths, dtype=np.float64), dirichlet)
+        self._index = index
 
-    # -- indexes ---------------------------------------------------------
-
-    @cached_property
-    def _vmap(self) -> dict[str, Vertex]:
-        return {v.id: v for v in self.vertices}
-
-    @cached_property
-    def _emap(self) -> dict[str, Edge]:
-        return {e.id: e for e in self.edges}
+    # -- objects, built on demand ----------------------------------------
 
     @cached_property
-    def arrays(self) -> "EdgeArrays":
-        """The edges as arrays over vertex indices (positions in ``vertices``)."""
-        index = {v.id: i for i, v in enumerate(self.vertices)}
-        return EdgeArrays(
-            tail=np.array([index[e.tail] for e in self.edges], dtype=np.int64),
-            head=np.array([index[e.head] for e in self.edges], dtype=np.int64),
-            length=np.array([e.length for e in self.edges], dtype=np.float64),
-            dirichlet=np.array([v.bc == DIRICHLET for v in self.vertices], dtype=bool),
-        )
+    def vertices(self) -> tuple[Vertex, ...]:
+        return tuple(Vertex(d["id"], d["bc"]) for d in self.to_payload()["vertices"])
 
     @cached_property
-    def _incidence(self) -> dict[str, tuple[Edge, ...]]:
-        inc: dict[str, list[Edge]] = {v.id: [] for v in self.vertices}
-        for e in self.edges:
-            inc[e.tail].append(e)
-            if not e.is_loop:
-                inc[e.head].append(e)
-        return {k: tuple(v) for k, v in inc.items()}
+    def edges(self) -> tuple[Edge, ...]:
+        return tuple(Edge(d["id"], d["from"], d["to"], d["length"]) for d in self.to_payload()["edges"])
+
+    def __eq__(self, other: object) -> bool:
+        """Same ids, boundary tags, ends and lengths in the same order."""
+        return self.to_payload() == other.to_payload() if isinstance(other, MetricGraph) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.vertex_ids, self.edge_ids))
 
     # -- queries ---------------------------------------------------------
 
-    def vertex(self, vid: str) -> Vertex:
+    def _position(self, vid: str) -> int:
         try:
-            return self._vmap[vid]
-        except KeyError:
+            return self._index[vid]
+        except (KeyError, TypeError):
             raise UnknownVertex(f"no vertex {vid!r}") from None
+
+    @cached_property
+    def _edge_index(self) -> dict[str, int]:
+        return dict(zip(self.edge_ids, range(len(self.edge_ids))))
+
+    def vertex(self, vid: str) -> Vertex:
+        return self.vertices[self._position(vid)]
 
     def edge(self, eid: str) -> Edge:
         try:
-            return self._emap[eid]
-        except KeyError:
+            return self.edges[self._edge_index[eid]]
+        except (KeyError, TypeError):
             raise UnknownEdge(f"no edge {eid!r}") from None
 
     @cached_property
     def dirichlet_vertices(self) -> tuple[str, ...]:
-        return tuple(v.id for v in self.vertices if v.bc == DIRICHLET)
+        return tuple(v for v, d in zip(self.vertex_ids, self.arrays.dirichlet.tolist()) if d)
 
     @cached_property
     def natural_vertices(self) -> tuple[str, ...]:
-        return tuple(v.id for v in self.vertices if v.bc == NATURAL)
+        return tuple(v for v, d in zip(self.vertex_ids, self.arrays.dirichlet.tolist()) if not d)
 
     def is_dirichlet(self, vid: str) -> bool:
-        return self.vertex(vid).bc == DIRICHLET
+        return bool(self.arrays.dirichlet[self._position(vid)])
 
     def total_length(self) -> float:
-        return math.fsum(e.length for e in self.edges)
+        return math.fsum(self.arrays.length.tolist())
+
+    def _end_lengths(self, vid: str) -> np.ndarray:
+        """Lengths of the edges at a vertex, one entry per end there (a loop has two)."""
+        i, a = self._position(vid), self.arrays
+        return np.concatenate((a.length[a.tail == i], a.length[a.head == i]))
 
     def degree(self, vid: str) -> int:
         """Combinatorial degree; a loop counts twice."""
-        self.vertex(vid)
-        return sum(2 if e.is_loop else 1 for e in self._incidence[vid])
+        return len(self._end_lengths(vid))
 
     def metric_degree(self, vid: str) -> float:
         """Sum of incident edge lengths; a loop counts twice."""
-        self.vertex(vid)
-        return math.fsum((2.0 if e.is_loop else 1.0) * e.length for e in self._incidence[vid])
+        return math.fsum(self._end_lengths(vid).tolist())
 
     def is_tree(self) -> bool:
         # connected already; a connected multigraph is a tree iff |E| = |V| - 1
         # (a loop or parallel edge would force fewer than |V| - 1 remaining edges)
-        return len(self.edges) == len(self.vertices) - 1
+        return len(self.edge_ids) == len(self.vertex_ids) - 1
 
     def is_equilateral(self, rel_tol: float = 1e-12) -> bool:
-        lengths = [e.length for e in self.edges]
+        lengths = self.arrays.length.tolist()
         lo, hi = min(lengths), max(lengths)
         return hi - lo <= rel_tol * hi
 
     # -- distances and inradius -----------------------------------------
 
-    def _dijkstra(self, sources: Iterable[str], target: str | None = None) -> dict[str, float]:
-        """Shortest-path distance from the nearest source to every vertex.
+    def _dijkstra(self, sources: Iterable[int], target: int = -1) -> list[float]:
+        """Shortest-path distance from the nearest source to every vertex, by index.
 
         With a target, the search stops once the target's distance is final.
         """
-        import heapq
-
-        dist = {v.id: math.inf for v in self.vertices}
-        heap: list[tuple[float, str]] = []
-        for vid in sources:
-            dist[vid] = 0.0
-            heap.append((0.0, vid))
+        a = self.arrays
+        adj, ends = _adjacency(a.tail.tolist(), a.head.tolist(), len(self.vertex_ids))
+        length = a.length.tolist()
+        dist = [math.inf] * len(adj)
+        heap: list[tuple[float, int]] = []
+        for s in sources:
+            dist[s] = 0.0
+            heap.append((0.0, s))
         heapq.heapify(heap)
         while heap:
             d, u = heapq.heappop(heap)
@@ -213,9 +220,8 @@ class MetricGraph:
                 break
             if d > dist[u]:
                 continue
-            for e in self._incidence[u]:
-                w = e.head if e.tail == u else e.tail
-                nd = d + e.length
+            for k in adj[u]:
+                w, nd = ends[k] - u, d + length[k]
                 if nd < dist[w]:
                     dist[w] = nd
                     heapq.heappush(heap, (nd, w))
@@ -223,24 +229,23 @@ class MetricGraph:
 
     def dirichlet_distances(self) -> "DistanceField":
         """Exact multi-source shortest-path distance from every vertex to the Dirichlet set."""
-        return DistanceField(graph=self, values=self._dijkstra(self.dirichlet_vertices))
+        dist = self._dijkstra(self.arrays.dirichlet.nonzero()[0].tolist())
+        return DistanceField(graph=self, values=dict(zip(self.vertex_ids, dist)))
 
     def distance_between(self, u: str, w: str) -> float:
         """Exact shortest-path distance between two vertices."""
-        self.vertex(u)
-        self.vertex(w)
-        return self._dijkstra([u], target=w)[w]
+        i, j = self._position(u), self._position(w)
+        return self._dijkstra([i], target=j)[j]
 
     def inradius(self) -> "PointWitness":
         """Largest distance to the Dirichlet set, with a witness point."""
-        dist = self.dirichlet_distances().values
-        d = np.array([dist[v.id] for v in self.vertices])
         arr = self.arrays
+        d = np.array(self._dijkstra(arr.dirichlet.nonzero()[0].tolist()))
         du, dw, ln = d[arr.tail], d[arr.head], arr.length
         peak = 0.5 * (du + dw + ln)
         k = int(np.argmax(peak))
         offset = min(max(0.5 * (dw[k] - du[k] + ln[k]), 0.0), ln[k])
-        return PointWitness(value=float(peak[k]), edge=self.edges[k].id, offset=float(offset))
+        return PointWitness(value=float(peak[k]), edge=self.edge_ids[k], offset=float(offset))
 
     # -- Dirichlet gluing and 2-edge-connectivity ------------------------
 
@@ -248,7 +253,7 @@ class MetricGraph:
         """Identify all Dirichlet vertices into one.  Total length is unchanged."""
         dset = set(self.dirichlet_vertices)
         keep = self.dirichlet_vertices[0]
-        rep = {vid: (keep if vid in dset else vid) for vid in self._vmap}
+        rep = {vid: (keep if vid in dset else vid) for vid in self.vertex_ids}
         verts = tuple(v for v in self.vertices if v.bc == NATURAL or v.id == keep)
         edges = tuple(Edge(e.id, rep[e.tail], rep[e.head], e.length) for e in self.edges)
         return MetricGraph(verts, edges)
@@ -256,23 +261,42 @@ class MetricGraph:
     def is_doubly_connected_after_glue(self) -> bool:
         """True when the graph, with V_D identified to a point, has no bridges."""
         arr = self.arrays
-        rep = np.arange(len(self.vertices))
+        rep = np.arange(len(self.vertex_ids))
         rep[arr.dirichlet] = np.argmax(arr.dirichlet)  # every Dirichlet vertex onto the first
-        return not _has_bridge_in(rep[arr.tail], rep[arr.head], len(self.vertices))
+        return not _has_bridge_in(rep[arr.tail], rep[arr.head], len(self.vertex_ids))
 
     # -- serialization ---------------------------------------------------
 
     def to_payload(self) -> dict:
+        a, vids = self.arrays, self.vertex_ids
         return {
-            "vertices": [{"id": v.id, "bc": v.bc} for v in self.vertices],
+            "vertices": [{"id": v, "bc": DIRICHLET if d else NATURAL}
+                         for v, d in zip(vids, a.dirichlet.tolist())],
             "edges": [
-                {"id": e.id, "from": e.tail, "to": e.head, "length": e.length}
-                for e in self.edges
+                {"id": e, "from": vids[t], "to": vids[h], "length": ln}
+                for e, t, h, ln in zip(self.edge_ids, a.tail.tolist(), a.head.tolist(), a.length.tolist())
             ],
         }
 
     def dumps(self, indent: int | None = 2) -> str:
         return json.dumps(self.to_payload(), indent=indent)
+
+
+def _first_unknown(vids: list, eids: list, tails: list, heads: list, index: dict) -> None:
+    """Raise for the first duplicate id or unknown end, in entry order."""
+    seen: set[str] = set()
+    for vid in vids:
+        if vid in seen:
+            raise DuplicateId(f"duplicate vertex id {vid!r}")
+        seen.add(vid)
+    seen = set()
+    for eid, tail, head in zip(eids, tails, heads):
+        if eid in seen:
+            raise DuplicateId(f"duplicate edge id {eid!r}")
+        seen.add(eid)
+        for end in (tail, head):
+            if not isinstance(end, str) or end not in index:
+                raise UnknownVertex(f"edge {eid!r} references unknown vertex {end!r}")
 
 
 @dataclass(frozen=True)
@@ -309,20 +333,27 @@ class PointWitness:
     offset: float
 
 
+def _adjacency(tail: list[int], head: list[int], n_vertices: int) -> tuple[list[list[int]], list[int]]:
+    """adj[u] lists, in edge order, each edge k that joins vertex u to another
+    vertex, which is ends[k] - u.  Loops are left out."""
+    adj: list[list[int]] = [[] for _ in range(n_vertices)]
+    for k, (a, b) in enumerate(zip(tail, head)):
+        if a != b:
+            adj[a].append(k)
+            adj[b].append(k)
+    return adj, [a + b for a, b in zip(tail, head)]
+
+
 def _has_bridge(g: MetricGraph) -> bool:
     """Bridge detection on the multigraph skeleton; loops are never bridges."""
     arr = g.arrays
-    return _has_bridge_in(arr.tail, arr.head, len(g.vertices))
+    return _has_bridge_in(arr.tail, arr.head, len(g.vertex_ids))
 
 
 def _has_bridge_in(tail: np.ndarray, head: np.ndarray, n_vertices: int) -> bool:
     """Whether the multigraph on vertices 0..n_vertices-1 with edges k = (tail[k],
     head[k]) has a bridge.  Loops are skipped; a parallel edge closes a cycle."""
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n_vertices)]
-    for k, (a, b) in enumerate(zip(tail.tolist(), head.tolist())):
-        if a != b:
-            adj[a].append((b, k))
-            adj[b].append((a, k))
+    adj, ends = _adjacency(tail.tolist(), head.tolist(), n_vertices)
     index = [-1] * n_vertices
     low = [0] * n_vertices
     counter = 0
@@ -335,9 +366,10 @@ def _has_bridge_in(tail: np.ndarray, head: np.ndarray, n_vertices: int) -> bool:
         stack = [(root, -1, iter(adj[root]))]
         while stack:
             u, in_edge, it = stack[-1]
-            for w, k in it:
+            for k in it:
                 if k == in_edge:
                     continue
+                w = ends[k] - u
                 if index[w] < 0:
                     index[w] = low[w] = counter
                     counter += 1
@@ -380,6 +412,21 @@ def reorient(g: MetricGraph, edge_ids: Iterable[str]) -> MetricGraph:
     return MetricGraph(g.vertices, edges)
 
 
+def _first_malformed(verts: list, edges: list) -> None:
+    """Raise for the first malformed vertex or edge entry, in entry order."""
+    for i, item in enumerate(verts):
+        if not isinstance(item, dict) or "id" not in item or "bc" not in item:
+            raise ValidationError(f"vertex entry {i} must be an object with 'id' and 'bc'")
+        Vertex(item["id"], item["bc"])
+    for i, item in enumerate(edges):
+        if not isinstance(item, dict):
+            raise ValidationError(f"edge entry {i} must be an object")
+        for key in ("id", "from", "to", "length"):
+            if key not in item:
+                raise ValidationError(f"edge entry {i} is missing {key!r}")
+        Edge(item["id"], item["from"], item["to"], item["length"])
+
+
 def from_payload(payload: dict) -> MetricGraph:
     """Parse the JSON interchange form, rejecting malformed entries."""
     if not isinstance(payload, dict):
@@ -387,26 +434,26 @@ def from_payload(payload: dict) -> MetricGraph:
     for key in ("vertices", "edges"):
         if key not in payload or not isinstance(payload[key], list):
             raise ValidationError(f"graph payload needs a {key!r} list")
-    verts = []
-    for i, item in enumerate(payload["vertices"]):
-        if not isinstance(item, dict) or "id" not in item or "bc" not in item:
-            raise ValidationError(f"vertex entry {i} must be an object with 'id' and 'bc'")
-        verts.append(Vertex(item["id"], item["bc"]))
-    edges = []
-    for i, item in enumerate(payload["edges"]):
-        if not isinstance(item, dict):
-            raise ValidationError(f"edge entry {i} must be an object")
-        for key in ("id", "from", "to", "length"):
-            if key not in item:
-                raise ValidationError(f"edge entry {i} is missing {key!r}")
-        edges.append(Edge(item["id"], item["from"], item["to"], item["length"]))
-    return MetricGraph(tuple(verts), tuple(edges))
+    verts, edges = payload["vertices"], payload["edges"]
+    try:
+        vids, bcs = [v["id"] for v in verts], [v["bc"] for v in verts]
+        eids, tails, heads, lengths = ([e[key] for e in edges] for key in ("id", "from", "to", "length"))
+        good = (set(map(type, vids + eids)) <= {str} and "" not in vids + eids
+                and set(bcs) <= {DIRICHLET, NATURAL} and set(map(type, lengths)) <= {int, float}
+                and (not lengths or min(lengths) > 0 and sum(lengths, 0.0) < math.inf))  # NaN fails
+    except (KeyError, TypeError, OverflowError):
+        good = False
+    if not good:
+        _first_malformed(verts, edges)  # raises unless the set-wide check was too strict
+    g = MetricGraph.__new__(MetricGraph)
+    g._build(vids, bcs, eids, tails, heads, lengths)
+    return g
 
 
 def loads(text: str) -> MetricGraph:
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer too long to parse
         raise ValidationError(f"invalid JSON: {exc}") from None
     return from_payload(payload)
 

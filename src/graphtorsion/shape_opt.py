@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
+import numpy as np
+
 from .errors import BadParameters, InconsistentInvariant
 from .graph import Edge, MetricGraph
 from .torsion import EdgePoly, TorsionSolution, torsion_function
@@ -36,31 +38,31 @@ def dT_dlength(
     edge_id: str,
     solution: TorsionSolution | None = None,
 ) -> float:
-    """Derivative of the rigidity with respect to one edge length.
-
-    Evaluated at the edge tail, with a midpoint re-evaluation that must
-    agree to 1e-10 relative; disagreement signals a solver bug and raises
-    InconsistentInvariant.  The value is always positive.
-    """
+    """Derivative of the rigidity with respect to one edge length: its entry in
+    gradient(), which checks every edge.  The value is always positive."""
     sol = solution if solution is not None else torsion_function(g)
-    p = sol.poly(edge_id)
-    at_tail = hadamard_at(p, 0.0)
-    at_mid = hadamard_at(p, p.length / 2.0)
-    scale = max(1.0, abs(at_tail), abs(at_mid))
-    if abs(at_tail - at_mid) > POINT_TOL * scale:
-        raise InconsistentInvariant(
-            f"dT/dl on edge {edge_id!r} drifts along the edge: "
-            f"tail {at_tail!r} vs midpoint {at_mid!r}"
-        )
-    return at_tail
+    sol.poly(edge_id)  # UnknownEdge when the solution has no such edge
+    return gradient(g, sol)[edge_id]
 
 
 def gradient(
     g: MetricGraph, solution: TorsionSolution | None = None
 ) -> dict[str, float]:
-    """Per-edge dT/dl as a dict keyed by edge id."""
+    """Per-edge dT/dl as a dict keyed by edge id, taken at each edge tail.  The
+    midpoint value must agree to POINT_TOL relative; disagreement signals a
+    solver bug and raises InconsistentInvariant naming the first edge that drifts."""
     sol = solution if solution is not None else torsion_function(g)
-    return {e.id: dT_dlength(g, e.id, sol) for e in g.edges}
+    b, c, x = sol.b, sol.c, sol.length / 2.0
+    at_tail, at_mid = b * b + 2.0 * c, (b - x) ** 2 + 2.0 * (-0.5 * x * x + b * x + c)
+    scale = np.maximum(1.0, np.maximum(np.abs(at_tail), np.abs(at_mid)))
+    drift = (np.abs(at_tail - at_mid) > POINT_TOL * scale).nonzero()[0]
+    if len(drift):
+        k = drift[0]
+        raise InconsistentInvariant(
+            f"dT/dl on edge {sol.edge_ids[k]!r} drifts along the edge: "
+            f"tail {float(at_tail[k])!r} vs midpoint {float(at_mid[k])!r}"
+        )
+    return dict(zip(sol.edge_ids, at_tail.tolist()))
 
 
 def with_lengths(g: MetricGraph, lengths: Mapping[str, float]) -> MetricGraph:

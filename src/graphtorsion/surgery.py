@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Union
 
-from .errors import PreconditionViolated
+from .errors import PreconditionViolated, UnknownEdge
 from .graph import DIRICHLET, NATURAL, Edge, MetricGraph, Vertex
 from .torsion import TorsionSolution, torsion_function
 
@@ -92,14 +92,14 @@ class Prediction:
 
 
 def _need_vertex(g: MetricGraph, vid: str) -> None:
-    if vid not in g._vmap:
+    if vid not in g._index:
         raise PreconditionViolated(f"vertex {vid!r} does not exist")
 
 
 def _need_edge(g: MetricGraph, eid: str) -> Edge:
     try:
-        return g._emap[eid]
-    except KeyError:
+        return g.edge(eid)
+    except UnknownEdge:
         raise PreconditionViolated(f"edge {eid!r} does not exist") from None
 
 

@@ -22,12 +22,18 @@ vertex-system identity, and the Dirichlet energy of v.  torsion_function checks
 the integral against the vertex identity and the Kirchhoff residual;
 rigidity() adds the energy route.  Each check holds to REL_TOL relative, and a
 mismatch raises rather than returning a number of unknown quality.
+
+A TorsionSolution holds the vertex values and the coefficients b and c as
+float64 arrays beside the graph's ids; every route is evaluated on those
+arrays, each summed with math.fsum over .tolist() (an fsum over an ndarray is
+slower on small graphs).  Its vertex_values dict and EdgePoly objects are built
+on demand.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
 
@@ -163,28 +169,41 @@ class EdgePoly:
         l = self.length
         return -(l ** 3) / 6.0 + 0.5 * self.b * l * l + self.c * l
 
-    def energy(self) -> float:
-        # integral of (b - x)^2 over [0, length]
-        l = self.length
-        return (self.b ** 3 - (self.b - l) ** 3) / 3.0
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TorsionSolution:
-    vertex_values: dict[str, float]
-    edge_polys: tuple[EdgePoly, ...]
+    """v(x) = -x^2/2 + b[k] x + c[k] on edge k, of length length[k], from vertex
+    tail[k] to vertex head[k] (positions in vertex_ids); values[i] is v at vertex i."""
+
+    vertex_ids: tuple[str, ...]
+    values: np.ndarray
+    edge_ids: tuple[str, ...]
+    tail: np.ndarray
+    head: np.ndarray
+    length: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
     rigidity: float
     sup: PointWitness
     kirchhoff_residual: float = 0.0
-    discrete: DiscreteTorsion | None = field(default=None, compare=False)
+    discrete: DiscreteTorsion | None = None
 
     @cached_property
-    def _poly_by_edge(self) -> dict[str, EdgePoly]:
-        return {p.edge: p for p in self.edge_polys}
+    def vertex_values(self) -> dict[str, float]:
+        return dict(zip(self.vertex_ids, self.values.tolist()))
+
+    @cached_property
+    def edge_polys(self) -> tuple[EdgePoly, ...]:
+        return tuple(EdgePoly(d["id"], d["tail"], d["head"], d["length"], d["b"], d["c"])
+                     for d in solution_to_payload(self)["edges"])
+
+    @cached_property
+    def _edge_index(self) -> dict[str, int]:
+        return dict(zip(self.edge_ids, range(len(self.edge_ids))))
 
     def poly(self, edge_id: str) -> EdgePoly:
         try:
-            return self._poly_by_edge[edge_id]
+            return self.edge_polys[self._edge_index[edge_id]]
         except KeyError:
             raise UnknownEdge(f"no edge {edge_id!r} in solution") from None
 
@@ -193,7 +212,7 @@ def assemble_discrete_system(g: MetricGraph) -> DiscreteSystem:
     arr = g.arrays
     order = g.natural_vertices
     n = len(order)
-    unknown = np.full(len(g.vertices), n)  # n marks a Dirichlet end
+    unknown = np.full(len(g.vertex_ids), n)  # n marks a Dirichlet end
     unknown[~arr.dirichlet] = np.arange(n)
     tail, head = unknown[arr.tail], unknown[arr.head]
     weight = (np.bincount(tail, arr.length, minlength=n + 1)
@@ -237,21 +256,16 @@ def solve_discrete_torsion(g: MetricGraph) -> DiscreteTorsion:
 
 
 def torsion_function(g: MetricGraph) -> TorsionSolution:
-    """Solve for the torsion function and package the edgewise quadratics."""
+    """Solve for the torsion function as edgewise quadratics over the graph's arrays."""
     disc = solve_discrete_torsion(g)
     sys = disc.system
     n = len(sys.order)
     arr = g.arrays
     ln = arr.length
-    v = np.zeros(len(g.vertices))
+    v = np.zeros(len(g.vertex_ids))
     v[~arr.dirichlet] = 0.5 * disc.values
     vt, vh = v[arr.tail], v[arr.head]
     b = 0.5 * ln + (vh - vt) / ln
-    polys = tuple(
-        EdgePoly(e.id, e.tail, e.head, e.length, bk, ck)
-        for e, bk, ck in zip(g.edges, b.tolist(), vt.tolist())
-    )
-    vv = dict(zip([vtx.id for vtx in g.vertices], v.tolist()))
 
     # inward derivative sums at the natural vertices: v'(0) = b at the tail, -v'(l) at the head
     flux = np.bincount(sys.tail, b, minlength=n + 1) + np.bincount(sys.head, ln - b, minlength=n + 1)
@@ -261,17 +275,19 @@ def torsion_function(g: MetricGraph) -> TorsionSolution:
     x = np.minimum(np.maximum(b, 0.0), ln)
     peak = -0.5 * x * x + b * x + vt
     k = int(np.argmax(peak))
-    best = PointWitness(float(peak[k]), polys[k].edge, float(x[k]))
+    best = PointWitness(float(peak[k]), g.edge_ids[k], float(x[k]))
 
-    t_edge = math.fsum(p.integral() for p in polys)
-    t_formula = math.fsum(e.length ** 3 for e in g.edges) / 12.0 + 0.25 * disc.discrete_rigidity
+    cube = ln ** 3
+    t_edge = _integral(ln, cube, b, vt)
+    t_formula = math.fsum(cube.tolist()) / 12.0 + 0.25 * disc.discrete_rigidity
     _require_close("rigidity (edgewise integral)", t_edge, "rigidity (vertex identity)", t_formula)
     scale = max(1.0, best.value)
     if residual > REL_TOL * scale:
         raise CrossCheckMismatch(
             f"Kirchhoff residual {residual:.3e} exceeds {REL_TOL * scale:.3e}"
         )
-    return TorsionSolution(vv, polys, t_edge, best, residual, disc)
+    return TorsionSolution(g.vertex_ids, v, g.edge_ids, arr.tail, arr.head, ln, b, vt,
+                           t_edge, best, residual, disc)
 
 
 def _require_close(name_a: str, a: float, name_b: str, b: float) -> None:
@@ -279,23 +295,26 @@ def _require_close(name_a: str, a: float, name_b: str, b: float) -> None:
         raise CrossCheckMismatch(f"{name_a} = {a!r} disagrees with {name_b} = {b!r}")
 
 
+def _integral(l: np.ndarray, cube: np.ndarray, b: np.ndarray, c: np.ndarray) -> float:
+    """Sum over the edges of the integral of -x^2/2 + b x + c on [0, l]; cube = l^3."""
+    return math.fsum((-cube / 6.0 + 0.5 * b * l * l + c * l).tolist())
+
+
 def rigidity(sol: TorsionSolution) -> float:
     """Total integral of the torsion function, cross-checked along every route."""
-    t_edge = math.fsum(p.integral() for p in sol.edge_polys)
-    t_energy = math.fsum(p.energy() for p in sol.edge_polys)
-    _require_close("rigidity (integral of v)", t_edge, "rigidity (energy of v)", t_energy)
+    cube = sol.length ** 3
+    t_edge = _integral(sol.length, cube, sol.b, sol.c)
+    _require_close("rigidity (integral of v)", t_edge, "rigidity (energy of v)", dirichlet_energy(sol))
     if sol.discrete is not None:
-        t_formula = (
-            math.fsum(p.length ** 3 for p in sol.edge_polys) / 12.0
-            + 0.25 * sol.discrete.discrete_rigidity
-        )
+        t_formula = math.fsum(cube.tolist()) / 12.0 + 0.25 * sol.discrete.discrete_rigidity
         _require_close("rigidity (integral of v)", t_edge, "rigidity (vertex identity)", t_formula)
     _require_close("rigidity (integral of v)", t_edge, "stored rigidity", sol.rigidity)
     return sol.rigidity
 
 
 def dirichlet_energy(sol: TorsionSolution) -> float:
-    return math.fsum(p.energy() for p in sol.edge_polys)
+    """Sum of the integrals of v'^2 = (b - x)^2 over [0, l]."""
+    return math.fsum(((sol.b ** 3 - (sol.b - sol.length) ** 3) / 3.0).tolist())
 
 
 # -- piecewise-quadratic test functions -----------------------------------
@@ -351,18 +370,13 @@ def edgewise_dirichlet_quadratics(g: MetricGraph) -> PiecewiseQuadratic:
 
 
 def solution_to_payload(sol: TorsionSolution) -> dict:
+    vids = sol.vertex_ids
     return {
         "vertex_values": dict(sol.vertex_values),
         "edges": [
-            {
-                "id": p.edge,
-                "tail": p.tail,
-                "head": p.head,
-                "length": p.length,
-                "b": p.b,
-                "c": p.c,
-            }
-            for p in sol.edge_polys
+            {"id": e, "tail": vids[t], "head": vids[h], "length": ln, "b": b, "c": c}
+            for e, t, h, ln, b, c in zip(sol.edge_ids, sol.tail.tolist(), sol.head.tolist(),
+                                         sol.length.tolist(), sol.b.tolist(), sol.c.tolist())
         ],
         "rigidity": sol.rigidity,
         "sup": {"value": sol.sup.value, "edge": sol.sup.edge, "offset": sol.sup.offset},
@@ -372,17 +386,16 @@ def solution_to_payload(sol: TorsionSolution) -> dict:
 
 def solution_from_payload(payload: dict) -> TorsionSolution:
     try:
-        polys = tuple(
-            EdgePoly(d["id"], d["tail"], d["head"], d["length"], d["b"], d["c"])
-            for d in payload["edges"]
-        )
-        sup = PointWitness(**payload["sup"])
+        values, edges = dict(payload["vertex_values"]), payload["edges"]
+        index = dict(zip(values, range(len(values))))
+        ends = [np.array([index[d[key]] for d in edges], dtype=np.int64) for key in ("tail", "head")]
+        coeffs = [np.array([d[key] for d in edges], dtype=np.float64) for key in ("length", "b", "c")]
         return TorsionSolution(
-            dict(payload["vertex_values"]),
-            polys,
+            tuple(values), np.array(list(values.values()), dtype=np.float64),
+            tuple(d["id"] for d in edges), *ends, *coeffs,
             payload["rigidity"],
-            sup,
+            PointWitness(**payload["sup"]),
             payload.get("kirchhoff_residual", 0.0),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed torsion solution payload: {exc}") from None

@@ -207,6 +207,22 @@ def test_invalid_graph_payload(tmp_path, capsys):
     assert rc == 1
 
 
+@pytest.mark.parametrize("end, length", [('"a"', "1" + "0" * 400), ('["a"]', "1.0")],
+                         ids=["huge-integer-length", "list-endpoint"])
+def test_malformed_edge_is_one_error_line(end, length):
+    # an integer length too large for a float and an unhashable end: typed errors, no traceback
+    text = ('{"vertices": [{"id": "a", "bc": "dirichlet"}, {"id": "b", "bc": "natural"}], '
+            f'"edges": [{{"id": "e", "from": {end}, "to": "b", "length": {length}}}]}}')
+    proc = subprocess.run(
+        [sys.executable, "-m", "graphtorsion.cli", "torsion", "-"],
+        input=text, capture_output=True, text=True, cwd=REPO_ROOT, env=child_env(),
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("graphtorsion: edge 'e'")
+
+
 def test_unknown_family(capsys):
     rc, _, err = run_cli(["gen", "mystery"], capsys)
     assert rc == 1

@@ -107,6 +107,127 @@ def test_isolated_vertex_rejected():
         )
 
 
+def _v(vid, bc="natural"):
+    return {"id": vid, "bc": bc}
+
+
+def _e(eid, tail="a", head="b", length=1.0):
+    return {"id": eid, "from": tail, "to": head, "length": length}
+
+
+def _text(vertices, edges):
+    return json.dumps({"vertices": vertices, "edges": edges})
+
+
+AB = [_v("a", "dirichlet"), _v("b")]
+
+# (text, error type, exact message) for each kind of malformed entry, and for
+# which error wins when there are two: an earlier entry beats a later one, and
+# every per-entry check (vertices, then edges) comes before duplicate ids,
+# unknown ends, the Dirichlet set and connectivity.
+MALFORMED = {
+    "invalid json": ("{", ValidationError,
+                     "invalid JSON: Expecting property name enclosed in double quotes: "
+                     "line 1 column 2 (char 1)"),
+    "payload not an object": ("null", ValidationError, "graph payload must be an object"),
+    "no edge list": ('{"vertices": []}', ValidationError, "graph payload needs a 'edges' list"),
+    "vertex not an object": (_text(["a", _v("b")], [_e("e")]), ValidationError,
+                             "vertex entry 0 must be an object with 'id' and 'bc'"),
+    "vertex missing bc": (_text([_v("a", "dirichlet"), {"id": "b"}], [_e("e")]), ValidationError,
+                          "vertex entry 1 must be an object with 'id' and 'bc'"),
+    "edge not an object": (_text(AB, [_e("e"), 1]), ValidationError,
+                           "edge entry 1 must be an object"),
+    "edge missing length": (_text(AB, [{"id": "e", "from": "a", "to": "b"}]), ValidationError,
+                            "edge entry 0 is missing 'length'"),
+    "empty vertex id": (_text([_v("a", "dirichlet"), _v("")], [_e("e")]), ValidationError,
+                        "vertex id must be a nonempty string, got ''"),
+    "non-string vertex id": (_text([_v(7, "dirichlet"), _v("b")], [_e("e")]), ValidationError,
+                             "vertex id must be a nonempty string, got 7"),
+    "bad bc": (_text([_v("a", "dirichlet"), _v("b", "robin")], [_e("e")]), ValidationError,
+               "vertex 'b': bc must be 'dirichlet' or 'natural', got 'robin'"),
+    "empty edge id": (_text(AB, [_e("")]), ValidationError,
+                      "edge id must be a nonempty string, got ''"),
+    "non-string edge id": (_text(AB, [_e(None)]), ValidationError,
+                           "edge id must be a nonempty string, got None"),
+    "length true": (_text(AB, [_e("e", length=True)]), NonPositiveLength,
+                    "edge 'e': length must be a number, got True"),
+    "length string": (_text(AB, [_e("e", length="1.0")]), NonPositiveLength,
+                      "edge 'e': length must be a number, got '1.0'"),
+    "length nan": (_text(AB, [_e("e", length=math.nan)]), NonPositiveLength,
+                   "edge 'e': length must be positive and finite, got nan"),
+    "length inf": (_text(AB, [_e("e", length=math.inf)]), NonPositiveLength,
+                   "edge 'e': length must be positive and finite, got inf"),
+    "length -inf": (_text(AB, [_e("e", length=-math.inf)]), NonPositiveLength,
+                    "edge 'e': length must be positive and finite, got -inf"),
+    "length zero": (_text(AB, [_e("e", length=0)]), NonPositiveLength,
+                    "edge 'e': length must be positive and finite, got 0"),
+    "length negative": (_text(AB, [_e("e", length=-1.5)]), NonPositiveLength,
+                        "edge 'e': length must be positive and finite, got -1.5"),
+    "duplicate vertex id": (_text(AB + [_v("a")], [_e("e")]), DuplicateId,
+                            "duplicate vertex id 'a'"),
+    "duplicate edge id": (_text(AB, [_e("e"), _e("e", "b", "a")]), DuplicateId,
+                          "duplicate edge id 'e'"),
+    "unknown end": (_text(AB, [_e("e", "a", "zz")]), UnknownVertex,
+                    "edge 'e' references unknown vertex 'zz'"),
+    "no dirichlet vertex": (_text([_v("a"), _v("b")], [_e("e")]), EmptyDirichletSet,
+                            "graph has no Dirichlet vertex"),
+    "no edges": (_text(AB, []), DisconnectedGraph,
+                 "graph has no edges; a compact metric graph needs at least one"),
+    "disconnected": (_text(AB + [_v("d"), _v("c")], [_e("e"), _e("f", "d", "c")]),
+                     DisconnectedGraph, "graph is not connected; unreachable vertices ['c', 'd']"),
+    # which error wins
+    "earlier vertex entry wins": (_text([_v("a", "robin"), _v("")], [_e("e")]), ValidationError,
+                                  "vertex 'a': bc must be 'dirichlet' or 'natural', got 'robin'"),
+    "vertex entry before edge entry": (_text([_v("a", "dirichlet"), _v("b", 1)], [_e("", length=0)]),
+                                       ValidationError,
+                                       "vertex 'b': bc must be 'dirichlet' or 'natural', got 1"),
+    "earlier edge entry wins": (_text(AB, [_e("e", length=-1), {"id": "f"}]), NonPositiveLength,
+                                "edge 'e': length must be positive and finite, got -1"),
+    "edge entry before duplicate vertex": (_text(AB + [_v("a")], [_e("e", length=0)]),
+                                           NonPositiveLength,
+                                           "edge 'e': length must be positive and finite, got 0"),
+    "duplicate vertex before unknown end": (_text(AB + [_v("b")], [_e("e", "zz")]), DuplicateId,
+                                            "duplicate vertex id 'b'"),
+    "earlier unknown end wins": (_text(AB, [_e("e", "a", "y"), _e("f", "x", "b")]), UnknownVertex,
+                                 "edge 'e' references unknown vertex 'y'"),
+    "unknown end before later duplicate edge": (_text(AB, [_e("e"), _e("f", "zz"), _e("e")]),
+                                                UnknownVertex,
+                                                "edge 'f' references unknown vertex 'zz'"),
+    "unknown end before no dirichlet": (_text([_v("a"), _v("b")], [_e("e", "a", "zz")]),
+                                        UnknownVertex, "edge 'e' references unknown vertex 'zz'"),
+    "no dirichlet before no edges": (_text([_v("a")], []), EmptyDirichletSet,
+                                     "graph has no Dirichlet vertex"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_loads_error_type_and_message(case):
+    text, kind, message = MALFORMED[case]
+    with pytest.raises(ValidationError) as info:
+        loads(text)
+    assert type(info.value) is kind
+    assert str(info.value) == message
+
+
+def test_huge_integer_length_is_nonpositive_length():
+    # a JSON integer too large for a float, not an OverflowError
+    text = _text(AB, [_e("e", length=1)]).replace('"length": 1', '"length": 1' + "0" * 400)
+    with pytest.raises(NonPositiveLength, match="^edge 'e': length must be positive and finite"):
+        loads(text)
+
+
+def test_overlong_integer_is_a_validation_error():
+    # json.loads itself refuses integers of more than 4300 digits with a ValueError
+    text = _text(AB, [_e("e", length=1)]).replace('"length": 1', '"length": 1' + "0" * 5000)
+    with pytest.raises(ValidationError):
+        loads(text)
+
+
+def test_unhashable_end_is_unknown_vertex():
+    with pytest.raises(UnknownVertex, match=r"^edge 'e' references unknown vertex \['a'\]$"):
+        loads(_text(AB, [_e("e", ["a"], "b")]))
+
+
 @pytest.mark.parametrize("family", [path_dn, path_dd])
 def test_empty_path_rejected(family):
     with pytest.raises(BadParameters, match="a path needs at least one edge"):
@@ -169,6 +290,19 @@ def test_distance_between():
     g = triangle()
     assert g.distance_between("a", "c") == pytest.approx(3.0, rel=1e-15)
     assert g.distance_between("b", "b") == 0.0
+
+
+def test_dijkstra_on_multigraph():
+    # parallel edges of lengths 5 and 1 and a loop: the shortest of each pair counts
+    g = make_graph(
+        [("a", "dirichlet"), ("b", "natural")],
+        [("long", "a", "b", 5.0), ("short", "a", "b", 1.0), ("loop", "b", "b", 3.0)],
+    )
+    assert g.dirichlet_distances().values == {"a": 0.0, "b": 1.0}
+    w = g.inradius()
+    assert (w.value, w.edge, w.offset) == (3.0, "long", 3.0)
+    assert g.distance_between("a", "b") == 1.0
+    assert g.degree("b") == 4
 
 
 # -- gluing and bridges ---------------------------------------------------

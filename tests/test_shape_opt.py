@@ -1,5 +1,6 @@
 """Length derivatives of rigidity and projected-gradient length optimization."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from graphtorsion import (
     BadParameters,
+    InconsistentInvariant,
     NonPositiveLength,
     dT_dlength,
     grad_check,
@@ -162,3 +164,15 @@ def test_trajectory_json_lines():
     for row in rows[:-1]:
         assert set(row) == {"iteration", "lengths", "T"}
     assert rows[0]["T"] == pytest.approx(traj.points[0].rigidity, rel=1e-15)
+
+
+def test_gradient_names_the_first_edge_that_drifts():
+    sol = torsion_function(lasso(1.0, 1.0))
+    # on a long edge with small b and c the midpoint value cancels terms of size
+    # 1e11, which leaves a rounding error far above the tail value
+    arrays = {"length": 962511.6760188427, "b": 0.004117208484213602, "c": -8.470192870522257e-06}
+    bad = dataclasses.replace(sol, **{k: np.array([getattr(sol, k)[0], v]) for k, v in arrays.items()})
+    with pytest.raises(InconsistentInvariant, match="^dT/dl on edge 'e2' drifts along the edge"):
+        gradient(lasso(1.0, 1.0), bad)
+    with pytest.raises(InconsistentInvariant, match="'e2'"):
+        dT_dlength(lasso(1.0, 1.0), "e1", bad)

@@ -1,6 +1,7 @@
 """Torsion solver: closed forms, identities, witnesses, serialization."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -18,10 +19,14 @@ from _oracles import (
 )
 from graphtorsion import (
     CrossCheckMismatch,
+    Edge,
     PiecewiseQuadratic,
     ValidationError,
+    Vertex,
     ZeroEnergy,
     dirichlet_energy,
+    gradient,
+    loads,
     make_graph,
     polya_quotient,
     reorient,
@@ -43,7 +48,7 @@ from graphtorsion.families import (
     star,
     stower,
 )
-from graphtorsion.torsion import REL_TOL, _require_close, edgewise_dirichlet_quadratics
+from graphtorsion.torsion import REL_TOL, EdgePoly, _require_close, edgewise_dirichlet_quadratics
 
 REL = 1e-10
 
@@ -320,3 +325,29 @@ def test_rigidity_positive_and_bounded(seed):
     t = T(g)
     total = g.total_length()
     assert 0.0 < t < total ** 3 / 3.0 + 1e-12 * total ** 3
+
+
+def test_path_of_100000_edges_builds_no_graph_objects(monkeypatch):
+    # correctness at size, not time: the DD interval of length 1 cut into 10^5 edges
+    g0 = path_dd([1e-5] * 10**5)
+    calls = Counter()
+    for cls in (Vertex, Edge, EdgePoly):
+        def counting(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+            calls[_name] += 1
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counting)
+
+    g = loads(g0.dumps(indent=None))
+    sol = torsion_function(g)
+    t = rigidity(sol)
+    grad = gradient(g, sol)
+    inr = g.inradius()
+    payload = solution_to_payload(sol)
+    assert calls == Counter()
+
+    assert abs(t - 1.0 / 12.0) <= 1e-12
+    assert inr.value == pytest.approx(0.5, rel=1e-12)
+    assert max(abs(d - 0.25) for d in grad.values()) <= 1e-9
+    # T is homogeneous of degree 3 in the lengths
+    assert math.fsum(1e-5 * d for d in grad.values()) == pytest.approx(3.0 * t, rel=1e-9)
+    assert len(payload["edges"]) == 10**5 and payload["rigidity"] == t

@@ -17,6 +17,8 @@ import json
 import math
 from dataclasses import asdict, dataclass
 
+import numpy as np
+
 from .errors import GraphToolError
 from .graph import MetricGraph
 from .spectral import check_controls, secular_lambda1
@@ -129,25 +131,21 @@ def _classify(lhs: float, rhs: float, violation_tol: float, equality_tol: float)
 def _star_closed_form_cheeger(g: MetricGraph) -> float | None:
     """Closed-form Cheeger constant k/L for an equilateral star with natural
     center and Dirichlet leaves; None when the graph is not of that shape."""
-    if not g.is_equilateral(1e-9):
+    arr = g.arrays
+    if not g.is_equilateral(1e-9) or (arr.tail == arr.head).any():
         return None
-    if any(e.is_loop for e in g.edges):
+    n_edges, n_vertices = len(g.edge_ids), len(g.vertex_ids)
+    if n_vertices != n_edges + 1:
         return None
-    for c in g.vertices:
-        if g.degree(c.id) != len(g.edges):
+    degree = np.bincount(arr.tail, minlength=n_vertices) + np.bincount(arr.head, minlength=n_vertices)
+    # without loops, a vertex of degree |E| lies on every edge; the first such
+    # center whose other vertices are all leaves decides
+    for c in np.flatnonzero(degree == n_edges).tolist():
+        if (np.delete(degree, c) != 1).any():
             continue
-        if not all(c.id in (e.tail, e.head) for e in g.edges):
-            continue
-        others = [v for v in g.vertices if v.id != c.id]
-        if len(others) != len(g.edges):
-            continue
-        if any(g.degree(v.id) != 1 for v in others):
-            continue
-        if c.bc != "natural":
+        if arr.dirichlet[c] or not np.delete(arr.dirichlet, c).all():
             return None
-        if not all(v.bc == "dirichlet" for v in others):
-            return None
-        return len(g.edges) / g.total_length()
+        return n_edges / g.total_length()
     return None
 
 
@@ -168,13 +166,14 @@ def audit(
     sol = torsion_function(g)
     T = rigidity(sol)
     L = g.total_length()
-    E = len(g.edges)
-    sum_cubes = math.fsum(e.length ** 3 for e in g.edges)
+    arr = g.arrays
+    E = len(g.edge_ids)
+    sum_cubes = math.fsum(x ** 3 for x in arr.length.tolist())
     inr = g.inradius().value
     doubly = g.is_doubly_connected_after_glue()
     tree = g.is_tree()
     dirichlet = g.dirichlet_vertices
-    n_free_vertices = len(g.vertices) - len(dirichlet)
+    n_free_vertices = len(g.vertex_ids) - len(dirichlet)
     sup = sol.sup.value
 
     lam: float | None = None
@@ -231,7 +230,6 @@ def audit(
           "<=", L ** 3 / (12.0 * E * E), T, ALWAYS)
 
     # split by how many endpoints are Dirichlet; a loop counts its vertex twice
-    arr = g.arrays
     ends_d = arr.dirichlet[arr.tail].astype(int) + arr.dirichlet[arr.head]
     len_dn, len_nn = arr.length[ends_d == 1], arr.length[ends_d == 0]
     n_dn, n_nn = len(len_dn), len(len_nn)

@@ -123,6 +123,21 @@ class MetricGraph:
                                  np.array(lengths, dtype=np.float64), dirichlet)
         self._index = index
 
+    def with_edge_lengths(self, lengths: list[float]) -> "MetricGraph":
+        """The same ids, ends and boundary tags with edge k of length lengths[k].
+
+        Only the lengths are checked, in edge order, as Edge checks them."""
+        length = np.array(lengths, dtype=np.float64)
+        bad = np.flatnonzero(~((length > 0.0) & np.isfinite(length)))
+        if len(bad):
+            k = int(bad[0])
+            raise NonPositiveLength(
+                f"edge {self.edge_ids[k]!r}: length must be positive and finite, got {lengths[k]!r}")
+        g = MetricGraph.__new__(MetricGraph)
+        g.vertex_ids, g.edge_ids, g._index = self.vertex_ids, self.edge_ids, self._index
+        g.arrays = EdgeArrays(self.arrays.tail, self.arrays.head, length, self.arrays.dirichlet)
+        return g
+
     # -- objects, built on demand ----------------------------------------
 
     @cached_property

@@ -16,7 +16,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import BadParameters, InconsistentInvariant
-from .graph import Edge, MetricGraph
+from .graph import MetricGraph
 from .torsion import EdgePoly, TorsionSolution, torsion_function
 
 POINT_TOL = 1e-10
@@ -67,13 +67,8 @@ def gradient(
 
 def with_lengths(g: MetricGraph, lengths: Mapping[str, float]) -> MetricGraph:
     """Copy of the graph with edge lengths replaced where the mapping says so."""
-    return MetricGraph(
-        g.vertices,
-        tuple(
-            Edge(e.id, e.tail, e.head, float(lengths.get(e.id, e.length)))
-            for e in g.edges
-        ),
-    )
+    old = g.arrays.length.tolist()
+    return g.with_edge_lengths([float(lengths.get(e, x)) for e, x in zip(g.edge_ids, old)])
 
 
 def grad_check(

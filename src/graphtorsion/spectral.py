@@ -18,6 +18,17 @@ as a whole, so a cluster, or a ground state the start barely touches,
 converges with the rest; iteration stops once each of the k lowest Ritz
 values moves by at most tol relative.  Eigenvalue error decays like h^2.
 
+The start block comes from nested iteration (Hackbusch, Multi-Grid Methods and
+Applications, ch. 5).  On a mesh of more than NESTED_MIN_FREE free nodes whose
+COARSEN times coarser mesh has at most a quarter of its free nodes and at
+least k + GUARD of them, the same block problem is first solved on that coarser
+mesh, recursively, and its Ritz vectors, interpolated linearly along each
+edge, start the fine iteration; they already hold the low modes up to the
+coarse discretization error, so the fine mesh settles in about two
+iterations where a random start needs eight to twelve.  The smallest mesh of
+the chain, and every mesh of at most NESTED_MIN_FREE free nodes, starts from
+a seeded random block.
+
 The mesh is held as arrays.  Node i < |V| is the graph vertex vertices[i];
 the interior nodes follow edge by edge, tail to head.  Segments run edge by
 edge too, so the stiffness and mass matrices, the trapezoid weights and the
@@ -43,6 +54,8 @@ from .torsion import EPS, DiscreteSystem, SymPattern, TorsionSolution, symmetric
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 10000
 GUARD = 3  # block columns beyond the k wanted modes; they speed up a cluster at mode k
+COARSEN = 16  # the nested start solves on a mesh of COARSEN times the target width
+NESTED_MIN_FREE = 2000  # meshes of at most this many free nodes start from a random block
 # Largest mesh build_mesh makes.  Assembly, splu and one solve take about
 # 700 bytes per node (measured on star(3) at 500k nodes), so the 16M nodes of
 # star(2, [1e-6, 1]) at the default h would need about 11 GB, more than an
@@ -51,7 +64,7 @@ MAX_MESH_NODES = 2_000_000
 
 
 def default_h(g: MetricGraph) -> float:
-    return min(e.length for e in g.edges) / 16.0
+    return float(g.arrays.length.min()) / 16.0
 
 
 def check_controls(h_target: float | None, tol: float = DEFAULT_TOL,
@@ -69,7 +82,7 @@ def check_controls(h_target: float | None, tol: float = DEFAULT_TOL,
 class Mesh:
     """Uniform P1 mesh of a graph, held as arrays.
 
-    Nodes 0..|V|-1 are the vertices in ``graph.vertices`` order; the interior
+    Nodes 0..|V|-1 are the vertices in ``graph.vertex_ids`` order; the interior
     nodes follow edge by edge, node_edge holding the edge index (-1 on a
     vertex node) and node_offset the distance k*h from the edge tail.  Edge e
     is cut into segments_per_edge[e] segments of width l/n; segment s joins
@@ -103,7 +116,7 @@ def build_mesh(g: MetricGraph, h_target: float | None = None) -> Mesh:
     if h_target is None:
         h_target = default_h(g)
     arr = g.arrays
-    nv = len(g.vertices)
+    nv = len(g.vertex_ids)
     counts = np.maximum(2.0, np.ceil(arr.length / h_target - 1e-12))
     needed = nv + float(np.sum(counts - 1.0))
     if needed > MAX_MESH_NODES:
@@ -146,7 +159,9 @@ class SpectralResult:
 
     values holds one row per mode over all mesh nodes (zeros at Dirichlet
     nodes), each mass-normalized.  The modes share one block iteration, so
-    iterations repeats its count once per mode.
+    iterations repeats its count once per mode; it counts the block
+    iterations on the returned, finest mesh only, not those of the coarser
+    meshes that made its start block.
     """
 
     mesh: Mesh
@@ -160,9 +175,10 @@ class SpectralResult:
         return self.mesh.h_eff
 
     def to_payload(self) -> dict:
-        mesh, nv = self.mesh, len(self.mesh.graph.vertices)
-        edge_ids = [e.id for e in mesh.graph.edges]
-        nodes = [{"edge": None, "offset": 0.0, "vertex": v.id} for v in mesh.graph.vertices]
+        mesh = self.mesh
+        vertex_ids, edge_ids = mesh.graph.vertex_ids, mesh.graph.edge_ids
+        nv = len(vertex_ids)
+        nodes = [{"edge": None, "offset": 0.0, "vertex": v} for v in vertex_ids]
         nodes += [
             {"edge": edge_ids[e], "offset": x, "vertex": None}
             for e, x in zip(mesh.node_edge[nv:].tolist(), mesh.node_offset[nv:].tolist())
@@ -195,21 +211,9 @@ def lowest_eigenpairs(
     nf = len(free)
     if k > nf:
         raise BadParameters(f"asked for {k} modes but the mesh has only {nf} free nodes")
-    K0, M0 = _pencil(mesh)
-    lu = scipy.sparse.linalg.splu(K0)
-    x = np.random.default_rng(0).standard_normal((nf, min(k + GUARD, nf)))
-    prev = None
-    for it in range(1, max_iter + 1):
-        y = lu.solve(M0 @ x)
-        lam, v = scipy.linalg.eigh(y.T @ (K0 @ y), y.T @ (M0 @ y))  # Rayleigh-Ritz on span(y)
-        x = y @ v
-        if prev is not None and (np.abs(lam[:k] - prev[:k]) <= tol * np.abs(lam[:k])).all():
-            break
-        prev = lam
-    else:
-        raise NoConvergence(f"Ritz values not settled after {max_iter} iterations")
+    lams, x, it, K0, M0 = _subspace_iteration(mesh, k, min(k + GUARD, nf), tol, max_iter)
     x = x[:, :k]
-    lams = lam[:k]
+    lams = lams[:k]
     resids = np.linalg.norm(K0 @ x - (M0 @ x) * lams, axis=0)
 
     values = np.zeros((k, mesh.n_nodes))
@@ -219,6 +223,56 @@ def lowest_eigenpairs(
     if w @ values[0] < 0:
         values[0] = -values[0]
     return SpectralResult(mesh, tuple(lams.tolist()), values, tuple(resids.tolist()), (it,) * k)
+
+
+def _subspace_iteration(mesh: Mesh, k: int, p: int, tol: float, max_iter: int
+                        ) -> tuple[np.ndarray, np.ndarray, int, scipy.sparse.csc_array, scipy.sparse.csc_array]:
+    """Block inverse subspace iteration with p columns on mesh until its k lowest
+    Ritz values settle: the Ritz values, the block over mesh.free, the iteration
+    count and the pencil (K0, M0)."""
+    x = _start_block(mesh, k, p, tol, max_iter)
+    K0, M0 = _pencil(mesh)
+    lu = scipy.sparse.linalg.splu(K0)
+    prev = None
+    for it in range(1, max_iter + 1):
+        y = lu.solve(M0 @ x)
+        lam, v = scipy.linalg.eigh(y.T @ (K0 @ y), y.T @ (M0 @ y))  # Rayleigh-Ritz on span(y)
+        x = y @ v
+        if prev is not None and (np.abs(lam[:k] - prev[:k]) <= tol * np.abs(lam[:k])).all():
+            return lam, x, it, K0, M0
+        prev = lam
+    raise NoConvergence(f"Ritz values not settled after {max_iter} iterations")
+
+
+def _start_block(mesh: Mesh, k: int, p: int, tol: float, max_iter: int) -> np.ndarray:
+    """p start columns over mesh.free: the Ritz vectors of the same problem on the
+    mesh COARSEN times coarser, interpolated, when that mesh is small enough to
+    be cheap and large enough to hold p columns; else a seeded random block."""
+    nf = len(mesh.free)
+    if nf > NESTED_MIN_FREE:
+        coarse = build_mesh(mesh.graph, COARSEN * mesh.h_target)
+        if p <= len(coarse.free) <= nf // 4:
+            return _prolong(coarse, mesh, _subspace_iteration(coarse, k, p, tol, max_iter)[1])
+    return np.random.default_rng(0).standard_normal((nf, p))
+
+
+def _prolong(coarse: Mesh, fine: Mesh, x: np.ndarray) -> np.ndarray:
+    """Columns over coarse.free, interpolated linearly along each edge onto
+    fine.free: vertex nodes are copied, Dirichlet nodes are 0, and an interior
+    node takes the values at the ends of the coarse segment holding its offset."""
+    u = np.zeros((coarse.n_nodes, x.shape[1]))
+    u[coarse.free] = x
+    nv = len(fine.graph.vertex_ids)
+    edge = fine.node_edge[nv:]
+    n = coarse.segments_per_edge[edge]
+    t = fine.node_offset[nv:] * n / fine.graph.arrays.length[edge]  # in coarse segments
+    s = np.minimum(t.astype(np.int64), n - 1)
+    frac = (t - s)[:, None]
+    seg = (np.cumsum(coarse.segments_per_edge) - coarse.segments_per_edge)[edge] + s
+    out = np.empty((fine.n_nodes, x.shape[1]))
+    out[:nv] = u[:nv]
+    out[nv:] = (1.0 - frac) * u[coarse.seg_tail[seg]] + frac * u[coarse.seg_head[seg]]
+    return out[fine.free]
 
 
 # -- exact lambda_1 from the secular matrix ------------------------------------

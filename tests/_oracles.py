@@ -1,7 +1,8 @@
 """Independent reference implementations the tests compare the library against.
 
 Everything here is written from scratch on purpose: dense numpy, no reuse of
-the package's assembly or traversal code.
+the package's assembly or traversal code.  scipy's sparse matrices and eigsh
+serve only meshes too large for dense matrices.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ from fractions import Fraction
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
+import scipy.sparse.linalg
 
 
 def brute_has_bridge(g) -> bool:
@@ -160,6 +163,38 @@ def fem_eigenvalues(g, h: float, k: int) -> list[float]:
     Mf = M[np.ix_(free, free)]
     vals = scipy.linalg.eigh(Kf, Mf, eigvals_only=True)
     return [float(v) for v in vals[:k]]
+
+
+def p1_sine_eigenvalue(theta: float, h: float) -> float:
+    """Eigenvalue of the P1 pencil on a uniform mesh of width h whose eigenvector
+    is the sampled sine sin(theta i): 6 (1 - cos theta) / (h^2 (2 + cos theta)),
+    with 1 - cos theta written as 2 sin^2(theta / 2) so small theta keeps its digits."""
+    s = 2.0 * math.sin(0.5 * theta) ** 2
+    return 6.0 * s / (h * h * (3.0 - s))
+
+
+def sparse_fem_eigenvalues(g, h: float, k: int) -> list[float]:
+    """Lowest k Dirichlet eigenvalues of the P1 pencil at width h, by shift-invert
+    Lanczos at 0 (scipy's eigsh) on sparse matrices assembled here edge by edge."""
+    index = {v.id: i for i, v in enumerate(g.vertices)}
+    n = len(index)
+    rows, cols, stiff, mass = [], [], [], []
+    for e in g.edges:
+        m = max(2, math.ceil(e.length / h - 1e-12))
+        w = e.length / m
+        nodes = np.concatenate(([index[e.tail]], np.arange(n, n + m - 1), [index[e.head]]))
+        n += m - 1
+        a, b = nodes[:-1], nodes[1:]
+        rows += [a, b, a, b]
+        cols += [a, b, b, a]
+        stiff += [np.full(m, 1.0 / w)] * 2 + [np.full(m, -1.0 / w)] * 2
+        mass += [np.full(m, w / 3.0)] * 2 + [np.full(m, w / 6.0)] * 2
+    ij = (np.concatenate(rows), np.concatenate(cols))
+    free = np.array([i for i in range(n) if i >= len(index) or g.vertices[i].bc != "dirichlet"])
+    K, M = (scipy.sparse.coo_array((np.concatenate(d), ij), shape=(n, n)).tocsr()[free][:, free]
+            for d in (stiff, mass))
+    vals = scipy.sparse.linalg.eigsh(K.tocsc(), k, M=M.tocsc(), sigma=0.0, return_eigenvectors=False)
+    return sorted(float(v) for v in vals)
 
 
 def secular_count(g, k: float) -> int:

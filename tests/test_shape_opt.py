@@ -2,18 +2,24 @@
 
 import dataclasses
 import json
+import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from graphtorsion import (
     BadParameters,
+    Edge,
     InconsistentInvariant,
+    MetricGraph,
     NonPositiveLength,
     dT_dlength,
     grad_check,
     gradient,
+    loads,
     optimize,
+    rigidity,
     torsion_function,
     with_lengths,
 )
@@ -93,6 +99,50 @@ def test_with_lengths_replaces_only_lengths():
     assert partial.edge("e2").length == 1.0
     with pytest.raises(NonPositiveLength):
         with_lengths(g, {"e1": 2.0, "e2": -1.0})
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+def test_with_lengths_rejects_bad_length(bad):
+    g = lasso(1.0, 1.0)
+    with pytest.raises(NonPositiveLength) as got:
+        with_lengths(g, {"e2": bad})
+    with pytest.raises(NonPositiveLength) as want:
+        Edge("e2", "v1", "v1", bad)
+    assert str(got.value) == str(want.value)
+
+
+def _multigraph_text(rng, n, m):
+    """A random connected multigraph with n vertices and m edges, loops and
+    parallel edges allowed, as JSON: a random recursive tree plus extra edges."""
+    ends = [(int(rng.integers(0, i)), i) for i in range(1, n)]
+    ends += [tuple(p) for p in rng.integers(0, n, size=(m - n + 1, 2)).tolist()]
+    lengths = np.exp(rng.uniform(math.log(0.1), math.log(10.0), size=m)).tolist()
+    dirichlet = set(rng.choice(n, size=round(0.3 * n), replace=False).tolist())
+    return json.dumps({
+        "vertices": [{"id": f"v{i}", "bc": "dirichlet" if i in dirichlet else "natural"}
+                     for i in range(n)],
+        "edges": [{"id": f"e{k}", "from": f"v{a}", "to": f"v{b}", "length": ln}
+                  for k, ((a, b), ln) in enumerate(zip(ends, lengths))],
+    })
+
+
+def test_with_lengths_builds_no_edges(monkeypatch):
+    g = loads(_multigraph_text(np.random.default_rng(1), 2000, 3000))
+    new = {eid: 1.5 * e.length for eid, e in zip(g.edge_ids[::3], g.edges[::3])}
+    copy = MetricGraph(g.vertices, [Edge(e.id, e.tail, e.head, new.get(e.id, e.length))
+                                    for e in g.edges])
+    calls = Counter()
+
+    def counting(self, *args, _init=Edge.__init__, **kwargs):
+        calls["Edge"] += 1
+        _init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Edge, "__init__", counting)
+    h = with_lengths(g, new)
+    t = rigidity(torsion_function(h))
+    assert calls == Counter()
+    assert t == rigidity(torsion_function(copy))
+    assert h == copy
 
 
 # -- optimizer ------------------------------------------------------------

@@ -3,17 +3,23 @@ the exact lambda_1 from the secular matrix."""
 
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from _oracles import fem_eigenvalues, secular_count
+import graphtorsion.spectral as spectral_mod
+from _oracles import fem_eigenvalues, p1_sine_eigenvalue, secular_count, sparse_fem_eigenvalues
 from _oracles import secular_lambda1 as dense_secular_lambda1
 from graphtorsion import (
     BadParameters,
+    Edge,
     NoConvergence,
+    Vertex,
+    audit,
     integrated_heat_content,
     landscape_check,
+    loads,
     lowest_eigenpairs,
     make_graph,
     secular_lambda1,
@@ -219,6 +225,101 @@ def test_ground_state_sign_and_payload():
     json.dumps(payload)
     assert payload["eigenvalues"] == list(res.eigenvalues)
     assert len(payload["values"][0]) == res.mesh.n_nodes
+
+
+# -- nested start from a coarser mesh ----------------------------------------
+
+
+@pytest.mark.parametrize("g, thetas", [
+    (path_dd([1.0]), lambda n: [j * math.pi / n for j in (1, 2, 3)]),
+    # modes equal on the edges see a Neumann center; lambda_2 = lambda_3 vanish there
+    (star(3), lambda n: [math.pi / (2 * n), math.pi / n, math.pi / n]),
+    (flower(3), lambda n: [math.pi / n] * 3),  # three loops pinned at one vertex: triple
+], ids=["path_dd", "star3", "flower3"])
+def test_nested_start_closed_form_p1_eigenvalues(g, thetas):
+    # about 10^5 nodes: two coarser levels seed the fine iteration
+    res = lowest_eigenpairs(g, 3, h_target=g.total_length() / 1e5)
+    n = int(res.mesh.segments_per_edge[0])
+    assert (res.mesh.segments_per_edge == n).all() and res.mesh.n_nodes > 99_000
+    exact = [p1_sine_eigenvalue(theta, 1.0 / n) for theta in thetas(n)]
+    assert res.eigenvalues == pytest.approx(exact, rel=1e-10)
+    assert res.iterations[0] <= 3
+    _, M0 = _pencil(res.mesh)
+    x = res.values[:, res.mesh.free]
+    assert np.max(np.abs(x @ (M0 @ x.T) - np.eye(3))) <= 1e-8
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_nested_start_matches_shift_invert_on_random_graphs(seed):
+    g = random_graph(seed, length_range=(1e-3, 1.0))
+    h = g.total_length() / 20_000
+    res = lowest_eigenpairs(g, 5, h_target=h)
+    assert res.eigenvalues == pytest.approx(sparse_fem_eigenvalues(g, h, 5), rel=1e-9)
+
+
+def test_nested_start_near_degenerate_star():
+    g = star(3, [1.0, 1.0 + 1e-7, 1.0 - 1e-7])
+    h = g.total_length() / 20_000
+    res = lowest_eigenpairs(g, 3, h_target=h)
+    assert res.eigenvalues == pytest.approx(sparse_fem_eigenvalues(g, h, 3), rel=1e-9)
+
+
+def test_prolong_is_exact_on_edgewise_linear_functions():
+    # linear interpolation along each edge reproduces a function linear on every
+    # edge, with the vertex values of a random draw and 0 on the Dirichlet set
+    g = random_graph(3)
+    fine = build_mesh(g, g.total_length() / 5000)
+    coarse = build_mesh(g, spectral_mod.COARSEN * fine.h_target)
+    arr = g.arrays
+    phi = np.where(arr.dirichlet, 0.0, np.random.default_rng(3).uniform(1.0, 2.0, len(arr.dirichlet)))
+
+    def nodal(mesh):
+        nv, e = len(phi), mesh.node_edge[len(phi):]
+        along = mesh.node_offset[nv:] / arr.length[e]
+        inner = (1.0 - along) * phi[arr.tail[e]] + along * phi[arr.head[e]]
+        return np.concatenate([phi, inner])[mesh.free]
+
+    got = spectral_mod._prolong(coarse, fine, np.column_stack([nodal(coarse), -nodal(coarse)]))
+    assert got[:, 0] == pytest.approx(nodal(fine), rel=1e-13)
+    assert got[:, 1] == pytest.approx(-nodal(fine), rel=1e-13)
+
+
+def test_nested_start_still_runs_out_of_iterations():
+    with pytest.raises(NoConvergence):
+        lowest_eigenpairs(path_dd([1.0]), 1, h_target=1 / 20_000, max_iter=1)
+
+
+def test_small_meshes_start_from_random_block(monkeypatch):
+    # at most NESTED_MIN_FREE free nodes: no coarser mesh is built or interpolated
+    def no_prolong(*args):
+        raise AssertionError("nested start on a small mesh")
+
+    monkeypatch.setattr(spectral_mod, "_prolong", no_prolong)
+    g = path_dd([1.0])
+    res = lowest_eigenpairs(g, 2, h_target=1.0 / spectral_mod.NESTED_MIN_FREE)
+    assert len(res.mesh.free) <= spectral_mod.NESTED_MIN_FREE
+    with pytest.raises(AssertionError, match="nested start"):
+        lowest_eigenpairs(g, 2, h_target=1.0 / (spectral_mod.NESTED_MIN_FREE + 2))
+
+
+def test_audit_and_fem_build_no_graph_objects(monkeypatch):
+    text = random_graph(5).dumps()
+    want_report = audit(random_graph(5)).to_payload()
+    want = lowest_eigenpairs(random_graph(5), 2)
+    calls = Counter()
+    for cls in (Vertex, Edge):
+        def counting(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+            calls[_name] += 1
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counting)
+
+    report = audit(loads(text)).to_payload()
+    res = lowest_eigenpairs(loads(text), 2)
+    payload = res.to_payload()
+    assert calls == Counter()
+    assert report == want_report
+    assert res.eigenvalues == want.eigenvalues and np.array_equal(res.values, want.values)
+    assert payload == want.to_payload()
 
 
 # -- heat content ---------------------------------------------------------

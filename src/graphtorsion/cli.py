@@ -184,7 +184,8 @@ def _add_mesh(p: argparse.ArgumentParser,
               h_help: str = "target mesh width (default: min edge length / 16)") -> None:
     p.add_argument("--h", type=float, default=None, metavar="H", help=h_help)
     p.add_argument("--tol", type=float, default=1e-10, metavar="T",
-                   help="iteration tolerance (default 1e-10)")
+                   help="relative eigenvalue tolerance: the width of each bisection bracket, "
+                        "the last step of the lambda_1 iteration (default 1e-10)")
 
 
 def build_parser() -> _Parser:

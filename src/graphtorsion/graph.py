@@ -321,12 +321,6 @@ class DistanceField:
     graph: MetricGraph
     values: Mapping[str, float]
 
-    def at(self, edge_id: str, offset: float) -> float:
-        """Distance to V_D of the point at the given offset from the edge tail."""
-        e = self.graph.edge(edge_id)
-        x = min(max(offset, 0.0), e.length)
-        return min(self.values[e.tail] + x, self.values[e.head] + e.length - x)
-
 
 @dataclass(frozen=True)
 class EdgeArrays:

@@ -1,5 +1,6 @@
-"""Spectra of metric graphs: the exact lambda_1 from the secular matrix, and P1
-finite elements for higher modes, heat content and landscape checks.
+"""Spectra of metric graphs from the vertex-sized secular matrix: the exact
+lambda_1, and the P1 finite element eigenpairs behind spectrum, heat content
+and landscape checks.
 
 secular_lambda1 returns the exact lowest Dirichlet eigenvalue from the
 secular matrix A(k) over the natural vertices, the torsion system's size and
@@ -7,38 +8,28 @@ sparsity pattern, by Rayleigh functional iteration from the torsion function;
 the pivot signs of one LDL^T of A(k (1 - DELTA)) certify it (Sylvester's law
 of inertia).  No mesh is built, so lambda_1 carries no discretization error
 and costs a few vertex-sized factorizations.  The audit takes lambda_1 from
-here; spectrum, heat-check and landscape_check use the finite elements below.
+here.
 
-Each edge is subdivided uniformly, hat functions live on the subdivision
-nodes, Dirichlet nodes are eliminated, and eigenpairs of the stiffness/mass
-pencil (K0, M0) come out of block inverse subspace iteration with
-Rayleigh-Ritz (Parlett, The Symmetric Eigenvalue Problem, ch. 14) on one
-sparse factorization of K0.  A seeded random block of k + GUARD columns moves
-as a whole, so a cluster, or a ground state the start barely touches,
-converges with the rest; iteration stops once each of the k lowest Ritz
-values moves by at most tol relative.  Eigenvalue error decays like h^2.
-
-The start block comes from nested iteration (Hackbusch, Multi-Grid Methods and
-Applications, ch. 5).  On a mesh of more than NESTED_MIN_FREE free nodes whose
-COARSEN times coarser mesh has at most a quarter of its free nodes and at
-least k + GUARD of them, the same block problem is first solved on that coarser
-mesh, recursively, and its Ritz vectors, interpolated linearly along each
-edge, start the fine iteration; they already hold the low modes up to the
-coarse discretization error, so the fine mesh settles in about two
-iterations where a random start needs eight to twelve.  The smallest mesh of
-the chain, and every mesh of at most NESTED_MIN_FREE free nodes, starts from
-a seeded random block.
+lowest_eigenpairs returns eigenpairs of the P1 stiffness/mass pencil (K0, M0)
+of a uniform subdivision of each edge, without a matrix of the mesh's size.
+The pencil condenses exactly onto a secular matrix A_h(lambda) on the torsion
+system's pattern (_P1Law), whose negative pivots plus the Dirichlet modes
+inside the edges count the eigenvalues below lambda (Wittrick and Williams,
+Q. J. Mech. Appl. Math. 24, 1971).  Bisection on the count brackets the
+modes; null vectors of a bounded system over the vertices and edges, and one
+Rayleigh-Ritz step, give the eigenpairs.  Eigenvalue error against the
+graph's spectrum decays like h^2.
 
 The mesh is held as arrays.  Node i < |V| is the graph vertex vertices[i];
 the interior nodes follow edge by edge, tail to head.  Segments run edge by
-edge too, so the stiffness and mass matrices, the trapezoid weights and the
-node list of the JSON payload are all built from the same arrays without a
-per-node loop.  K0 and M0 come straight over the free nodes from the CSC
-builder of the torsion vertex system, one sorted pattern for both.
+edge too, so the eigenvectors, the pencil's action, the trapezoid weights
+and the node list of the JSON payload are all built from the same arrays
+without a per-node loop.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -49,17 +40,16 @@ import scipy.sparse.linalg
 
 from .errors import BadParameters, NoConvergence
 from .graph import MetricGraph
-from .torsion import EPS, DiscreteSystem, SymPattern, TorsionSolution, symmetric_lu, torsion_function
+from .torsion import (EPS, DiscreteSystem, TorsionSolution, assemble_discrete_system, symmetric_lu,
+                      torsion_function)
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 10000
-GUARD = 3  # block columns beyond the k wanted modes; they speed up a cluster at mode k
-COARSEN = 16  # the nested start solves on a mesh of COARSEN times the target width
-NESTED_MIN_FREE = 2000  # meshes of at most this many free nodes start from a random block
-# Largest mesh build_mesh makes.  Assembly, splu and one solve take about
-# 700 bytes per node (measured on star(3) at 500k nodes), so the 16M nodes of
-# star(2, [1e-6, 1]) at the default h would need about 11 GB, more than an
-# 8 GB machine has.
+# Largest mesh build_mesh makes.  The mesh, the eigenvectors and the
+# Rayleigh-Ritz step peak at about 170 bytes per node for one mode and 250 for
+# three (numpy allocations, star(3) at 500k nodes), so the 16M nodes of
+# star(2, [1e-6, 1]) at the default h would need about 3 GB before the JSON
+# payload of spectrum --json, which takes several times more.
 MAX_MESH_NODES = 2_000_000
 
 
@@ -143,25 +133,14 @@ def build_mesh(g: MetricGraph, h_target: float | None = None) -> Mesh:
                 widths[edge_of_seg], free, float(widths.max()))
 
 
-def _pencil(mesh: Mesh) -> list[scipy.sparse.csc_array]:
-    """Stiffness K0 and consistent mass M0 over the free nodes, in mesh.free order."""
-    nf = len(mesh.free)
-    unknown = np.full(mesh.n_nodes, nf)  # nf marks a Dirichlet node
-    unknown[mesh.free] = np.arange(nf)
-    w = mesh.seg_width
-    pattern = SymPattern.build(nf, unknown[mesh.seg_tail], unknown[mesh.seg_head])
-    return [pattern.matrix(1.0 / w, -1.0 / w), pattern.matrix(w / 3.0, w / 6.0)]
-
-
 @dataclass(frozen=True)
 class SpectralResult:
     """Lowest eigenpairs of the Dirichlet pencil on a fixed mesh.
 
     values holds one row per mode over all mesh nodes (zeros at Dirichlet
-    nodes), each mass-normalized.  The modes share one block iteration, so
-    iterations repeats its count once per mode; it counts the block
-    iterations on the returned, finest mesh only, not those of the coarser
-    meshes that made its start block.
+    nodes), each mass-normalized.  The modes share one bisection, so
+    iterations repeats its count once per mode: the number of eigenvalue
+    counts, each one factorization of the vertex-sized secular matrix.
     """
 
     mesh: Mesh
@@ -200,79 +179,175 @@ def lowest_eigenpairs(
     h_target: float | None = None,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    mesh: Mesh | None = None,
 ) -> SpectralResult:
+    """The k lowest eigenpairs of the P1 pencil at mesh width h_target.
+
+    Bisection on the count isolates the modes, each count one of max_iter; a
+    bracket holding m of them gives m null vectors of the bounded system, and
+    Rayleigh-Ritz on the k vectors gives the eigenpairs and residuals.
+    """
     check_controls(h_target, tol, max_iter)
-    if mesh is None:
-        mesh = build_mesh(g, h_target)
+    mesh = build_mesh(g, h_target)
     if k < 1:
         raise BadParameters("need at least one mode")
-    free = mesh.free
-    nf = len(free)
+    nf = len(mesh.free)
     if k > nf:
         raise BadParameters(f"asked for {k} modes but the mesh has only {nf} free nodes")
-    lams, x, it, K0, M0 = _subspace_iteration(mesh, k, min(k + GUARD, nf), tol, max_iter)
-    x = x[:, :k]
-    lams = lams[:k]
-    resids = np.linalg.norm(K0 @ x - (M0 @ x) * lams, axis=0)
-
-    values = np.zeros((k, mesh.n_nodes))
-    values[:, free] = x.T
+    law, sys = _P1Law(mesh), assemble_discrete_system(g)
+    sec = _Secular(sys, 0.0, math.inf, max_iter, law)
+    nv = len(g.vertex_ids)
+    edge = mesh.node_edge[nv:]
+    j = np.rint(mesh.node_offset[nv:] / law.width[edge]).astype(np.int64)  # node j of its edge
+    blocks = []
+    for lo, hi, width in _brackets(sec, law, k, nf, tol):
+        lam = 0.5 * (lo + hi)
+        x, b, miss = _null_space(sys, law, lam, width)
+        p, q = law.basis(lam, j, edge)
+        u = np.zeros((mesh.n_nodes, width))
+        u[:nv][~g.arrays.dirichlet] = x[:-1]
+        u[nv:] = x[sys.tail][edge] * p[:, None] + b[edge] * q[:, None] + miss[edge] * (j / law.n[edge])[:, None]
+        blocks.append(u)
+    u = np.hstack(blocks)
+    ut, uh, w = u[mesh.seg_tail], u[mesh.seg_head], mesh.seg_width[:, None]
+    # Rayleigh-Ritz on span(u), with u^T K0 u and u^T M0 u summed segment by segment
+    lams, v = scipy.linalg.eigh((ut - uh).T @ ((ut - uh) / w),
+                                ((ut + uh).T @ (w * (ut + uh)) + ut.T @ (w * ut) + uh.T @ (w * uh)) / 6.0)
+    values = (u @ v).T
     # fix the ground-state sign so its integral is positive
-    w = mesh.trapezoid_weights()
-    if w @ values[0] < 0:
+    if mesh.trapezoid_weights() @ values[0] < 0:
         values[0] = -values[0]
-    return SpectralResult(mesh, tuple(lams.tolist()), values, tuple(resids.tolist()), (it,) * k)
+    resids = tuple(_residual(mesh, x, lam) for x, lam in zip(values, lams))
+    return SpectralResult(mesh, tuple(lams.tolist()), values, resids, (max_iter - 1 - sec.left,) * k)
 
 
-def _subspace_iteration(mesh: Mesh, k: int, p: int, tol: float, max_iter: int
-                        ) -> tuple[np.ndarray, np.ndarray, int, scipy.sparse.csc_array, scipy.sparse.csc_array]:
-    """Block inverse subspace iteration with p columns on mesh until its k lowest
-    Ritz values settle: the Ritz values, the block over mesh.free, the iteration
-    count and the pencil (K0, M0)."""
-    x = _start_block(mesh, k, p, tol, max_iter)
-    K0, M0 = _pencil(mesh)
-    lu = scipy.sparse.linalg.splu(K0)
-    prev = None
-    for it in range(1, max_iter + 1):
-        y = lu.solve(M0 @ x)
-        lam, v = scipy.linalg.eigh(y.T @ (K0 @ y), y.T @ (M0 @ y))  # Rayleigh-Ritz on span(y)
-        x = y @ v
-        if prev is not None and (np.abs(lam[:k] - prev[:k]) <= tol * np.abs(lam[:k])).all():
-            return lam, x, it, K0, M0
-        prev = lam
-    raise NoConvergence(f"Ritz values not settled after {max_iter} iterations")
+def _brackets(sec: _Secular, law: _P1Law, k: int, total: int, tol: float) -> list[tuple[float, float, int]]:
+    """(lo, hi, m): modes count(lo)+1 .. count(hi) lie in [lo, hi), m of them
+    among the lowest k, and hi - lo <= tol hi or no float lies between; m is
+    at most the bounded system's size, which bounds a multiplicity.  The count
+    is A_h's negative pivots plus law.inside, each one sec.spend(); brackets
+    share their points, from count(0) = 0 and count(12/w_min^2) = total, the
+    free nodes.  Where A_h is exactly singular the point moves halfway to hi;
+    a count outside its neighbours' (rounding at an eigenvalue) is clamped."""
+
+    def count(lam: float) -> int | None:
+        sec.spend()
+        negatives = sec.inertia(lam)[0]
+        return None if negatives is None else negatives + law.inside(lam)
+
+    lams, counts, out = [0.0, 12.0 / float(law.width.min()) ** 2], [0, total], []
+    mode = 1
+    while mode <= k:
+        i = bisect.bisect_left(counts, mode)
+        lo, hi, m = lams[i - 1], lams[i], min(counts[i], k) - counts[i - 1]
+        c, at, mid = None, lo, 0.5 * (lo + hi)
+        while c is None and at < mid < hi and (hi - lo > tol * hi or m > sec.n + len(law.n)):
+            c, at, mid = count(mid), mid, 0.5 * (mid + hi)
+        if c is None:
+            out.append((lo, hi, m))
+            mode = counts[i] + 1
+        else:
+            lams.insert(i, at)
+            counts.insert(i, min(max(c, counts[i - 1]), counts[i]))
+    return out
 
 
-def _start_block(mesh: Mesh, k: int, p: int, tol: float, max_iter: int) -> np.ndarray:
-    """p start columns over mesh.free: the Ritz vectors of the same problem on the
-    mesh COARSEN times coarser, interpolated, when that mesh is small enough to
-    be cheap and large enough to hold p columns; else a seeded random block."""
-    nf = len(mesh.free)
-    if nf > NESTED_MIN_FREE:
-        coarse = build_mesh(mesh.graph, COARSEN * mesh.h_target)
-        if p <= len(coarse.free) <= nf // 4:
-            return _prolong(coarse, mesh, _subspace_iteration(coarse, k, p, tol, max_iter)[1])
-    return np.random.default_rng(0).standard_normal((nf, p))
+def _null_space(sys: DiscreteSystem, law: _P1Law, lam: float, width: int
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Orthonormal natural-vertex values x (with a row of zeros for the
+    Dirichlet ends) and edge amplitudes b spanning the near-null space of the
+    bounded system B at lam, by inverse iteration from a seeded block, and
+    each edge's miss x_h - u[n].  Kirchhoff at each natural vertex sums
+    a (c1 u[0] - u[1]) and a (c1 u[n] - u[n-1]) over the edge ends there;
+    continuity is u[n] = x_h.  Off its eigenvalue by d, the null vector misses
+    continuity by O(d), a kink K0 would magnify by 1/h^2; the caller spreads
+    the miss linearly along the edge."""
+    n, ne = len(sys.order), len(sys.tail)
+    a, c1, p, q = law.ends(lam)
+    tail, head = (np.where(ends < n, ends, -1) for ends in (sys.tail, sys.head))  # -1: Dirichlet
+    amp, diag = n + np.arange(ne), np.arange(n + ne)  # b_e, and the continuity row of edge e
+    rows = np.concatenate((tail, tail, head, head, amp, amp, amp, diag))
+    cols = np.concatenate((tail, amp, tail, amp, tail, amp, head, diag))
+    vals = np.concatenate((a * (c1 - p[0]), -a * q[0], a * (c1 * p[2] - p[1]), a * (c1 * q[2] - q[1]),
+                           p[2], q[2], -np.ones(ne)))
+    # B + s I, s = sqrt(EPS) max|B|, has B's eigenvectors and a factor even where
+    # lam is an eigenvalue to the last bit; a step shrinks the rest by s / |mu_2|.
+    vals = np.append(vals, np.full(n + ne, math.sqrt(EPS) * np.abs(vals).max()))
+    keep = (rows >= 0) & (cols >= 0)
+    try:
+        lu = scipy.sparse.linalg.splu(scipy.sparse.csc_array((vals[keep], (rows[keep], cols[keep]))))
+    except RuntimeError:
+        raise NoConvergence(f"the bounded system is exactly singular at lambda = {lam!r}") from None
+    y = np.random.default_rng(0).standard_normal((n + ne, width))
+    for _ in range(3):
+        y = np.linalg.qr(lu.solve(y))[0]
+    x, b = np.vstack((y[:n], np.zeros(width))), y[n:]
+    return x, b, x[sys.head] - x[sys.tail] * p[2][:, None] - b * q[2][:, None]
 
 
-def _prolong(coarse: Mesh, fine: Mesh, x: np.ndarray) -> np.ndarray:
-    """Columns over coarse.free, interpolated linearly along each edge onto
-    fine.free: vertex nodes are copied, Dirichlet nodes are 0, and an interior
-    node takes the values at the ends of the coarse segment holding its offset."""
-    u = np.zeros((coarse.n_nodes, x.shape[1]))
-    u[coarse.free] = x
-    nv = len(fine.graph.vertex_ids)
-    edge = fine.node_edge[nv:]
-    n = coarse.segments_per_edge[edge]
-    t = fine.node_offset[nv:] * n / fine.graph.arrays.length[edge]  # in coarse segments
-    s = np.minimum(t.astype(np.int64), n - 1)
-    frac = (t - s)[:, None]
-    seg = (np.cumsum(coarse.segments_per_edge) - coarse.segments_per_edge)[edge] + s
-    out = np.empty((fine.n_nodes, x.shape[1]))
-    out[:nv] = u[:nv]
-    out[nv:] = (1.0 - frac) * u[coarse.seg_tail[seg]] + frac * u[coarse.seg_head[seg]]
-    return out[fine.free]
+def _residual(mesh: Mesh, x: np.ndarray, lam: float) -> float:
+    """||K0 x - lam M0 x|| over the free nodes, from each segment's share at its
+    ends, each flux (x_t - x_h)/w taken before the shares are summed."""
+    xt, xh, w = x[mesh.seg_tail], x[mesh.seg_head], mesh.seg_width
+    f, m = (xt - xh) / w, lam * w / 6.0
+    r = (np.bincount(mesh.seg_tail, f - m * (2.0 * xt + xh), mesh.n_nodes)
+         + np.bincount(mesh.seg_head, -f - m * (xt + 2.0 * xh), mesh.n_nodes))
+    return float(np.linalg.norm(r[mesh.free]))
+
+
+class _P1Law:
+    """The P1 pencil K0 - lam M0 on the uniformly cut edges of a mesh.
+
+    On an edge of n segments of width w its interior rows are -a times
+    u[j-1] + u[j+1] = 2 c1 u[j], a = 1/w + lam w/6, c1 = 1 - 2 s2,
+    s2 = (lam w^2/4) / (1 + lam w^2/6), so u[j] = x_t P[j] + b Q[j] from
+    u[0] = x_t.  Below the band edge, lam w^2 < 12, s2 = sin(theta/2)^2,
+    P = cos(j theta) and Q = sin(j theta).  Past it theta = pi + i eta,
+    P = (-1)^j sinh((n-j) eta)/sinh(n eta), Q = (-1)^(n-j) sinh(j eta)/sinh(n eta)
+    and b = x_h.  Both bases lie in [-1, 1].  Eliminating b leaves _Secular's
+    form: c = a Q[1]/Q[n] and d = c - a (c1 - P[1]) - c P[n], below the band
+    edge beta/sin(n theta) and beta tan(n theta/2), beta = a sin(theta).
+    """
+
+    def __init__(self, mesh: Mesh):
+        self.n = mesh.segments_per_edge
+        self.width = mesh.graph.arrays.length / self.n
+        self.edges = np.arange(len(self.n))
+
+    def angles(self, lam: float) -> tuple[np.ndarray, np.ndarray]:
+        """s2 and theta, pi past the band edge, on every edge."""
+        x = lam * self.width ** 2
+        s2 = 0.25 * x / (1.0 + x / 6.0)
+        return s2, 2.0 * np.arcsin(np.sqrt(np.minimum(s2, 1.0)))
+
+    def inside(self, lam: float) -> int:
+        """Eigenvalues below lam with both ends of an edge pinned: min(n - 1, ceil(n theta / pi) - 1) each."""
+        return int(np.minimum(self.n - 1, np.ceil(self.n * self.angles(lam)[1] / math.pi) - 1).sum())
+
+    def basis(self, lam: float, j: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """P[j] and Q[j] on edges e, for arrays j and e of one shape."""
+        s2, theta = self.angles(lam)
+        p, q = np.cos(j * theta[e]), np.sin(j * theta[e])
+        past = (s2[e] >= 1.0).nonzero()
+        n, j = self.n[e][past], j[past]
+        eta = np.maximum(2.0 * np.arccosh(np.sqrt(s2[e][past])), np.finfo(float).tiny)  # the limit at 0
+
+        def ratio(m):  # sinh(m eta) / sinh(n eta), 0 <= m <= n, without overflow
+            return np.exp((m - n) * eta) * np.expm1(-2.0 * m * eta) / np.expm1(-2.0 * n * eta)
+
+        p[past], q[past] = (1 - 2 * (j & 1)) * ratio(n - j), (1 - 2 * ((n - j) & 1)) * ratio(j)
+        return p, q
+
+    def ends(self, lam: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """a, c1 and the bases at j = 1, n - 1, n (rows of p and q) on every edge."""
+        x = lam * self.width ** 2
+        p, q = self.basis(lam, np.stack((np.ones_like(self.n), self.n - 1, self.n)), np.stack((self.edges,) * 3))
+        return 1.0 / self.width + lam * self.width / 6.0, 1.0 - 0.5 * x / (1.0 + x / 6.0), p, q
+
+    def __call__(self, lam: float) -> tuple[np.ndarray, np.ndarray]:
+        """Conductance c and end term d of every edge in A_h(lam)."""
+        a, c1, p, q = self.ends(lam)
+        c = a * q[0] / q[2]
+        return c, c - a * (c1 - p[0]) - c * p[2]
 
 
 # -- exact lambda_1 from the secular matrix ------------------------------------
@@ -307,9 +382,11 @@ class _Secular:
     edge by edge, and dq/dk = -2k int u^2 < 0.  On (0, pi/l_max) A(k) has no
     pole, and its negative eigenvalues count the Dirichlet eigenvalues below
     k^2 (Berkolaiko and Kuchment, Introduction to Quantum Graphs, 2013).
+    law(k) gives c and d of every edge: by default this continuum law, which
+    rayleigh, slope and settle assume; _P1Law's, at lambda, for the P1 pencil.
     """
 
-    def __init__(self, sys: DiscreteSystem, k_lo: float, k_hi: float, max_iter: int):
+    def __init__(self, sys: DiscreteSystem, k_lo: float, k_hi: float, max_iter: int, law=None):
         self.n = len(sys.order)
         self.tail, self.head, self.length = sys.tail, sys.head, sys.length
         self.proper = (sys.tail != sys.head).nonzero()[0]
@@ -318,10 +395,15 @@ class _Secular:
         self.k_lo, self.k_hi = k_lo, k_hi
         self.left = max_iter - 1  # iterations after the first quotient
         self.max_iter = max_iter
+        self.law = law or self.continuum
+
+    def continuum(self, k: float) -> tuple[np.ndarray, np.ndarray]:
+        z = k * self.length
+        return k / np.sin(z), k * np.tan(0.5 * z)
 
     def spend(self) -> None:
         if self.left < 1:
-            raise NoConvergence(f"secular lambda_1 not settled after {self.max_iter} iterations")
+            raise NoConvergence(f"secular matrix not settled after {self.max_iter} factorizations")
         self.left -= 1
 
     def _ends(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -330,9 +412,8 @@ class _Secular:
 
     def factor(self, k: float) -> scipy.sparse.linalg.SuperLU:
         """LDL^T of A(k) with the torsion solve's options; RuntimeError if exactly singular."""
-        z = k * self.length
-        c = k / np.sin(z)[self.proper]
-        d = k * np.tan(0.5 * z)
+        c, d = self.law(k)
+        c = c[self.proper]
         data = self.pattern.fill(c, -c)
         ends = np.bincount(self.tail, d, minlength=self.n + 1) + np.bincount(self.head, d, minlength=self.n + 1)
         data[self.pattern.diagonal] -= ends[:self.n]
@@ -540,17 +621,13 @@ def integrated_heat_content(
     h_target: float | None = None,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    spectral: SpectralResult | None = None,
-    solution: TorsionSolution | None = None,
 ) -> HeatContent:
     """Sum (integral of phi_k)^2 / lambda_k over the lowest modes.
 
     The full series equals the rigidity; partial sums increase toward it.
     """
-    if spectral is None:
-        spectral = lowest_eigenpairs(g, modes, h_target, tol, max_iter)
-    if solution is None:
-        solution = torsion_function(g)
+    spectral = lowest_eigenpairs(g, modes, h_target, tol, max_iter)
+    solution = torsion_function(g)
     w = spectral.mesh.trapezoid_weights()
     terms = []
     for lam, phi in zip(spectral.eigenvalues, spectral.values):
@@ -600,29 +677,25 @@ def landscape_check(
         spectral = lowest_eigenpairs(g, modes, h_target, tol, max_iter)
     if solution is None:
         solution = torsion_function(g)
-    field = g.dirichlet_distances()
-    mesh = spectral.mesh
-    h = spectral.h_eff
-    seg_start = np.cumsum(mesh.segments_per_edge) - mesh.segments_per_edge
-    out: list[LandscapeRatio] = []
-    for mode, (lam, phi) in enumerate(zip(spectral.eigenvalues, spectral.values)):
-        sup_phi = float(np.max(np.abs(phi)))
-        phi_tail, phi_head = phi[mesh.seg_tail], phi[mesh.seg_head]
-        best = None
-        for e, n, first in zip(g.edges, mesh.segments_per_edge.tolist(), seg_start.tolist()):
-            he = e.length / n
-            poly = solution.poly(e.id)
-            for t in range(samples_per_edge + 1):
-                x = e.length * t / samples_per_edge
-                if field.at(e.id, x) < h:
-                    continue
-                s = min(int(x / he), n - 1)
-                frac = x / he - s
-                phix = (1.0 - frac) * phi_tail[first + s] + frac * phi_head[first + s]
-                ratio = abs(phix) / (lam * sup_phi * poly.value(x))
-                if best is None or ratio > best[0]:
-                    best = (ratio, e.id, x)
-        if best is None:
-            raise BadParameters("every sample point fell inside the Dirichlet exclusion radius")
-        out.append(LandscapeRatio(mode, lam, best[0], best[1], best[2]))
+    arr, mesh, h = g.arrays, spectral.mesh, spectral.h_eff
+    dist = np.array(list(g.dirichlet_distances().values.values()))
+    # sample t of edge e at x = l t / samples, as edge-major flat arrays
+    e = np.repeat(np.arange(len(arr.length)), samples_per_edge + 1)
+    ln = arr.length[e]
+    x = ln * np.tile(np.arange(samples_per_edge + 1), len(arr.length)) / samples_per_edge
+    keep = (np.minimum(dist[arr.tail[e]] + x, dist[arr.head[e]] + ln - x) >= h).nonzero()[0]
+    if not len(keep):
+        raise BadParameters("every sample point fell inside the Dirichlet exclusion radius")
+    e, x, n = e[keep], x[keep], mesh.segments_per_edge[e[keep]]
+    he = arr.length[e] / n
+    s = np.minimum((x / he).astype(np.int64), n - 1)
+    frac = x / he - s
+    seg = (np.cumsum(mesh.segments_per_edge) - mesh.segments_per_edge)[e] + s
+    v = -0.5 * x * x + solution.b[e] * x + solution.c[e]
+    phi, lams = spectral.values, np.array(spectral.eigenvalues)[:, None]
+    ratio = np.abs((1.0 - frac) * phi[:, mesh.seg_tail[seg]] + frac * phi[:, mesh.seg_head[seg]])
+    ratio /= lams * np.abs(phi).max(axis=1)[:, None] * v
+    best = ratio.argmax(axis=1)  # the first maximum in edge-then-sample order
+    out = [LandscapeRatio(m, float(lams[m, 0]), float(ratio[m, i]), g.edge_ids[e[i]], float(x[i]))
+           for m, i in enumerate(best.tolist())]
     return out, h

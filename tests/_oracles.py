@@ -197,6 +197,32 @@ def sparse_fem_eigenvalues(g, h: float, k: int) -> list[float]:
     return sorted(float(v) for v in vals)
 
 
+def p1_mass(g, nodes: list[dict]):
+    """Consistent P1 mass matrix M0 over the free nodes of a spectrum payload's
+    ``nodes`` list, and the indices of those nodes.  Each edge chains its tail,
+    its interior nodes by offset and its head; the segment widths come from
+    the offsets, and each segment adds w/3 and w/6 edge by edge."""
+    vertex_node = {nd["vertex"]: i for i, nd in enumerate(nodes) if nd["vertex"] is not None}
+    interior: dict[str, list[tuple[float, int]]] = {}
+    for i, nd in enumerate(nodes):
+        if nd["vertex"] is None:
+            interior.setdefault(nd["edge"], []).append((nd["offset"], i))
+    rows, cols, mass = [], [], []
+    for e in g.edges:
+        inner = sorted(interior.get(e.id, []))
+        chain = np.array([vertex_node[e.tail]] + [i for _, i in inner] + [vertex_node[e.head]])
+        w = np.diff([0.0] + [x for x, _ in inner] + [e.length])
+        a, b = chain[:-1], chain[1:]
+        rows += [a, b, a, b]
+        cols += [a, b, b, a]
+        mass += [w / 3.0, w / 3.0, w / 6.0, w / 6.0]
+    ij = (np.concatenate(rows), np.concatenate(cols))
+    m = scipy.sparse.coo_array((np.concatenate(mass), ij), shape=(len(nodes), len(nodes))).tocsr()
+    dirichlet = {v.id for v in g.vertices if v.bc == "dirichlet"}
+    free = np.array([i for i, nd in enumerate(nodes) if nd["vertex"] not in dirichlet])
+    return m[free][:, free], free
+
+
 def secular_count(g, k: float) -> int:
     """Dirichlet eigenvalues below k^2, for k > 0 with k l / pi not an integer.
 

@@ -266,14 +266,6 @@ def test_dirichlet_distances_match_relaxation_oracle():
             assert d == pytest.approx(want[vid], rel=1e-12, abs=1e-12)
 
 
-def test_distance_field_interior_point():
-    g = lasso(1.0, 1.0)
-    field = g.dirichlet_distances()
-    # walking around the loop, the far side is reached the short way
-    assert field.at("e2", 0.25) == pytest.approx(1.25, rel=1e-15)
-    assert field.at("e2", 0.75) == pytest.approx(1.25, rel=1e-15)
-
-
 def test_inradius_lasso_loop_midpoint():
     w = lasso(1.0, 1.0).inradius()
     assert w.value == pytest.approx(1.5, rel=1e-15)

@@ -8,8 +8,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-import graphtorsion.spectral as spectral_mod
-from _oracles import fem_eigenvalues, p1_sine_eigenvalue, secular_count, sparse_fem_eigenvalues
+from _oracles import fem_eigenvalues, p1_mass, p1_sine_eigenvalue, secular_count, sparse_fem_eigenvalues
 from _oracles import secular_lambda1 as dense_secular_lambda1
 from graphtorsion import (
     BadParameters,
@@ -31,10 +30,11 @@ from graphtorsion.families import (
     lasso,
     path_dd,
     path_dn,
+    pumpkin_chain,
     random_graph,
     star,
 )
-from graphtorsion.spectral import DELTA, _pencil, _Secular, build_mesh
+from graphtorsion.spectral import DELTA, _Secular, build_mesh, default_h
 
 
 # -- meshes ---------------------------------------------------------------
@@ -146,8 +146,8 @@ def test_degenerate_pair_resolved():
     g = star(3, [1.0, 1.0, 1.0])
     res = lowest_eigenpairs(g, k=3, h_target=1 / 32)
     assert abs(res.eigenvalues[1] - res.eigenvalues[2]) <= 1e-6 * res.eigenvalues[1]
-    _, M0 = _pencil(res.mesh)
-    x = res.values[:, res.mesh.free]
+    M0, free = p1_mass(g, res.to_payload()["nodes"])
+    x = res.values[:, free]
     gram = x @ (M0 @ x.T)
     assert np.max(np.abs(gram - np.eye(3))) <= 1e-8
 
@@ -227,7 +227,7 @@ def test_ground_state_sign_and_payload():
     assert len(payload["values"][0]) == res.mesh.n_nodes
 
 
-# -- nested start from a coarser mesh ----------------------------------------
+# -- large meshes, band edges, poles and clusters -----------------------------
 
 
 @pytest.mark.parametrize("g, thetas", [
@@ -237,15 +237,14 @@ def test_ground_state_sign_and_payload():
     (flower(3), lambda n: [math.pi / n] * 3),  # three loops pinned at one vertex: triple
 ], ids=["path_dd", "star3", "flower3"])
 def test_nested_start_closed_form_p1_eigenvalues(g, thetas):
-    # about 10^5 nodes: two coarser levels seed the fine iteration
+    # about 10^5 nodes, where the sampled sines are the exact P1 eigenvectors
     res = lowest_eigenpairs(g, 3, h_target=g.total_length() / 1e5)
     n = int(res.mesh.segments_per_edge[0])
     assert (res.mesh.segments_per_edge == n).all() and res.mesh.n_nodes > 99_000
     exact = [p1_sine_eigenvalue(theta, 1.0 / n) for theta in thetas(n)]
     assert res.eigenvalues == pytest.approx(exact, rel=1e-10)
-    assert res.iterations[0] <= 3
-    _, M0 = _pencil(res.mesh)
-    x = res.values[:, res.mesh.free]
+    M0, free = p1_mass(g, res.to_payload()["nodes"])
+    x = res.values[:, free]
     assert np.max(np.abs(x @ (M0 @ x.T) - np.eye(3))) <= 1e-8
 
 
@@ -264,48 +263,82 @@ def test_nested_start_near_degenerate_star():
     assert res.eigenvalues == pytest.approx(sparse_fem_eigenvalues(g, h, 3), rel=1e-9)
 
 
-def test_prolong_is_exact_on_edgewise_linear_functions():
-    # linear interpolation along each edge reproduces a function linear on every
-    # edge, with the vertex values of a random draw and 0 on the Dirichlet set
-    g = random_graph(3)
-    fine = build_mesh(g, g.total_length() / 5000)
-    coarse = build_mesh(g, spectral_mod.COARSEN * fine.h_target)
-    arr = g.arrays
-    phi = np.where(arr.dirichlet, 0.0, np.random.default_rng(3).uniform(1.0, 2.0, len(arr.dirichlet)))
-
-    def nodal(mesh):
-        nv, e = len(phi), mesh.node_edge[len(phi):]
-        along = mesh.node_offset[nv:] / arr.length[e]
-        inner = (1.0 - along) * phi[arr.tail[e]] + along * phi[arr.head[e]]
-        return np.concatenate([phi, inner])[mesh.free]
-
-    got = spectral_mod._prolong(coarse, fine, np.column_stack([nodal(coarse), -nodal(coarse)]))
-    assert got[:, 0] == pytest.approx(nodal(fine), rel=1e-13)
-    assert got[:, 1] == pytest.approx(-nodal(fine), rel=1e-13)
-
-
 def test_nested_start_still_runs_out_of_iterations():
     with pytest.raises(NoConvergence):
         lowest_eigenpairs(path_dd([1.0]), 1, h_target=1 / 20_000, max_iter=1)
 
 
-def test_small_meshes_start_from_random_block(monkeypatch):
-    # at most NESTED_MIN_FREE free nodes: no coarser mesh is built or interpolated
-    def no_prolong(*args):
-        raise AssertionError("nested start on a small mesh")
+def assert_p1_eigenpairs(g, k, h, **controls):
+    """Eigenvalues match the dense pencil to 1e-9; each pair leaves a small
+    residual and the vectors are mass-orthonormal."""
+    res = lowest_eigenpairs(g, k, h_target=h, **controls)
+    assert res.eigenvalues == pytest.approx(fem_eigenvalues(g, h, k), rel=1e-9)
+    M0, free = p1_mass(g, res.to_payload()["nodes"])
+    x = res.values[:, free]
+    for lam, r, v in zip(res.eigenvalues, res.residuals, x):
+        assert r <= 1e-8 * lam * np.linalg.norm(M0 @ v)
+    assert np.max(np.abs(x @ (M0 @ x.T) - np.eye(k))) <= 1e-9
+    return res
 
-    monkeypatch.setattr(spectral_mod, "_prolong", no_prolong)
-    g = path_dd([1.0])
-    res = lowest_eigenpairs(g, 2, h_target=1.0 / spectral_mod.NESTED_MIN_FREE)
-    assert len(res.mesh.free) <= spectral_mod.NESTED_MIN_FREE
-    with pytest.raises(AssertionError, match="nested start"):
-        lowest_eigenpairs(g, 2, h_target=1.0 / (spectral_mod.NESTED_MIN_FREE + 2))
+
+@pytest.mark.parametrize("g, h, k", [
+    # 8 free nodes; lambda_8 = 107.2 lies past 12/w^2 = 56.7 of the 2.3 edge
+    (star(3, [0.4, 1.1, 2.3]), 0.5, 8),
+    (caterpillar(2), 0.3, 14),
+], ids=["star", "caterpillar"])
+def test_every_mode_up_to_past_the_band_edge(g, h, k):
+    assert len(build_mesh(g, h).free) == k
+    assert_p1_eigenpairs(g, k, h)
+
+
+@pytest.mark.parametrize("seed", [9, 13, 14, 29])
+def test_counts_next_to_eigenvalues(seed):
+    # bisection down to adjacent floats meets exactly singular secular matrices
+    # next to the eigenvalues of seeds 9, 13 and 29, and must step past them
+    g = random_graph(seed)
+    assert_p1_eigenpairs(g, 5, 4.0 * default_h(g), tol=0.0)
+
+
+@pytest.mark.parametrize("g", [path_dn([1.0]), pumpkin_chain([2, 3])], ids=["path_dn", "pumpkin"])
+def test_fine_mesh_residuals(g):
+    # at 60k nodes a null vector's miss of continuity at a vertex, O(tol), would
+    # leave a kink that K0 magnifies by 1/h^2 (2.5e-2 here) were it not spread
+    # along the edge
+    res = lowest_eigenpairs(g, 3, h_target=g.total_length() / 60_000)
+    M0, free = p1_mass(g, res.to_payload()["nodes"])
+    for lam, r, v in zip(res.eigenvalues, res.residuals, res.values[:, free]):
+        assert r <= 1e-5 * lam * np.linalg.norm(M0 @ v)
+
+
+def test_cluster_cut_at_the_last_mode():
+    # lambda_2 = lambda_3 on the equilateral star: one vector of the pair is returned
+    res = assert_p1_eigenpairs(star(3), 2, 1 / 16)
+    assert len(res.values) == 2
+
+
+def test_tol_zero_terminates():
+    res = assert_p1_eigenpairs(lasso(), 3, 1 / 16, tol=0.0)
+    assert res.iterations[0] < 1000
+    # at the star's lambda_1 to the last bit sin(n theta) rounds to 1 and the
+    # bounded system has an exactly zero row: its shifted factor still serves
+    assert_p1_eigenpairs(star(3), 3, 1 / 64, tol=0.0)
+
+
+def test_coarse_tol_still_returns_every_mode():
+    # tol = 1 ends every bracket at once, but a bracket never holds more modes
+    # than the bounded system has unknowns (here one); Ritz values bound the
+    # eigenvalues from above
+    res = lowest_eigenpairs(path_dd([1.0]), 5, h_target=1 / 64, tol=1.0)
+    dense = fem_eigenvalues(path_dd([1.0]), 1 / 64, 5)
+    assert len(res.eigenvalues) == 5 and res.values.shape[0] == 5
+    assert all(lam >= ref * (1 - 1e-12) for lam, ref in zip(res.eigenvalues, dense))
 
 
 def test_audit_and_fem_build_no_graph_objects(monkeypatch):
     text = random_graph(5).dumps()
     want_report = audit(random_graph(5)).to_payload()
     want = lowest_eigenpairs(random_graph(5), 2)
+    want_ratios = landscape_check(random_graph(5), 2)
     calls = Counter()
     for cls in (Vertex, Edge):
         def counting(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
@@ -316,7 +349,9 @@ def test_audit_and_fem_build_no_graph_objects(monkeypatch):
     report = audit(loads(text)).to_payload()
     res = lowest_eigenpairs(loads(text), 2)
     payload = res.to_payload()
+    ratios = landscape_check(loads(text), 2)
     assert calls == Counter()
+    assert ratios == want_ratios
     assert report == want_report
     assert res.eigenvalues == want.eigenvalues and np.array_equal(res.values, want.values)
     assert payload == want.to_payload()

@@ -184,7 +184,7 @@ def _add_mesh(p: argparse.ArgumentParser,
               h_help: str = "target mesh width (default: min edge length / 16)") -> None:
     p.add_argument("--h", type=float, default=None, metavar="H", help=h_help)
     p.add_argument("--tol", type=float, default=1e-10, metavar="T",
-                   help="relative eigenvalue tolerance: the width of each bisection bracket, "
+                   help="relative eigenvalue tolerance: the width of each eigenvalue bracket, "
                         "the last step of the lambda_1 iteration (default 1e-10)")
 
 

@@ -15,8 +15,10 @@ of a uniform subdivision of each edge, without a matrix of the mesh's size.
 The pencil condenses exactly onto a secular matrix A_h(lambda) on the torsion
 system's pattern (_P1Law), whose negative pivots plus the Dirichlet modes
 inside the edges count the eigenvalues below lambda (Wittrick and Williams,
-Q. J. Mech. Appl. Math. 24, 1971).  Bisection on the count brackets the
-modes; null vectors of a bounded system over the vertices and edges, and one
+Q. J. Mech. Appl. Math. 24, 1971).  The count brackets the modes, from the
+Nicaise bound up; the same factor gives the determinant of the pencil up to a
+smooth factor, and regula falsi on it picks the next point to count.  Null
+vectors of a bounded system over the vertices and edges, and one
 Rayleigh-Ritz step, give the eigenpairs.  Eigenvalue error against the
 graph's spectrum decays like h^2.
 
@@ -138,9 +140,11 @@ class SpectralResult:
     """Lowest eigenpairs of the Dirichlet pencil on a fixed mesh.
 
     values holds one row per mode over all mesh nodes (zeros at Dirichlet
-    nodes), each mass-normalized.  The modes share one bisection, so
-    iterations repeats its count once per mode: the number of eigenvalue
-    counts, each one factorization of the vertex-sized secular matrix.
+    nodes), each mass-normalized; within a multiple eigenvalue the first
+    carries the whole integral and the rest integrate to 0.  The modes share
+    one bracketing search, so iterations repeats its count once per mode: the
+    number of eigenvalue counts, each one factorization of the vertex-sized
+    secular matrix.
     """
 
     mesh: Mesh
@@ -182,9 +186,10 @@ def lowest_eigenpairs(
 ) -> SpectralResult:
     """The k lowest eigenpairs of the P1 pencil at mesh width h_target.
 
-    Bisection on the count isolates the modes, each count one of max_iter; a
-    bracket holding m of them gives m null vectors of the bounded system, and
-    Rayleigh-Ritz on the k vectors gives the eigenpairs and residuals.
+    Brackets on the count isolate the modes (_brackets), each count one of
+    max_iter; a bracket holding m of them gives m null vectors of the bounded
+    system, and Rayleigh-Ritz on the k vectors gives the eigenpairs and
+    residuals.
     """
     check_controls(h_target, tol, max_iter)
     mesh = build_mesh(g, h_target)
@@ -202,20 +207,31 @@ def lowest_eigenpairs(
     for lo, hi, width in _brackets(sec, law, k, nf, tol):
         lam = 0.5 * (lo + hi)
         x, b, miss = _null_space(sys, law, lam, width)
-        p, q = law.basis(lam, j, edge)
+        p, q = law.basis(law.angles(lam), j, edge)
         u = np.zeros((mesh.n_nodes, width))
         u[:nv][~g.arrays.dirichlet] = x[:-1]
         u[nv:] = x[sys.tail][edge] * p[:, None] + b[edge] * q[:, None] + miss[edge] * (j / law.n[edge])[:, None]
         blocks.append(u)
     u = np.hstack(blocks)
     ut, uh, w = u[mesh.seg_tail], u[mesh.seg_head], mesh.seg_width[:, None]
-    # Rayleigh-Ritz on span(u), with u^T K0 u and u^T M0 u summed segment by segment
+    # Rayleigh-Ritz on span(u), with u^T K0 u and u^T M0 u summed segment by segment:
+    # M0 = (2 (ut^T W ut + uh^T W uh) + C + C^T) / 6, C = ut^T W uh
+    wh = w * uh
+    cross = ut.T @ wh
     lams, v = scipy.linalg.eigh((ut - uh).T @ ((ut - uh) / w),
-                                ((ut + uh).T @ (w * (ut + uh)) + ut.T @ (w * ut) + uh.T @ (w * uh)) / 6.0)
+                                (2.0 * (ut.T @ (w * ut) + uh.T @ wh) + cross + cross.T) / 6.0)
     values = (u @ v).T
-    # fix the ground-state sign so its integral is positive
-    if mesh.trapezoid_weights() @ values[0] < 0:
-        values[0] = -values[0]
+    # a basis of each multiple eigenvalue that the graph defines: an orthogonal
+    # change of basis, so still M-orthonormal, whose first vector carries the
+    # whole integral and the rest integrate to 0; that first vector and the
+    # ground state integrate to a positive number
+    weights, widths = mesh.trapezoid_weights(), [block.shape[1] for block in blocks]
+    for first, m in zip(np.cumsum(widths) - widths, widths):
+        block = values[first:first + m]
+        if m > 1:
+            block[:] = np.linalg.qr((block @ weights)[:, None], mode="complete")[0].T @ block
+        if (first == 0 or m > 1) and weights @ block[0] < 0:
+            block[0] = -block[0]
     resids = tuple(_residual(mesh, x, lam) for x, lam in zip(values, lams))
     return SpectralResult(mesh, tuple(lams.tolist()), values, resids, (max_iter - 1 - sec.left,) * k)
 
@@ -225,29 +241,69 @@ def _brackets(sec: _Secular, law: _P1Law, k: int, total: int, tol: float) -> lis
     among the lowest k, and hi - lo <= tol hi or no float lies between; m is
     at most the bounded system's size, which bounds a multiplicity.  The count
     is A_h's negative pivots plus law.inside, each one sec.spend(); brackets
-    share their points, from count(0) = 0 and count(12/w_min^2) = total, the
-    free nodes.  Where A_h is exactly singular the point moves halfway to hi;
-    a count outside its neighbours' (rounding at an eigenvalue) is clamped."""
+    share their points, from count(12/w_min^2) = total, the free nodes, and a
+    floor: the Nicaise bound pi^2/(4 L^2), below every P1 eigenvalue, counted
+    once (0 instead if rounding counts a mode below it).
 
-    def count(lam: float) -> int | None:
+    The count alone fixes each bracket; the next point only makes it shrink
+    faster.  A bracket wider than a factor 2 splits at its geometric mean.
+    Then each count is also a value of f = det A_h prod_e Q_e[n], continuous
+    across A_h's poles and zero exactly at the P1 eigenvalues, read off the
+    pivots and the law; the next point is Illinois regula falsi on |f|^(1/j)
+    for a count jump j, the side taken from the count and not from a sign of
+    f, kept tol hi / 2 from both ends, and the midpoint after two steps that
+    did not halve the bracket (Dekker, Brent).  Where A_h is exactly singular
+    the point moves halfway to hi; a count outside its neighbours' (rounding
+    at an eigenvalue) is clamped."""
+    unknowns = sec.n + len(law.n)
+
+    def count(lam: float) -> tuple[int | None, float]:
+        """count(lam) and log |f(lam)|; None when A_h(lam) is exactly singular."""
         sec.spend()
-        negatives = sec.inertia(lam)[0]
-        return None if negatives is None else negatives + law.inside(lam)
+        negatives, log_det, _ = sec.inertia(lam)
+        return None if negatives is None else negatives + law.inside, log_det + law.log_q
 
-    lams, counts, out = [0.0, 12.0 / float(law.width.min()) ** 2], [0, total], []
-    mode = 1
+    floor = (math.pi / (2.0 * math.fsum(sec.length.tolist()))) ** 2
+    lams, counts, logs = [0.0, 12.0 / float(law.width.min()) ** 2], [0, total], [None, None]
+    c, f = count(floor)
+    if c == 0:
+        lams[0], logs[0] = floor, f
+    out, mode, seen = [], 1, 0
     while mode <= k:
         i = bisect.bisect_left(counts, mode)
         lo, hi, m = lams[i - 1], lams[i], min(counts[i], k) - counts[i - 1]
-        c, at, mid = None, lo, 0.5 * (lo + hi)
-        while c is None and at < mid < hi and (hi - lo > tol * hi or m > sec.n + len(law.n)):
-            c, at, mid = count(mid), mid, 0.5 * (mid + hi)
+        if seen != mode:  # a new mode: no Illinois scaling, no widths yet
+            seen, side, scale, widths = mode, None, [0.0, 0.0], []
+        x, delta = 0.5 * (lo + hi), 0.5 * tol * hi
+        if hi - lo <= tol * hi and m <= unknowns:
+            x = lo  # done: nothing to count
+        elif lo > 0.0 and hi > 2.0 * lo:
+            x = math.sqrt(lo * hi)
+        elif logs[i - 1] is not None and logs[i] is not None:
+            widths.append(hi - lo)
+            if len(widths) < 3 or widths[-1] <= 0.5 * widths[-3]:
+                # z = log(g_hi / g_lo), g = |f|^(1/j) Illinois-scaled: x = lo + (hi - lo) g_lo / (g_lo + g_hi)
+                z = (logs[i] - logs[i - 1]) / (counts[i] - counts[i - 1]) + scale[1] - scale[0]
+                e = math.exp(-abs(z))
+                x = min(max(lo + (hi - lo) * (e if z > 0.0 else 1.0) / (1.0 + e), lo + delta), hi - delta)
+                if not lo < x < hi or hi - lo <= 2.0 * delta:  # also a NaN step
+                    x = 0.5 * (lo + hi)
+        c, at = None, lo
+        while c is None and at < x < hi:
+            (c, f), at, x = count(x), x, 0.5 * (x + hi)
         if c is None:
             out.append((lo, hi, m))
             mode = counts[i] + 1
-        else:
-            lams.insert(i, at)
-            counts.insert(i, min(max(c, counts[i - 1]), counts[i]))
+            continue
+        c = min(max(c, counts[i - 1]), counts[i])
+        lams.insert(i, at)
+        counts.insert(i, c)
+        logs.insert(i, f)
+        moved = int(c >= mode)  # the end at replaced: 0 lo, 1 hi
+        scale[moved] = 0.0
+        if side == moved:  # Illinois: the same end twice, so halve g at the other
+            scale[1 - moved] -= math.log(2.0)
+        side = moved
     return out
 
 
@@ -262,7 +318,7 @@ def _null_space(sys: DiscreteSystem, law: _P1Law, lam: float, width: int
     continuity by O(d), a kink K0 would magnify by 1/h^2; the caller spreads
     the miss linearly along the edge."""
     n, ne = len(sys.order), len(sys.tail)
-    a, c1, p, q = law.ends(lam)
+    a, c1, p, q, _ = law.ends(lam)
     tail, head = (np.where(ends < n, ends, -1) for ends in (sys.tail, sys.head))  # -1: Dirichlet
     amp, diag = n + np.arange(ne), np.arange(n + ne)  # b_e, and the continuity row of edge e
     rows = np.concatenate((tail, tail, head, head, amp, amp, amp, diag))
@@ -319,13 +375,10 @@ class _P1Law:
         s2 = 0.25 * x / (1.0 + x / 6.0)
         return s2, 2.0 * np.arcsin(np.sqrt(np.minimum(s2, 1.0)))
 
-    def inside(self, lam: float) -> int:
-        """Eigenvalues below lam with both ends of an edge pinned: min(n - 1, ceil(n theta / pi) - 1) each."""
-        return int(np.minimum(self.n - 1, np.ceil(self.n * self.angles(lam)[1] / math.pi) - 1).sum())
-
-    def basis(self, lam: float, j: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """P[j] and Q[j] on edges e, for arrays j and e of one shape."""
-        s2, theta = self.angles(lam)
+    def basis(self, angles: tuple[np.ndarray, np.ndarray], j: np.ndarray, e: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray]:
+        """P[j] and Q[j] on edges e, for arrays j and e of one shape, from angles(lam)."""
+        s2, theta = angles
         p, q = np.cos(j * theta[e]), np.sin(j * theta[e])
         past = (s2[e] >= 1.0).nonzero()
         n, j = self.n[e][past], j[past]
@@ -337,15 +390,20 @@ class _P1Law:
         p[past], q[past] = (1 - 2 * (j & 1)) * ratio(n - j), (1 - 2 * ((n - j) & 1)) * ratio(j)
         return p, q
 
-    def ends(self, lam: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """a, c1 and the bases at j = 1, n - 1, n (rows of p and q) on every edge."""
-        x = lam * self.width ** 2
-        p, q = self.basis(lam, np.stack((np.ones_like(self.n), self.n - 1, self.n)), np.stack((self.edges,) * 3))
-        return 1.0 / self.width + lam * self.width / 6.0, 1.0 - 0.5 * x / (1.0 + x / 6.0), p, q
+    def ends(self, lam: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """a, c1, the bases at j = 1, n - 1, n (rows of p and q) and theta on every edge."""
+        s2, theta = angles = self.angles(lam)
+        p, q = self.basis(angles, np.stack((np.ones_like(self.n), self.n - 1, self.n)), np.stack((self.edges,) * 3))
+        return 1.0 / self.width + lam * self.width / 6.0, 1.0 - 2.0 * s2, p, q, theta
 
     def __call__(self, lam: float) -> tuple[np.ndarray, np.ndarray]:
-        """Conductance c and end term d of every edge in A_h(lam)."""
-        a, c1, p, q = self.ends(lam)
+        """Conductance c and end term d of every edge in A_h(lam).  The same
+        angles leave on the law, for lam, inside: the eigenvalues below lam with
+        both ends of an edge pinned, min(n - 1, ceil(n theta / pi) - 1) each;
+        and log_q: log |Q[n]| summed over the edges."""
+        a, c1, p, q, theta = self.ends(lam)
+        self.inside = int(np.minimum(self.n - 1, np.ceil(self.n * theta / math.pi) - 1).sum())
+        self.log_q = float(np.log(np.abs(q[2])).sum())
         c = a * q[0] / q[2]
         return c, c - a * (c1 - p[0]) - c * p[2]
 
@@ -427,16 +485,17 @@ class _Secular:
             return None
         return int(np.count_nonzero(lu.U.diagonal() < 0.0))
 
-    def inertia(self, k: float) -> tuple[int | None, scipy.sparse.linalg.SuperLU | None]:
-        """negatives() of A(k) and its factor; (None, None) when A(k) is exactly singular."""
+    def inertia(self, k: float) -> tuple[int | None, float, scipy.sparse.linalg.SuperLU | None]:
+        """negatives() of A(k), log |det A(k)| from the same pivots, and the
+        factor; (None, 0.0, None) when A(k) is exactly singular."""
         try:
             lu = self.factor(k)
         except RuntimeError:
-            return None, None
-        count = self.negatives(lu)
-        if count is None:
+            return None, 0.0, None
+        if not np.array_equal(lu.perm_r, lu.perm_c):
             raise NoConvergence(f"the factor of A({k!r}) pivoted, so its inertia cannot be read")
-        return count, lu
+        pivots = lu.U.diagonal()  # of its LDL^T: one read of U serves both
+        return int(np.count_nonzero(pivots < 0.0)), float(np.log(np.abs(pivots)).sum()), lu
 
     def slope(self, k: float, x: np.ndarray) -> np.ndarray:
         """A'(k) x, summed edge by edge from c' (x_t - x_h) and d' x."""
@@ -567,7 +626,7 @@ def secular_lambda1(
             k, x, certified = sec.settle(x, k, tol)
         top = k_hi if k is None else k
         if not certified:
-            below, _ = sec.inertia(top * (1.0 - DELTA))
+            below = sec.inertia(top * (1.0 - DELTA))[0]
             certified = below == 0
         if certified:
             return max(top * top, k_lo * k_lo)
@@ -581,7 +640,7 @@ def secular_lambda1(
             isolated = hi_count == 1
             sec.spend()
             mid = 0.5 * (lo + hi)
-            count, lu = sec.inertia(mid)
+            count, _, lu = sec.inertia(mid)
             if count == 0:
                 lo = mid
             else:

@@ -334,6 +334,50 @@ def test_coarse_tol_still_returns_every_mode():
     assert all(lam >= ref * (1 - 1e-12) for lam, ref in zip(res.eigenvalues, dense))
 
 
+@pytest.mark.parametrize("g", [path_dn(), star(3), flower(3)], ids=["path_dn", "star3", "flower3"])
+def test_count_budget_on_fine_meshes(g):
+    # from the Nicaise floor, a geometric split and regula falsi on the secular
+    # determinant; bisection from 0 took 135, 99 and 63 counts.  path_dn's
+    # lambda_1 sits 5.6e-11 relative above the floor, star(3) has a double
+    # lambda_2 = lambda_3 and flower(3) a triple lambda_1
+    res = lowest_eigenpairs(g, 3, h_target=g.total_length() / 60_000)
+    assert res.iterations[0] <= 40
+
+
+def test_near_degenerate_cluster_split_on_a_fine_mesh():
+    # lambda_2 and lambda_3 lie 2.4e-4 relative apart: only a count between
+    # them, not a narrower bracket around both, returns each to 1e-9
+    g = star(3, [1.0, 1.0 + 1e-7, 1.0 - 1e-7])
+    h = g.total_length() / 60_000
+    res = lowest_eigenpairs(g, 3, h_target=h)
+    assert res.eigenvalues == pytest.approx(sparse_fem_eigenvalues(g, h, 3), rel=1e-9)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_lambda1_above_the_nicaise_floor(seed):
+    g = random_graph(seed)
+    assert lowest_eigenpairs(g, 1).eigenvalues[0] >= (math.pi / (2.0 * g.total_length())) ** 2
+
+
+def test_tol_zero_terminates_on_a_fine_mesh():
+    # down to adjacent floats, with lambda_1 just above the floor
+    g = path_dn()
+    res = lowest_eigenpairs(g, 3, h_target=g.total_length() / 60_000, tol=0.0)
+    n = int(res.mesh.segments_per_edge[0])
+    exact = [p1_sine_eigenvalue((2 * j - 1) * math.pi / (2 * n), 1.0 / n) for j in (1, 2, 3)]
+    assert res.eigenvalues == pytest.approx(exact, rel=1e-10)
+    assert res.iterations[0] < 1000
+
+
+def test_heat_sums_inside_a_triple_eigenvalue():
+    # flower(3)'s lambda_1 is triple; its first vector carries the whole
+    # integral, so K = 1, 2, 3 each cover the triple's share
+    hc = integrated_heat_content(flower(3), modes=6)
+    coverage = [s / hc.rigidity for s in hc.partial_sums[:3]]
+    assert coverage == pytest.approx([0.982359870539] * 3, rel=1e-11)
+    assert coverage[0] == coverage[1] == coverage[2]
+
+
 def test_audit_and_fem_build_no_graph_objects(monkeypatch):
     text = random_graph(5).dumps()
     want_report = audit(random_graph(5)).to_payload()

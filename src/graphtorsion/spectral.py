@@ -22,16 +22,20 @@ vectors of a bounded system over the vertices and edges, and one
 Rayleigh-Ritz step, give the eigenpairs.  Eigenvalue error against the
 graph's spectrum decays like h^2.
 
-The mesh is held as arrays.  Node i < |V| is the graph vertex vertices[i];
-the interior nodes follow edge by edge, tail to head.  Segments run edge by
-edge too, so the eigenvectors, the pencil's action, the trapezoid weights
-and the node list of the JSON payload are all built from the same arrays
-without a per-node loop.
+The mesh is held edge by edge.  Node i < |V| is the graph vertex
+vertices[i]; the interior nodes follow edge by edge, tail to head, as in the
+node list of the JSON payload.  The solver holds its modes one row per mode
+over the points j = 0..n of each edge in turn, both ends included: a segment
+is a pair of neighbouring points, and the pairs that join two edges have
+width 0.  The Rayleigh-Ritz products, the mode integrals and the residuals
+are then contiguous slices of those rows; the vertices meet them only at
+the 2|E| edge ends, and the values in node order drop the ends.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass
 
@@ -48,10 +52,10 @@ from .torsion import (EPS, DiscreteSystem, TorsionSolution, assemble_discrete_sy
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 10000
 # Largest mesh build_mesh makes.  The mesh, the eigenvectors and the
-# Rayleigh-Ritz step peak at about 170 bytes per node for one mode and 250 for
-# three (numpy allocations, star(3) at 500k nodes), so the 16M nodes of
-# star(2, [1e-6, 1]) at the default h would need about 3 GB before the JSON
-# payload of spectrum --json, which takes several times more.
+# Rayleigh-Ritz step peak at about 160 bytes per node for one mode and 210 for
+# three (numpy allocations by tracemalloc, star(3) at 500k nodes), so the 16M
+# nodes of star(2, [1e-6, 1]) at the default h would need about 2.6 GB before
+# the JSON payload of spectrum --json, which takes several times more.
 MAX_MESH_NODES = 2_000_000
 
 
@@ -72,13 +76,13 @@ def check_controls(h_target: float | None, tol: float = DEFAULT_TOL,
 
 @dataclass(frozen=True)
 class Mesh:
-    """Uniform P1 mesh of a graph, held as arrays.
+    """Uniform P1 mesh of a graph, held edge by edge.
 
-    Nodes 0..|V|-1 are the vertices in ``graph.vertex_ids`` order; the interior
-    nodes follow edge by edge, node_edge holding the edge index (-1 on a
-    vertex node) and node_offset the distance k*h from the edge tail.  Edge e
-    is cut into segments_per_edge[e] segments of width l/n; segment s joins
-    seg_tail[s] to seg_head[s], edge by edge from tail to head.
+    Edge e is cut into n = segments_per_edge[e] segments of width l/n, with
+    points j = 0..n from its tail (j = 0) to its head (j = n).  Nodes
+    0..|V|-1 are the vertices in ``graph.vertex_ids`` order; the interior
+    points j = 1..n-1 follow edge by edge, node_edge holding the edge index
+    (-1 on a vertex node) and node_offset the distance j l/n from the tail.
     """
 
     graph: MetricGraph
@@ -86,20 +90,24 @@ class Mesh:
     segments_per_edge: np.ndarray
     node_edge: np.ndarray
     node_offset: np.ndarray
-    seg_tail: np.ndarray
-    seg_head: np.ndarray
-    seg_width: np.ndarray
-    free: np.ndarray
     h_eff: float
 
     @property
     def n_nodes(self) -> int:
         return len(self.node_edge)
 
+    @property
+    def free(self) -> np.ndarray:
+        """The nodes off the Dirichlet vertices."""
+        nv = len(self.graph.vertex_ids)
+        return np.concatenate([np.flatnonzero(~self.graph.arrays.dirichlet), np.arange(nv, self.n_nodes)])
+
     def trapezoid_weights(self) -> np.ndarray:
         """Row sums of the consistent mass matrix: exact integrals of the hats."""
-        ends = np.array([self.seg_tail, self.seg_head]).T.ravel()
-        return np.bincount(ends, weights=np.repeat(0.5 * self.seg_width, 2), minlength=self.n_nodes)
+        arr, n = self.graph.arrays, self.segments_per_edge
+        w = arr.length / n
+        ends = np.bincount(np.concatenate([arr.tail, arr.head]), np.tile(0.5 * w, 2), len(self.graph.vertex_ids))
+        return np.concatenate([ends, np.repeat(w, n - 1)])
 
 
 def build_mesh(g: MetricGraph, h_target: float | None = None) -> Mesh:
@@ -119,20 +127,10 @@ def build_mesh(g: MetricGraph, h_target: float | None = None) -> Mesh:
     counts = counts.astype(np.int64)
     inner = counts - 1
     widths = arr.length / counts
-    edge_of_node = np.repeat(np.arange(len(counts)), inner)
-    first = np.cumsum(inner) - inner  # first interior node of each edge, counted from nv
-    k = np.arange(len(edge_of_node)) - first[edge_of_node] + 1
-    node_edge = np.concatenate([np.full(nv, -1), edge_of_node])
-    node_offset = np.concatenate([np.zeros(nv), k * widths[edge_of_node]])
-
-    edge_of_seg = np.repeat(np.arange(len(counts)), counts)
-    s = np.arange(len(edge_of_seg)) - (np.cumsum(counts) - counts)[edge_of_seg]
-    inside = nv + first[edge_of_seg] + s  # interior node after segment s
-    seg_tail = np.where(s == 0, arr.tail[edge_of_seg], inside - 1)
-    seg_head = np.where(s == counts[edge_of_seg] - 1, arr.head[edge_of_seg], inside)
-    free = np.concatenate([np.flatnonzero(~arr.dirichlet), np.arange(nv, len(node_edge))])
-    return Mesh(g, h_target, counts, node_edge, node_offset, seg_tail, seg_head,
-                widths[edge_of_seg], free, float(widths.max()))
+    j = np.arange(1, inner.sum() + 1) - np.repeat(np.cumsum(inner) - inner, inner)
+    node_edge = np.concatenate([np.full(nv, -1), np.repeat(np.arange(len(counts)), inner)])
+    node_offset = np.concatenate([np.zeros(nv), j * np.repeat(widths, inner)])
+    return Mesh(g, h_target, counts, node_edge, node_offset, float(widths.max()))
 
 
 @dataclass(frozen=True)
@@ -144,7 +142,7 @@ class SpectralResult:
     carries the whole integral and the rest integrate to 0.  The modes share
     one bracketing search, so iterations repeats its count once per mode: the
     number of eigenvalue counts, each one factorization of the vertex-sized
-    secular matrix.
+    secular matrix.  integrals holds each mode's integral over the graph.
     """
 
     mesh: Mesh
@@ -152,6 +150,7 @@ class SpectralResult:
     values: np.ndarray
     residuals: tuple[float, ...]
     iterations: tuple[int, ...]
+    integrals: tuple[float, ...]
 
     @property
     def h_eff(self) -> float:
@@ -195,45 +194,71 @@ def lowest_eigenpairs(
     mesh = build_mesh(g, h_target)
     if k < 1:
         raise BadParameters("need at least one mode")
-    nf = len(mesh.free)
+    arr, nv, n = g.arrays, len(g.vertex_ids), mesh.segments_per_edge
+    nf = mesh.n_nodes - int(np.count_nonzero(arr.dirichlet))
     if k > nf:
         raise BadParameters(f"asked for {k} modes but the mesh has only {nf} free nodes")
     law, sys = _P1Law(mesh), assemble_discrete_system(g)
     sec = _Secular(sys, 0.0, math.inf, max_iter, law)
-    nv = len(g.vertex_ids)
-    edge = mesh.node_edge[nv:]
-    j = np.rint(mesh.node_offset[nv:] / law.width[edge]).astype(np.int64)  # node j of its edge
-    blocks = []
-    for lo, hi, width in _brackets(sec, law, k, nf, tol):
+    # the modes as rows over the points j = 0..n of each edge, edge after edge;
+    # points i and i + 1 bound a segment of width w[i], or two edges (w[i] = 0)
+    spread = functools.partial(np.repeat, repeats=n + 1, axis=-1)
+    head = np.cumsum(n + 1) - 1
+    tail = head - n
+    j = np.arange(head[-1] + 1.0) - spread(tail.astype(float))
+    u, sizes = np.empty((k, len(j))), []
+    for lo, hi, m in _brackets(sec, law, k, nf, tol):
         lam = 0.5 * (lo + hi)
-        x, b, miss = _null_space(sys, law, lam, width)
-        p, q = law.basis(law.angles(lam), j, edge)
-        u = np.zeros((mesh.n_nodes, width))
-        u[:nv][~g.arrays.dirichlet] = x[:-1]
-        u[nv:] = x[sys.tail][edge] * p[:, None] + b[edge] * q[:, None] + miss[edge] * (j / law.n[edge])[:, None]
-        blocks.append(u)
-    u = np.hstack(blocks)
-    ut, uh, w = u[mesh.seg_tail], u[mesh.seg_head], mesh.seg_width[:, None]
-    # Rayleigh-Ritz on span(u), with u^T K0 u and u^T M0 u summed segment by segment:
-    # M0 = (2 (ut^T W ut + uh^T W uh) + C + C^T) / 6, C = ut^T W uh
-    wh = w * uh
-    cross = ut.T @ wh
-    lams, v = scipy.linalg.eigh((ut - uh).T @ ((ut - uh) / w),
-                                (2.0 * (ut.T @ (w * ut) + uh.T @ wh) + cross + cross.T) / 6.0)
-    values = (u @ v).T
+        x, b, miss = _null_space(sys, law, lam, m)
+        p, q = law.basis(law.angles(lam), j, spread)
+        xt = x[sys.tail].T
+        terms = spread(np.vstack((xt, b.T, miss.T / n)))  # x_t P[j] + b Q[j] + miss j/n
+        block = u[sum(sizes):sum(sizes) + m]
+        np.add(terms[:m] * p, terms[m:2 * m] * q, out=block)
+        block += terms[2 * m:] * j
+        block[:, tail], block[:, head] = xt, x[sys.head].T
+        sizes.append(m)
+    t = spread(law.width)  # trapezoid weights of the points, once the ends are halved
+    w = t[:-1].copy()
+    w[head[:-1]] = 0.0
+    inv = np.divide(1.0, w, out=np.zeros_like(w), where=w > 0.0)
+    t[tail] *= 0.5
+    t[head] *= 0.5
+    # Rayleigh-Ritz on span(u): u^T K0 u = D^T W^-1 D with D = ut - uh, and
+    # M0 = (2 (ut^T W ut + uh^T W uh) + C + C^T) / 6 = (4 u^T T u + C + C^T) / 6, C = ut^T W uh
+    d = u[:, :-1] - u[:, 1:]
+    cross = (u[:, :-1] * w) @ u[:, 1:].T
+    lams, v = scipy.linalg.eigh((d * inv) @ d.T, (4.0 * ((u * t) @ u.T) + cross + cross.T) / 6.0)
+    del d
     # a basis of each multiple eigenvalue that the graph defines: an orthogonal
     # change of basis, so still M-orthonormal, whose first vector carries the
     # whole integral and the rest integrate to 0; that first vector and the
     # ground state integrate to a positive number
-    weights, widths = mesh.trapezoid_weights(), [block.shape[1] for block in blocks]
-    for first, m in zip(np.cumsum(widths) - widths, widths):
-        block = values[first:first + m]
+    basis_integrals, firsts = u @ t, np.cumsum(sizes) - sizes
+    for first, m in zip(firsts, sizes):
         if m > 1:
-            block[:] = np.linalg.qr((block @ weights)[:, None], mode="complete")[0].T @ block
-        if (first == 0 or m > 1) and weights @ block[0] < 0:
-            block[0] = -block[0]
-    resids = tuple(_residual(mesh, x, lam) for x, lam in zip(values, lams))
-    return SpectralResult(mesh, tuple(lams.tolist()), values, resids, (max_iter - 1 - sec.left,) * k)
+            block = v[:, first:first + m]
+            block[:] = block @ np.linalg.qr((basis_integrals @ block)[:, None], mode="complete")[0]
+    integrals = basis_integrals @ v
+    flip = [first for first, m in zip(firsts, sizes) if (first == 0 or m > 1) and integrals[first] < 0]
+    v[:, flip], integrals[flip] = -v[:, flip], -integrals[flip]
+    u = v.T @ u
+    # ||K0 x - lam M0 x|| over the free nodes: each flux (x_t - x_h)/w, then each
+    # segment's share at its tail and at its head, summed at a point inside an
+    # edge, and by a bincount over the edge ends at a vertex
+    resids, w6, natural = [], w / 6.0, ~arr.dirichlet
+    for x, lam in zip(u, lams):
+        f, m = (x[:-1] - x[1:]) * inv, lam * w6
+        at_tail, at_head = f - m * (2.0 * x[:-1] + x[1:]), -f - m * (x[:-1] + 2.0 * x[1:])
+        ends = (np.bincount(arr.tail, at_tail[tail], nv) + np.bincount(arr.head, at_head[head - 1], nv))[natural]
+        at_tail[1:] += at_head[:-1]
+        at_tail[tail], at_tail[head[:-1]] = 0.0, 0.0
+        resids.append(math.sqrt(at_tail @ at_tail + ends @ ends))
+    at = np.empty(nv, dtype=np.int64)
+    at[arr.head], at[arr.tail] = head, tail
+    values = u.take(np.concatenate((at, np.arange(1, mesh.n_nodes - nv + 1) + 2 * mesh.node_edge[nv:])), axis=1)
+    return SpectralResult(mesh, tuple(lams.tolist()), values, tuple(resids), (max_iter - 1 - sec.left,) * k,
+                          tuple(integrals.tolist()))
 
 
 def _brackets(sec: _Secular, law: _P1Law, k: int, total: int, tol: float) -> list[tuple[float, float, int]]:
@@ -249,10 +274,12 @@ def _brackets(sec: _Secular, law: _P1Law, k: int, total: int, tol: float) -> lis
     faster.  A bracket wider than a factor 2 splits at its geometric mean.
     Then each count is also a value of f = det A_h prod_e Q_e[n], continuous
     across A_h's poles and zero exactly at the P1 eigenvalues, read off the
-    pivots and the law; the next point is Illinois regula falsi on |f|^(1/j)
-    for a count jump j, the side taken from the count and not from a sign of
-    f, kept tol hi / 2 from both ends, and the midpoint after two steps that
-    did not halve the bracket (Dekker, Brent).  Where A_h is exactly singular
+    pivots and the law; the next point is regula falsi on g = |f|^(1/j) for a
+    count jump j, the side taken from the count and not from a sign of f, kept
+    tol hi / 2 from both ends.  When the same end moves twice running, g at
+    the other end is scaled by 1 - g_new/g_old, or by 1/2 when that is not
+    positive (Anderson and Bjorck, BIT 13, 1973); the midpoint follows three
+    steps that did not halve the bracket (Dekker, Brent).  Where A_h is exactly singular
     the point moves halfway to hi; a count outside its neighbours' (rounding
     at an eigenvalue) is clamped."""
     unknowns = sec.n + len(law.n)
@@ -272,7 +299,7 @@ def _brackets(sec: _Secular, law: _P1Law, k: int, total: int, tol: float) -> lis
     while mode <= k:
         i = bisect.bisect_left(counts, mode)
         lo, hi, m = lams[i - 1], lams[i], min(counts[i], k) - counts[i - 1]
-        if seen != mode:  # a new mode: no Illinois scaling, no widths yet
+        if seen != mode:  # a new mode: no scaling, no widths yet
             seen, side, scale, widths = mode, None, [0.0, 0.0], []
         x, delta = 0.5 * (lo + hi), 0.5 * tol * hi
         if hi - lo <= tol * hi and m <= unknowns:
@@ -281,8 +308,8 @@ def _brackets(sec: _Secular, law: _P1Law, k: int, total: int, tol: float) -> lis
             x = math.sqrt(lo * hi)
         elif logs[i - 1] is not None and logs[i] is not None:
             widths.append(hi - lo)
-            if len(widths) < 3 or widths[-1] <= 0.5 * widths[-3]:
-                # z = log(g_hi / g_lo), g = |f|^(1/j) Illinois-scaled: x = lo + (hi - lo) g_lo / (g_lo + g_hi)
+            if len(widths) < 4 or widths[-1] <= 0.5 * widths[-4]:
+                # z = log(g_hi / g_lo), g = |f|^(1/j) scaled: x = lo + (hi - lo) g_lo / (g_lo + g_hi)
                 z = (logs[i] - logs[i - 1]) / (counts[i] - counts[i - 1]) + scale[1] - scale[0]
                 e = math.exp(-abs(z))
                 x = min(max(lo + (hi - lo) * (e if z > 0.0 else 1.0) / (1.0 + e), lo + delta), hi - delta)
@@ -300,9 +327,11 @@ def _brackets(sec: _Secular, law: _P1Law, k: int, total: int, tol: float) -> lis
         counts.insert(i, c)
         logs.insert(i, f)
         moved = int(c >= mode)  # the end at replaced: 0 lo, 1 hi
+        if side == moved:  # the same end twice: Anderson-Bjorck scales g at the other
+            z = (f - logs[i + 2 * moved - 1]) / (counts[i + 1 - moved] - counts[i - moved])  # log(g_new / g_old)
+            shrink = -math.expm1(z) if z < 0.0 else 0.0
+            scale[1 - moved] += math.log(shrink) if shrink > 0.0 else -math.log(2.0)
         scale[moved] = 0.0
-        if side == moved:  # Illinois: the same end twice, so halve g at the other
-            scale[1 - moved] -= math.log(2.0)
         side = moved
     return out
 
@@ -340,16 +369,6 @@ def _null_space(sys: DiscreteSystem, law: _P1Law, lam: float, width: int
     return x, b, x[sys.head] - x[sys.tail] * p[2][:, None] - b * q[2][:, None]
 
 
-def _residual(mesh: Mesh, x: np.ndarray, lam: float) -> float:
-    """||K0 x - lam M0 x|| over the free nodes, from each segment's share at its
-    ends, each flux (x_t - x_h)/w taken before the shares are summed."""
-    xt, xh, w = x[mesh.seg_tail], x[mesh.seg_head], mesh.seg_width
-    f, m = (xt - xh) / w, lam * w / 6.0
-    r = (np.bincount(mesh.seg_tail, f - m * (2.0 * xt + xh), mesh.n_nodes)
-         + np.bincount(mesh.seg_head, -f - m * (xt + 2.0 * xh), mesh.n_nodes))
-    return float(np.linalg.norm(r[mesh.free]))
-
-
 class _P1Law:
     """The P1 pencil K0 - lam M0 on the uniformly cut edges of a mesh.
 
@@ -367,7 +386,6 @@ class _P1Law:
     def __init__(self, mesh: Mesh):
         self.n = mesh.segments_per_edge
         self.width = mesh.graph.arrays.length / self.n
-        self.edges = np.arange(len(self.n))
 
     def angles(self, lam: float) -> tuple[np.ndarray, np.ndarray]:
         """s2 and theta, pi past the band edge, on every edge."""
@@ -375,25 +393,29 @@ class _P1Law:
         s2 = 0.25 * x / (1.0 + x / 6.0)
         return s2, 2.0 * np.arcsin(np.sqrt(np.minimum(s2, 1.0)))
 
-    def basis(self, angles: tuple[np.ndarray, np.ndarray], j: np.ndarray, e: np.ndarray
+    def basis(self, angles: tuple[np.ndarray, np.ndarray], j: np.ndarray, spread
               ) -> tuple[np.ndarray, np.ndarray]:
-        """P[j] and Q[j] on edges e, for arrays j and e of one shape, from angles(lam)."""
+        """P[j] and Q[j] at the points j, from angles(lam); spread(a) places a
+        value a[e] of every edge at each of its points."""
         s2, theta = angles
-        p, q = np.cos(j * theta[e]), np.sin(j * theta[e])
-        past = (s2[e] >= 1.0).nonzero()
-        n, j = self.n[e][past], j[past]
-        eta = np.maximum(2.0 * np.arccosh(np.sqrt(s2[e][past])), np.finfo(float).tiny)  # the limit at 0
+        z = j * spread(theta)
+        p, q = np.cos(z), np.sin(z)
+        if s2.max() >= 1.0:
+            past = spread(s2 >= 1.0).nonzero()
+            n, j = spread(self.n)[past], j[past]
+            eta = np.maximum(2.0 * np.arccosh(np.sqrt(spread(s2)[past])), np.finfo(float).tiny)  # the limit at 0
 
-        def ratio(m):  # sinh(m eta) / sinh(n eta), 0 <= m <= n, without overflow
-            return np.exp((m - n) * eta) * np.expm1(-2.0 * m * eta) / np.expm1(-2.0 * n * eta)
+            def ratio(m):  # sinh(m eta) / sinh(n eta), 0 <= m <= n, without overflow
+                return np.exp((m - n) * eta) * np.expm1(-2.0 * m * eta) / np.expm1(-2.0 * n * eta)
 
-        p[past], q[past] = (1 - 2 * (j & 1)) * ratio(n - j), (1 - 2 * ((n - j) & 1)) * ratio(j)
+            p[past], q[past] = (1 - 2 * (j % 2)) * ratio(n - j), (1 - 2 * ((n - j) % 2)) * ratio(j)
         return p, q
 
     def ends(self, lam: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """a, c1, the bases at j = 1, n - 1, n (rows of p and q) and theta on every edge."""
         s2, theta = angles = self.angles(lam)
-        p, q = self.basis(angles, np.stack((np.ones_like(self.n), self.n - 1, self.n)), np.stack((self.edges,) * 3))
+        j = np.stack((np.ones_like(self.n), self.n - 1, self.n))
+        p, q = self.basis(angles, j, functools.partial(np.broadcast_to, shape=j.shape))
         return 1.0 / self.width + lam * self.width / 6.0, 1.0 - 2.0 * s2, p, q, theta
 
     def __call__(self, lam: float) -> tuple[np.ndarray, np.ndarray]:
@@ -687,11 +709,7 @@ def integrated_heat_content(
     """
     spectral = lowest_eigenpairs(g, modes, h_target, tol, max_iter)
     solution = torsion_function(g)
-    w = spectral.mesh.trapezoid_weights()
-    terms = []
-    for lam, phi in zip(spectral.eigenvalues, spectral.values):
-        mass = float(w @ phi)
-        terms.append(mass * mass / lam)
+    terms = [mass * mass / lam for mass, lam in zip(spectral.integrals, spectral.eigenvalues)]
     sums = list(np.cumsum(terms))
     return HeatContent(
         spectral.eigenvalues,
@@ -749,10 +767,13 @@ def landscape_check(
     he = arr.length[e] / n
     s = np.minimum((x / he).astype(np.int64), n - 1)
     frac = x / he - s
-    seg = (np.cumsum(mesh.segments_per_edge) - mesh.segments_per_edge)[e] + s
+    # segment s of edge e joins nodes at and at + 1, or its tail at s = 0 and its head at s = n - 1
+    inner = mesh.segments_per_edge - 1
+    at = (len(g.vertex_ids) - 1 + np.cumsum(inner) - inner)[e] + s
     v = -0.5 * x * x + solution.b[e] * x + solution.c[e]
     phi, lams = spectral.values, np.array(spectral.eigenvalues)[:, None]
-    ratio = np.abs((1.0 - frac) * phi[:, mesh.seg_tail[seg]] + frac * phi[:, mesh.seg_head[seg]])
+    ratio = np.abs((1.0 - frac) * phi[:, np.where(s == 0, arr.tail[e], at)]
+                   + frac * phi[:, np.where(s == n - 1, arr.head[e], at + 1)])
     ratio /= lams * np.abs(phi).max(axis=1)[:, None] * v
     best = ratio.argmax(axis=1)  # the first maximum in edge-then-sample order
     out = [LandscapeRatio(m, float(lams[m, 0]), float(ratio[m, i]), g.edge_ids[e[i]], float(x[i]))

@@ -223,6 +223,32 @@ def p1_mass(g, nodes: list[dict]):
     return m[free][:, free], free
 
 
+def p1_stiffness(g, nodes: list[dict]):
+    """The P1 stiffness K0 over a spectrum payload's ``nodes`` list as D^T
+    diag(1/w) D: D, the difference x_tail - x_head of each segment, and w, the
+    segment widths.  Each edge chains its tail, its interior nodes by offset
+    and its head into n segments of width length/n.  K0 x formed as
+    D^T ((D x) / w) keeps its digits at fine widths, where a sparse K0 @ x sums
+    terms of size |x|/w that cancel to the size of the residual."""
+    vertex_node = {nd["vertex"]: i for i, nd in enumerate(nodes) if nd["vertex"] is not None}
+    interior: dict[str, list[tuple[float, int]]] = {}
+    for i, nd in enumerate(nodes):
+        if nd["vertex"] is None:
+            interior.setdefault(nd["edge"], []).append((nd["offset"], i))
+    tails, heads, widths = [], [], []
+    for e in g.edges:
+        inner = sorted(interior.get(e.id, []))
+        chain = [vertex_node[e.tail]] + [i for _, i in inner] + [vertex_node[e.head]]
+        tails += chain[:-1]
+        heads += chain[1:]
+        widths += [e.length / (len(chain) - 1)] * (len(chain) - 1)
+    rows = np.arange(len(tails))
+    d = scipy.sparse.coo_array((np.concatenate([np.ones(len(rows)), -np.ones(len(rows))]),
+                                (np.concatenate([rows, rows]), np.concatenate([tails, heads]))),
+                               shape=(len(rows), len(nodes))).tocsr()
+    return d, np.array(widths)
+
+
 def secular_count(g, k: float) -> int:
     """Dirichlet eigenvalues below k^2, for k > 0 with k l / pi not an integer.
 

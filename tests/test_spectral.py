@@ -4,11 +4,13 @@ the exact lambda_1 from the secular matrix."""
 import json
 import math
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from _oracles import fem_eigenvalues, p1_mass, p1_sine_eigenvalue, secular_count, sparse_fem_eigenvalues
+from _oracles import p1_stiffness
 from _oracles import secular_lambda1 as dense_secular_lambda1
 from graphtorsion import (
     BadParameters,
@@ -90,6 +92,22 @@ def test_mesh_node_budget():
     # the default h = l_min/16 cuts the unit edge into 16,000,000 segments
     with pytest.raises(BadParameters, match="16000017"):
         build_mesh(star(2, [1e-6, 1.0]))
+
+
+@pytest.mark.parametrize("g, h", [
+    (star(3, [0.4, 1.1, 2.3]), 0.01),
+    (random_graph(3), None),
+    (pumpkin_chain([2, 3]), 1 / 64),
+], ids=["star", "random3", "pumpkin"])
+def test_trapezoid_weights_are_mass_row_sums(g, h):
+    # the oracle's mass over every node: the same edges with no Dirichlet vertex,
+    # so no row loses the entries of a pinned column
+    mesh = build_mesh(g, h)
+    nodes = lowest_eigenpairs(g, 1, h_target=h).to_payload()["nodes"]
+    unpinned = SimpleNamespace(edges=g.edges, vertices=[SimpleNamespace(id=v.id, bc="natural") for v in g.vertices])
+    m0, free = p1_mass(unpinned, nodes)
+    assert len(free) == mesh.n_nodes
+    assert mesh.trapezoid_weights() == pytest.approx(m0 @ np.ones(len(free)), rel=1e-12)
 
 
 # -- eigenvalues on intervals ---------------------------------------------
@@ -310,6 +328,26 @@ def test_fine_mesh_residuals(g):
         assert r <= 1e-5 * lam * np.linalg.norm(M0 @ v)
 
 
+@pytest.mark.parametrize("g, h", [
+    (path_dn(), 1 / 20_000),
+    (star(3), 3 / 20_000),
+    (flower(3), 3 / 20_000),
+    (pumpkin_chain([2, 3]), pumpkin_chain([2, 3]).total_length() / 20_000),
+    (star(3, [0.4, 1.1, 2.3]), 0.5),  # all 8 modes, the last past the band edge
+], ids=["path_dn", "star3", "flower3", "pumpkin", "star_band_edge"])
+def test_residuals_match_the_flux_oracle(g, h):
+    # the returned residuals are ||K0 x - lam M0 x|| of the returned vectors; at
+    # these widths that is the rounding of x magnified by K0, so the oracle forms
+    # K0 x flux by flux (p1_stiffness) to keep the digits
+    res = lowest_eigenpairs(g, 8, h_target=h)
+    nodes = res.to_payload()["nodes"]
+    m0, free = p1_mass(g, nodes)
+    d, w = p1_stiffness(g, nodes)
+    for lam, r, x in zip(res.eigenvalues, res.residuals, res.values):
+        want = float(np.linalg.norm((d.T @ ((d @ x) / w))[free] - lam * (m0 @ x[free])))
+        assert abs(r - want) <= 1e-6 * want + 1e-12
+
+
 def test_cluster_cut_at_the_last_mode():
     # lambda_2 = lambda_3 on the equilateral star: one vector of the pair is returned
     res = assert_p1_eigenpairs(star(3), 2, 1 / 16)
@@ -357,6 +395,12 @@ def test_near_degenerate_cluster_split_on_a_fine_mesh():
 def test_lambda1_above_the_nicaise_floor(seed):
     g = random_graph(seed)
     assert lowest_eigenpairs(g, 1).eigenvalues[0] >= (math.pi / (2.0 * g.total_length())) ** 2
+
+
+def test_count_budget_on_random_graphs():
+    # Anderson-Bjorck regula falsi took 1716 counts here, Illinois 2269; 5% margin
+    total = sum(lowest_eigenpairs(random_graph(seed), 5).iterations[0] for seed in range(30))
+    assert total <= 1800
 
 
 def test_tol_zero_terminates_on_a_fine_mesh():
@@ -433,6 +477,18 @@ def test_heat_partial_sums_bounded_by_rigidity():
         assert all(b >= a - 1e-12 for a, b in zip(sums, sums[1:]))
         ceiling = hc.rigidity * (1.0 + 10.0 * hc.h_eff**2)
         assert sums[-1] <= ceiling
+
+
+@pytest.mark.parametrize("g", [path_dn(), flower(3), random_graph(4), random_graph(7)],
+                         ids=["path_dn", "flower3", "random4", "random7"])
+def test_heat_terms_from_trapezoid_weights(g):
+    # integrated_heat_content takes the mode integrals from the solve; recomputed
+    # here as w . phi over the nodes (a zero integral leaves a term near 0)
+    hc = integrated_heat_content(g, modes=5)
+    res = lowest_eigenpairs(g, 5)
+    w = res.mesh.trapezoid_weights()
+    want = [float(w @ phi) ** 2 / lam for lam, phi in zip(res.eigenvalues, res.values)]
+    assert list(hc.terms) == pytest.approx(want, rel=1e-12, abs=1e-12 * max(want))
 
 
 def test_heat_payload():

@@ -3,7 +3,8 @@
 Every inequality the library knows is evaluated as a record with explicit
 left/right values, slack and a status.  lambda_1 comes from the secular
 matrix over the natural vertices (spectral.secular_lambda1), started from the
-torsion solution and certified by inertia to 2e-9 relative, so every record,
+torsion solution and certified by inertia to 2e-9 relative (at the length
+ratios where secular_lambda1 says its pivot signs hold), so every record,
 with or without lambda_1, is judged at the same unitless tolerances: violated
 below -1e-8 relative, equality within 1e-6.  No mesh is built: h_target is
 validated and otherwise unused, and the report's h_eff is None.  Strict

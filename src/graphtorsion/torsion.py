@@ -7,13 +7,18 @@ v(x) = -x^2/2 + b x + c in the offset x from the edge tail; its values at the
 natural vertices come from one symmetric positive-definite vertex system, the
 weighted graph Laplacian over the natural vertices, held as a sparse matrix.
 
-The vertex system is factored once by a sparse LU in symmetric mode: a
-minimum-degree ordering of A + A^T and no pivoting, in effect a
-minimum-degree LDL^T, so memory is linear in |V| on tree-like graphs.  The
-first solve is then refined with the same factor.  Each step takes the
-residual edge by edge from the fluxes (x_t - x_h)/l, which subtract nearby
-values before dividing, where A @ x would add terms of widely different
-lengths and lose the small ones; it solves for the correction and adds it.
+The vertex system is factored once by one of two LDL^T kernels
+(SymmetricFactor).  A system of at most DENSE_MAX unknowns, on a graph whose
+edge lengths span at most DENSE_RATIO, is filled into a dense array and
+factored by LAPACK's Bunch-Kaufman dsytrf, which takes a few microseconds
+where scipy.sparse's fixed cost per call is about a hundred.  Every other
+system goes to SuperLU in symmetric mode: a minimum-degree ordering of
+A + A^T and no pivoting, in effect a minimum-degree LDL^T, so memory is
+linear in |V| on tree-like graphs.  The first solve is then refined with the
+same factor.  Each step takes the residual edge by edge from the fluxes
+(x_t - x_h)/l, which subtract nearby values before dividing, where A @ x
+would add terms of widely different lengths and lose the small ones; it
+solves for the correction and adds it.
 Refinement stops once a correction no longer changes the float64 solution
 (max|d| <= 2^-52 max|x|) or after MAX_REFINE steps.
 
@@ -40,6 +45,7 @@ from typing import Mapping
 import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
+from scipy.linalg.lapack import dsytrf, dsytrs
 
 from .errors import (
     BadParameters,
@@ -54,6 +60,17 @@ from .graph import DIRICHLET, MetricGraph, PointWitness
 REL_TOL = 1e-10
 MAX_REFINE = 4  # refinement steps after the first solve; past them the cross-checks decide
 EPS = 2.0 ** -52  # float64 machine epsilon: a smaller relative correction changes nothing
+# The dense kernel's bounds (SymmetricFactor).  Measured with numpy 2.4.6,
+# scipy 1.17.1 and one BLAS thread on perfbench's multigraph_payload systems,
+# factor plus inertia, dense against SuperLU: 10 vs 142 us at 7 unknowns, 26
+# vs 212 at 63, 115 vs 387 at 175, 414 vs 530 at 280; a dense solve is slower
+# than SuperLU's from about 60 unknowns on (11 vs 8 us at 63).  On
+# random_graph seeds 0..199 the two kernels' lambda_1 agree to 7e-16 at length
+# ratios (max/min) up to 1e6 and part beyond (3.7e-9 on seed 64 at ratio
+# 4.1e7); at ratios up to 1e14 a 60-digit count contradicts the dense
+# kernel's lambda_1 on three seeds, SuperLU's on two.
+DENSE_MAX = 64
+DENSE_RATIO = 1e6
 
 
 @dataclass(frozen=True)
@@ -97,15 +114,73 @@ class SymPattern:
         """The data array of the matrix with pair terms diag and off."""
         return np.add.reduceat(np.concatenate((diag, diag, off, off))[self.src], self.first)
 
-    def matrix(self, diag: np.ndarray, off: np.ndarray) -> scipy.sparse.csc_array:
-        return scipy.sparse.csc_array((self.fill(diag, off), self.indices, self.indptr),
+    def matrix(self, data: np.ndarray) -> scipy.sparse.csc_array:
+        return scipy.sparse.csc_array((data, self.indices, self.indptr),
                                       shape=(self.n, self.n), copy=False)
+
+    @cached_property
+    def flat(self) -> np.ndarray:
+        """Position c n + r of each stored entry (r, c) in a C-ordered n x n array."""
+        return np.repeat(np.arange(self.n) * self.n, np.diff(self.indptr)) + self.indices
 
     @cached_property
     def diagonal(self) -> np.ndarray:
         """Position in the data array of entry (c, c), for each column c."""
-        cols = np.repeat(np.arange(self.n, dtype=np.int32), np.diff(self.indptr))
-        return (self.indices == cols).nonzero()[0]
+        return (self.flat % (self.n + 1) == 0).nonzero()[0]
+
+
+class SymmetricFactor:
+    """LDL^T of the symmetric matrix with the given data on a SymPattern.
+
+    dense: LAPACK's Bunch-Kaufman dsytrf on the full array (lower), solved by
+    dsytrs.  D has 1x1 blocks and 2x2 blocks [[a, b], [b, c]], the latter
+    only where |a c| < 0.41 b^2, so each holds one negative eigenvalue.
+    Otherwise SuperLU in symmetric mode: a minimum-degree ordering of A + A^T
+    and diagonal pivots, in effect LDL^T, whose pivots are U's diagonal; only
+    an exactly zero diagonal pivot moves off the diagonal (perm_r then
+    differs from perm_c).  SingularSystem when the matrix is exactly
+    singular: a zero pivot in either kernel.
+    """
+
+    def __init__(self, pattern: SymPattern, data: np.ndarray, dense: bool):
+        self.lu = None
+        if dense:
+            a = np.zeros((pattern.n, pattern.n))
+            a.ravel()[pattern.flat] = data
+            # a is symmetric, so a.T is the same matrix in Fortran order, factored in place
+            self.ldu, self.ipiv, info = dsytrf(a.T, lower=1, overwrite_a=1)
+            if info > 0:
+                raise SingularSystem(f"matrix is exactly singular: zero pivot in row {info}")
+        else:
+            try:
+                self.lu = scipy.sparse.linalg.splu(pattern.matrix(data), permc_spec="MMD_AT_PLUS_A",
+                                                   diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+            except RuntimeError as exc:
+                raise SingularSystem(f"matrix is exactly singular: {exc}") from None
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        if self.lu is not None:
+            return self.lu.solve(b)
+        return dsytrs(self.ldu, self.ipiv, b, lower=1)[0]
+
+    def inertia(self) -> tuple[int | None, float]:
+        """The number of negative eigenvalues, by Sylvester's law from the
+        blocks of D, and log |det|; (None, nan) when SuperLU moved a pivot off
+        the diagonal, so that its factor shows no congruence."""
+        if self.lu is not None:
+            if not np.array_equal(self.lu.perm_r, self.lu.perm_c):
+                return None, math.nan
+            pivots = self.lu.U.diagonal()
+            return int(np.count_nonzero(pivots < 0.0)), float(np.log(np.abs(pivots)).sum())
+        pivots = self.ldu.diagonal()
+        pairs = (self.ipiv < 0).nonzero()[0]  # the two rows of each 2x2 block, block after block
+        if not len(pairs):  # the common case, without the empty-array calls below
+            return int(np.count_nonzero(pivots < 0.0)), float(np.log(np.abs(pivots)).sum())
+        first = pairs[::2]
+        det = pivots[first] * pivots[first + 1] - self.ldu[first + 1, first] ** 2
+        single = np.delete(pivots, pairs)
+        return (int(np.count_nonzero(single < 0.0)) + len(first),
+                float(np.log(np.abs(single)).sum() + np.log(-det).sum()))
 
 
 @dataclass(frozen=True)
@@ -119,7 +194,9 @@ class DiscreteSystem:
     couples a vertex to itself and cancels.  tail[k] and head[k] are the
     unknowns at the ends of edge k, len(order) at a Dirichlet end, and
     length[k] its length.  pattern holds the matrix's structure over the
-    non-loop edges, for other matrices of the same graph (the secular matrix).
+    non-loop edges, for other matrices of the same graph (the secular matrix),
+    and dense says which kernel factors them: at most DENSE_MAX unknowns and
+    lengths within a factor DENSE_RATIO of each other.
     """
 
     order: tuple[str, ...]
@@ -129,6 +206,11 @@ class DiscreteSystem:
     head: np.ndarray
     length: np.ndarray
     pattern: SymPattern
+    dense: bool
+
+    def factor(self, data: np.ndarray | None = None) -> SymmetricFactor:
+        """LDL^T of the matrix with the given data on pattern (default: matrix's own)."""
+        return SymmetricFactor(self.pattern, self.matrix.data if data is None else data, self.dense)
 
     def residual(self, x: np.ndarray) -> np.ndarray:
         """weight - matrix @ x[:n], summed from the edge fluxes; x[n] must be 0."""
@@ -220,16 +302,9 @@ def assemble_discrete_system(g: MetricGraph) -> DiscreteSystem:
     proper = tail != head  # a loop cancels from the matrix
     pattern = SymPattern.build(n, tail[proper], head[proper])
     mu = 1.0 / arr.length[proper]
-    return DiscreteSystem(order, pattern.matrix(mu, -mu), weight, tail, head, arr.length, pattern)
-
-
-def symmetric_lu(matrix: scipy.sparse.csc_array) -> scipy.sparse.linalg.SuperLU:
-    """splu in symmetric mode: a minimum-degree ordering of A + A^T and
-    diagonal pivots, in effect LDL^T.  Only an exactly zero diagonal pivot
-    moves off the diagonal (perm_r then differs from perm_c); RuntimeError
-    when the matrix is exactly singular."""
-    return scipy.sparse.linalg.splu(matrix, permc_spec="MMD_AT_PLUS_A",
-                                   diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    dense = n <= DENSE_MAX and float(arr.length.max()) <= DENSE_RATIO * float(arr.length.min())
+    return DiscreteSystem(order, pattern.matrix(pattern.fill(mu, -mu)), weight, tail, head, arr.length,
+                          pattern, dense)
 
 
 def solve_discrete_torsion(g: MetricGraph) -> DiscreteTorsion:
@@ -238,8 +313,8 @@ def solve_discrete_torsion(g: MetricGraph) -> DiscreteTorsion:
     if n == 0:
         return DiscreteTorsion(sys, np.zeros(0), 0.0)
     try:
-        lu = symmetric_lu(sys.matrix)
-    except RuntimeError as exc:
+        lu = sys.factor()
+    except SingularSystem as exc:
         raise SingularSystem(f"vertex system is singular: {exc}") from None
     x = np.zeros(n + 1)  # x[n] = 0 is the value at every Dirichlet end
     sol = x[:n]

@@ -1,6 +1,7 @@
 """Finite element spectra: meshes, eigenpairs, heat content, landscape bound;
 the exact lambda_1 from the secular matrix."""
 
+import dataclasses
 import json
 import math
 from collections import Counter
@@ -9,7 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from _oracles import fem_eigenvalues, p1_mass, p1_sine_eigenvalue, secular_count, sparse_fem_eigenvalues
+from _oracles import exact_rigidity, fem_eigenvalues, p1_mass, p1_sine_eigenvalue, secular_count, sparse_fem_eigenvalues
 from _oracles import p1_stiffness
 from _oracles import secular_lambda1 as dense_secular_lambda1
 from graphtorsion import (
@@ -36,6 +37,7 @@ from graphtorsion.families import (
     random_graph,
     star,
 )
+from graphtorsion import torsion
 from graphtorsion.spectral import DELTA, _Secular, build_mesh, default_h
 
 
@@ -616,11 +618,55 @@ def test_secular_rejects_bad_controls_and_runs_out():
         secular_lambda1(lasso(), max_iter=1)
 
 
+def _multigraph(seed: int, natural: int, dirichlet: int = 8, extra: int = 30,
+                length_range: tuple[float, float] = (0.1, 10.0)):
+    """A random recursive tree plus extra edges (loops and parallel edges
+    allowed), lengths log-uniform in length_range, with natural and dirichlet
+    vertices."""
+    rng = np.random.default_rng(seed)
+    n = natural + dirichlet
+    ends = [(int(rng.integers(0, i)), i) for i in range(1, n)]
+    ends += [(int(a), int(b)) for a, b in rng.integers(0, n, size=(extra, 2))]
+    lengths = np.exp(rng.uniform(*np.log(length_range), size=len(ends)))
+    pinned = set(rng.choice(n, dirichlet, replace=False).tolist())
+    verts = [(f"v{i}", "dirichlet" if i in pinned else "natural") for i in range(n)]
+    edges = [(f"e{k}", f"v{a}", f"v{b}", float(ln)) for k, ((a, b), ln) in enumerate(zip(ends, lengths))]
+    return make_graph(verts, edges)
+
+
+@pytest.mark.parametrize("natural, dense", [(60, True), (70, False)])
+def test_both_kernels_match_the_oracles(natural, dense):
+    # 60 unknowns go to LAPACK's Bunch-Kaufman, 70 to SuperLU
+    g = _multigraph(natural, natural)
+    sol = torsion_function(g)
+    assert sol.discrete.system.dense is dense
+    assert sol.rigidity == pytest.approx(float(exact_rigidity(g)), rel=1e-12)
+    assert_exact_lambda1(g, secular_lambda1(g, sol))
+
+
+def test_wide_length_ratio_keeps_superlu(monkeypatch):
+    g = random_graph(9, length_range=(1e-7, 1e7))
+    sol = torsion_function(g)
+    assert len(sol.discrete.system.order) <= torsion.DENSE_MAX and not sol.discrete.system.dense
+    lam = secular_lambda1(g, sol)
+    monkeypatch.setattr(torsion, "DENSE_MAX", -1)  # every system to SuperLU
+    superlu = torsion_function(g)
+    assert np.array_equal(superlu.values, sol.values)
+    assert secular_lambda1(g, superlu) == lam
+
+
+@pytest.mark.parametrize("dense", [True, False])
+def test_exactly_singular_secular_matrix_has_no_inertia(dense):
+    # the natural middle vertex of the DD path gets c1 + c2 - d1 - d2 = 0
+    sys = dataclasses.replace(torsion.assemble_discrete_system(path_dd([1.0, 2.0])), dense=dense)
+    sec = _Secular(sys, 0.0, math.inf, 1, law=lambda k: (np.ones(2), np.ones(2)))
+    assert sec.inertia(1.0) == (None, 0.0, None)
+
+
 def test_secular_matrix_tends_to_torsion_matrix():
     # A(k) refills the torsion matrix's pattern; c -> 1/l and d -> 0 as k -> 0
     sys = torsion_function(random_graph(5)).discrete.system
     sec = _Secular(sys, 0.0, math.inf, 1)
-    sec.factor(1e-9)
-    assert np.array_equal(sec.matrix.indices, sys.matrix.indices)
-    assert np.array_equal(sec.matrix.indptr, sys.matrix.indptr)
-    assert sec.matrix.data == pytest.approx(sys.matrix.data, rel=1e-15)
+    assert np.array_equal(sec.pattern.indices, sys.matrix.indices)
+    assert np.array_equal(sec.pattern.indptr, sys.matrix.indptr)
+    assert sec.fill(1e-9) == pytest.approx(sys.matrix.data, rel=1e-15)

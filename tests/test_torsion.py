@@ -48,7 +48,9 @@ from graphtorsion.families import (
     star,
     stower,
 )
-from graphtorsion.torsion import REL_TOL, EdgePoly, _require_close, edgewise_dirichlet_quadratics
+from graphtorsion.errors import SingularSystem
+from graphtorsion.torsion import (REL_TOL, EdgePoly, SymmetricFactor, SymPattern, _require_close,
+                                  assemble_discrete_system, edgewise_dirichlet_quadratics)
 
 REL = 1e-10
 
@@ -253,6 +255,69 @@ def test_long_path_stays_sparse():
     matrix = sol.discrete.system.matrix
     assert scipy.sparse.issparse(matrix)
     assert matrix.nnz <= 3 * len(g.natural_vertices)
+
+
+# -- the two LDL^T kernels --------------------------------------------------
+
+
+def _factor(m: np.ndarray, dense: bool) -> SymmetricFactor:
+    """SymmetricFactor of the symmetric array m, on a pattern holding every entry."""
+    pattern = SymPattern.build(len(m), *np.triu_indices(len(m)))
+    return SymmetricFactor(pattern, m.ravel()[pattern.flat], dense)
+
+
+@pytest.mark.parametrize("m", [[[0.0, 1.0], [1.0, 0.0]], [[1e-3, 1.0], [1.0, 1e-3]]])
+def test_dense_inertia_of_a_2x2_pivot(m):
+    m = np.array(m)
+    lu = _factor(m, dense=True)
+    assert (lu.ipiv < 0).all()  # one 2x2 block of D
+    negatives, log_det = lu.inertia()
+    assert negatives == 1
+    assert log_det == pytest.approx(np.linalg.slogdet(m)[1], rel=1e-14, abs=1e-15)
+    assert lu.solve(np.array([1.0, 2.0])) == pytest.approx(np.linalg.solve(m, [1.0, 2.0]), rel=1e-14)
+
+
+def test_dense_inertia_matches_the_eigenvalues():
+    # symmetric indefinite matrices of every order the dense kernel takes
+    rng = np.random.default_rng(14)
+    blocks = 0
+    for n in range(1, 65):
+        a = rng.standard_normal((n, n))
+        m = a + a.T
+        lu = _factor(m, dense=True)
+        negatives, log_det = lu.inertia()
+        assert negatives == np.count_nonzero(np.linalg.eigvalsh(m) < 0.0)
+        assert log_det == pytest.approx(np.linalg.slogdet(m)[1], rel=1e-12, abs=1e-12)
+        b = rng.standard_normal(n)
+        assert np.abs(m @ lu.solve(b) - b).max() <= 1e-9 * np.abs(b).max()
+        blocks += int(np.count_nonzero(lu.ipiv < 0)) // 2
+    assert blocks > 0
+
+
+def test_inertia_of_both_kernels_on_a_vertex_system():
+    sys = assemble_discrete_system(random_graph(3))
+    data = sys.matrix.data.copy()
+    data[sys.pattern.diagonal] -= 1.5  # indefinite, still diagonally pivotable
+    want = np.count_nonzero(np.linalg.eigvalsh(sys.matrix.toarray() - 1.5 * np.eye(len(sys.order))) < 0.0)
+    assert 0 < want < len(sys.order)
+    for dense in (True, False):
+        negatives, log_det = SymmetricFactor(sys.pattern, data, dense).inertia()
+        assert negatives == want
+        assert log_det == pytest.approx(np.linalg.slogdet(sys.pattern.matrix(data).toarray())[1], rel=1e-12)
+
+
+@pytest.mark.parametrize("dense", [True, False])
+@pytest.mark.parametrize("m", [[[1.0, 1.0], [1.0, 1.0]], [[0.0]], np.zeros((3, 3))])
+def test_exactly_singular_matrix_in_both_kernels(m, dense):
+    with pytest.raises(SingularSystem, match="exactly singular"):
+        _factor(np.array(m), dense)
+
+
+def test_kernel_selection_rule():
+    assert assemble_discrete_system(path_dd([1.0, 1e6])).dense
+    assert not assemble_discrete_system(path_dd([1.0, 2e6])).dense
+    assert assemble_discrete_system(path_dd([1.0] * 65)).dense  # 64 unknowns
+    assert not assemble_discrete_system(path_dd([1.0] * 66)).dense
 
 
 # -- variational characterization -----------------------------------------

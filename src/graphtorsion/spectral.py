@@ -22,14 +22,17 @@ vectors of a bounded system over the vertices and edges, and one
 Rayleigh-Ritz step, give the eigenpairs.  Eigenvalue error against the
 graph's spectrum decays like h^2.
 
-The mesh is held edge by edge.  Node i < |V| is the graph vertex
-vertices[i]; the interior nodes follow edge by edge, tail to head, as in the
-node list of the JSON payload.  The solver holds its modes one row per mode
-over the points j = 0..n of each edge in turn, both ends included: a segment
-is a pair of neighbouring points, and the pairs that join two edges have
-width 0.  The Rayleigh-Ritz products, the mode integrals and the residuals
-are then contiguous slices of those rows; the vertices meet them only at
-the 2|E| edge ends, and the values in node order drop the ends.
+The mesh is held as a count of segments per edge.  Node i < |V| is the
+graph vertex vertices[i]; the interior points j = 1..n-1 of each edge
+follow, edge by edge, tail to head, as in the node list of the JSON payload.
+The solver writes each mode once, as one row in that node order.  On an edge
+a simple mode is r sin(j theta + phi) plus its continuity miss spread along
+the edge, one sine per point; a cluster of m modes shares one pair
+cos(j theta), sin(j theta).  The segments between interior points are
+contiguous slices of the rows, the pairs that join two edges having width 0,
+so the Rayleigh-Ritz products, the mode integrals and the residuals read the
+rows in place; the 2|E| segments that end at a vertex come in as small
+gathered arrays.
 """
 
 from __future__ import annotations
@@ -51,12 +54,15 @@ from .torsion import (EPS, DiscreteSystem, SymmetricFactor, TorsionSolution, ass
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 10000
-# Largest mesh build_mesh makes.  The mesh, the eigenvectors and the
-# Rayleigh-Ritz step peak at about 160 bytes per node for one mode and 210 for
-# three (numpy allocations by tracemalloc, star(3) at 500k nodes), so the 16M
-# nodes of star(2, [1e-6, 1]) at the default h would need about 2.6 GB before
-# the JSON payload of spectrum --json, which takes several times more.
+# Largest mesh build_mesh makes.  The eigenvectors and the Rayleigh-Ritz step
+# peak at about 104 bytes per node for one mode and 136 for three (numpy
+# allocations by tracemalloc, star(3) at 500k nodes), so the 16M nodes of
+# star(2, [1e-6, 1]) at the default h would need about 1.7 GB before the JSON
+# payload of spectrum --json, which takes several times more.
 MAX_MESH_NODES = 2_000_000
+# Rounding of the Rayleigh-Ritz products moves a Ritz value by some 1e-15
+# relative (at most 3.5e-15 above its bracket at tol = 0 on 160 test solves).
+RITZ_ROUND = 1e-12
 
 
 def default_h(g: MetricGraph) -> float:
@@ -76,31 +82,40 @@ def check_controls(h_target: float | None, tol: float = DEFAULT_TOL,
 
 @dataclass(frozen=True)
 class Mesh:
-    """Uniform P1 mesh of a graph, held edge by edge.
+    """Uniform P1 mesh of a graph, held as its count of segments per edge.
 
     Edge e is cut into n = segments_per_edge[e] segments of width l/n, with
     points j = 0..n from its tail (j = 0) to its head (j = n).  Nodes
     0..|V|-1 are the vertices in ``graph.vertex_ids`` order; the interior
-    points j = 1..n-1 follow edge by edge, node_edge holding the edge index
-    (-1 on a vertex node) and node_offset the distance j l/n from the tail.
+    points j = 1..n-1 follow edge by edge.  No array lists the nodes one by
+    one: the solver works from the counts, and nodes() writes the payload's
+    node list when asked.
     """
 
     graph: MetricGraph
     h_target: float
     segments_per_edge: np.ndarray
-    node_edge: np.ndarray
-    node_offset: np.ndarray
     h_eff: float
 
     @property
     def n_nodes(self) -> int:
-        return len(self.node_edge)
+        return len(self.graph.vertex_ids) + int(self.segments_per_edge.sum()) - len(self.segments_per_edge)
 
     @property
     def free(self) -> np.ndarray:
         """The nodes off the Dirichlet vertices."""
         nv = len(self.graph.vertex_ids)
         return np.concatenate([np.flatnonzero(~self.graph.arrays.dirichlet), np.arange(nv, self.n_nodes)])
+
+    def nodes(self) -> list[dict]:
+        """The nodes in order, as the JSON payload lists them: each vertex, then
+        each interior point as its edge and its distance j l/n from the tail."""
+        g, n = self.graph, self.segments_per_edge
+        nodes = [{"edge": None, "offset": 0.0, "vertex": v} for v in g.vertex_ids]
+        nodes += [{"edge": e, "offset": j * w, "vertex": None}
+                  for e, count, w in zip(g.edge_ids, n.tolist(), (g.arrays.length / n).tolist())
+                  for j in range(1, count)]
+        return nodes
 
     def trapezoid_weights(self) -> np.ndarray:
         """Row sums of the consistent mass matrix: exact integrals of the hats."""
@@ -115,31 +130,26 @@ def build_mesh(g: MetricGraph, h_target: float | None = None) -> Mesh:
     check_controls(h_target)
     if h_target is None:
         h_target = default_h(g)
-    arr = g.arrays
-    nv = len(g.vertex_ids)
-    counts = np.maximum(2.0, np.ceil(arr.length / h_target - 1e-12))
-    needed = nv + float(np.sum(counts - 1.0))
+    length = g.arrays.length
+    counts = np.maximum(2.0, np.ceil(length / h_target - 1e-12))
+    needed = len(g.vertex_ids) + float(np.sum(counts - 1.0))
     if needed > MAX_MESH_NODES:
         raise BadParameters(
             f"mesh at h_target={h_target!r} needs {needed:.0f} nodes, "
             f"more than the {MAX_MESH_NODES} allowed"
         )
-    counts = counts.astype(np.int64)
-    inner = counts - 1
-    widths = arr.length / counts
-    j = np.arange(1, inner.sum() + 1) - np.repeat(np.cumsum(inner) - inner, inner)
-    node_edge = np.concatenate([np.full(nv, -1), np.repeat(np.arange(len(counts)), inner)])
-    node_offset = np.concatenate([np.zeros(nv), j * np.repeat(widths, inner)])
-    return Mesh(g, h_target, counts, node_edge, node_offset, float(widths.max()))
+    return Mesh(g, h_target, counts.astype(np.int64), float((length / counts).max()))
 
 
 @dataclass(frozen=True)
 class SpectralResult:
     """Lowest eigenpairs of the Dirichlet pencil on a fixed mesh.
 
-    values holds one row per mode over all mesh nodes (zeros at Dirichlet
-    nodes), each mass-normalized; within a multiple eigenvalue the first
-    carries the whole integral and the rest integrate to 0.  The modes share
+    values holds one row per mode over all mesh nodes in the mesh's node
+    order, the vertices and then the interior points of each edge in turn
+    (zeros at Dirichlet nodes), each mass-normalized; within a multiple
+    eigenvalue the first carries the whole integral and the rest integrate to
+    0.  The modes share
     one bracketing search, so iterations repeats its count once per mode: the
     number of eigenvalue counts, each one factorization of the vertex-sized
     secular matrix.  integrals holds each mode's integral over the graph.
@@ -158,21 +168,14 @@ class SpectralResult:
 
     def to_payload(self) -> dict:
         mesh = self.mesh
-        vertex_ids, edge_ids = mesh.graph.vertex_ids, mesh.graph.edge_ids
-        nv = len(vertex_ids)
-        nodes = [{"edge": None, "offset": 0.0, "vertex": v} for v in vertex_ids]
-        nodes += [
-            {"edge": edge_ids[e], "offset": x, "vertex": None}
-            for e, x in zip(mesh.node_edge[nv:].tolist(), mesh.node_offset[nv:].tolist())
-        ]
         return {
             "h_target": mesh.h_target,
             "h_eff": mesh.h_eff,
             "eigenvalues": list(self.eigenvalues),
             "residuals": list(self.residuals),
             "iterations": list(self.iterations),
-            "nodes": nodes,
-            "values": [list(map(float, row)) for row in self.values],
+            "nodes": mesh.nodes(),
+            "values": [row.tolist() for row in self.values],
         }
 
 
@@ -188,7 +191,8 @@ def lowest_eigenpairs(
     Brackets on the count isolate the modes (_brackets), each count one of
     max_iter; a bracket holding m of them gives m null vectors of the bounded
     system, and Rayleigh-Ritz on the k vectors gives the eigenpairs and
-    residuals.
+    residuals.  NoConvergence when a Ritz value lies above its bracket: its
+    null vector was poor, and the value would be off by more than tol.
     """
     check_controls(h_target, tol, max_iter)
     mesh = build_mesh(g, h_target)
@@ -200,63 +204,93 @@ def lowest_eigenpairs(
         raise BadParameters(f"asked for {k} modes but the mesh has only {nf} free nodes")
     law, sys = _P1Law(mesh), assemble_discrete_system(g)
     sec = _Secular(sys, 0.0, math.inf, max_iter, law)
-    # the modes as rows over the points j = 0..n of each edge, edge after edge;
-    # points i and i + 1 bound a segment of width w[i], or two edges (w[i] = 0)
-    spread = functools.partial(np.repeat, repeats=n + 1, axis=-1)
-    head = np.cumsum(n + 1) - 1
-    tail = head - n
-    j = np.arange(head[-1] + 1.0) - spread(tail.astype(float))
-    u, sizes = np.empty((k, len(j))), []
+    # the modes as rows in node order: the vertices, then the interior points
+    # j = 1..n-1 of each edge in turn; interior points i and i + 1 bound a
+    # segment of width w[i], or two edges (w[i] = 0)
+    spread = functools.partial(np.repeat, repeats=n - 1, axis=-1)
+    last = nv - 1 + np.cumsum(n - 1)
+    first = last - n + 2
+    j = np.arange(nv + 1.0, mesh.n_nodes + 1.0) - spread(first.astype(float))
+    at = np.full(nv, len(sys.order))  # each vertex's unknown, a zero row at a Dirichlet vertex
+    at[arr.tail], at[arr.head] = sys.tail, sys.head
+    u, sizes, tops = np.empty((k, mesh.n_nodes)), [], []
     for lo, hi, m in _brackets(sec, law, k, nf, tol):
         lam = 0.5 * (lo + hi)
         x, b, miss = _null_space(sys, law, lam, m)
-        p, q = law.basis(law.angles(lam), j, spread)
-        xt = x[sys.tail].T
-        terms = spread(np.vstack((xt, b.T, miss.T / n)))  # x_t P[j] + b Q[j] + miss j/n
+        s2, theta = law.angles(lam)
+        xt = x[sys.tail]
         block = u[sum(sizes):sum(sizes) + m]
-        np.add(terms[:m] * p, terms[m:2 * m] * q, out=block)
-        block += terms[2 * m:] * j
-        block[:, tail], block[:, head] = xt, x[sys.head].T
+        block[:, :nv] = x[at].T
+        inner = block[:, nv:]  # x_t P[j] + b Q[j] + miss j/n
+        z = spread(theta) * j
+        if m == 1:
+            # x_t cos(j theta) + b sin(j theta) = r sin(j theta + phi): one sine,
+            # with |phi| <= pi/2 so that the phase adds little to z's rounding
+            sign = np.where(b[:, 0] < 0.0, -1.0, 1.0)
+            z += spread(np.arctan2(sign * xt[:, 0], sign * b[:, 0]))
+            np.sin(z, out=inner[0])
+            inner *= spread(sign * np.hypot(xt[:, 0], b[:, 0]))
+        else:
+            np.multiply(spread(xt.T), np.cos(z), out=inner)
+            inner += spread(b.T) * np.sin(z)
+        if s2.max() >= 1.0:
+            past, p, q = law.past(s2, j, spread)
+            e = spread(np.arange(len(n)))[past]
+            inner[:, past[0]] = xt[e].T * p + b[e].T * q
+        inner += spread(miss.T / n) * j
         sizes.append(m)
-    t = spread(law.width)  # trapezoid weights of the points, once the ends are halved
-    w = t[:-1].copy()
-    w[head[:-1]] = 0.0
-    inv = np.divide(1.0, w, out=np.zeros_like(w), where=w > 0.0)
-    t[tail] *= 0.5
-    t[head] *= 0.5
+        tops += [hi] * m
     # Rayleigh-Ritz on span(u): u^T K0 u = D^T W^-1 D with D = ut - uh, and
-    # M0 = (2 (ut^T W ut + uh^T W uh) + C + C^T) / 6 = (4 u^T T u + C + C^T) / 6, C = ut^T W uh
-    d = u[:, :-1] - u[:, 1:]
-    cross = (u[:, :-1] * w) @ u[:, 1:].T
-    lams, v = scipy.linalg.eigh((d * inv) @ d.T, (4.0 * ((u * t) @ u.T) + cross + cross.T) / 6.0)
+    # M0 = (2 (ut^T W ut + uh^T W uh) + C + C^T) / 6 = (4 u^T T u + C + C^T) / 6, C = ut^T W uh,
+    # T the trapezoid weights; the segments between interior points are
+    # contiguous slices, the 2|E| that end at a vertex gathered columns
+    w, t = spread(law.width)[:-1], mesh.trapezoid_weights()
+    w[last[:-1] - nv] = 0.0
+    inv = np.divide(1.0, w, out=np.zeros_like(w), where=w > 0.0)
+    seg_t, seg_h = np.concatenate((arr.tail, last)), np.concatenate((first, arr.head))
+    we = np.tile(law.width, 2)
+    inner, ut, uh = u[:, nv:], u[:, seg_t], u[:, seg_h]
+    d, de = inner[:, :-1] - inner[:, 1:], ut - uh
+    cross = (inner[:, :-1] * w) @ inner[:, 1:].T + (ut * we) @ uh.T
+    stiff = (d * inv) @ d.T + (de / we) @ de.T
     del d
+    lams, v = scipy.linalg.eigh(stiff, (4.0 * ((u * t) @ u.T) + cross + cross.T) / 6.0)
+    # each Ritz value lies above its eigenvalue, so above the bracket's bottom;
+    # one above the top comes from a poor null vector
+    above = np.flatnonzero(lams > np.array(tops) * (1.0 + RITZ_ROUND))
+    if len(above):
+        i = int(above[0])
+        raise NoConvergence(f"Ritz value {lams[i]!r} of mode {i + 1} lies above its bracket, whose top is {tops[i]!r}")
     # a basis of each multiple eigenvalue that the graph defines: an orthogonal
     # change of basis, so still M-orthonormal, whose first vector carries the
     # whole integral and the rest integrate to 0; that first vector and the
     # ground state integrate to a positive number
     basis_integrals, firsts = u @ t, np.cumsum(sizes) - sizes
-    for first, m in zip(firsts, sizes):
+    for first_mode, m in zip(firsts, sizes):
         if m > 1:
-            block = v[:, first:first + m]
+            block = v[:, first_mode:first_mode + m]
             block[:] = block @ np.linalg.qr((basis_integrals @ block)[:, None], mode="complete")[0]
     integrals = basis_integrals @ v
-    flip = [first for first, m in zip(firsts, sizes) if (first == 0 or m > 1) and integrals[first] < 0]
+    flip = [f for f, m in zip(firsts, sizes) if (f == 0 or m > 1) and integrals[f] < 0]
     v[:, flip], integrals[flip] = -v[:, flip], -integrals[flip]
-    u = v.T @ u
+    values = v.T @ u
+    del u
     # ||K0 x - lam M0 x|| over the free nodes: each flux (x_t - x_h)/w, then each
-    # segment's share at its tail and at its head, summed at a point inside an
-    # edge, and by a bincount over the edge ends at a vertex
-    resids, w6, natural = [], w / 6.0, ~arr.dirichlet
-    for x, lam in zip(u, lams):
-        f, m = (x[:-1] - x[1:]) * inv, lam * w6
-        at_tail, at_head = f - m * (2.0 * x[:-1] + x[1:]), -f - m * (x[:-1] + 2.0 * x[1:])
-        ends = (np.bincount(arr.tail, at_tail[tail], nv) + np.bincount(arr.head, at_head[head - 1], nv))[natural]
-        at_tail[1:] += at_head[:-1]
-        at_tail[tail], at_tail[head[:-1]] = 0.0, 0.0
-        resids.append(math.sqrt(at_tail @ at_tail + ends @ ends))
-    at = np.empty(nv, dtype=np.int64)
-    at[arr.head], at[arr.tail] = head, tail
-    values = u.take(np.concatenate((at, np.arange(1, mesh.n_nodes - nv + 1) + 2 * mesh.node_edge[nv:])), axis=1)
+    # segment's share at its tail and at its head, summed at an interior point,
+    # and by a bincount over the edge ends at a vertex
+    resids, w6, we6, natural, ne = [], w / 6.0, we / 6.0, ~arr.dirichlet, len(n)
+    for x, lam in zip(values, lams):
+        y, xt, xh = x[nv:], x[seg_t], x[seg_h]
+        f, m = (y[:-1] - y[1:]) * inv, lam * w6
+        r = np.zeros(len(y))
+        r[:-1] = f - m * (2.0 * y[:-1] + y[1:])
+        r[1:] -= f + m * (y[:-1] + 2.0 * y[1:])
+        f, m = (xt - xh) / we, lam * we6
+        at_tail, at_head = f - m * (2.0 * xt + xh), -f - m * (xt + 2.0 * xh)
+        r[first - nv] += at_head[:ne]
+        r[last - nv] += at_tail[ne:]
+        ends = (np.bincount(arr.tail, at_tail[:ne], nv) + np.bincount(arr.head, at_head[ne:], nv))[natural]
+        resids.append(math.sqrt(r @ r + ends @ ends))
     return SpectralResult(mesh, tuple(lams.tolist()), values, tuple(resids), (max_iter - 1 - sec.left,) * k,
                           tuple(integrals.tolist()))
 
@@ -345,7 +379,11 @@ def _null_space(sys: DiscreteSystem, law: _P1Law, lam: float, width: int
     a (c1 u[0] - u[1]) and a (c1 u[n] - u[n-1]) over the edge ends there;
     continuity is u[n] = x_h.  Off its eigenvalue by d, the null vector misses
     continuity by O(d), a kink K0 would magnify by 1/h^2; the caller spreads
-    the miss linearly along the edge."""
+    the miss linearly along the edge, which changes the flux at both ends by
+    miss/l.  So the continuity row of an edge is divided by its length l, and
+    every row measures a flux: with unscaled rows inverse iteration put the
+    miss on short edges, and the sixth mode of random_graph(29, length_range=
+    (1e-3, 1)) came out 2.9e-4 above its bracket at tol = 1e-6."""
     n, ne = len(sys.order), len(sys.tail)
     a, c1, p, q, _ = law.ends(lam)
     tail, head = (np.where(ends < n, ends, -1) for ends in (sys.tail, sys.head))  # -1: Dirichlet
@@ -353,7 +391,7 @@ def _null_space(sys: DiscreteSystem, law: _P1Law, lam: float, width: int
     rows = np.concatenate((tail, tail, head, head, amp, amp, amp, diag))
     cols = np.concatenate((tail, amp, tail, amp, tail, amp, head, diag))
     vals = np.concatenate((a * (c1 - p[0]), -a * q[0], a * (c1 * p[2] - p[1]), a * (c1 * q[2] - q[1]),
-                           p[2], q[2], -np.ones(ne)))
+                           *(np.stack((p[2], q[2], -np.ones(ne))) / sys.length)))
     # B + s I, s = sqrt(EPS) max|B|, has B's eigenvectors and a factor even where
     # lam is an eigenvalue to the last bit; a step shrinks the rest by s / |mu_2|.
     vals = np.append(vals, np.full(n + ne, math.sqrt(EPS) * np.abs(vals).max()))
@@ -393,29 +431,28 @@ class _P1Law:
         s2 = 0.25 * x / (1.0 + x / 6.0)
         return s2, 2.0 * np.arcsin(np.sqrt(np.minimum(s2, 1.0)))
 
-    def basis(self, angles: tuple[np.ndarray, np.ndarray], j: np.ndarray, spread
-              ) -> tuple[np.ndarray, np.ndarray]:
-        """P[j] and Q[j] at the points j, from angles(lam); spread(a) places a
-        value a[e] of every edge at each of its points."""
-        s2, theta = angles
-        z = j * spread(theta)
-        p, q = np.cos(z), np.sin(z)
-        if s2.max() >= 1.0:
-            past = spread(s2 >= 1.0).nonzero()
-            n, j = spread(self.n)[past], j[past]
-            eta = np.maximum(2.0 * np.arccosh(np.sqrt(spread(s2)[past])), np.finfo(float).tiny)  # the limit at 0
+    def past(self, s2: np.ndarray, j: np.ndarray, spread
+             ) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray]:
+        """The points j of the edges past the band edge (indices into j, as
+        from nonzero) and P[j], Q[j] there, from angles(lam)'s s2; spread(a)
+        places a value a[e] of every edge at each of its points."""
+        past = spread(s2 >= 1.0).nonzero()
+        n, j = spread(self.n)[past], j[past]
+        eta = np.maximum(2.0 * np.arccosh(np.sqrt(spread(s2)[past])), np.finfo(float).tiny)  # the limit at 0
 
-            def ratio(m):  # sinh(m eta) / sinh(n eta), 0 <= m <= n, without overflow
-                return np.exp((m - n) * eta) * np.expm1(-2.0 * m * eta) / np.expm1(-2.0 * n * eta)
+        def ratio(m):  # sinh(m eta) / sinh(n eta), 0 <= m <= n, without overflow
+            return np.exp((m - n) * eta) * np.expm1(-2.0 * m * eta) / np.expm1(-2.0 * n * eta)
 
-            p[past], q[past] = (1 - 2 * (j % 2)) * ratio(n - j), (1 - 2 * ((n - j) % 2)) * ratio(j)
-        return p, q
+        return past, (1 - 2 * (j % 2)) * ratio(n - j), (1 - 2 * ((n - j) % 2)) * ratio(j)
 
     def ends(self, lam: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """a, c1, the bases at j = 1, n - 1, n (rows of p and q) and theta on every edge."""
-        s2, theta = angles = self.angles(lam)
+        s2, theta = self.angles(lam)
         j = np.stack((np.ones_like(self.n), self.n - 1, self.n))
-        p, q = self.basis(angles, j, functools.partial(np.broadcast_to, shape=j.shape))
+        p, q = np.cos(j * theta), np.sin(j * theta)
+        if s2.max() >= 1.0:
+            past, p_past, q_past = self.past(s2, j, functools.partial(np.broadcast_to, shape=j.shape))
+            p[past], q[past] = p_past, q_past
         return 1.0 / self.width + lam * self.width / 6.0, 1.0 - 2.0 * s2, p, q, theta
 
     def __call__(self, lam: float) -> tuple[np.ndarray, np.ndarray]:

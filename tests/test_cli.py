@@ -113,6 +113,17 @@ def test_spectrum_text(tmp_path, capsys):
     assert lines[2].startswith("h_eff = ")
 
 
+def test_spectrum_json_values_are_exact_floats(lasso_file, capsys):
+    # values go out through ndarray.tolist(); the text is byte for byte the one
+    # float() of every entry gives
+    rc, out, _ = run_cli(["spectrum", lasso_file, "--modes", "3", "--h", "0.3", "--json"], capsys)
+    assert rc == 0
+    res = graphtorsion.lowest_eigenpairs(load(lasso_file), 3, h_target=0.3)
+    payload = res.to_payload()
+    payload["values"] = [list(map(float, row)) for row in res.values]
+    assert out == json.dumps(payload, indent=2) + "\n"
+
+
 def test_grad_check_output(lasso_file, capsys):
     rc, out, _ = run_cli(["grad-check", lasso_file, "--json"], capsys)
     assert rc == 0

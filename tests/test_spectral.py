@@ -37,8 +37,8 @@ from graphtorsion.families import (
     random_graph,
     star,
 )
-from graphtorsion import torsion
-from graphtorsion.spectral import DELTA, _Secular, build_mesh, default_h
+from graphtorsion import spectral, torsion
+from graphtorsion.spectral import DELTA, Mesh, _Secular, build_mesh, default_h
 
 
 # -- meshes ---------------------------------------------------------------
@@ -88,6 +88,19 @@ def test_mesh_layout_vertices_then_edge_interiors():
             {"edge": e.id, "offset": k * (e.length / n), "vertex": None} for k in range(1, n)
         ]
     assert nodes == expected
+
+
+def test_plain_solves_build_no_node_list(monkeypatch):
+    # the node list is the payload's alone; the solver works from the counts
+    def refuse(self):
+        raise AssertionError("node list built")
+
+    with monkeypatch.context() as m:
+        m.setattr(Mesh, "nodes", refuse)
+        res = lowest_eigenpairs(lasso(1.5, 2.0), 2, h_target=0.3)
+        integrated_heat_content(lasso(1.5, 2.0), 2, h_target=0.3)
+        landscape_check(lasso(1.5, 2.0), 2, h_target=0.3, spectral=res)
+    assert len(res.to_payload()["nodes"]) == res.mesh.n_nodes == res.values.shape[1]
 
 
 def test_mesh_node_budget():
@@ -403,6 +416,49 @@ def test_count_budget_on_random_graphs():
     # Anderson-Bjorck regula falsi took 1716 counts here, Illinois 2269; 5% margin
     total = sum(lowest_eigenpairs(random_graph(seed), 5).iterations[0] for seed in range(30))
     assert total <= 1800
+
+
+def test_fine_mesh_modes_are_the_discrete_sines():
+    # path_DN cut into n segments: mode m is sin(j theta_m), theta_m = (2m - 1) pi / (2n),
+    # at the point j from the Dirichlet end, M-normalized; modes written as one sine per point
+    g = path_dn()
+    res = lowest_eigenpairs(g, 3, h_target=g.total_length() / 60_000)
+    n = int(res.mesh.segments_per_edge[0])
+    assert res.mesh.n_nodes == n + 1 and g.vertex_ids == ("v0", "v1")
+    M0, free = p1_mass(g, res.to_payload()["nodes"])
+    j = np.concatenate(([0, n], np.arange(1, n)))  # node order: v0, v1, then the interior
+    for m, (lam, phi) in enumerate(zip(res.eigenvalues, res.values), start=1):
+        theta = (2 * m - 1) * math.pi / (2 * n)
+        assert lam == pytest.approx(p1_sine_eigenvalue(theta, 1.0 / n), rel=1e-10)
+        sine = np.sin(j * theta)
+        sine /= math.sqrt(sine[free] @ (M0 @ sine[free]))
+        assert np.max(np.abs(phi - math.copysign(1.0, phi @ sine) * sine)) <= 1e-8
+
+
+def test_short_edge_mode_stays_in_its_bracket():
+    # lambda_6 lives on an edge of length 0.34 and one of 0.0036; a null vector
+    # that missed continuity on the short edge once gave a Ritz value 2.9e-4
+    # above its bracket at tol = 1e-6, with a residual 10^4 times the others'
+    g = random_graph(29, length_range=(1e-3, 1.0))
+    h = g.total_length() / 5000
+    exact = lowest_eigenpairs(g, 6, h_target=h, tol=0.0).eigenvalues
+    for tol in (1e-10, 1e-8, 1e-6):
+        res = lowest_eigenpairs(g, 6, h_target=h, tol=tol)
+        assert res.eigenvalues == pytest.approx(exact, rel=tol)
+        assert res.residuals[5] <= 100 * max(res.residuals[:5])
+
+
+def test_ritz_value_above_its_bracket_is_no_convergence(monkeypatch):
+    # a null vector spoilt by a continuity miss of 1e-3 on every edge: its
+    # Ritz value leaves the bracket and the solve says so instead of returning it
+    def spoilt(*args):
+        x, b, miss = null_space(*args)
+        return x, b, miss + 1e-3
+
+    null_space = spectral._null_space
+    monkeypatch.setattr(spectral, "_null_space", spoilt)
+    with pytest.raises(NoConvergence, match="above its bracket"):
+        lowest_eigenpairs(path_dn(), 2, h_target=1 / 1000)
 
 
 def test_tol_zero_terminates_on_a_fine_mesh():

@@ -3,8 +3,9 @@
 A metric graph carries edge lengths and two kinds of vertex conditions:
 Dirichlet (the function vanishes) and natural (continuity plus zero net
 flux).  This package solves the torsion problem exactly edge by edge,
-computes low eigenvalues by finite elements, audits a family of
-isoperimetric inequalities, and optimizes edge lengths at fixed topology.
+computes the exact lambda_1 and the lowest finite element eigenpairs from the
+vertex-sized secular matrix, audits a family of isoperimetric inequalities,
+and optimizes edge lengths at fixed topology.
 
 The root exports each module's entry points, the graph type and its loaders,
 the surgery operations and every error class; result types and the graph

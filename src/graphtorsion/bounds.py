@@ -3,7 +3,8 @@
 Every inequality the library knows is evaluated as a record with explicit
 left/right values, slack and a status.  lambda_1 comes from the secular
 matrix over the natural vertices (spectral.secular_lambda1), started from the
-torsion solution and certified by inertia to 2e-9 relative (at the length
+torsion solution and certified by inertia to 2e-9 relative, or bracketed by
+the pivot count to 2e-13 where the iteration settled above it (at the length
 ratios where secular_lambda1 says its pivot signs hold), so every record,
 with or without lambda_1, is judged at the same unitless tolerances: violated
 below -1e-8 relative, equality within 1e-6.  No mesh is built: h_target is
@@ -129,11 +130,11 @@ def _classify(lhs: float, rhs: float, violation_tol: float, equality_tol: float)
     return slack, _status(slack, max(abs(lhs), abs(rhs), 1e-300), violation_tol, equality_tol)
 
 
-def _star_closed_form_cheeger(g: MetricGraph) -> float | None:
-    """Closed-form Cheeger constant k/L for an equilateral star with natural
-    center and Dirichlet leaves; None when the graph is not of that shape."""
+def _star_closed_form_cheeger(g: MetricGraph, equilateral: bool) -> float | None:
+    """Closed-form Cheeger constant k/L of an equilateral star with natural
+    center and Dirichlet leaves, told whether g is equilateral; else None."""
     arr = g.arrays
-    if not g.is_equilateral(1e-9) or (arr.tail == arr.head).any():
+    if not equilateral or (arr.tail == arr.head).any():
         return None
     n_edges, n_vertices = len(g.edge_ids), len(g.vertex_ids)
     if n_vertices != n_edges + 1:
@@ -175,6 +176,7 @@ def audit(
     tree = g.is_tree()
     dirichlet = g.dirichlet_vertices
     n_free_vertices = len(g.vertex_ids) - len(dirichlet)
+    equilateral = g.is_equilateral(1e-9)
     sup = sol.sup.value
 
     lam: float | None = None
@@ -295,7 +297,7 @@ def audit(
         records.append(BoundRecord(*sandwich, lo, hi, slack, status, ALWAYS, EXACT_VIOLATION_TOL,
                                    True, f"lambda_1 = {lam!r}"))
 
-    h_star = _star_closed_form_cheeger(g)
+    h_star = _star_closed_form_cheeger(g, equilateral)
     if h_star is not None:
         exact("cheeger_product", "h^2 * T < L with the closed-form star Cheeger constant h = k/L",
               "<", h_star * h_star * T, L, CLOSED_FORM_CHEEGER_ONLY,
@@ -306,7 +308,7 @@ def audit(
                 CLOSED_FORM_CHEEGER_ONLY,
                 "closed-form Cheeger constant known only for equilateral stars with Dirichlet leaves")
 
-    if g.is_equilateral(1e-9):
+    if equilateral:
         if n_dn:
             s_count = n_dn + 2 * n_nn
             rhs = 12.0 * n_dn * E ** 3 / (L * L * (E * n_dn + 3.0 * s_count ** 2))

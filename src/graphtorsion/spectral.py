@@ -6,9 +6,9 @@ secular_lambda1 returns the exact lowest Dirichlet eigenvalue from the
 secular matrix A(k) over the natural vertices, the torsion system's size and
 sparsity pattern, by Rayleigh functional iteration from the torsion function;
 the pivot signs of one LDL^T of A(k (1 - DELTA)) certify it (Sylvester's law
-of inertia).  No mesh is built, so lambda_1 carries no discretization error
-and costs a few vertex-sized factorizations.  The audit takes lambda_1 from
-here.
+of inertia), or the count search of the P1 modes (_brackets) brackets it.
+No mesh is built, so lambda_1 carries no discretization error and costs a
+few vertex-sized factorizations.  The audit takes lambda_1 from here.
 
 lowest_eigenpairs returns eigenpairs of the P1 stiffness/mass pencil (K0, M0)
 of a uniform subdivision of each edge, without a matrix of the mesh's size.
@@ -204,6 +204,7 @@ def lowest_eigenpairs(
         raise BadParameters(f"asked for {k} modes but the mesh has only {nf} free nodes")
     law, sys = _P1Law(mesh), assemble_discrete_system(g)
     sec = _Secular(sys, 0.0, math.inf, max_iter, law)
+    floor = (math.pi / (2.0 * math.fsum(sys.length.tolist()))) ** 2  # Nicaise: below every P1 eigenvalue
     # the modes as rows in node order: the vertices, then the interior points
     # j = 1..n-1 of each edge in turn; interior points i and i + 1 bound a
     # segment of width w[i], or two edges (w[i] = 0)
@@ -214,7 +215,7 @@ def lowest_eigenpairs(
     at = np.full(nv, len(sys.order))  # each vertex's unknown, a zero row at a Dirichlet vertex
     at[arr.tail], at[arr.head] = sys.tail, sys.head
     u, sizes, tops = np.empty((k, mesh.n_nodes)), [], []
-    for lo, hi, m in _brackets(sec, law, k, nf, tol):
+    for lo, hi, m in _brackets(sec, law, k, tol, floor, 12.0 / float(law.width.min()) ** 2, nf):
         lam = 0.5 * (lo + hi)
         x, b, miss = _null_space(sys, law, lam, m)
         s2, theta = law.angles(lam)
@@ -295,37 +296,37 @@ def lowest_eigenpairs(
                           tuple(integrals.tolist()))
 
 
-def _brackets(sec: _Secular, law: _P1Law, k: int, total: int, tol: float) -> list[tuple[float, float, int]]:
+def _brackets(sec: _Secular, law: _P1Law | _Continuum, k: int, tol: float, floor: float, top: float, total: int
+              ) -> list[tuple[float, float, int]]:
     """(lo, hi, m): modes count(lo)+1 .. count(hi) lie in [lo, hi), m of them
     among the lowest k, and hi - lo <= tol hi or no float lies between; m is
-    at most the bounded system's size, which bounds a multiplicity.  The count
-    is A_h's negative pivots plus law.inside, each one sec.spend(); brackets
-    share their points, from count(12/w_min^2) = total, the free nodes, and a
-    floor: the Nicaise bound pi^2/(4 L^2), below every P1 eigenvalue, counted
-    once (0 instead if rounding counts a mode below it).
+    at most the bounded system's size, which bounds a multiplicity.  A point
+    x is lambda for _P1Law, k for _Continuum; count(x) is A(x)'s negative
+    pivots plus law.inside, each one sec.spend().  Brackets share their
+    points, from count(top) = total and a floor below the lowest eigenvalue,
+    counted once (0 instead if rounding counts a mode below it).
 
     The count alone fixes each bracket; the next point only makes it shrink
     faster.  A bracket wider than a factor 2 splits at its geometric mean.
-    Then each count is also a value of f = det A_h prod_e Q_e[n], continuous
-    across A_h's poles and zero exactly at the P1 eigenvalues, read off the
-    pivots and the law; the next point is regula falsi on g = |f|^(1/j) for a
-    count jump j, the side taken from the count and not from a sign of f, kept
+    Then each count is also a value of f = det A exp(law.log_q), continuous
+    across A's poles and zero exactly at the eigenvalues, read off the pivots
+    and the law; the next point is regula falsi on g = |f|^(1/j) for a count
+    jump j, the side taken from the count and not from a sign of f, kept
     tol hi / 2 from both ends.  When the same end moves twice running, g at
     the other end is scaled by 1 - g_new/g_old, or by 1/2 when that is not
     positive (Anderson and Bjorck, BIT 13, 1973); the midpoint follows three
-    steps that did not halve the bracket (Dekker, Brent).  Where A_h is exactly singular
-    the point moves halfway to hi; a count outside its neighbours' (rounding
-    at an eigenvalue) is clamped."""
-    unknowns = sec.n + len(law.n)
+    steps that did not halve the bracket (Dekker, Brent).  Where A is exactly
+    singular the point moves halfway to hi; a count outside its neighbours'
+    (rounding at an eigenvalue) is clamped."""
+    unknowns = sec.n + len(sec.length)
 
-    def count(lam: float) -> tuple[int | None, float]:
-        """count(lam) and log |f(lam)|; None when A_h(lam) is exactly singular."""
+    def count(x: float) -> tuple[int | None, float]:
+        """count(x) and log |f(x)|; None when A(x) is exactly singular."""
         sec.spend()
-        negatives, log_det, _ = sec.inertia(lam)
+        negatives, log_det = sec.inertia(x)
         return None if negatives is None else negatives + law.inside, log_det + law.log_q
 
-    floor = (math.pi / (2.0 * math.fsum(sec.length.tolist()))) ** 2
-    lams, counts, logs = [0.0, 12.0 / float(law.width.min()) ** 2], [0, total], [None, None]
+    lams, counts, logs = [0.0, top], [0, total], [None, None]
     c, f = count(floor)
     if c == 0:
         lams[0], logs[0] = floor, f
@@ -487,6 +488,23 @@ def _slopes(z: np.ndarray, s: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np
     return (s - z * np.cos(z)) / (s * s), t + 0.5 * z * (1.0 + t * t)
 
 
+class _Continuum:
+    """c = k/sin(kl) and d = k tan(kl/2) of every edge in A(k).  Each call also
+    leaves, for k, inside: the eigenvalues below k^2 with both ends of an edge
+    pinned, max(0, ceil(kl/pi) - 1) each; and log_q: log |sin(kl)/k| summed
+    over the edges, which clears the poles of c and d from det A(k)."""
+
+    def __init__(self, length: np.ndarray):
+        self.length = length
+
+    def __call__(self, k: float) -> tuple[np.ndarray, np.ndarray]:
+        z = k * self.length
+        s = np.sin(z)
+        self.inside = int(np.maximum(np.ceil(z / math.pi) - 1.0, 0.0).sum())
+        self.log_q = float(np.log(np.abs(s / k)).sum())
+        return k / s, k * np.tan(0.5 * z)
+
+
 class _Secular:
     """The secular matrix A(k) of a graph, on its torsion system's pattern.
 
@@ -499,8 +517,9 @@ class _Secular:
     edge by edge, and dq/dk = -2k int u^2 < 0.  On (0, pi/l_max) A(k) has no
     pole, and its negative eigenvalues count the Dirichlet eigenvalues below
     k^2 (Berkolaiko and Kuchment, Introduction to Quantum Graphs, 2013).
-    law(k) gives c and d of every edge: by default this continuum law, which
-    rayleigh, slope and settle assume; _P1Law's, at lambda, for the P1 pencil.
+    law(k) gives c and d of every edge: by default this continuum law
+    (_Continuum), which rayleigh, slope and settle assume; _P1Law's, at
+    lambda, for the P1 pencil.
     """
 
     def __init__(self, sys: DiscreteSystem, k_lo: float, k_hi: float, max_iter: int, law=None):
@@ -511,11 +530,7 @@ class _Secular:
         self.k_lo, self.k_hi = k_lo, k_hi
         self.left = max_iter - 1  # iterations after the first quotient
         self.max_iter = max_iter
-        self.law = law or self.continuum
-
-    def continuum(self, k: float) -> tuple[np.ndarray, np.ndarray]:
-        z = k * self.length
-        return k / np.sin(z), k * np.tan(0.5 * z)
+        self.law = law or _Continuum(sys.length)
 
     def spend(self) -> None:
         if self.left < 1:
@@ -539,17 +554,16 @@ class _Secular:
         """LDL^T of A(k) by the torsion solve's kernel; SingularSystem if exactly singular."""
         return self.sys.factor(self.fill(k))
 
-    def inertia(self, k: float) -> tuple[int | None, float, SymmetricFactor | None]:
-        """The negative eigenvalues of A(k), log |det A(k)| from the same
-        pivots, and the factor; (None, 0.0, None) when A(k) is exactly singular."""
+    def inertia(self, k: float) -> tuple[int | None, float]:
+        """The negative eigenvalues of A(k) and log |det A(k)| from the same
+        pivots; (None, 0.0) when A(k) is exactly singular."""
         try:
-            lu = self.factor(k)
+            negatives, log_det = self.factor(k).inertia()
         except SingularSystem:
-            return None, 0.0, None
-        negatives, log_det = lu.inertia()
+            return None, 0.0
         if negatives is None:
             raise NoConvergence(f"the factor of A({k!r}) pivoted, so its inertia cannot be read")
-        return negatives, log_det, lu
+        return negatives, log_det
 
     def slope(self, k: float, x: np.ndarray) -> np.ndarray:
         """A'(k) x, summed edge by edge from c' (x_t - x_h) and d' x."""
@@ -560,13 +574,6 @@ class _Secular:
         out = np.bincount(self.tail, f - dd * xt, minlength=self.n + 1)
         out += np.bincount(self.head, -f - dd * xh, minlength=self.n + 1)
         return out[:self.n]
-
-    def step(self, lu: SymmetricFactor, k: float, x: np.ndarray) -> np.ndarray | None:
-        """A(k)^-1 A'(k) x from the factor lu of A(k), scaled to max |.| = 1;
-        None when the solve overflowed."""
-        y = lu.solve(self.slope(k, x))
-        scale = float(np.abs(y).max())
-        return y / scale if 0.0 < scale < math.inf else None
 
     def rayleigh(self, x: np.ndarray, k: float | None = None) -> float | None:
         """p(x), the root of q(.; x) on [k_lo, k_hi), by Newton's method kept
@@ -613,7 +620,7 @@ class _Secular:
             k = step
         return k
 
-    def settle(self, x: np.ndarray, k: float, tol: float) -> tuple[float | None, np.ndarray, bool]:
+    def settle(self, x: np.ndarray, k: float, tol: float) -> tuple[float | None, bool]:
         """Rayleigh functional iteration x <- A(s)^-1 A'(s) x, k <- p(x) (Ruhe,
         SIAM J. Numer. Anal. 10, 1973) with s = k (1 - DELTA), until k moves by
         at most tol relative.  The shift costs nothing in the limit, where x
@@ -626,16 +633,17 @@ class _Secular:
             try:
                 lu = self.factor(shift)
             except SingularSystem:
-                return shift, x, False  # A(shift) exactly singular: an eigenvalue sits there
-            y = self.step(lu, shift, x)
-            if y is None:
-                return k, x, False
-            x, prev = y, k
+                return shift, False  # A(shift) exactly singular: an eigenvalue sits there
+            y = lu.solve(self.slope(shift, x))
+            scale = float(np.abs(y).max())
+            if not 0.0 < scale < math.inf:
+                return k, False
+            x, prev = y / scale, k
             k = self.rayleigh(x, prev)
             if k is None:
-                return None, x, False
+                return None, False
             if abs(k - prev) <= max(tol, K_FLOOR) * k:
-                return k, x, lu.inertia()[0] == 0
+                return k, lu.inertia()[0] == 0
 
 
 def secular_lambda1(
@@ -656,12 +664,12 @@ def secular_lambda1(
     confirms the bracket on random_graph seeds 0..199 at length ratios
     (max/min) up to 1e6; at wider ratios the signs can be wrong (seed 64 at
     (1e-4, 1e4), ratio 4.1e7, returns a k with no eigenvalue below
-    k (1 + 1e-12)).  When the iteration settled on a higher eigenvalue,
-    bisection on the pivot count isolates lambda_1 and the iteration
-    restarts from an inverse-iteration step at the midpoint of the isolating
-    interval; a multiple lambda_1 that bisection cannot split ends the
-    bisection.  When q
-    has no root below pi/l_max and A stays positive definite there,
+    k (1 + 1e-12)).  When the iteration settled on a higher eigenvalue, the
+    count search of the P1 modes (_brackets) on the continuum law brackets
+    sqrt(lambda_1) to K_FLOOR = 1e-13 in [(sup v)^(-1/2), s), by the
+    landscape bound lambda_1 sup v >= 1, and returns the top; an exactly
+    singular A(s) counts as one eigenvalue there.  When q has no root below
+    pi/l_max and A stays positive definite there,
     lambda_1 = (pi/l_max)^2.  The result is at least pi^2/(4 L^2) (Nicaise).
     Every factorization after the first quotient counts against max_iter,
     the extra certificate aside; NoConvergence when they run out.
@@ -675,39 +683,18 @@ def secular_lambda1(
     if not sys.order:  # every vertex Dirichlet: the edges are separate intervals
         return k_hi * k_hi
     sec = _Secular(sys, k_lo, k_hi, max_iter)
-    start = solution.discrete.values
-    x, k = start, sec.rayleigh(start)
-    lo, hi, hi_count = k_lo, k_hi, None  # no eigenvalue below lo; hi_count below hi
-    tight = min(max(tol, K_FLOOR), DELTA)
-    while True:
-        certified = False
-        if k is not None:
-            k, x, certified = sec.settle(x, k, tol)
-        top = k_hi if k is None else k
-        if not certified:
-            below = sec.inertia(top * (1.0 - DELTA))[0]
-            certified = below == 0
-        if certified:
-            return max(top * top, k_lo * k_lo)
-        if top * (1.0 - DELTA) < hi:
-            hi, hi_count = top * (1.0 - DELTA), below
-        # settled above lambda_1: bisect on the count until one eigenvalue is alone
-        x = None
-        while x is None:
-            if hi - lo <= tight * hi:
-                return max(hi * hi, k_lo * k_lo)  # count(lo) = 0 certifies hi
-            isolated = hi_count == 1
-            sec.spend()
-            mid = 0.5 * (lo + hi)
-            count, _, lu = sec.inertia(mid)
-            if count == 0:
-                lo = mid
-            else:
-                hi, hi_count = mid, count
-            if isolated and lu is not None:
-                # mid is nearer lambda_1 than lambda_2: restart from the torsion function
-                x = sec.step(lu, mid, start)
-        k = sec.rayleigh(x, mid)
+    x = solution.discrete.values
+    k, certified = sec.rayleigh(x), False
+    if k is not None:
+        k, certified = sec.settle(x, k, tol)
+    top = k_hi if k is None else k
+    if not certified:
+        s = top * (1.0 - DELTA)
+        below = sec.inertia(s)[0]
+        if below != 0:  # settled above lambda_1, or exactly on an eigenvalue at s (None)
+            floor = max(k_lo, solution.sup.value ** -0.5)
+            top = _brackets(sec, sec.law, 1, K_FLOOR, floor, s, 1 if below is None else below)[0][1]
+    return max(top * top, k_lo * k_lo)
 
 
 # -- integrated heat content ----------------------------------------------

@@ -187,8 +187,9 @@ class SymmetricFactor:
 class DiscreteSystem:
     """Vertex system over the natural vertices.
 
-    matrix is symmetric positive definite, in CSC form with sorted indices and
-    no duplicates; solving matrix @ g = weight gives the vertex unknowns.
+    data holds the entries of a symmetric positive definite matrix on
+    pattern; matrix returns it in CSC form with sorted indices and no
+    duplicates.  Solving matrix @ g = weight gives the vertex unknowns.
     weight[v] is the metric degree (loops twice).  Each edge adds 1/length to
     the weighted graph Laplacian restricted to the natural vertices; a loop
     couples a vertex to itself and cancels.  tail[k] and head[k] are the
@@ -200,7 +201,7 @@ class DiscreteSystem:
     """
 
     order: tuple[str, ...]
-    matrix: scipy.sparse.csc_array
+    data: np.ndarray
     weight: np.ndarray
     tail: np.ndarray
     head: np.ndarray
@@ -208,9 +209,13 @@ class DiscreteSystem:
     pattern: SymPattern
     dense: bool
 
+    @property
+    def matrix(self) -> scipy.sparse.csc_array:
+        return self.pattern.matrix(self.data)
+
     def factor(self, data: np.ndarray | None = None) -> SymmetricFactor:
-        """LDL^T of the matrix with the given data on pattern (default: matrix's own)."""
-        return SymmetricFactor(self.pattern, self.matrix.data if data is None else data, self.dense)
+        """LDL^T of the matrix with the given data on pattern (default: the system's own)."""
+        return SymmetricFactor(self.pattern, self.data if data is None else data, self.dense)
 
     def residual(self, x: np.ndarray) -> np.ndarray:
         """weight - matrix @ x[:n], summed from the edge fluxes; x[n] must be 0."""
@@ -303,8 +308,7 @@ def assemble_discrete_system(g: MetricGraph) -> DiscreteSystem:
     pattern = SymPattern.build(n, tail[proper], head[proper])
     mu = 1.0 / arr.length[proper]
     dense = n <= DENSE_MAX and float(arr.length.max()) <= DENSE_RATIO * float(arr.length.min())
-    return DiscreteSystem(order, pattern.matrix(pattern.fill(mu, -mu)), weight, tail, head, arr.length,
-                          pattern, dense)
+    return DiscreteSystem(order, pattern.fill(mu, -mu), weight, tail, head, arr.length, pattern, dense)
 
 
 def solve_discrete_torsion(g: MetricGraph) -> DiscreteTorsion:

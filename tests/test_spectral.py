@@ -620,15 +620,55 @@ def test_secular_matches_dense_oracle_on_battery():
         assert_exact_lambda1(g, secular_lambda1(g, torsion_function(g)))
 
 
+def _spy_on_brackets(monkeypatch) -> list:
+    """The arguments of every _brackets call from here on."""
+    calls, real = [], spectral._brackets
+    monkeypatch.setattr(spectral, "_brackets", lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
 @pytest.mark.parametrize("index", [
     43,  # the iteration from the torsion start first settles on lambda_2 = 0.0782157
     309,  # the Dirichlet-Neumann path: the root sits ulps below the Nicaise bound
 ])
-def test_secular_on_criterion6_battery_graphs(index):
+def test_secular_on_criterion6_battery_graphs(index, monkeypatch):
     g = _battery(6, index + 1)[index]
+    calls = _spy_on_brackets(monkeypatch)
     lam = secular_lambda1(g)
     assert_exact_lambda1(g, lam)
     assert lam >= (math.pi / (2.0 * g.total_length())) ** 2
+    # on 43 the certificate counts lambda_1 below, and the count search isolates it
+    assert len(calls) == (index == 43)
+
+
+@pytest.mark.parametrize("index", [0, 43, 309])
+def test_continuum_count_matches_the_oracle(index):
+    # negatives plus the pinned-edge modes, below and above lambda_1 and past pi/l_max
+    g = _battery(6, index + 1)[index]
+    sec = _Secular(torsion.assemble_discrete_system(g), 0.0, math.inf, 1)
+    k, k_hi = math.sqrt(secular_lambda1(g)), math.pi / float(g.arrays.length.max())
+    for at in (k * (1.0 - 1e-9), k * (1.0 + 1e-9), 1.5 * k_hi, 3.3 * k_hi):
+        assert sec.inertia(at)[0] + sec.law.inside == secular_count(g, at)
+
+
+def test_exactly_singular_certificate_counts_one_eigenvalue(monkeypatch):
+    # graph 312 settles above lambda_1; a law exactly singular at the
+    # certificate's point gives a None count there, and the search reads 1
+    g = _battery(6, 313)[312]
+    calls = _spy_on_brackets(monkeypatch)
+    lam = secular_lambda1(g)
+    point = calls.pop()[5]
+    hits, law = [], spectral._Continuum.__call__
+
+    def singular_there(self, k):
+        if k != point:
+            return law(self, k)
+        hits.append(k)
+        return np.zeros_like(self.length), np.zeros_like(self.length)
+
+    monkeypatch.setattr(spectral._Continuum, "__call__", singular_there)
+    assert secular_lambda1(g) == lam
+    assert hits == [point] and calls.pop()[5:] == (point, 1)
 
 
 def test_secular_fourteen_edge_graph():
@@ -716,7 +756,7 @@ def test_exactly_singular_secular_matrix_has_no_inertia(dense):
     # the natural middle vertex of the DD path gets c1 + c2 - d1 - d2 = 0
     sys = dataclasses.replace(torsion.assemble_discrete_system(path_dd([1.0, 2.0])), dense=dense)
     sec = _Secular(sys, 0.0, math.inf, 1, law=lambda k: (np.ones(2), np.ones(2)))
-    assert sec.inertia(1.0) == (None, 0.0, None)
+    assert sec.inertia(1.0) == (None, 0.0)
 
 
 def test_secular_matrix_tends_to_torsion_matrix():

@@ -151,20 +151,14 @@ def _star_closed_form_cheeger(g: MetricGraph, equilateral: bool) -> float | None
     return None
 
 
-def audit(
-    g: MetricGraph,
-    h_target: float | None = None,
-    tol: float = 1e-10,
-    max_iter: int = 10000,
-    spectral: bool = True,
-) -> BoundsReport:
+def audit(g: MetricGraph, h_target: float | None = None, tol: float = 1e-10) -> BoundsReport:
     """Evaluate every applicable inequality record on the graph.
 
-    Bad mesh or iteration controls raise BadParameters before any solve; a
-    failure of the lambda_1 solve itself becomes error records.  tol and
-    max_iter steer the lambda_1 iteration; h_target is only validated.
+    Bad mesh or tolerance controls raise BadParameters before any solve; a
+    failure of the lambda_1 solve itself becomes error records.  tol steers
+    the lambda_1 iteration; h_target is only validated.
     """
-    check_controls(h_target, tol, max_iter)
+    check_controls(h_target, tol)
     sol = torsion_function(g)
     T = rigidity(sol)
     L = g.total_length()
@@ -176,61 +170,42 @@ def audit(
     tree = g.is_tree()
     dirichlet = g.dirichlet_vertices
     n_free_vertices = len(g.vertex_ids) - len(dirichlet)
-    equilateral = g.is_equilateral(1e-9)
+    equilateral = g.is_equilateral()
     sup = sol.sup.value
 
-    lam: float | None = None
-    lam_error: str | None = None
-    if spectral:
-        try:
-            lam = secular_lambda1(g, sol, tol, max_iter)
-        except GraphToolError as exc:
-            lam_error = str(exc)
+    try:
+        lam, lam_error = secular_lambda1(g, sol, tol), ""
+    except GraphToolError as exc:
+        lam, lam_error = None, str(exc)
 
     records: list[BoundRecord] = []
 
-    def exact(name, label, relation, lhs, rhs, applicability, proven=True, note="") -> None:
-        slack, status = _classify(lhs, rhs, EXACT_VIOLATION_TOL, EXACT_EQUALITY_TOL)
-        records.append(
-            BoundRecord(name, label, relation, lhs, rhs, slack, status, applicability,
-                        EXACT_VIOLATION_TOL, proven, note)
-        )
-
-    def skipped(name, label, relation, applicability, why) -> None:
-        records.append(
-            BoundRecord(name, label, relation, None, None, None, NOT_APPLICABLE,
-                        applicability, None, True, why)
-        )
-
-    def no_lambda(name, label, relation, applicability) -> None:
-        records.append(
-            BoundRecord(name, label, relation, None, None, None,
-                        ERROR if lam_error else NOT_APPLICABLE, applicability, None, True,
-                        lam_error or "spectral solve disabled")
-        )
-
-    def with_lambda(name, label, relation, applicability, build) -> None:
-        if lam is None:
-            no_lambda(name, label, relation, applicability)
+    def record(name, label, relation, applicability, pair, why="", proven=True, note="") -> None:
+        """pair is (lhs, rhs) of lhs <= rhs, a function of lambda_1 giving them,
+        or None where the record does not apply, which why explains."""
+        if pair is None:
+            rest = None, None, None, NOT_APPLICABLE, applicability, None, True, why
+        elif callable(pair) and lam is None:
+            rest = None, None, None, ERROR, applicability, None, True, lam_error
         else:
-            exact(name, label, relation, *build(lam), applicability)
+            lhs, rhs = pair(lam) if callable(pair) else pair
+            slack, status = _classify(lhs, rhs, EXACT_VIOLATION_TOL, EXACT_EQUALITY_TOL)
+            rest = lhs, rhs, slack, status, applicability, EXACT_VIOLATION_TOL, proven, note
+        records.append(BoundRecord(name, label, relation, *rest))
+
+    bridged = "graph has a bridge after gluing the Dirichlet set"
 
     # upper bounds by total length
-    exact("saint_venant", "T <= L^3/3, equality only for the Dirichlet-Neumann interval",
-          "<=", T, L ** 3 / 3.0, ALWAYS)
-    if doubly:
-        exact("saint_venant_doubly",
-              "T <= L^3/12 when Dirichlet-glued and bridgeless, equality for caterpillars",
-              "<=", T, L ** 3 / 12.0, DOUBLY_CONNECTED_ONLY)
-    else:
-        skipped("saint_venant_doubly",
-                "T <= L^3/12 when Dirichlet-glued and bridgeless, equality for caterpillars",
-                "<=", DOUBLY_CONNECTED_ONLY, "graph has a bridge after gluing the Dirichlet set")
+    record("saint_venant", "T <= L^3/3, equality only for the Dirichlet-Neumann interval",
+           "<=", ALWAYS, (T, L ** 3 / 3.0))
+    record("saint_venant_doubly",
+           "T <= L^3/12 when Dirichlet-glued and bridgeless, equality for caterpillars",
+           "<=", DOUBLY_CONNECTED_ONLY, (T, L ** 3 / 12.0) if doubly else None, bridged)
 
     # lower bounds
-    exact("edge_cubes_lower", "sum of length^3 / 12 <= T", "<=", sum_cubes / 12.0, T, ALWAYS)
-    exact("flower_lower", "L^3/(12 |E|^2) <= T, equality for equilateral flowers",
-          "<=", L ** 3 / (12.0 * E * E), T, ALWAYS)
+    record("edge_cubes_lower", "sum of length^3 / 12 <= T", "<=", ALWAYS, (sum_cubes / 12.0, T))
+    record("flower_lower", "L^3/(12 |E|^2) <= T, equality for equilateral flowers",
+           "<=", ALWAYS, (L ** 3 / (12.0 * E * E), T))
 
     # split by how many endpoints are Dirichlet; a loop counts its vertex twice
     ends_d = arr.dirichlet[arr.tail].astype(int) + arr.dirichlet[arr.head]
@@ -243,86 +218,61 @@ def audit(
     else:
         # no natural vertex survives gluing, only the cubes term remains
         stower_bound = sum_cubes / 12.0
-    exact("stower_lower", "stower comparison lower bound, equality for stowers",
-          "<=", stower_bound, T, ALWAYS,
-          note=f"{n_dn} edges with one Dirichlet endpoint, {n_nn} with none")
+    record("stower_lower", "stower comparison lower bound, equality for stowers",
+           "<=", ALWAYS, (stower_bound, T),
+           note=f"{n_dn} edges with one Dirichlet endpoint, {n_nn} with none")
 
-    exact("inradius_vertex_lower", "Inr^3 / (3 (|V|-|V_D|+1)^3) <= T",
-          "<=", inr ** 3 / (3.0 * (n_free_vertices + 1) ** 3), T, ALWAYS,
-          note=f"non-Dirichlet vertex count {n_free_vertices}; unchanged by Dirichlet gluing")
+    record("inradius_vertex_lower", "Inr^3 / (3 (|V|-|V_D|+1)^3) <= T",
+           "<=", ALWAYS, (inr ** 3 / (3.0 * (n_free_vertices + 1) ** 3), T),
+           note=f"non-Dirichlet vertex count {n_free_vertices}; unchanged by Dirichlet gluing")
 
-    if tree and len(dirichlet) == 1:
-        exact("tree_one_dirichlet", "Inr^3/3 <= T on trees with one Dirichlet vertex",
-              "<=", inr ** 3 / 3.0, T, ONE_DIRICHLET_ONLY)
-    else:
-        skipped("tree_one_dirichlet", "Inr^3/3 <= T on trees with one Dirichlet vertex",
-                "<=", ONE_DIRICHLET_ONLY,
-                "needs a tree with exactly one Dirichlet vertex")
-    if tree and len(dirichlet) == 2:
-        d12 = g.distance_between(dirichlet[0], dirichlet[1])
-        exact("tree_two_dirichlet", "dist(v,w)^3/12 <= T on trees with two Dirichlet vertices",
-              "<=", d12 ** 3 / 12.0, T, TWO_DIRICHLET_ONLY)
-    else:
-        skipped("tree_two_dirichlet", "dist(v,w)^3/12 <= T on trees with two Dirichlet vertices",
-                "<=", TWO_DIRICHLET_ONLY,
-                "needs a tree with exactly two Dirichlet vertices")
+    one, two = tree and len(dirichlet) == 1, tree and len(dirichlet) == 2
+    record("tree_one_dirichlet", "Inr^3/3 <= T on trees with one Dirichlet vertex",
+           "<=", ONE_DIRICHLET_ONLY, (inr ** 3 / 3.0, T) if one else None,
+           "needs a tree with exactly one Dirichlet vertex")
+    record("tree_two_dirichlet", "dist(v,w)^3/12 <= T on trees with two Dirichlet vertices",
+           "<=", TWO_DIRICHLET_ONLY, (g.distance_between(*dirichlet) ** 3 / 12.0, T) if two else None,
+           "needs a tree with exactly two Dirichlet vertices")
 
     # products with the ground-state energy
-    with_lambda("polya_product", "lambda_1 * T < L", "<", ALWAYS,
-                lambda l: (l * T, L))
-    with_lambda("landscape_inf", "1 <= lambda_1 * sup v", "<=", ALWAYS,
-                lambda l: (1.0, l * sup))
+    record("polya_product", "lambda_1 * T < L", "<", ALWAYS, lambda l: (l * T, L))
+    record("landscape_inf", "1 <= lambda_1 * sup v", "<=", ALWAYS, lambda l: (1.0, l * sup))
     kj = (math.pi / 24.0 ** (1.0 / 3.0)) ** 2
-    with_lambda("kohler_jobin", "(pi/24^(1/3))^2 <= lambda_1 * T^(2/3)", "<=", ALWAYS,
-                lambda l: (kj, l * T ** (2.0 / 3.0)))
+    record("kohler_jobin", "(pi/24^(1/3))^2 <= lambda_1 * T^(2/3)", "<=", ALWAYS,
+           lambda l: (kj, l * T ** (2.0 / 3.0)))
     kj2 = (math.pi / 12.0 ** (1.0 / 3.0)) ** 2
-    if doubly:
-        with_lambda("kohler_jobin_doubly",
-                    "(pi/12^(1/3))^2 <= lambda_1 * T^(2/3) when Dirichlet-glued and bridgeless",
-                    "<=", DOUBLY_CONNECTED_ONLY, lambda l: (kj2, l * T ** (2.0 / 3.0)))
-    else:
-        skipped("kohler_jobin_doubly",
-                "(pi/12^(1/3))^2 <= lambda_1 * T^(2/3) when Dirichlet-glued and bridgeless",
-                "<=", DOUBLY_CONNECTED_ONLY, "graph has a bridge after gluing the Dirichlet set")
+    record("kohler_jobin_doubly",
+           "(pi/12^(1/3))^2 <= lambda_1 * T^(2/3) when Dirichlet-glued and bridgeless",
+           "<=", DOUBLY_CONNECTED_ONLY, (lambda l: (kj2, l * T ** (2.0 / 3.0))) if doubly else None, bridged)
 
+    # two-sided, so judged on the nearer side relative to lambda_1
     sandwich = ("heat_sandwich", "(pi^2/(24T)^(2/3)) <= lambda_1 <= L/T via |p|_L1 = T",
-                "sandwich")
+                "sandwich", ALWAYS)
+    lo, hi = math.pi ** 2 / (24.0 * T) ** (2.0 / 3.0), L / T
     if lam is None:
-        no_lambda(*sandwich, ALWAYS)
+        record(*sandwich, lambda l: (lo, hi))
     else:
-        lo = math.pi ** 2 / (24.0 * T) ** (2.0 / 3.0)
-        hi = L / T
         slack = min(lam - lo, hi - lam)
         status = _status(slack, max(abs(lam), 1e-300), EXACT_VIOLATION_TOL, EXACT_EQUALITY_TOL)
-        records.append(BoundRecord(*sandwich, lo, hi, slack, status, ALWAYS, EXACT_VIOLATION_TOL,
+        records.append(BoundRecord(*sandwich[:3], lo, hi, slack, status, ALWAYS, EXACT_VIOLATION_TOL,
                                    True, f"lambda_1 = {lam!r}"))
 
     h_star = _star_closed_form_cheeger(g, equilateral)
-    if h_star is not None:
-        exact("cheeger_product", "h^2 * T < L with the closed-form star Cheeger constant h = k/L",
-              "<", h_star * h_star * T, L, CLOSED_FORM_CHEEGER_ONLY,
-              note=f"h = {h_star!r}")
-    else:
-        skipped("cheeger_product",
-                "h^2 * T < L with the closed-form star Cheeger constant h = k/L", "<",
-                CLOSED_FORM_CHEEGER_ONLY,
-                "closed-form Cheeger constant known only for equilateral stars with Dirichlet leaves")
+    record("cheeger_product", "h^2 * T < L with the closed-form star Cheeger constant h = k/L",
+           "<", CLOSED_FORM_CHEEGER_ONLY, None if h_star is None else (h_star * h_star * T, L),
+           "closed-form Cheeger constant known only for equilateral stars with Dirichlet leaves",
+           note=f"h = {h_star!r}")
 
-    if equilateral:
-        if n_dn:
-            s_count = n_dn + 2 * n_nn
-            rhs = 12.0 * n_dn * E ** 3 / (L * L * (E * n_dn + 3.0 * s_count ** 2))
-        else:
-            rhs = 12.0 * E * E / (L * L)
-        exact("equilateral_chain", "L/T bounded by the equilateral stower comparison",
-              "<=", L / T, rhs, EQUILATERAL_ONLY)
+    if n_dn:
+        chain = 12.0 * n_dn * E ** 3 / (L * L * (E * n_dn + 3.0 * (n_dn + 2 * n_nn) ** 2))
     else:
-        skipped("equilateral_chain", "L/T bounded by the equilateral stower comparison",
-                "<=", EQUILATERAL_ONLY, "graph is not equilateral")
+        chain = 12.0 * E * E / (L * L)
+    record("equilateral_chain", "L/T bounded by the equilateral stower comparison",
+           "<=", EQUILATERAL_ONLY, (L / T, chain) if equilateral else None, "graph is not equilateral")
 
     # experimental probe, never a failure
-    exact("makai_probe", "probe: T < 4 L Inr^2 (open whether it always holds here)",
-          "<", T, 4.0 * L * inr * inr, ALWAYS, proven=False)
+    record("makai_probe", "probe: T < 4 L Inr^2 (open whether it always holds here)",
+           "<", ALWAYS, (T, 4.0 * L * inr * inr), proven=False)
 
     return BoundsReport(tuple(records), L, E, T, inr, lam, None)
 

@@ -19,7 +19,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
@@ -208,10 +208,11 @@ class MetricGraph:
         # (a loop or parallel edge would force fewer than |V| - 1 remaining edges)
         return len(self.edge_ids) == len(self.vertex_ids) - 1
 
-    def is_equilateral(self, rel_tol: float = 1e-12) -> bool:
+    def is_equilateral(self) -> bool:
+        """Every edge length within 1e-9 relative of the longest."""
         lengths = self.arrays.length.tolist()
         lo, hi = min(lengths), max(lengths)
-        return hi - lo <= rel_tol * hi
+        return hi - lo <= 1e-9 * hi
 
     # -- distances and inradius -----------------------------------------
 
@@ -242,10 +243,11 @@ class MetricGraph:
                     heapq.heappush(heap, (nd, w))
         return dist
 
-    def dirichlet_distances(self) -> "DistanceField":
-        """Exact multi-source shortest-path distance from every vertex to the Dirichlet set."""
+    def dirichlet_distances(self) -> dict[str, float]:
+        """Exact multi-source shortest-path distance from every vertex to the Dirichlet set,
+        by vertex id."""
         dist = self._dijkstra(self.arrays.dirichlet.nonzero()[0].tolist())
-        return DistanceField(graph=self, values=dict(zip(self.vertex_ids, dist)))
+        return dict(zip(self.vertex_ids, dist))
 
     def distance_between(self, u: str, w: str) -> float:
         """Exact shortest-path distance between two vertices."""
@@ -312,14 +314,6 @@ def _first_unknown(vids: list, eids: list, tails: list, heads: list, index: dict
         for end in (tail, head):
             if not isinstance(end, str) or end not in index:
                 raise UnknownVertex(f"edge {eid!r} references unknown vertex {end!r}")
-
-
-@dataclass(frozen=True)
-class DistanceField:
-    """Distances from each vertex to the Dirichlet set of a fixed graph."""
-
-    graph: MetricGraph
-    values: Mapping[str, float]
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import BadParameters, InconsistentInvariant
+from .errors import BadParameters, InconsistentInvariant, UnknownEdge
 from .graph import MetricGraph
 from .torsion import EdgePoly, TorsionSolution, torsion_function
 
@@ -40,9 +40,11 @@ def dT_dlength(
 ) -> float:
     """Derivative of the rigidity with respect to one edge length: its entry in
     gradient(), which checks every edge.  The value is always positive."""
-    sol = solution if solution is not None else torsion_function(g)
-    sol.poly(edge_id)  # UnknownEdge when the solution has no such edge
-    return gradient(g, sol)[edge_id]
+    grad = gradient(g, solution)
+    try:
+        return grad[edge_id]
+    except KeyError:
+        raise UnknownEdge(f"no edge {edge_id!r} in solution") from None
 
 
 def gradient(
@@ -134,7 +136,6 @@ def optimize(
     objective: str = "max",
     floor: float | None = None,
     max_iters: int = 100,
-    grad_tol: float = 1e-8,
 ) -> OptimizationTrajectory:
     """Projected-gradient ascent or descent of T over edge lengths.
 
@@ -142,7 +143,7 @@ def optimize(
     iteration projects the gradient onto the zero-sum hyperplane, caps the
     step at the nearest floor face, and backtracks (factor 0.5, at most 40
     halvings) until T improves in the chosen direction.  Stops when the
-    projected gradient drops below grad_tol, a length reaches the floor,
+    projected gradient drops below 1e-8, a length reaches the floor,
     a line search fails to improve, or max_iters runs out.
     """
     if objective not in ("max", "min"):
@@ -167,11 +168,11 @@ def optimize(
 
     reason = MAX_ITERS_EXCEEDED
     for it in range(1, max_iters + 1):
-        grad = gradient(with_lengths(g, lengths), sol)
+        grad = gradient(g, sol)  # given sol, gradient reads nothing of g
         mean = math.fsum(grad[i] for i in order) / n
         direction = {i: sign * (grad[i] - mean) for i in order}
         norm = math.sqrt(math.fsum(direction[i] ** 2 for i in order))
-        if norm < grad_tol:
+        if norm < 1e-8:
             reason = STATIONARY
             break
 

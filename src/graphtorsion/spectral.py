@@ -33,6 +33,11 @@ contiguous slices of the rows, the pairs that join two edges having width 0,
 so the Rayleigh-Ritz products, the mode integrals and the residuals read the
 rows in place; the 2|E| segments that end at a vertex come in as small
 gathered arrays.
+
+One call factors a vertex-sized matrix at most MAX_COUNTS - 1 times in its
+count search and Rayleigh iteration (secular_lambda1's last certificate
+aside) and raises NoConvergence past that; SpectralResult.iterations reports
+the factorizations spent.
 """
 
 from __future__ import annotations
@@ -53,7 +58,7 @@ from .torsion import (EPS, DiscreteSystem, SymmetricFactor, TorsionSolution, ass
                       torsion_function)
 
 DEFAULT_TOL = 1e-10
-DEFAULT_MAX_ITER = 10000
+MAX_COUNTS = 10000
 # Largest mesh build_mesh makes.  The eigenvectors and the Rayleigh-Ritz step
 # peak at about 104 bytes per node for one mode and 136 for three (numpy
 # allocations by tracemalloc, star(3) at 500k nodes), so the 16M nodes of
@@ -69,15 +74,12 @@ def default_h(g: MetricGraph) -> float:
     return float(g.arrays.length.min()) / 16.0
 
 
-def check_controls(h_target: float | None, tol: float = DEFAULT_TOL,
-                   max_iter: int = DEFAULT_MAX_ITER) -> None:
-    """Raise BadParameters for a mesh width, tolerance or iteration cap no solve can use."""
+def check_controls(h_target: float | None, tol: float = DEFAULT_TOL) -> None:
+    """Raise BadParameters for a mesh width or tolerance no solve can use."""
     if h_target is not None and not (h_target > 0 and math.isfinite(h_target)):
         raise BadParameters(f"h_target must be positive, got {h_target!r}")
     if not (math.isfinite(tol) and tol >= 0.0):
         raise BadParameters(f"tol must be finite and non-negative, got {tol!r}")
-    if max_iter < 1:
-        raise BadParameters(f"max_iter must be at least 1, got {max_iter!r}")
 
 
 @dataclass(frozen=True)
@@ -184,17 +186,15 @@ def lowest_eigenpairs(
     k: int = 1,
     h_target: float | None = None,
     tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
 ) -> SpectralResult:
     """The k lowest eigenpairs of the P1 pencil at mesh width h_target.
 
-    Brackets on the count isolate the modes (_brackets), each count one of
-    max_iter; a bracket holding m of them gives m null vectors of the bounded
-    system, and Rayleigh-Ritz on the k vectors gives the eigenpairs and
-    residuals.  NoConvergence when a Ritz value lies above its bracket: its
+    Brackets on the count isolate the modes (_brackets); a bracket holding m
+    of them gives m null vectors of the bounded system, and Rayleigh-Ritz on
+    the k vectors gives the eigenpairs and residuals.  NoConvergence when a Ritz value lies above its bracket: its
     null vector was poor, and the value would be off by more than tol.
     """
-    check_controls(h_target, tol, max_iter)
+    check_controls(h_target, tol)
     mesh = build_mesh(g, h_target)
     if k < 1:
         raise BadParameters("need at least one mode")
@@ -203,7 +203,7 @@ def lowest_eigenpairs(
     if k > nf:
         raise BadParameters(f"asked for {k} modes but the mesh has only {nf} free nodes")
     law, sys = _P1Law(mesh), assemble_discrete_system(g)
-    sec = _Secular(sys, 0.0, math.inf, max_iter, law)
+    sec = _Secular(sys, 0.0, math.inf, law)
     floor = (math.pi / (2.0 * math.fsum(sys.length.tolist()))) ** 2  # Nicaise: below every P1 eigenvalue
     # the modes as rows in node order: the vertices, then the interior points
     # j = 1..n-1 of each edge in turn; interior points i and i + 1 bound a
@@ -292,7 +292,7 @@ def lowest_eigenpairs(
         r[last - nv] += at_tail[ne:]
         ends = (np.bincount(arr.tail, at_tail[:ne], nv) + np.bincount(arr.head, at_head[ne:], nv))[natural]
         resids.append(math.sqrt(r @ r + ends @ ends))
-    return SpectralResult(mesh, tuple(lams.tolist()), values, tuple(resids), (max_iter - 1 - sec.left,) * k,
+    return SpectralResult(mesh, tuple(lams.tolist()), values, tuple(resids), (sec.counts,) * k,
                           tuple(integrals.tolist()))
 
 
@@ -489,20 +489,27 @@ def _slopes(z: np.ndarray, s: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np
 
 
 class _Continuum:
-    """c = k/sin(kl) and d = k tan(kl/2) of every edge in A(k).  Each call also
-    leaves, for k, inside: the eigenvalues below k^2 with both ends of an edge
-    pinned, max(0, ceil(kl/pi) - 1) each; and log_q: log |sin(kl)/k| summed
-    over the edges, which clears the poles of c and d from det A(k)."""
+    """c = k/sin(kl) and d = k tan(kl/2) of every edge in A(k).  For the k of
+    the last call it also gives, when read, inside: the eigenvalues below k^2
+    with both ends of an edge pinned, max(0, ceil(kl/pi) - 1) each; and
+    log_q: log |sin(kl)/k| summed over the edges, which clears the poles of c
+    and d from det A(k).  Only _brackets reads them."""
 
     def __init__(self, length: np.ndarray):
         self.length = length
 
     def __call__(self, k: float) -> tuple[np.ndarray, np.ndarray]:
+        self.k = k
         z = k * self.length
-        s = np.sin(z)
-        self.inside = int(np.maximum(np.ceil(z / math.pi) - 1.0, 0.0).sum())
-        self.log_q = float(np.log(np.abs(s / k)).sum())
-        return k / s, k * np.tan(0.5 * z)
+        return k / np.sin(z), k * np.tan(0.5 * z)
+
+    @property
+    def inside(self) -> int:
+        return int(np.maximum(np.ceil(self.k * self.length / math.pi) - 1.0, 0.0).sum())
+
+    @property
+    def log_q(self) -> float:
+        return float(np.log(np.abs(np.sin(self.k * self.length) / self.k)).sum())
 
 
 class _Secular:
@@ -522,20 +529,19 @@ class _Secular:
     lambda, for the P1 pencil.
     """
 
-    def __init__(self, sys: DiscreteSystem, k_lo: float, k_hi: float, max_iter: int, law=None):
+    def __init__(self, sys: DiscreteSystem, k_lo: float, k_hi: float, law=None):
         self.n = len(sys.order)
         self.tail, self.head, self.length = sys.tail, sys.head, sys.length
         self.proper = (sys.tail != sys.head).nonzero()[0]
         self.sys, self.pattern = sys, sys.pattern
         self.k_lo, self.k_hi = k_lo, k_hi
-        self.left = max_iter - 1  # iterations after the first quotient
-        self.max_iter = max_iter
+        self.counts = 0  # factorizations spent after the first quotient
         self.law = law or _Continuum(sys.length)
 
     def spend(self) -> None:
-        if self.left < 1:
-            raise NoConvergence(f"secular matrix not settled after {self.max_iter} factorizations")
-        self.left -= 1
+        if self.counts >= MAX_COUNTS - 1:
+            raise NoConvergence(f"secular matrix not settled after {MAX_COUNTS} factorizations")
+        self.counts += 1
 
     def _ends(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         xp = np.append(x, 0.0)  # index n is every Dirichlet end
@@ -650,7 +656,6 @@ def secular_lambda1(
     g: MetricGraph,
     solution: TorsionSolution | None = None,
     tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
 ) -> float:
     """Exact lowest Dirichlet eigenvalue, from the secular matrix A(k) over the
     natural vertices (the torsion system's size), certified by its inertia.
@@ -671,10 +676,8 @@ def secular_lambda1(
     singular A(s) counts as one eigenvalue there.  When q has no root below
     pi/l_max and A stays positive definite there,
     lambda_1 = (pi/l_max)^2.  The result is at least pi^2/(4 L^2) (Nicaise).
-    Every factorization after the first quotient counts against max_iter,
-    the extra certificate aside; NoConvergence when they run out.
     """
-    check_controls(None, tol, max_iter)
+    check_controls(None, tol)
     if solution is None or solution.discrete is None:
         solution = torsion_function(g)
     sys = solution.discrete.system
@@ -682,7 +685,7 @@ def secular_lambda1(
     k_hi = math.pi / float(sys.length.max())
     if not sys.order:  # every vertex Dirichlet: the edges are separate intervals
         return k_hi * k_hi
-    sec = _Secular(sys, k_lo, k_hi, max_iter)
+    sec = _Secular(sys, k_lo, k_hi)
     x = solution.discrete.values
     k, certified = sec.rayleigh(x), False
     if k is not None:
@@ -725,13 +728,12 @@ def integrated_heat_content(
     modes: int,
     h_target: float | None = None,
     tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
 ) -> HeatContent:
     """Sum (integral of phi_k)^2 / lambda_k over the lowest modes.
 
     The full series equals the rigidity; partial sums increase toward it.
     """
-    spectral = lowest_eigenpairs(g, modes, h_target, tol, max_iter)
+    spectral = lowest_eigenpairs(g, modes, h_target, tol)
     solution = torsion_function(g)
     terms = [mass * mass / lam for mass, lam in zip(spectral.integrals, spectral.eigenvalues)]
     sums = list(np.cumsum(terms))
@@ -745,6 +747,8 @@ def integrated_heat_content(
 
 
 # -- landscape check ------------------------------------------------------
+
+SAMPLES = 64  # segments between the sample points of an edge
 
 
 @dataclass(frozen=True)
@@ -760,30 +764,26 @@ def landscape_check(
     g: MetricGraph,
     modes: int = 3,
     h_target: float | None = None,
-    samples_per_edge: int = 64,
     tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
     spectral: SpectralResult | None = None,
     solution: TorsionSolution | None = None,
 ) -> tuple[list[LandscapeRatio], float]:
     """Largest sampled |phi_k| / (lambda_k * sup|phi_k| * v) per mode.
 
-    Sampling interpolates the P1 eigenfunction at equispaced points per edge
-    and skips points closer than h_eff to the Dirichlet set, where both
-    numerator and denominator vanish.
+    Sampling interpolates the P1 eigenfunction at SAMPLES + 1 equispaced
+    points per edge and skips points closer than h_eff to the Dirichlet set,
+    where both numerator and denominator vanish.
     """
-    if samples_per_edge < 2:
-        raise BadParameters("need at least 2 samples per edge")
     if spectral is None:
-        spectral = lowest_eigenpairs(g, modes, h_target, tol, max_iter)
+        spectral = lowest_eigenpairs(g, modes, h_target, tol)
     if solution is None:
         solution = torsion_function(g)
     arr, mesh, h = g.arrays, spectral.mesh, spectral.h_eff
-    dist = np.array(list(g.dirichlet_distances().values.values()))
-    # sample t of edge e at x = l t / samples, as edge-major flat arrays
-    e = np.repeat(np.arange(len(arr.length)), samples_per_edge + 1)
+    dist = np.array(list(g.dirichlet_distances().values()))
+    # sample t of edge e at x = l t / SAMPLES, as edge-major flat arrays
+    e = np.repeat(np.arange(len(arr.length)), SAMPLES + 1)
     ln = arr.length[e]
-    x = ln * np.tile(np.arange(samples_per_edge + 1), len(arr.length)) / samples_per_edge
+    x = ln * np.tile(np.arange(SAMPLES + 1), len(arr.length)) / SAMPLES
     keep = (np.minimum(dist[arr.tail[e]] + x, dist[arr.head[e]] + ln - x) >= h).nonzero()[0]
     if not len(keep):
         raise BadParameters("every sample point fell inside the Dirichlet exclusion radius")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Union
 
-from .errors import PreconditionViolated, UnknownEdge
+from .errors import DisconnectedGraph, PreconditionViolated, UnknownEdge
 from .graph import DIRICHLET, NATURAL, Edge, MetricGraph, Vertex
 from .torsion import TorsionSolution, torsion_function
 
@@ -115,12 +115,12 @@ def predicted_direction(
     op: SurgeryOp,
     g: MetricGraph | None = None,
     solution: TorsionSolution | None = None,
-    value_tol: float = 1e-9,
 ) -> Prediction | None:
     """Guaranteed direction of the rigidity change, or None when uncertified.
 
     AddEdge only carries a guarantee when the torsion takes equal values at the
-    two endpoints; pass the graph (or a solved torsion) to certify that.
+    two endpoints, to 1e-9 of max(1, sup v); pass the graph (or a solved
+    torsion) to certify that.
     """
     if type(op) not in _OPS:
         return None
@@ -134,7 +134,7 @@ def predicted_direction(
             solution = torsion_function(g)
         vu = solution.vertex_values.get(op.u)
         vw = solution.vertex_values.get(op.w)
-        if vu is None or vw is None or not abs(vu - vw) <= value_tol * max(1.0, solution.sup.value):
+        if vu is None or vw is None or not abs(vu - vw) <= 1e-9 * max(1.0, solution.sup.value):
             return None
     return Prediction(direction)
 
@@ -181,23 +181,13 @@ def _attach_pendant(g: MetricGraph, op: AttachPendant) -> MetricGraph:
     for eid, t, h, _l in op.edges:
         if t not in pend_set or h not in pend_set:
             raise PreconditionViolated(f"pendant edge {eid!r} leaves the pendant vertex set")
-    # the pendant must hang together through its join vertex
-    adj: dict[str, set[str]] = {x: set() for x in op.vertices}
-    for _eid, t, h, _l in op.edges:
-        adj[t].add(h)
-        adj[h].add(t)
-    stack, seen = [op.join], {op.join}
-    while stack:
-        for w in adj[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    if seen != pend_set:
-        raise PreconditionViolated("pendant subgraph is not connected to its join vertex")
     sub = lambda x: op.at if x == op.join else x
     verts = g.vertices + tuple(Vertex(x, NATURAL) for x in new_ids)
     edges = g.edges + tuple(Edge(eid, sub(t), sub(h), l) for eid, t, h, l in op.edges)
-    return MetricGraph(verts, edges)
+    try:
+        return MetricGraph(verts, edges)
+    except DisconnectedGraph:  # the host is connected: the pendant does not hang from join
+        raise PreconditionViolated("pendant subgraph is not connected to its join vertex") from None
 
 
 def _add_edge(g: MetricGraph, op: AddEdge) -> MetricGraph:
@@ -275,10 +265,10 @@ def reduce_to_pumpkin_chain(g: MetricGraph) -> MetricGraph:
     the total length are preserved and the rigidity can only drop.
     """
     g1 = g.glue_dirichlet()
-    field = g1.dirichlet_distances()
-    raw = [field.values[v.id] for v in g1.vertices]
+    dist = g1.dirichlet_distances()
+    raw = [dist[v.id] for v in g1.vertices]
     for e in g1.edges:
-        raw.append(0.5 * (field.values[e.tail] + field.values[e.head] + e.length))
+        raw.append(0.5 * (dist[e.tail] + dist[e.head] + e.length))
     raw.sort()
     tol = 1e-9 * max(raw[-1], 1e-300)
     levels: list[float] = []
@@ -294,9 +284,9 @@ def reduce_to_pumpkin_chain(g: MetricGraph) -> MetricGraph:
 
     mult = [0] * (len(levels) - 1)
     for e in g1.edges:
-        iu = level_of(field.values[e.tail])
-        iw = level_of(field.values[e.head])
-        ip = level_of(0.5 * (field.values[e.tail] + field.values[e.head] + e.length))
+        iu = level_of(dist[e.tail])
+        iw = level_of(dist[e.head])
+        ip = level_of(0.5 * (dist[e.tail] + dist[e.head] + e.length))
         for j in range(iu, ip):
             mult[j] += 1
         for j in range(iw, ip):

@@ -2,6 +2,8 @@
 
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,8 +23,10 @@ from graphtorsion.bounds import (
     _classify,
     _star_closed_form_cheeger,
 )
+from graphtorsion import spectral
 from graphtorsion.families import (
     caterpillar,
+    family_examples,
     flower,
     lasso,
     path_dd,
@@ -73,7 +77,7 @@ def test_classify_boundaries():
 
 def test_star_cheeger_closed_form():
     def cheeger(g):
-        return _star_closed_form_cheeger(g, g.is_equilateral(1e-9))
+        return _star_closed_form_cheeger(g, g.is_equilateral())
 
     assert cheeger(star(3, [1.0, 1.0, 1.0])) == pytest.approx(1.0)
     assert cheeger(star(3, [1.0, 1.0, 2.0])) is None
@@ -109,20 +113,9 @@ def test_lambda_records_do_not_depend_on_units():
             assert r.tolerance == EXACT_VIOLATION_TOL, (f, name)
 
 
-def test_audit_without_spectrum():
-    report = audit(lasso(), spectral=False)
-    assert report.lambda1 is None and report.h_eff is None
-    for name in ("polya_product", "landscape_inf", "kohler_jobin", "heat_sandwich"):
-        r = report.record(name)
-        assert r.status == NOT_APPLICABLE
-        assert "disabled" in r.note
-    assert report.record("saint_venant").status == HOLDS
-    assert report.violated() == []
-
-
 @pytest.mark.parametrize("kwargs", [
     {"h_target": 0.0}, {"h_target": math.inf}, {"h_target": math.nan},
-    {"tol": math.nan}, {"tol": -1e-10}, {"max_iter": 0},
+    {"tol": math.nan}, {"tol": -1e-10},
 ])
 def test_audit_rejects_bad_controls_before_solving(kwargs, monkeypatch):
     def no_solve(g):
@@ -133,9 +126,10 @@ def test_audit_rejects_bad_controls_before_solving(kwargs, monkeypatch):
         audit(lasso(), **kwargs)
 
 
-def test_audit_solve_failure_is_error_record():
+def test_audit_solve_failure_is_error_record(monkeypatch):
     # one iteration cannot show the Ritz values settling: NoConvergence, not a usage error
-    report = audit(lasso(), h_target=1 / 16, max_iter=1)
+    monkeypatch.setattr(spectral, "MAX_COUNTS", 1)
+    report = audit(lasso(), h_target=1 / 16)
     assert report.lambda1 is None
     assert report.record("polya_product").status == ERROR
     assert "not settled" in report.record("polya_product").note
@@ -151,7 +145,7 @@ def test_applicability_gating():
     assert report.record("equilateral_chain").status == NOT_APPLICABLE
 
     # the unit lasso is itself a pumpkin chain, so the chain bound is tight
-    assert audit(lasso(), spectral=False).record("equilateral_chain").status == EQUALITY
+    assert audit(lasso()).record("equilateral_chain").status == EQUALITY
 
     tree = audit(path_dd([1.0, 1.0]), h_target=1 / 16)
     assert tree.record("tree_two_dirichlet").status in (HOLDS, EQUALITY)
@@ -171,12 +165,12 @@ def test_strict_relations_keep_positive_slack():
 
 
 def test_flower_lower_strict_when_uneven():
-    report = audit(flower(2, [1.0, 2.0]), spectral=False)
+    report = audit(flower(2, [1.0, 2.0]))
     assert report.record("flower_lower").status == HOLDS
 
 
 def test_unproven_probe_never_counts_as_violation():
-    report = audit(lasso(), spectral=False)
+    report = audit(lasso())
     probe = report.record("makai_probe")
     assert probe.proven is False
     fake = BoundRecord(
@@ -235,3 +229,47 @@ def test_record_lookup_and_payload():
     for name in ALL_RECORDS:
         assert name in text
     assert "L=" in text and "lambda1=" in text
+
+
+# -- pinned output --------------------------------------------------------
+
+# audit(g).to_payload() of the family examples and the equality witnesses,
+# and of the lasso with a budget of one count: a change to any record's
+# order, label, relation, status, note or value shows here
+PINNED = json.loads((Path(__file__).parent / "data" / "audit_payloads.json").read_text())
+NUMBER = re.compile(r"(-?\d+(?:\.\d+)?(?:e[-+]?\d+)?)")
+
+
+def assert_matches_pinned(got: dict, want: dict) -> None:
+    """Strings, statuses and None exactly; floats to 1e-12 relative, a slack
+    relative to its record's larger side, and the numbers in a note as floats."""
+    assert got.keys() == want.keys()
+    assert [r["name"] for r in got["records"]] == [r["name"] for r in want["records"]]
+    pairs = [(got, want, "report")] + [(g, w, w["name"]) for g, w in zip(got["records"], want["records"])]
+    for g, w, where in pairs:
+        assert g.keys() == w.keys(), where
+        for key, value in w.items():
+            if key == "records":
+                continue
+            if isinstance(value, float):
+                scale = max(abs(w["lhs"]), abs(w["rhs"])) if key == "slack" else 0.0
+                assert g[key] == pytest.approx(value, rel=1e-12, abs=1e-12 * scale), (where, key)
+            elif key == "note":
+                have, pinned = NUMBER.split(g[key]), NUMBER.split(value)
+                assert have[::2] == pinned[::2], where
+                assert [float(x) for x in have[1::2]] == pytest.approx([float(x) for x in pinned[1::2]],
+                                                                       rel=1e-12), where
+            else:
+                assert g[key] == value, (where, key)
+
+
+@pytest.mark.parametrize("group, name", [(group, name) for group in ("families", "witnesses")
+                                         for name in PINNED[group]])
+def test_audit_matches_pinned_payload(group, name):
+    graphs = dict(family_examples()) if group == "families" else {n: g for n, g, _ in equality_witnesses()}
+    assert_matches_pinned(audit(graphs[name]).to_payload(), PINNED[group][name])
+
+
+def test_audit_error_records_match_pinned_payload(monkeypatch):
+    monkeypatch.setattr(spectral, "MAX_COUNTS", 1)
+    assert_matches_pinned(audit(lasso()).to_payload(), PINNED["error"]["lasso"])

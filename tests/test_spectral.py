@@ -230,22 +230,22 @@ def test_residuals_small():
         assert r <= 1e-5 * lam
 
 
-def test_solver_rejects_bad_requests():
+def test_solver_rejects_bad_requests(monkeypatch):
     with pytest.raises(BadParameters):
         lowest_eigenpairs(lasso(), k=0)
     with pytest.raises(BadParameters):
         lowest_eigenpairs(path_dn([1.0]), k=50, h_target=0.5)
+    monkeypatch.setattr(spectral, "MAX_COUNTS", 1)
     with pytest.raises(NoConvergence):
-        lowest_eigenpairs(lasso(), k=1, h_target=1 / 16, max_iter=1)
+        lowest_eigenpairs(lasso(), k=1, h_target=1 / 16)
 
 
-@pytest.mark.parametrize("tol, max_iter", [
-    (math.nan, 10000), (math.inf, 10000), (-1e-10, 10000), (1e-10, 0),
-])
-def test_solver_rejects_bad_iteration_controls(tol, max_iter):
-    # raised before any iteration, not as NoConvergence after max_iter of them
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-10])
+def test_solver_rejects_bad_iteration_controls(tol, monkeypatch):
+    # raised before any iteration, not as NoConvergence after MAX_COUNTS of them
+    monkeypatch.setattr(spectral, "MAX_COUNTS", 1)
     with pytest.raises(BadParameters):
-        lowest_eigenpairs(lasso(), k=1, h_target=1 / 16, tol=tol, max_iter=max_iter)
+        lowest_eigenpairs(lasso(), k=1, h_target=1 / 16, tol=tol)
 
 
 def test_ground_state_sign_and_payload():
@@ -296,9 +296,10 @@ def test_nested_start_near_degenerate_star():
     assert res.eigenvalues == pytest.approx(sparse_fem_eigenvalues(g, h, 3), rel=1e-9)
 
 
-def test_nested_start_still_runs_out_of_iterations():
+def test_nested_start_still_runs_out_of_iterations(monkeypatch):
+    monkeypatch.setattr(spectral, "MAX_COUNTS", 1)
     with pytest.raises(NoConvergence):
-        lowest_eigenpairs(path_dd([1.0]), 1, h_target=1 / 20_000, max_iter=1)
+        lowest_eigenpairs(path_dd([1.0]), 1, h_target=1 / 20_000)
 
 
 def assert_p1_eigenpairs(g, k, h, **controls):
@@ -583,11 +584,6 @@ def test_landscape_reuses_precomputed():
     assert h_eff == spec.h_eff
 
 
-def test_landscape_rejects_bad_sampling():
-    with pytest.raises(BadParameters):
-        landscape_check(lasso(), samples_per_edge=1)
-
-
 def test_landscape_mode_metadata():
     g = make_graph(
         [("a", "dirichlet"), ("b", "natural")],
@@ -645,10 +641,14 @@ def test_secular_on_criterion6_battery_graphs(index, monkeypatch):
 def test_continuum_count_matches_the_oracle(index):
     # negatives plus the pinned-edge modes, below and above lambda_1 and past pi/l_max
     g = _battery(6, index + 1)[index]
-    sec = _Secular(torsion.assemble_discrete_system(g), 0.0, math.inf, 1)
+    sec = _Secular(torsion.assemble_discrete_system(g), 0.0, math.inf)
     k, k_hi = math.sqrt(secular_lambda1(g)), math.pi / float(g.arrays.length.max())
     for at in (k * (1.0 - 1e-9), k * (1.0 + 1e-9), 1.5 * k_hi, 3.3 * k_hi):
         assert sec.inertia(at)[0] + sec.law.inside == secular_count(g, at)
+        # read after the call, both are the formulas at that k to the bit
+        z = at * g.arrays.length
+        assert sec.law.inside == int(np.maximum(np.ceil(z / math.pi) - 1.0, 0.0).sum())
+        assert sec.law.log_q == float(np.log(np.abs(np.sin(z) / at)).sum())
 
 
 def test_exactly_singular_certificate_counts_one_eigenvalue(monkeypatch):
@@ -684,11 +684,12 @@ def test_secular_long_fine_path():
     assert lam == pytest.approx(math.pi ** 2, rel=1e-10)
 
 
-def test_secular_double_ground_state():
+def test_secular_double_ground_state(monkeypatch):
     # two equal Dirichlet-Neumann edges at one Dirichlet vertex: lambda_1 is double
     g = make_graph([("c", "dirichlet"), ("a", "natural"), ("b", "natural")],
                    [("e0", "c", "a", 1.0), ("e1", "c", "b", 1.0)])
-    assert secular_lambda1(g, max_iter=50) == pytest.approx((math.pi / 2.0) ** 2, rel=1e-12)
+    monkeypatch.setattr(spectral, "MAX_COUNTS", 50)
+    assert secular_lambda1(g) == pytest.approx((math.pi / 2.0) ** 2, rel=1e-12)
 
 
 @pytest.mark.parametrize("g, exact", [
@@ -705,13 +706,12 @@ def test_secular_tol_zero_terminates():
     assert secular_lambda1(lasso(), tol=0.0) == pytest.approx(dense_secular_lambda1(lasso()), rel=1e-12)
 
 
-def test_secular_rejects_bad_controls_and_runs_out():
+def test_secular_rejects_bad_controls_and_runs_out(monkeypatch):
     with pytest.raises(BadParameters):
         secular_lambda1(lasso(), tol=math.nan)
-    with pytest.raises(BadParameters):
-        secular_lambda1(lasso(), max_iter=0)
-    with pytest.raises(NoConvergence, match="not settled"):
-        secular_lambda1(lasso(), max_iter=1)
+    monkeypatch.setattr(spectral, "MAX_COUNTS", 1)
+    with pytest.raises(NoConvergence, match="not settled after 1 factorizations"):
+        secular_lambda1(lasso())
 
 
 def _multigraph(seed: int, natural: int, dirichlet: int = 8, extra: int = 30,
@@ -755,14 +755,14 @@ def test_wide_length_ratio_keeps_superlu(monkeypatch):
 def test_exactly_singular_secular_matrix_has_no_inertia(dense):
     # the natural middle vertex of the DD path gets c1 + c2 - d1 - d2 = 0
     sys = dataclasses.replace(torsion.assemble_discrete_system(path_dd([1.0, 2.0])), dense=dense)
-    sec = _Secular(sys, 0.0, math.inf, 1, law=lambda k: (np.ones(2), np.ones(2)))
+    sec = _Secular(sys, 0.0, math.inf, law=lambda k: (np.ones(2), np.ones(2)))
     assert sec.inertia(1.0) == (None, 0.0)
 
 
 def test_secular_matrix_tends_to_torsion_matrix():
     # A(k) refills the torsion matrix's pattern; c -> 1/l and d -> 0 as k -> 0
     sys = torsion_function(random_graph(5)).discrete.system
-    sec = _Secular(sys, 0.0, math.inf, 1)
+    sec = _Secular(sys, 0.0, math.inf)
     assert np.array_equal(sec.pattern.indices, sys.matrix.indices)
     assert np.array_equal(sec.pattern.indptr, sys.matrix.indptr)
     assert sec.fill(1e-9) == pytest.approx(sys.matrix.data, rel=1e-15)

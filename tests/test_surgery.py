@@ -199,10 +199,10 @@ def test_unfold_parallel_strictly_increases():
 
 def chain_profile(chain):
     """(distance, multiplicity, strand length) per pumpkin, sorted outward."""
-    field = chain.dirichlet_distances()
+    dist = chain.dirichlet_distances()
     level_of = {}
     for e in chain.edges:
-        du, dw = field.values[e.tail], field.values[e.head]
+        du, dw = dist[e.tail], dist[e.head]
         lo, hi = min(du, dw), max(du, dw)
         assert hi - lo == pytest.approx(e.length, rel=1e-9), "edge not monotone"
         key = round(lo, 9)
@@ -264,11 +264,11 @@ def test_reduction_invariants_battery():
         assert T(chain) <= T(g) * (1.0 + 1e-9)
 
         # vertex budget: one per level; interior peaks add levels
-        field = g.dirichlet_distances()
-        vertex_levels = set(round(v, 9) for v in field.values.values())
+        dist = g.dirichlet_distances()
+        vertex_levels = set(round(v, 9) for v in dist.values())
         peaks = set()
         for e in g.edges:
-            du, dw = field.values[e.tail], field.values[e.head]
+            du, dw = dist[e.tail], dist[e.head]
             peak = (du + dw + e.length) / 2.0
             if peak > max(du, dw) + 1e-12:
                 peaks.add(round(peak, 9))

@@ -67,11 +67,9 @@ from .surgery import (
     reduce_to_pumpkin_chain,
 )
 from .torsion import (
-    PiecewiseQuadratic,
     dirichlet_energy,
     polya_quotient,
     rigidity,
-    solution_from_payload,
     solution_to_payload,
     solve_discrete_torsion,
     torsion_function,

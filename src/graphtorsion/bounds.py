@@ -116,18 +116,18 @@ class BoundsReport:
         return "\n".join(lines)
 
 
-def _status(slack: float, scale: float, violation_tol: float, equality_tol: float) -> str:
-    if slack < -violation_tol * scale:
+def _status(slack: float, scale: float) -> str:
+    if slack < -EXACT_VIOLATION_TOL * scale:
         return VIOLATED
-    if abs(slack) <= equality_tol * scale:
+    if abs(slack) <= EXACT_EQUALITY_TOL * scale:
         return EQUALITY
     return HOLDS
 
 
-def _classify(lhs: float, rhs: float, violation_tol: float, equality_tol: float) -> tuple[float, str]:
+def _classify(lhs: float, rhs: float) -> tuple[float, str]:
     """Slack and status for the relation lhs <= rhs."""
     slack = rhs - lhs
-    return slack, _status(slack, max(abs(lhs), abs(rhs), 1e-300), violation_tol, equality_tol)
+    return slack, _status(slack, max(abs(lhs), abs(rhs), 1e-300))
 
 
 def _star_closed_form_cheeger(g: MetricGraph, equilateral: bool) -> float | None:
@@ -189,7 +189,7 @@ def audit(g: MetricGraph, h_target: float | None = None, tol: float = 1e-10) -> 
             rest = None, None, None, ERROR, applicability, None, True, lam_error
         else:
             lhs, rhs = pair(lam) if callable(pair) else pair
-            slack, status = _classify(lhs, rhs, EXACT_VIOLATION_TOL, EXACT_EQUALITY_TOL)
+            slack, status = _classify(lhs, rhs)
             rest = lhs, rhs, slack, status, applicability, EXACT_VIOLATION_TOL, proven, note
         records.append(BoundRecord(name, label, relation, *rest))
 
@@ -253,7 +253,7 @@ def audit(g: MetricGraph, h_target: float | None = None, tol: float = 1e-10) -> 
         record(*sandwich, lambda l: (lo, hi))
     else:
         slack = min(lam - lo, hi - lam)
-        status = _status(slack, max(abs(lam), 1e-300), EXACT_VIOLATION_TOL, EXACT_EQUALITY_TOL)
+        status = _status(slack, max(abs(lam), 1e-300))
         records.append(BoundRecord(*sandwich[:3], lo, hi, slack, status, ALWAYS, EXACT_VIOLATION_TOL,
                                    True, f"lambda_1 = {lam!r}"))
 

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -113,19 +112,7 @@ def _cmd_bounds(args) -> tuple[str, int]:
 
 
 def _cmd_grad_check(args) -> tuple[str, int]:
-    g = _read_graph(args.graph)
-    edge_ids = [args.edge] if args.edge else [e.id for e in g.edges]
-    rows = []
-    for eid in edge_ids:
-        length = g.edge(eid).length
-        step = args.step if args.step is not None else 1e-3 * length
-        analytic, fd, err = grad_check(g, eid, step)
-        _, _, err_half = grad_check(g, eid, step / 2.0)
-        ratio = err / err_half if err_half > 0.0 else math.inf
-        rows.append(
-            {"edge": eid, "analytic": analytic, "fd": fd,
-             "abs_error": err, "step": step, "halving_ratio": ratio}
-        )
+    rows = grad_check(_read_graph(args.graph), [args.edge] if args.edge else None, args.step)
     if args.json:
         return json.dumps(rows, indent=2), 0
     p = args.precision

@@ -11,13 +11,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import BadParameters, InconsistentInvariant, UnknownEdge
 from .graph import MetricGraph
-from .torsion import EdgePoly, TorsionSolution, torsion_function
+from .torsion import TorsionSolution, torsion_function
 
 POINT_TOL = 1e-10
 
@@ -25,12 +25,6 @@ STATIONARY = "stationary"
 FLOOR_REACHED = "floor_reached"
 LINE_SEARCH_FAILED = "line_search_failed"
 MAX_ITERS_EXCEEDED = "max_iters_exceeded"
-
-
-def hadamard_at(poly: EdgePoly, x: float) -> float:
-    """v'(x)^2 + 2 v(x) on the edge of the given solution polynomial."""
-    d = poly.derivative(x)
-    return d * d + 2.0 * poly.value(x)
 
 
 def dT_dlength(
@@ -54,17 +48,17 @@ def gradient(
     midpoint value must agree to POINT_TOL relative; disagreement signals a
     solver bug and raises InconsistentInvariant naming the first edge that drifts."""
     sol = solution if solution is not None else torsion_function(g)
-    b, c, x = sol.b, sol.c, sol.length / 2.0
+    b, c, x = sol.b, sol.c, sol.graph.arrays.length / 2.0
     at_tail, at_mid = b * b + 2.0 * c, (b - x) ** 2 + 2.0 * (-0.5 * x * x + b * x + c)
     scale = np.maximum(1.0, np.maximum(np.abs(at_tail), np.abs(at_mid)))
     drift = (np.abs(at_tail - at_mid) > POINT_TOL * scale).nonzero()[0]
     if len(drift):
         k = drift[0]
         raise InconsistentInvariant(
-            f"dT/dl on edge {sol.edge_ids[k]!r} drifts along the edge: "
+            f"dT/dl on edge {sol.graph.edge_ids[k]!r} drifts along the edge: "
             f"tail {float(at_tail[k])!r} vs midpoint {float(at_mid[k])!r}"
         )
-    return dict(zip(sol.edge_ids, at_tail.tolist()))
+    return dict(zip(sol.graph.edge_ids, at_tail.tolist()))
 
 
 def with_lengths(g: MetricGraph, lengths: Mapping[str, float]) -> MetricGraph:
@@ -74,23 +68,40 @@ def with_lengths(g: MetricGraph, lengths: Mapping[str, float]) -> MetricGraph:
 
 
 def grad_check(
-    g: MetricGraph, edge_id: str, step: float
-) -> tuple[float, float, float]:
-    """Analytic derivative vs central finite difference for one edge.
+    g: MetricGraph, edge_ids: Sequence[str] | None = None, step: float | None = None
+) -> list[dict]:
+    """Analytic derivative vs central finite difference, one row per edge
+    (default: every edge, in order).
 
-    Returns (analytic, finite difference, absolute error).  The step must
-    satisfy 0 < step < length/2 so both perturbed graphs stay valid.
+    Each row holds the edge, the analytic dT/dl from one gradient() of g, the
+    finite difference fd at the step (default: 1e-3 of the edge's length),
+    abs_error = |fd - analytic|, the step, and halving_ratio: abs_error over
+    the error at half the step, about 4 for a second-order difference (inf
+    when the latter is 0).  The step must satisfy 0 < step < length/2 so both
+    perturbed graphs stay valid.
     """
-    e = g.edge(edge_id)
-    if not (0.0 < step < e.length / 2.0):
-        raise BadParameters(
-            f"step {step!r} outside (0, {e.length / 2.0!r}) for edge {edge_id!r}"
-        )
-    analytic = dT_dlength(g, edge_id)
-    plus = torsion_function(with_lengths(g, {edge_id: e.length + step})).rigidity
-    minus = torsion_function(with_lengths(g, {edge_id: e.length - step})).rigidity
-    fd = (plus - minus) / (2.0 * step)
-    return analytic, fd, abs(fd - analytic)
+    edges = [g.edge(eid) for eid in (g.edge_ids if edge_ids is None else edge_ids)]
+    steps = [1e-3 * e.length if step is None else step for e in edges]
+    for e, h in zip(edges, steps):
+        if not (0.0 < h < e.length / 2.0):
+            raise BadParameters(
+                f"step {h!r} outside (0, {e.length / 2.0!r}) for edge {e.id!r}"
+            )
+    grad = gradient(g)
+
+    def error(e, h: float) -> tuple[float, float]:
+        plus = torsion_function(with_lengths(g, {e.id: e.length + h})).rigidity
+        minus = torsion_function(with_lengths(g, {e.id: e.length - h})).rigidity
+        fd = (plus - minus) / (2.0 * h)
+        return fd, abs(fd - grad[e.id])
+
+    rows = []
+    for e, h in zip(edges, steps):
+        fd, err = error(e, h)
+        err_half = error(e, h / 2.0)[1]
+        rows.append({"edge": e.id, "analytic": grad[e.id], "fd": fd, "abs_error": err, "step": h,
+                     "halving_ratio": err / err_half if err_half > 0.0 else math.inf})
+    return rows
 
 
 @dataclass(frozen=True)
@@ -168,7 +179,7 @@ def optimize(
 
     reason = MAX_ITERS_EXCEEDED
     for it in range(1, max_iters + 1):
-        grad = gradient(g, sol)  # given sol, gradient reads nothing of g
+        grad = gradient(g, sol)  # given sol, gradient reads only sol
         mean = math.fsum(grad[i] for i in order) / n
         direction = {i: sign * (grad[i] - mean) for i in order}
         norm = math.sqrt(math.fsum(direction[i] ** 2 for i in order))

@@ -215,7 +215,7 @@ def lowest_eigenpairs(
     at = np.full(nv, len(sys.order))  # each vertex's unknown, a zero row at a Dirichlet vertex
     at[arr.tail], at[arr.head] = sys.tail, sys.head
     u, sizes, tops = np.empty((k, mesh.n_nodes)), [], []
-    for lo, hi, m in _brackets(sec, law, k, tol, floor, 12.0 / float(law.width.min()) ** 2, nf):
+    for lo, hi, m in _brackets(sec, k, tol, floor, 12.0 / float(law.width.min()) ** 2, nf):
         lam = 0.5 * (lo + hi)
         x, b, miss = _null_space(sys, law, lam, m)
         s2, theta = law.angles(lam)
@@ -296,15 +296,16 @@ def lowest_eigenpairs(
                           tuple(integrals.tolist()))
 
 
-def _brackets(sec: _Secular, law: _P1Law | _Continuum, k: int, tol: float, floor: float, top: float, total: int
+def _brackets(sec: _Secular, k: int, tol: float, floor: float, top: float, total: int
               ) -> list[tuple[float, float, int]]:
     """(lo, hi, m): modes count(lo)+1 .. count(hi) lie in [lo, hi), m of them
     among the lowest k, and hi - lo <= tol hi or no float lies between; m is
     at most the bounded system's size, which bounds a multiplicity.  A point
-    x is lambda for _P1Law, k for _Continuum; count(x) is A(x)'s negative
-    pivots plus law.inside, each one sec.spend().  Brackets share their
-    points, from count(top) = total and a floor below the lowest eigenvalue,
-    counted once (0 instead if rounding counts a mode below it).
+    x is lambda when law = sec.law is a _P1Law, k for _Continuum; count(x)
+    is A(x)'s negative pivots plus law.inside, each one sec.spend().
+    Brackets share their points, from count(top) = total and a floor below
+    the lowest eigenvalue, counted once (0 instead if rounding counts a mode
+    below it).
 
     The count alone fixes each bracket; the next point only makes it shrink
     faster.  A bracket wider than a factor 2 splits at its geometric mean.
@@ -318,7 +319,8 @@ def _brackets(sec: _Secular, law: _P1Law | _Continuum, k: int, tol: float, floor
     steps that did not halve the bracket (Dekker, Brent).  Where A is exactly
     singular the point moves halfway to hi; a count outside its neighbours'
     (rounding at an eigenvalue) is clamped."""
-    unknowns = sec.n + len(sec.length)
+    law = sec.law
+    unknowns = len(sec.sys.order) + len(sec.sys.length)
 
     def count(x: float) -> tuple[int | None, float]:
         """count(x) and log |f(x)|; None when A(x) is exactly singular."""
@@ -530,10 +532,8 @@ class _Secular:
     """
 
     def __init__(self, sys: DiscreteSystem, k_lo: float, k_hi: float, law=None):
-        self.n = len(sys.order)
-        self.tail, self.head, self.length = sys.tail, sys.head, sys.length
+        self.sys = sys
         self.proper = (sys.tail != sys.head).nonzero()[0]
-        self.sys, self.pattern = sys, sys.pattern
         self.k_lo, self.k_hi = k_lo, k_hi
         self.counts = 0  # factorizations spent after the first quotient
         self.law = law or _Continuum(sys.length)
@@ -545,15 +545,16 @@ class _Secular:
 
     def _ends(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         xp = np.append(x, 0.0)  # index n is every Dirichlet end
-        return xp[self.tail], xp[self.head]
+        return xp[self.sys.tail], xp[self.sys.head]
 
     def fill(self, k: float) -> np.ndarray:
         """The data array of A(k) on the torsion matrix's pattern."""
+        sys, n = self.sys, len(self.sys.order)
         c, d = self.law(k)
         c = c[self.proper]
-        data = self.pattern.fill(c, -c)
-        ends = np.bincount(self.tail, d, minlength=self.n + 1) + np.bincount(self.head, d, minlength=self.n + 1)
-        data[self.pattern.diagonal] -= ends[:self.n]
+        data = sys.pattern.fill(c, -c)
+        ends = np.bincount(sys.tail, d, minlength=n + 1) + np.bincount(sys.head, d, minlength=n + 1)
+        data[sys.pattern.diagonal] -= ends[:n]
         return data
 
     def factor(self, k: float) -> SymmetricFactor:
@@ -573,13 +574,14 @@ class _Secular:
 
     def slope(self, k: float, x: np.ndarray) -> np.ndarray:
         """A'(k) x, summed edge by edge from c' (x_t - x_h) and d' x."""
-        z = k * self.length
+        sys, n = self.sys, len(self.sys.order)
+        z = k * sys.length
         dc, dd = _slopes(z, np.sin(z), np.tan(0.5 * z))
         xt, xh = self._ends(x)
         f = dc * (xt - xh)
-        out = np.bincount(self.tail, f - dd * xt, minlength=self.n + 1)
-        out += np.bincount(self.head, -f - dd * xh, minlength=self.n + 1)
-        return out[:self.n]
+        out = np.bincount(sys.tail, f - dd * xt, minlength=n + 1)
+        out += np.bincount(sys.head, -f - dd * xh, minlength=n + 1)
+        return out[:n]
 
     def rayleigh(self, x: np.ndarray, k: float | None = None) -> float | None:
         """p(x), the root of q(.; x) on [k_lo, k_hi), by Newton's method kept
@@ -590,7 +592,7 @@ class _Secular:
         xt, xh = self._ends(x)
         diff, both = (xt - xh) ** 2, xt * xt + xh * xh
         live = both > 0.0  # an edge between Dirichlet ends adds nothing
-        diff, both, ln = diff[live], both[live], self.length[live]
+        diff, both, ln = diff[live], both[live], self.sys.length[live]
 
         def q(k: float) -> tuple[float, float]:
             """q(k; x) and dq/dk, edge by edge from c, d, c' and d'."""
@@ -678,7 +680,7 @@ def secular_lambda1(
     lambda_1 = (pi/l_max)^2.  The result is at least pi^2/(4 L^2) (Nicaise).
     """
     check_controls(None, tol)
-    if solution is None or solution.discrete is None:
+    if solution is None:
         solution = torsion_function(g)
     sys = solution.discrete.system
     k_lo = math.pi / (2.0 * math.fsum(sys.length.tolist()))
@@ -696,7 +698,7 @@ def secular_lambda1(
         below = sec.inertia(s)[0]
         if below != 0:  # settled above lambda_1, or exactly on an eigenvalue at s (None)
             floor = max(k_lo, solution.sup.value ** -0.5)
-            top = _brackets(sec, sec.law, 1, K_FLOOR, floor, s, 1 if below is None else below)[0][1]
+            top = _brackets(sec, 1, K_FLOOR, floor, s, 1 if below is None else below)[0][1]
     return max(top * top, k_lo * k_lo)
 
 

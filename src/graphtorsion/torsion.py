@@ -28,11 +28,11 @@ the integral against the vertex identity and the Kirchhoff residual;
 rigidity() adds the energy route.  Each check holds to REL_TOL relative, and a
 mismatch raises rather than returning a number of unknown quality.
 
-A TorsionSolution holds the vertex values and the coefficients b and c as
-float64 arrays beside the graph's ids; every route is evaluated on those
-arrays, each summed with math.fsum over .tolist() (an fsum over an ndarray is
-slower on small graphs).  Its vertex_values dict and EdgePoly objects are built
-on demand.
+A TorsionSolution holds its graph and the solve: the vertex values and the
+coefficients b and c as float64 arrays in the order of the graph's ids and
+arrays.  Every route is evaluated on those arrays, each summed with
+math.fsum over .tolist() (an fsum over an ndarray is slower on small graphs).
+Only its vertex_values dict is built on demand.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ from .errors import (
     BadParameters,
     CrossCheckMismatch,
     SingularSystem,
-    UnknownEdge,
     ValidationError,
     ZeroEnergy,
 )
@@ -235,64 +234,24 @@ class DiscreteTorsion:
     discrete_rigidity: float
 
 
-@dataclass(frozen=True)
-class EdgePoly:
-    """v(x) = -x^2/2 + b x + c for offsets x in [0, length] from the tail."""
-
-    edge: str
-    tail: str
-    head: str
-    length: float
-    b: float
-    c: float
-
-    def value(self, x: float) -> float:
-        return -0.5 * x * x + self.b * x + self.c
-
-    def derivative(self, x: float) -> float:
-        return self.b - x
-
-    def integral(self) -> float:
-        l = self.length
-        return -(l ** 3) / 6.0 + 0.5 * self.b * l * l + self.c * l
-
-
 @dataclass(frozen=True, eq=False)
 class TorsionSolution:
-    """v(x) = -x^2/2 + b[k] x + c[k] on edge k, of length length[k], from vertex
-    tail[k] to vertex head[k] (positions in vertex_ids); values[i] is v at vertex i."""
+    """v(x) = -x^2/2 + b[k] x + c[k] on edge k of graph, in the offset x from
+    its tail; values[i] is v at vertex i.  Both follow graph's ids and arrays.
+    discrete is the vertex solve that gave them."""
 
-    vertex_ids: tuple[str, ...]
+    graph: MetricGraph
     values: np.ndarray
-    edge_ids: tuple[str, ...]
-    tail: np.ndarray
-    head: np.ndarray
-    length: np.ndarray
     b: np.ndarray
     c: np.ndarray
     rigidity: float
     sup: PointWitness
-    kirchhoff_residual: float = 0.0
-    discrete: DiscreteTorsion | None = None
+    kirchhoff_residual: float
+    discrete: DiscreteTorsion
 
     @cached_property
     def vertex_values(self) -> dict[str, float]:
-        return dict(zip(self.vertex_ids, self.values.tolist()))
-
-    @cached_property
-    def edge_polys(self) -> tuple[EdgePoly, ...]:
-        return tuple(EdgePoly(d["id"], d["tail"], d["head"], d["length"], d["b"], d["c"])
-                     for d in solution_to_payload(self)["edges"])
-
-    @cached_property
-    def _edge_index(self) -> dict[str, int]:
-        return dict(zip(self.edge_ids, range(len(self.edge_ids))))
-
-    def poly(self, edge_id: str) -> EdgePoly:
-        try:
-            return self.edge_polys[self._edge_index[edge_id]]
-        except KeyError:
-            raise UnknownEdge(f"no edge {edge_id!r} in solution") from None
+        return dict(zip(self.graph.vertex_ids, self.values.tolist()))
 
 
 def assemble_discrete_system(g: MetricGraph) -> DiscreteSystem:
@@ -365,8 +324,7 @@ def torsion_function(g: MetricGraph) -> TorsionSolution:
         raise CrossCheckMismatch(
             f"Kirchhoff residual {residual:.3e} exceeds {REL_TOL * scale:.3e}"
         )
-    return TorsionSolution(g.vertex_ids, v, g.edge_ids, arr.tail, arr.head, ln, b, vt,
-                           t_edge, best, residual, disc)
+    return TorsionSolution(g, v, b, vt, t_edge, best, residual, disc)
 
 
 def _require_close(name_a: str, a: float, name_b: str, b: float) -> None:
@@ -381,42 +339,38 @@ def _integral(l: np.ndarray, cube: np.ndarray, b: np.ndarray, c: np.ndarray) -> 
 
 def rigidity(sol: TorsionSolution) -> float:
     """Total integral of the torsion function, cross-checked along every route."""
-    cube = sol.length ** 3
-    t_edge = _integral(sol.length, cube, sol.b, sol.c)
+    ln = sol.graph.arrays.length
+    cube = ln ** 3
+    t_edge = _integral(ln, cube, sol.b, sol.c)
     _require_close("rigidity (integral of v)", t_edge, "rigidity (energy of v)", dirichlet_energy(sol))
-    if sol.discrete is not None:
-        t_formula = math.fsum(cube.tolist()) / 12.0 + 0.25 * sol.discrete.discrete_rigidity
-        _require_close("rigidity (integral of v)", t_edge, "rigidity (vertex identity)", t_formula)
+    t_formula = math.fsum(cube.tolist()) / 12.0 + 0.25 * sol.discrete.discrete_rigidity
+    _require_close("rigidity (integral of v)", t_edge, "rigidity (vertex identity)", t_formula)
     _require_close("rigidity (integral of v)", t_edge, "stored rigidity", sol.rigidity)
     return sol.rigidity
 
 
 def dirichlet_energy(sol: TorsionSolution) -> float:
     """Sum of the integrals of v'^2 = (b - x)^2 over [0, l]."""
-    return math.fsum(((sol.b ** 3 - (sol.b - sol.length) ** 3) / 3.0).tolist())
+    return math.fsum(((sol.b ** 3 - (sol.b - sol.graph.arrays.length) ** 3) / 3.0).tolist())
 
 
 # -- piecewise-quadratic test functions -----------------------------------
 
 
-@dataclass(frozen=True)
-class PiecewiseQuadratic:
-    """Edgewise u(x) = a x^2 + b x + c, keyed by edge id, offsets from the tail."""
-
-    coeffs: Mapping[str, tuple[float, float, float]]
-
-
-def polya_quotient(g: MetricGraph, u: PiecewiseQuadratic) -> float:
+def polya_quotient(g: MetricGraph, coeffs: Mapping[str, tuple[float, float, float]]) -> float:
     """(integral of u)^2 / (integral of u'^2); maximized by the torsion function.
 
-    The test function must be continuous across vertices and vanish at the
-    Dirichlet set, both checked here to 1e-9 of its endpoint scale.
+    The test function is u(x) = a x^2 + b x + c on each edge, in the offset x
+    from its tail, given as coeffs[edge id] = (a, b, c).  It must cover every
+    edge (BadParameters), be continuous across vertices and vanish at the
+    Dirichlet set, both checked here to 1e-9 of its endpoint scale
+    (ValidationError), and have positive Dirichlet energy (ZeroEnergy).
     """
     ends: dict[str, list[float]] = {v.id: [] for v in g.vertices}
     for e in g.edges:
-        if e.id not in u.coeffs:
+        if e.id not in coeffs:
             raise BadParameters(f"test function has no coefficients for edge {e.id!r}")
-        a, b, c = u.coeffs[e.id]
+        a, b, c = coeffs[e.id]
         ends[e.tail].append(c)
         ends[e.head].append(a * e.length * e.length + b * e.length + c)
     scale = max(1.0, max(abs(x) for vals in ends.values() for x in vals))
@@ -431,7 +385,7 @@ def polya_quotient(g: MetricGraph, u: PiecewiseQuadratic) -> float:
     total = 0.0
     energy = 0.0
     for e in g.edges:
-        a, b, c = u.coeffs[e.id]
+        a, b, c = coeffs[e.id]
         l = e.length
         total += a * l ** 3 / 3.0 + b * l * l / 2.0 + c * l
         energy += 4.0 * a * a * l ** 3 / 3.0 + 2.0 * a * b * l * l + b * b * l
@@ -440,41 +394,19 @@ def polya_quotient(g: MetricGraph, u: PiecewiseQuadratic) -> float:
     return total * total / energy
 
 
-def edgewise_dirichlet_quadratics(g: MetricGraph) -> PiecewiseQuadratic:
-    """The test function vanishing at every vertex that solves -u'' = 1 edgewise."""
-    return PiecewiseQuadratic({e.id: (-0.5, 0.5 * e.length, 0.0) for e in g.edges})
-
-
 # -- serialization --------------------------------------------------------
 
 
 def solution_to_payload(sol: TorsionSolution) -> dict:
-    vids = sol.vertex_ids
+    vids, arr = sol.graph.vertex_ids, sol.graph.arrays
     return {
         "vertex_values": dict(sol.vertex_values),
         "edges": [
             {"id": e, "tail": vids[t], "head": vids[h], "length": ln, "b": b, "c": c}
-            for e, t, h, ln, b, c in zip(sol.edge_ids, sol.tail.tolist(), sol.head.tolist(),
-                                         sol.length.tolist(), sol.b.tolist(), sol.c.tolist())
+            for e, t, h, ln, b, c in zip(sol.graph.edge_ids, arr.tail.tolist(), arr.head.tolist(),
+                                         arr.length.tolist(), sol.b.tolist(), sol.c.tolist())
         ],
         "rigidity": sol.rigidity,
         "sup": {"value": sol.sup.value, "edge": sol.sup.edge, "offset": sol.sup.offset},
         "kirchhoff_residual": sol.kirchhoff_residual,
     }
-
-
-def solution_from_payload(payload: dict) -> TorsionSolution:
-    try:
-        values, edges = dict(payload["vertex_values"]), payload["edges"]
-        index = dict(zip(values, range(len(values))))
-        ends = [np.array([index[d[key]] for d in edges], dtype=np.int64) for key in ("tail", "head")]
-        coeffs = [np.array([d[key] for d in edges], dtype=np.float64) for key in ("length", "b", "c")]
-        return TorsionSolution(
-            tuple(values), np.array(list(values.values()), dtype=np.float64),
-            tuple(d["id"] for d in edges), *ends, *coeffs,
-            payload["rigidity"],
-            PointWitness(**payload["sup"]),
-            payload.get("kirchhoff_residual", 0.0),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed torsion solution payload: {exc}") from None

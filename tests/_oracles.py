@@ -301,9 +301,9 @@ def secular_lambda1(g) -> float:
 def sampled_sup(sol, per_edge: int = 600) -> float:
     """Max of the torsion polynomials over a dense sample grid."""
     best = 0.0
-    for p in sol.edge_polys:
-        for x in np.linspace(0.0, p.length, per_edge):
-            best = max(best, p.value(float(x)))
+    for l, b, c in zip(sol.graph.arrays.length.tolist(), sol.b.tolist(), sol.c.tolist()):
+        for x in np.linspace(0.0, l, per_edge).tolist():
+            best = max(best, -0.5 * x * x + b * x + c)
     return best
 
 

@@ -59,19 +59,21 @@ ALL_RECORDS = [
 
 
 def test_classify_boundaries():
-    slack, status = _classify(1.0, 2.0, 1e-8, 1e-6)
+    # the cases below sit on either side of these bands
+    assert (EXACT_VIOLATION_TOL, EXACT_EQUALITY_TOL) == (1e-8, 1e-6)
+    slack, status = _classify(1.0, 2.0)
     assert status == HOLDS and slack == 1.0
-    _, status = _classify(2.0, 2.0 + 1e-7, 1e-8, 1e-6)
+    _, status = _classify(2.0, 2.0 + 1e-7)
     assert status == EQUALITY
-    _, status = _classify(2.0 + 1e-9, 2.0, 1e-8, 1e-6)
+    _, status = _classify(2.0 + 1e-9, 2.0)
     assert status == EQUALITY
     # violation check runs first: a deficit past its band never reads as a tie
-    _, status = _classify(2.0 + 1e-7, 2.0, 1e-8, 1e-6)
+    _, status = _classify(2.0 + 1e-7, 2.0)
     assert status == VIOLATED
-    _, status = _classify(2.0 + 1e-5, 2.0, 1e-8, 1e-6)
+    _, status = _classify(2.0 + 1e-5, 2.0)
     assert status == VIOLATED
     # scale-relative: huge numbers with tiny relative slack still tie
-    _, status = _classify(1e12, 1e12 * (1 + 1e-8), 1e-8, 1e-6)
+    _, status = _classify(1e12, 1e12 * (1 + 1e-8))
     assert status == EQUALITY
 
 

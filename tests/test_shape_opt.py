@@ -28,7 +28,6 @@ from graphtorsion.shape_opt import (
     FLOOR_REACHED,
     MAX_ITERS_EXCEEDED,
     STATIONARY,
-    hadamard_at,
 )
 
 
@@ -55,9 +54,9 @@ def test_derivative_point_independent():
     for _ in range(20):
         g = random_graph(rng)
         sol = torsion_function(g)
-        for e in g.edges:
-            poly = sol.poly(e.id)
-            vals = [hadamard_at(poly, x) for x in rng.uniform(0, e.length, 5)]
+        for e, b, c in zip(g.edges, sol.b.tolist(), sol.c.tolist()):
+            # v'(x)^2 + 2 v(x) for v(x) = -x^2/2 + b x + c
+            vals = [(b - x) ** 2 + 2.0 * (-0.5 * x * x + b * x + c) for x in rng.uniform(0, e.length, 5)]
             spread = max(vals) - min(vals)
             assert spread <= 1e-10 * max(1.0, abs(vals[0]))
 
@@ -65,28 +64,33 @@ def test_derivative_point_independent():
 def test_grad_check_error_profile():
     # rigidity of the one-Dirichlet interval is cubic, so the central
     # difference misses by exactly step^2 / 3
-    analytic, fd, err = grad_check(path_dn([1.0]), "e1", 1e-3)
+    (row,) = grad_check(path_dn([1.0]), ["e1"], 1e-3)
+    analytic, fd, err = row["analytic"], row["fd"], row["abs_error"]
     assert analytic == pytest.approx(1.0, rel=1e-12)
     assert err == pytest.approx(1e-6 / 3.0, rel=1e-3)
     assert abs(fd - analytic) == pytest.approx(err, abs=1e-15)
-    _, _, err_half = grad_check(path_dn([1.0]), "e1", 5e-4)
+    (half,) = grad_check(path_dn([1.0]), ["e1"], 5e-4)
+    err_half = half["abs_error"]
     assert 3.5 <= err / err_half <= 4.5
+    assert row["step"] == 1e-3 and row["halving_ratio"] == err / err_half
 
 
 def test_grad_check_matches_fd_on_families():
     for g in (lasso(), star(3, [0.5, 1.0, 2.0]), path_dd([1.0, 2.0])):
-        for e in g.edges:
-            step = 1e-3 * e.length
-            analytic, fd, err = grad_check(g, e.id, step)
+        rows = grad_check(g)  # the step defaults to 1e-3 of each edge length
+        assert [r["edge"] for r in rows] == [e.id for e in g.edges]
+        assert [r["step"] for r in rows] == [1e-3 * e.length for e in g.edges]
+        for r in rows:
+            analytic, fd, err = r["analytic"], r["fd"], r["abs_error"]
             assert err <= 1e-5 * max(1.0, abs(analytic))
             assert fd == pytest.approx(analytic, rel=1e-4)
 
 
 def test_grad_check_rejects_bad_step():
     with pytest.raises(BadParameters):
-        grad_check(lasso(), "e1", 0.0)
+        grad_check(lasso(), ["e1"], 0.0)
     with pytest.raises(BadParameters):
-        grad_check(lasso(), "e1", 0.5)
+        grad_check(lasso(), ["e1"], 0.5)
 
 
 def test_with_lengths_replaces_only_lengths():
@@ -220,8 +224,9 @@ def test_gradient_names_the_first_edge_that_drifts():
     sol = torsion_function(lasso(1.0, 1.0))
     # on a long edge with small b and c the midpoint value cancels terms of size
     # 1e11, which leaves a rounding error far above the tail value
-    arrays = {"length": 962511.6760188427, "b": 0.004117208484213602, "c": -8.470192870522257e-06}
-    bad = dataclasses.replace(sol, **{k: np.array([getattr(sol, k)[0], v]) for k, v in arrays.items()})
+    arrays = {"b": 0.004117208484213602, "c": -8.470192870522257e-06}
+    bad = dataclasses.replace(sol, graph=lasso(1.0, 962511.6760188427),
+                              **{k: np.array([getattr(sol, k)[0], v]) for k, v in arrays.items()})
     with pytest.raises(InconsistentInvariant, match="^dT/dl on edge 'e2' drifts along the edge"):
         gradient(lasso(1.0, 1.0), bad)
     with pytest.raises(InconsistentInvariant, match="'e2'"):

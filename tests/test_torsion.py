@@ -1,7 +1,9 @@
 """Torsion solver: closed forms, identities, witnesses, serialization."""
 
+import json
 import math
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,20 +20,20 @@ from _oracles import (
     stower_rigidity_equilateral,
 )
 from graphtorsion import (
+    BadParameters,
     CrossCheckMismatch,
     Edge,
-    PiecewiseQuadratic,
     ValidationError,
     Vertex,
     ZeroEnergy,
     dirichlet_energy,
+    equality_witnesses,
     gradient,
     loads,
     make_graph,
     polya_quotient,
     reorient,
     rigidity,
-    solution_from_payload,
     solution_to_payload,
     solve_discrete_torsion,
     torsion_function,
@@ -49,14 +51,19 @@ from graphtorsion.families import (
     stower,
 )
 from graphtorsion.errors import SingularSystem
-from graphtorsion.torsion import (REL_TOL, EdgePoly, SymmetricFactor, SymPattern, _require_close,
-                                  assemble_discrete_system, edgewise_dirichlet_quadratics)
+from graphtorsion.torsion import REL_TOL, SymmetricFactor, SymPattern, _require_close, assemble_discrete_system
 
 REL = 1e-10
 
 
 def T(g):
     return torsion_function(g).rigidity
+
+
+def edge_quadratics(sol):
+    """(edge id, length, b, c) of v(x) = -x^2/2 + b x + c on each edge, as floats."""
+    g = sol.graph
+    return zip(g.edge_ids, g.arrays.length.tolist(), sol.b.tolist(), sol.c.tolist())
 
 
 # -- closed forms ---------------------------------------------------------
@@ -150,7 +157,7 @@ def test_triple_identity_on_random_battery():
     for _ in range(120):
         g = random_graph(rng)
         sol = torsion_function(g)
-        t_int = math.fsum(p.integral() for p in sol.edge_polys)
+        t_int = math.fsum(-(l ** 3) / 6.0 + 0.5 * b * l * l + c * l for _, l, b, c in edge_quadratics(sol))
         t_energy = dirichlet_energy(sol)
         cubes = math.fsum(e.length ** 3 for e in g.edges) / 12.0
         t_formula = cubes + sol.discrete.discrete_rigidity / 4.0
@@ -181,9 +188,9 @@ def test_positivity_inside():
     for _ in range(25):
         g = random_graph(rng)
         sol = torsion_function(g)
-        for p in sol.edge_polys:
-            for x in np.linspace(0.0, p.length, 7)[1:-1]:
-                assert p.value(float(x)) > 0.0
+        for _, l, b, c in edge_quadratics(sol):
+            for x in np.linspace(0.0, l, 7)[1:-1].tolist():
+                assert -0.5 * x * x + b * x + c > 0.0
 
 
 def test_sup_witness_matches_dense_sampling():
@@ -326,45 +333,50 @@ def test_kernel_selection_rule():
 def test_polya_quotient_maximized_by_torsion():
     g = lasso(1.0, 1.0)
     sol = torsion_function(g)
-    coeffs = {
-        p.edge: (-0.5, p.b, p.c) for p in sol.edge_polys
-    }
-    q = polya_quotient(g, PiecewiseQuadratic(coeffs))
+    coeffs = {e: (-0.5, b, c) for e, _, b, c in edge_quadratics(sol)}
+    q = polya_quotient(g, coeffs)
     assert q == pytest.approx(sol.rigidity, rel=REL)
 
 
 def test_polya_quotient_other_functions_smaller():
     g = star(3, [1.0, 0.7, 1.5])
     t = T(g)
-    base = edgewise_dirichlet_quadratics(g)
+    # vanishes at every vertex and solves -u'' = 1 edgewise
+    base = {e.id: (-0.5, 0.5 * e.length, 0.0) for e in g.edges}
     q = polya_quotient(g, base)
     assert q < t
     # small admissible perturbations stay below the maximum
     sol = torsion_function(g)
     for bump in (0.9, 1.1):
-        coeffs = {p.edge: (-0.5 * bump, p.b * bump, p.c * bump) for p in sol.edge_polys}
-        assert polya_quotient(g, PiecewiseQuadratic(coeffs)) <= t + 1e-9 * t
+        coeffs = {e: (-0.5 * bump, b * bump, c * bump) for e, _, b, c in edge_quadratics(sol)}
+        assert polya_quotient(g, coeffs) <= t + 1e-9 * t
 
 
 def test_polya_quotient_rejects_discontinuous():
     g = path_dn([1.0, 1.0])
     coeffs = {"e1": (0.0, 0.0, 1.0), "e2": (0.0, 0.0, 5.0)}
     with pytest.raises(ValidationError):
-        polya_quotient(g, PiecewiseQuadratic(coeffs))
+        polya_quotient(g, coeffs)
 
 
 def test_polya_quotient_rejects_nonvanishing_dirichlet():
     g = path_dn([1.0])
     coeffs = {"e1": (0.0, 0.0, 2.0)}
     with pytest.raises(ValidationError):
-        polya_quotient(g, PiecewiseQuadratic(coeffs))
+        polya_quotient(g, coeffs)
 
 
 def test_polya_quotient_zero_function():
     g = path_dn([1.0])
     coeffs = {"e1": (0.0, 0.0, 0.0)}
     with pytest.raises(ZeroEnergy):
-        polya_quotient(g, PiecewiseQuadratic(coeffs))
+        polya_quotient(g, coeffs)
+
+
+def test_polya_quotient_rejects_missing_edge():
+    g = path_dn([1.0, 1.0])
+    with pytest.raises(BadParameters, match="'e2'"):
+        polya_quotient(g, {"e1": (-0.5, 1.0, 0.0)})
 
 
 # -- plumbing -------------------------------------------------------------
@@ -375,12 +387,46 @@ def test_require_close_raises_on_gap():
         _require_close("a", 1.0, "b", 1.0 + 1e-6)
 
 
-def test_solution_payload_round_trip():
-    sol = torsion_function(lasso(1.1, 0.6))
-    back = solution_from_payload(solution_to_payload(sol))
-    assert back.rigidity == sol.rigidity
-    assert back.vertex_values == sol.vertex_values
-    assert back.sup.value == sol.sup.value
+# solution_to_payload(torsion_function(g)) of the family examples, the
+# equality witnesses and random_graph(seed, (1e-4, 1e4)) for seeds 0..9: a
+# change to any id, key or value of a torsion solution shows here
+PINNED = json.loads((Path(__file__).parent / "data" / "torsion_payloads.json").read_text())
+
+
+def _pinned_graph(group: str, name: str):
+    if group == "families":
+        return dict(family_examples())[name]
+    if group == "witnesses":
+        return {n: g for n, g, _ in equality_witnesses()}[name]
+    return random_graph(int(name), length_range=(1e-4, 1e4))
+
+
+def assert_payload_matches(got: dict, want: dict) -> None:
+    """Ids and keys exactly, floats to 1e-12 relative; b also to 1e-12 of the
+    edge length, since it cancels l/2 against (v_h - v_t)/l, and the Kirchhoff
+    residual, a rounding-level sum, to 1e-12 of max(1, sup v)."""
+    assert got.keys() == want.keys()
+    assert list(got["vertex_values"]) == list(want["vertex_values"])
+    assert list(got["vertex_values"].values()) == pytest.approx(list(want["vertex_values"].values()),
+                                                                rel=1e-12)
+    assert [list(e.items())[:3] for e in got["edges"]] == [list(e.items())[:3] for e in want["edges"]]
+    for g, w in zip(got["edges"], want["edges"]):
+        assert g.keys() == w.keys()
+        assert g["length"] == pytest.approx(w["length"], rel=1e-12), w["id"]
+        assert g["b"] == pytest.approx(w["b"], rel=1e-12, abs=1e-12 * w["length"]), w["id"]
+        assert g["c"] == pytest.approx(w["c"], rel=1e-12), w["id"]
+    assert got["rigidity"] == pytest.approx(want["rigidity"], rel=1e-12)
+    assert got["sup"].keys() == want["sup"].keys() and got["sup"]["edge"] == want["sup"]["edge"]
+    assert [got["sup"]["value"], got["sup"]["offset"]] == pytest.approx(
+        [want["sup"]["value"], want["sup"]["offset"]], rel=1e-12)
+    assert got["kirchhoff_residual"] == pytest.approx(
+        want["kirchhoff_residual"], rel=1e-12, abs=1e-12 * max(1.0, want["sup"]["value"]))
+
+
+@pytest.mark.parametrize("group, name", [(group, name) for group in PINNED for name in PINNED[group]])
+def test_torsion_matches_pinned_payload(group, name):
+    assert_payload_matches(solution_to_payload(torsion_function(_pinned_graph(group, name))),
+                           PINNED[group][name])
 
 
 @settings(max_examples=40, deadline=None)
@@ -396,7 +442,7 @@ def test_path_of_100000_edges_builds_no_graph_objects(monkeypatch):
     # correctness at size, not time: the DD interval of length 1 cut into 10^5 edges
     g0 = path_dd([1e-5] * 10**5)
     calls = Counter()
-    for cls in (Vertex, Edge, EdgePoly):
+    for cls in (Vertex, Edge):
         def counting(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
             calls[_name] += 1
             _init(self, *args, **kwargs)

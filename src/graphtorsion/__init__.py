@@ -41,7 +41,6 @@ from .graph import (
     reorient,
 )
 from .shape_opt import (
-    dT_dlength,
     grad_check,
     gradient,
     optimize,

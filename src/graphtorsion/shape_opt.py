@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import BadParameters, InconsistentInvariant, UnknownEdge
+from .errors import BadParameters, InconsistentInvariant
 from .graph import MetricGraph
 from .torsion import TorsionSolution, torsion_function
 
@@ -25,20 +25,6 @@ STATIONARY = "stationary"
 FLOOR_REACHED = "floor_reached"
 LINE_SEARCH_FAILED = "line_search_failed"
 MAX_ITERS_EXCEEDED = "max_iters_exceeded"
-
-
-def dT_dlength(
-    g: MetricGraph,
-    edge_id: str,
-    solution: TorsionSolution | None = None,
-) -> float:
-    """Derivative of the rigidity with respect to one edge length: its entry in
-    gradient(), which checks every edge.  The value is always positive."""
-    grad = gradient(g, solution)
-    try:
-        return grad[edge_id]
-    except KeyError:
-        raise UnknownEdge(f"no edge {edge_id!r} in solution") from None
 
 
 def gradient(

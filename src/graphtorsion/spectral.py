@@ -4,9 +4,12 @@ and landscape checks.
 
 secular_lambda1 returns the exact lowest Dirichlet eigenvalue from the
 secular matrix A(k) over the natural vertices, the torsion system's size and
-sparsity pattern, by Rayleigh functional iteration from the torsion function;
-the pivot signs of one LDL^T of A(k (1 - DELTA)) certify it (Sylvester's law
-of inertia), or the count search of the P1 modes (_brackets) brackets it.
+sparsity pattern, by Rayleigh functional iteration from the torsion function
+(its vertex values, and k from its Rayleigh quotient), one continuum law
+evaluation per shift serving the fill, A'(s) x and the next root's first
+Newton step; the pivot signs of one LDL^T of A(k (1 - DELTA)) certify it
+(Sylvester's law of inertia), or the count search of the P1 modes
+(_brackets) brackets it.
 No mesh is built, so lambda_1 carries no discretization error and costs a
 few vertex-sized factorizations.  The audit takes lambda_1 from here.
 
@@ -478,32 +481,30 @@ DELTA = 1e-9  # the certificate factors A(k (1 - DELTA)) below the returned k
 # relative, more on graphs of many edges.
 K_FLOOR = 1e-13
 NEWTON_TOL = 64 * EPS  # a bracket this narrow (relative) ends the root search
-NEWTON_LAST = 1e-8  # a Newton step this small (relative) is the last one
-
-
-def _slopes(z: np.ndarray, s: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The k-derivatives of c = k/sin z and d = k tan(z/2) at z = k l, given
-    s = sin z and t = tan(z/2): (s - z cos z)/s^2 and t + z (1 + t^2)/2.
-    s - z cos z cancels for small z, but its error, some ulps of z, meets
-    (x_t - x_h)^2, which is small on a short edge; and the slopes steer only
-    the iteration, not where it stops (q = 0, A(k) x = 0)."""
-    return (s - z * np.cos(z)) / (s * s), t + 0.5 * z * (1.0 + t * t)
 
 
 class _Continuum:
-    """c = k/sin(kl) and d = k tan(kl/2) of every edge in A(k).  For the k of
-    the last call it also gives, when read, inside: the eigenvalues below k^2
-    with both ends of an edge pinned, max(0, ceil(kl/pi) - 1) each; and
-    log_q: log |sin(kl)/k| summed over the edges, which clears the poles of c
-    and d from det A(k).  Only _brackets reads them."""
+    """c = k/sin(kl) and d = k tan(kl/2) of every edge in A(k), from one
+    t = tan(h) per edge, h = kl/2, and 1/sin(kl) = (1 + t^2)/(2t), returned and
+    kept as terms with c' = (1 - h (1 - t^2)/t)/sin(kl) and d' = t + h (1 + t^2).
+    c' cancels for small kl, but its error, some ulps of 1/(kl), meets
+    (x_t - x_h)^2, small on a short edge; and the slopes steer only the
+    iteration, not where it stops (q = 0, A(k) x = 0).  For the k of the last
+    call it also gives, when read, inside: the eigenvalues below k^2 with both
+    ends of an edge pinned, max(0, ceil(kl/pi) - 1) each; and log_q:
+    log |sin(kl)/k| summed over the edges, which clears the poles of c and d
+    from det A(k).  Only _brackets reads them."""
 
     def __init__(self, length: np.ndarray):
-        self.length = length
+        self.length, self.half = length, 0.5 * length
 
-    def __call__(self, k: float) -> tuple[np.ndarray, np.ndarray]:
-        self.k = k
-        z = k * self.length
-        return k / np.sin(z), k * np.tan(0.5 * z)
+    def __call__(self, k: float) -> tuple[np.ndarray, ...]:
+        self.k, h = k, k * self.half
+        t = np.tan(h)
+        u = t * t
+        s = (1.0 + u) / (t + t)
+        self.terms = k * s, k * t, s - s * h * (1.0 - u) / t, t + h + h * u
+        return self.terms
 
     @property
     def inside(self) -> int:
@@ -526,8 +527,8 @@ class _Secular:
     edge by edge, and dq/dk = -2k int u^2 < 0.  On (0, pi/l_max) A(k) has no
     pole, and its negative eigenvalues count the Dirichlet eigenvalues below
     k^2 (Berkolaiko and Kuchment, Introduction to Quantum Graphs, 2013).
-    law(k) gives c and d of every edge: by default this continuum law
-    (_Continuum), which rayleigh, slope and settle assume; _P1Law's, at
+    law(k) gives c and d of every edge first: by default the continuum law
+    (_Continuum), whose slopes rayleigh and settle read; _P1Law's, at
     lambda, for the P1 pencil.
     """
 
@@ -543,14 +544,10 @@ class _Secular:
             raise NoConvergence(f"secular matrix not settled after {MAX_COUNTS} factorizations")
         self.counts += 1
 
-    def _ends(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        xp = np.append(x, 0.0)  # index n is every Dirichlet end
-        return xp[self.sys.tail], xp[self.sys.head]
-
     def fill(self, k: float) -> np.ndarray:
         """The data array of A(k) on the torsion matrix's pattern."""
         sys, n = self.sys, len(self.sys.order)
-        c, d = self.law(k)
+        c, d = self.law(k)[:2]
         c = c[self.proper]
         data = sys.pattern.fill(c, -c)
         ends = np.bincount(sys.tail, d, minlength=n + 1) + np.bincount(sys.head, d, minlength=n + 1)
@@ -558,7 +555,7 @@ class _Secular:
         return data
 
     def factor(self, k: float) -> SymmetricFactor:
-        """LDL^T of A(k) by the torsion solve's kernel; SingularSystem if exactly singular."""
+        """LDL^T of A(k) by the secular kernel; SingularSystem if exactly singular."""
         return self.sys.factor(self.fill(k))
 
     def inertia(self, k: float) -> tuple[int | None, float]:
@@ -572,55 +569,48 @@ class _Secular:
             raise NoConvergence(f"the factor of A({k!r}) pivoted, so its inertia cannot be read")
         return negatives, log_det
 
-    def slope(self, k: float, x: np.ndarray) -> np.ndarray:
-        """A'(k) x, summed edge by edge from c' (x_t - x_h) and d' x."""
-        sys, n = self.sys, len(self.sys.order)
-        z = k * sys.length
-        dc, dd = _slopes(z, np.sin(z), np.tan(0.5 * z))
-        xt, xh = self._ends(x)
-        f = dc * (xt - xh)
-        out = np.bincount(sys.tail, f - dd * xt, minlength=n + 1)
-        out += np.bincount(sys.head, -f - dd * xh, minlength=n + 1)
-        return out[:n]
-
-    def rayleigh(self, x: np.ndarray, k: float | None = None) -> float | None:
-        """p(x), the root of q(.; x) on [k_lo, k_hi), by Newton's method kept
-        inside a bracket by bisection, from k (default: the quotient of the
-        piecewise-linear interpolant, the small-k limit of q).  k_lo when q is
-        already negative there (rounding on a graph where k_lo is exact), None
-        when q stays positive up to k_hi.  p(x)^2 >= lambda_1."""
-        xt, xh = self._ends(x)
+    def rayleigh(self, x: np.ndarray, k: float | None = None, terms: tuple | None = None) -> float | None:
+        """p(x), the root of q(.; x) on [k_lo, k_hi) for x over the natural
+        vertices and a last 0 at the Dirichlet ends, by Newton's method on
+        (k_hi - k) q (q's roots without its pole at k_hi) kept inside a bracket
+        by bisection, from k and the law's terms there when given (default k:
+        the piecewise-linear interpolant's quotient, the small-k limit of q).  A
+        step e is the root when e^2 <= K_FLOOR k min(k, k_hi - k), since it
+        misses by about e^2 q''/(2q') and q is even in k with its nearest pole
+        at k_hi.  k_lo when q is already negative there (rounding on a graph
+        where k_lo is exact), None when q stays positive up to k_hi.
+        p(x)^2 >= lambda_1."""
+        xt, xh = x[self.sys.tail], x[self.sys.head]
         diff, both = (xt - xh) ** 2, xt * xt + xh * xh
-        live = both > 0.0  # an edge between Dirichlet ends adds nothing
-        diff, both, ln = diff[live], both[live], self.sys.length[live]
 
-        def q(k: float) -> tuple[float, float]:
-            """q(k; x) and dq/dk, edge by edge from c, d, c' and d'."""
-            z = k * ln
-            s, t = np.sin(z), np.tan(0.5 * z)
-            dc, dd = _slopes(z, s, t)
-            return k * float(diff @ (1.0 / s) - both @ t), float(dc @ diff - dd @ both)
+        def q(k: float, terms: tuple | None = None) -> tuple[float, float]:
+            """q(k; x) and dq/dk from the law's c, d, c' and d' at k."""
+            c, d, dc, dd = terms or self.law(k)
+            return float(c @ diff - d @ both), float(dc @ diff - dd @ both)
 
         if k is None:
+            ln = self.sys.length
             k = math.sqrt(float(diff @ (1.0 / ln)) / float(ln @ (0.5 * both - diff / 6.0)))
         lo, hi = self.k_lo, self.k_hi
         if not lo < k < hi:
-            k = 0.5 * (lo + hi)
+            k, terms = 0.5 * (lo + hi), None
         for _ in range(100):
-            val, der = q(k)
+            val, der = q(k, terms)
+            terms = None
             if val > 0.0:
                 lo = k
             elif val < 0.0:
                 hi = k
             else:
                 return k
-            step = k - val / der if der < 0.0 else math.nan
-            if lo <= step <= hi and abs(step - k) <= NEWTON_LAST * k:
-                return step  # the step's own error is of the order of its square
-            if step >= hi == self.k_hi:  # past the open end: look for a sign change below k_hi
+            slope = der - val / (self.k_hi - k)  # of (k_hi - k) q, over k_hi - k
+            step = k - val / slope if slope < 0.0 else math.nan
+            if hi == self.k_hi and step - k >= 0.5 * (hi - k):  # toward the open end: a sign change below k_hi?
                 hi *= 1.0 - 4.0 * EPS
                 if q(hi)[0] > 0.0:
                     return None
+            if lo <= step <= hi and (step - k) ** 2 <= K_FLOOR * k * min(k, self.k_hi - k):
+                return step
             if not lo < step < hi:  # also a NaN step
                 step = 0.5 * (lo + hi)
             if hi - lo <= NEWTON_TOL * hi:
@@ -631,10 +621,12 @@ class _Secular:
     def settle(self, x: np.ndarray, k: float, tol: float) -> tuple[float | None, bool]:
         """Rayleigh functional iteration x <- A(s)^-1 A'(s) x, k <- p(x) (Ruhe,
         SIAM J. Numer. Anal. 10, 1973) with s = k (1 - DELTA), until k moves by
-        at most tol relative.  The shift costs nothing in the limit, where x
-        still tends to the null vector of A(k), and makes the last factor the
-        certificate: True when it has no negative pivot, so no eigenvalue lies
-        below s^2 while p(x) >= k_1."""
+        at most tol relative.  One law evaluation at s serves the fill of A(s),
+        the right side A'(s) x and the first Newton step of p(x), from s.  The
+        shift costs nothing in the limit, where x still tends to the null
+        vector of A(k), and makes the last factor the certificate: True when it
+        has no negative pivot, so no eigenvalue lies below s^2 while p(x) >= k_1."""
+        sys, n, x = self.sys, len(self.sys.order), x.copy()
         while True:
             self.spend()
             shift = k * (1.0 - DELTA)
@@ -642,12 +634,15 @@ class _Secular:
                 lu = self.factor(shift)
             except SingularSystem:
                 return shift, False  # A(shift) exactly singular: an eigenvalue sits there
-            y = lu.solve(self.slope(shift, x))
+            _, _, dc, dd = terms = self.law.terms
+            xt, xh = x[sys.tail], x[sys.head]
+            f = dc * (xt - xh)
+            y = lu.solve((np.bincount(sys.tail, f - dd * xt, n + 1) - np.bincount(sys.head, f + dd * xh, n + 1))[:n])
             scale = float(np.abs(y).max())
             if not 0.0 < scale < math.inf:
                 return k, False
-            x, prev = y / scale, k
-            k = self.rayleigh(x, prev)
+            np.divide(y, scale, out=x[:n])
+            prev, k = k, self.rayleigh(x, shift, terms)
             if k is None:
                 return None, False
             if abs(k - prev) <= max(tol, K_FLOOR) * k:
@@ -663,21 +658,25 @@ def secular_lambda1(
     natural vertices (the torsion system's size), certified by its inertia.
 
     Rayleigh functional iteration, shifted to s = k (1 - DELTA), starts from
-    the torsion function's vertex values and stops once k moves by at most
-    tol relative.  Its last factor is the certificate (else one more factor
-    at the final k (1 - DELTA)): no negative pivot means no eigenvalue below
-    s^2, and p(x)^2 >= lambda_1, so lambda_1 is bracketed to about 2 DELTA
-    relative, as far as the float64 pivot signs are right.  A 60-digit count
-    confirms the bracket on random_graph seeds 0..199 at length ratios
-    (max/min) up to 1e6; at wider ratios the signs can be wrong (seed 64 at
-    (1e-4, 1e4), ratio 4.1e7, returns a k with no eigenvalue below
-    k (1 + 1e-12)).  When the iteration settled on a higher eigenvalue, the
-    count search of the P1 modes (_brackets) on the continuum law brackets
-    sqrt(lambda_1) to K_FLOOR = 1e-13 in [(sup v)^(-1/2), s), by the
-    landscape bound lambda_1 sup v >= 1, and returns the top; an exactly
+    the torsion function v: its vertex values x, and p(x) sought from v's own
+    Rayleigh quotient T / int v^2 >= p(x)^2 (int v'^2 = T, and the edgewise
+    k-harmonic extension of x minimizes int u'^2 - k^2 int u^2) when that lies
+    below (pi/l_max)^2.  One continuum law evaluation per shift serves the
+    fill, A'(s) x and the first Newton step of the next root.  The iteration
+    stops once k moves by at most tol relative.  Its last factor is the
+    certificate (else one more factor at the final k (1 - DELTA)): no negative
+    pivot means no eigenvalue below s^2, and p(x)^2 >= lambda_1, so lambda_1
+    is bracketed to about 2 DELTA relative, as far as the float64 pivot signs
+    are right.  A 60-digit count confirms the bracket on random_graph seeds
+    0..199 at length ratios (max/min) up to 1e6; at wider ratios the signs can
+    be wrong (seed 64 at (1e-4, 1e4), ratio 4.1e7, returns a k with no
+    eigenvalue below k (1 + 1e-12)).  When the iteration settled on a higher
+    eigenvalue, the count search of the P1 modes (_brackets) on the continuum
+    law brackets sqrt(lambda_1) to K_FLOOR = 1e-13 in [(sup v)^(-1/2), s), by
+    the landscape bound lambda_1 sup v >= 1, and returns the top; an exactly
     singular A(s) counts as one eigenvalue there.  When q has no root below
-    pi/l_max and A stays positive definite there,
-    lambda_1 = (pi/l_max)^2.  The result is at least pi^2/(4 L^2) (Nicaise).
+    pi/l_max and A stays positive definite there, lambda_1 = (pi/l_max)^2.
+    The result is at least pi^2/(4 L^2) (Nicaise).
     """
     check_controls(None, tol)
     if solution is None:
@@ -687,9 +686,12 @@ def secular_lambda1(
     k_hi = math.pi / float(sys.length.max())
     if not sys.order:  # every vertex Dirichlet: the edges are separate intervals
         return k_hi * k_hi
-    sec = _Secular(sys, k_lo, k_hi)
-    x = solution.discrete.values
-    k, certified = sec.rayleigh(x), False
+    sec, x = _Secular(sys, k_lo, k_hi), np.append(solution.discrete.values, 0.0)
+    arr = solution.graph.arrays  # int v^2, v being its end values' interpolant plus s (l - s)/2
+    vt, vh, ln = solution.values[arr.tail], solution.values[arr.head], arr.length
+    square = ln @ ((vt * vt + vt * vh + vh * vh) / 3.0 + (vt + vh) * ln * ln / 12.0 + ln ** 4 / 120.0)
+    k = math.sqrt(solution.rigidity / float(square))
+    k, certified = sec.rayleigh(x, k if k < k_hi else None), False
     if k is not None:
         k, certified = sec.settle(x, k, tol)
     top = k_hi if k is None else k

@@ -8,15 +8,14 @@ natural vertices come from one symmetric positive-definite vertex system, the
 weighted graph Laplacian over the natural vertices, held as a sparse matrix.
 
 The vertex system is factored once by one of two LDL^T kernels
-(SymmetricFactor).  A system of at most DENSE_MAX unknowns, on a graph whose
-edge lengths span at most DENSE_RATIO, is filled into a dense array and
-factored by LAPACK's Bunch-Kaufman dsytrf, which takes a few microseconds
-where scipy.sparse's fixed cost per call is about a hundred.  Every other
-system goes to SuperLU in symmetric mode: a minimum-degree ordering of
-A + A^T and no pivoting, in effect a minimum-degree LDL^T, so memory is
-linear in |V| on tree-like graphs.  The first solve is then refined with the
-same factor.  Each step takes the residual edge by edge from the fluxes
-(x_t - x_h)/l, which subtract nearby values before dividing, where A @ x
+(SymmetricFactor).  A system of at most DENSE_MAX unknowns is filled into a
+dense array and factored by LAPACK's Bunch-Kaufman dsytrf, which takes a few
+microseconds where scipy.sparse's fixed cost per call is about a hundred.
+Every other system goes to SuperLU in symmetric mode: a minimum-degree
+ordering of A + A^T and no pivoting, in effect a minimum-degree LDL^T, so
+memory is linear in |V| on tree-like graphs.  The first solve is then refined
+with the same factor.  Each step takes the residual edge by edge from the
+fluxes (x_t - x_h)/l, which subtract nearby values before dividing, where A @ x
 would add terms of widely different lengths and lose the small ones; it
 solves for the correction and adds it.
 Refinement stops once a correction no longer changes the float64 solution
@@ -63,11 +62,16 @@ EPS = 2.0 ** -52  # float64 machine epsilon: a smaller relative correction chang
 # scipy 1.17.1 and one BLAS thread on perfbench's multigraph_payload systems,
 # factor plus inertia, dense against SuperLU: 10 vs 142 us at 7 unknowns, 26
 # vs 212 at 63, 115 vs 387 at 175, 414 vs 530 at 280; a dense solve is slower
-# than SuperLU's from about 60 unknowns on (11 vs 8 us at 63).  On
-# random_graph seeds 0..199 the two kernels' lambda_1 agree to 7e-16 at length
-# ratios (max/min) up to 1e6 and part beyond (3.7e-9 on seed 64 at ratio
-# 4.1e7); at ratios up to 1e14 a 60-digit count contradicts the dense
-# kernel's lambda_1 on three seeds, SuperLU's on two.
+# than SuperLU's from about 60 unknowns on (11 vs 8 us at 63).  Every torsion
+# solve of at most DENSE_MAX unknowns goes dense: on random_graph seeds
+# 0..149 at length ranges (1e-7, 1e7) and (1e-4, 1e4), the rigidity of the
+# refined dense solve meets the exact rational one to 8.8e-16 relative,
+# SuperLU's to 3.3e-15.  DENSE_RATIO bounds only the secular matrices, whose
+# pivot signs count eigenvalues: on random_graph seeds 0..199 the two
+# kernels' lambda_1 agree to 7e-16 at length ratios (max/min) up to 1e6 and
+# part beyond (3.7e-9 on seed 64 at ratio 4.1e7); at ratios up to 1e14 a
+# 60-digit count contradicts the dense kernel's lambda_1 on three seeds,
+# SuperLU's on two.
 DENSE_MAX = 64
 DENSE_RATIO = 1e6
 
@@ -196,7 +200,9 @@ class DiscreteSystem:
     length[k] its length.  pattern holds the matrix's structure over the
     non-loop edges, for other matrices of the same graph (the secular matrix),
     and dense says which kernel factors them: at most DENSE_MAX unknowns and
-    lengths within a factor DENSE_RATIO of each other.
+    lengths within a factor DENSE_RATIO of each other.  The system's own
+    matrix goes to the dense kernel at most DENSE_MAX unknowns, whatever the
+    lengths.
     """
 
     order: tuple[str, ...]
@@ -212,9 +218,9 @@ class DiscreteSystem:
     def matrix(self) -> scipy.sparse.csc_array:
         return self.pattern.matrix(self.data)
 
-    def factor(self, data: np.ndarray | None = None) -> SymmetricFactor:
-        """LDL^T of the matrix with the given data on pattern (default: the system's own)."""
-        return SymmetricFactor(self.pattern, self.data if data is None else data, self.dense)
+    def factor(self, data: np.ndarray) -> SymmetricFactor:
+        """LDL^T of the matrix with the given data on pattern, by the kernel dense names."""
+        return SymmetricFactor(self.pattern, data, self.dense)
 
     def residual(self, x: np.ndarray) -> np.ndarray:
         """weight - matrix @ x[:n], summed from the edge fluxes; x[n] must be 0."""
@@ -276,7 +282,7 @@ def solve_discrete_torsion(g: MetricGraph) -> DiscreteTorsion:
     if n == 0:
         return DiscreteTorsion(sys, np.zeros(0), 0.0)
     try:
-        lu = sys.factor()
+        lu = SymmetricFactor(sys.pattern, sys.data, n <= DENSE_MAX)
     except SingularSystem as exc:
         raise SingularSystem(f"vertex system is singular: {exc}") from None
     x = np.zeros(n + 1)  # x[n] = 0 is the value at every Dirichlet end

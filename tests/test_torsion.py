@@ -50,6 +50,7 @@ from graphtorsion.families import (
     star,
     stower,
 )
+from graphtorsion import torsion
 from graphtorsion.errors import SingularSystem
 from graphtorsion.torsion import REL_TOL, SymmetricFactor, SymPattern, _require_close, assemble_discrete_system
 
@@ -320,11 +321,17 @@ def test_exactly_singular_matrix_in_both_kernels(m, dense):
         _factor(np.array(m), dense)
 
 
-def test_kernel_selection_rule():
-    assert assemble_discrete_system(path_dd([1.0, 1e6])).dense
-    assert not assemble_discrete_system(path_dd([1.0, 2e6])).dense
-    assert assemble_discrete_system(path_dd([1.0] * 65)).dense  # 64 unknowns
-    assert not assemble_discrete_system(path_dd([1.0] * 66)).dense
+def test_kernel_selection_rule(monkeypatch):
+    # the solve kernel is chosen by size, the count kernel (dense) by size and length ratio
+    made, real = [], torsion.SymmetricFactor
+    monkeypatch.setattr(torsion, "SymmetricFactor", lambda *args: made.append(args[2]) or real(*args))
+    for lengths, solve, count in [([1.0, 1e6], True, True), ([1.0, 2e6], True, False),
+                                  ([1.0] * 65, True, True), ([1.0] * 66, False, False)]:  # 64 and 65 unknowns
+        g = path_dd(lengths)
+        assert assemble_discrete_system(g).dense is count
+        made.clear()
+        solve_discrete_torsion(g)
+        assert made == [solve]
 
 
 # -- variational characterization -----------------------------------------

@@ -347,12 +347,6 @@ def _adjacency(tail: list[int], head: list[int], n_vertices: int) -> tuple[list[
     return adj, [a + b for a, b in zip(tail, head)]
 
 
-def _has_bridge(g: MetricGraph) -> bool:
-    """Bridge detection on the multigraph skeleton; loops are never bridges."""
-    arr = g.arrays
-    return _has_bridge_in(arr.tail, arr.head, len(g.vertex_ids))
-
-
 def _has_bridge_in(tail: np.ndarray, head: np.ndarray, n_vertices: int) -> bool:
     """Whether the multigraph on vertices 0..n_vertices-1 with edges k = (tail[k],
     head[k]) has a bridge.  Loops are skipped; a parallel edge closes a cycle."""

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import BadParameters, InconsistentInvariant
 from .graph import MetricGraph
-from .torsion import TorsionSolution, torsion_function
+from .torsion import TorsionSolution, _solved, torsion_function
 
 POINT_TOL = 1e-10
 
@@ -32,8 +32,10 @@ def gradient(
 ) -> dict[str, float]:
     """Per-edge dT/dl as a dict keyed by edge id, taken at each edge tail.  The
     midpoint value must agree to POINT_TOL relative; disagreement signals a
-    solver bug and raises InconsistentInvariant naming the first edge that drifts."""
-    sol = solution if solution is not None else torsion_function(g)
+    solver bug and raises InconsistentInvariant naming the first edge that drifts.
+    A given solution must be of g or of an equal graph; one of another graph
+    raises BadParameters."""
+    sol = _solved(g, solution)
     b, c, x = sol.b, sol.c, sol.graph.arrays.length / 2.0
     at_tail, at_mid = b * b + 2.0 * c, (b - x) ** 2 + 2.0 * (-0.5 * x * x + b * x + c)
     scale = np.maximum(1.0, np.maximum(np.abs(at_tail), np.abs(at_mid)))
@@ -154,40 +156,34 @@ def optimize(
         raise BadParameters(f"floor must be positive and finite, got {floor!r}")
     if max_iters < 1:
         raise BadParameters(f"max_iters must be at least 1, got {max_iters!r}")
-    if any(e.length < floor for e in g.edges):
+    lengths = g.arrays.length
+    if (lengths < floor).any():
         raise BadParameters("an edge is already below the floor")
 
-    order = [e.id for e in g.edges]
-    lengths = {e.id: e.length for e in g.edges}
     sol = torsion_function(g)
     value = sol.rigidity
-    points = [TrajectoryPoint(0, dict(lengths), value, 0.0)]
+    points = [TrajectoryPoint(0, dict(zip(g.edge_ids, lengths.tolist())), value, 0.0)]
 
     reason = MAX_ITERS_EXCEEDED
     for it in range(1, max_iters + 1):
-        grad = gradient(g, sol)  # given sol, gradient reads only sol
-        mean = math.fsum(grad[i] for i in order) / n
-        direction = {i: sign * (grad[i] - mean) for i in order}
-        norm = math.sqrt(math.fsum(direction[i] ** 2 for i in order))
+        grad = np.fromiter(gradient(sol.graph, sol).values(), float, n)
+        direction = sign * (grad - math.fsum(grad.tolist()) / n)
+        norm = math.sqrt(math.fsum((direction * direction).tolist()))
         if norm < 1e-8:
             reason = STATIONARY
             break
 
         # cap the step where the first length would cross the floor
-        t = 0.1 * total / norm
-        for i in order:
-            if direction[i] < 0.0:
-                t = min(t, (lengths[i] - floor) / -direction[i])
+        down = direction < 0.0
+        t = float(((lengths[down] - floor) / -direction[down]).min(initial=0.1 * total / norm))
         if t <= 0.0:
             reason = FLOOR_REACHED
             break
 
         improved = False
         for _ in range(41):
-            trial = {
-                i: max(lengths[i] + t * direction[i], floor) for i in order
-            }
-            trial_sol = torsion_function(with_lengths(g, trial))
+            trial = np.maximum(lengths + t * direction, floor)
+            trial_sol = torsion_function(g.with_edge_lengths(trial.tolist()))
             if sign * (trial_sol.rigidity - value) > 0.0:
                 improved = True
                 break
@@ -196,11 +192,9 @@ def optimize(
             reason = LINE_SEARCH_FAILED
             break
 
-        lengths = trial
-        sol = trial_sol
-        value = trial_sol.rigidity
-        points.append(TrajectoryPoint(it, dict(lengths), value, t))
-        if min(lengths.values()) <= floor * (1.0 + 1e-9):
+        lengths, sol, value = trial, trial_sol, trial_sol.rigidity
+        points.append(TrajectoryPoint(it, dict(zip(g.edge_ids, lengths.tolist())), value, t))
+        if lengths.min() <= floor * (1.0 + 1e-9):
             reason = FLOOR_REACHED
             break
 

@@ -57,8 +57,8 @@ import scipy.sparse.linalg
 
 from .errors import BadParameters, NoConvergence, SingularSystem
 from .graph import MetricGraph
-from .torsion import (EPS, DiscreteSystem, SymmetricFactor, TorsionSolution, assemble_discrete_system,
-                      torsion_function)
+from .torsion import (EPS, DiscreteSystem, SymmetricFactor, TorsionSolution, _require_graph, _solved,
+                      assemble_discrete_system, torsion_function)
 
 DEFAULT_TOL = 1e-10
 MAX_COUNTS = 10000
@@ -556,7 +556,7 @@ class _Secular:
 
     def factor(self, k: float) -> SymmetricFactor:
         """LDL^T of A(k) by the secular kernel; SingularSystem if exactly singular."""
-        return self.sys.factor(self.fill(k))
+        return SymmetricFactor(self.sys.pattern, self.fill(k), self.sys.dense)
 
     def inertia(self, k: float) -> tuple[int | None, float]:
         """The negative eigenvalues of A(k) and log |det A(k)| from the same
@@ -676,21 +676,21 @@ def secular_lambda1(
     the landscape bound lambda_1 sup v >= 1, and returns the top; an exactly
     singular A(s) counts as one eigenvalue there.  When q has no root below
     pi/l_max and A stays positive definite there, lambda_1 = (pi/l_max)^2.
-    The result is at least pi^2/(4 L^2) (Nicaise).
+    The result is at least pi^2/(4 L^2) (Nicaise).  A given solution must be
+    of g or of an equal graph; one of another graph raises BadParameters.
     """
     check_controls(None, tol)
-    if solution is None:
-        solution = torsion_function(g)
-    sys = solution.discrete.system
+    solution = _solved(g, solution)
+    sys = solution.system
     k_lo = math.pi / (2.0 * math.fsum(sys.length.tolist()))
     k_hi = math.pi / float(sys.length.max())
     if not sys.order:  # every vertex Dirichlet: the edges are separate intervals
         return k_hi * k_hi
-    sec, x = _Secular(sys, k_lo, k_hi), np.append(solution.discrete.values, 0.0)
     arr = solution.graph.arrays  # int v^2, v being its end values' interpolant plus s (l - s)/2
     vt, vh, ln = solution.values[arr.tail], solution.values[arr.head], arr.length
     square = ln @ ((vt * vt + vt * vh + vh * vh) / 3.0 + (vt + vh) * ln * ln / 12.0 + ln ** 4 / 120.0)
     k = math.sqrt(solution.rigidity / float(square))
+    sec, x = _Secular(sys, k_lo, k_hi), np.append(solution.values[~arr.dirichlet], 0.0)
     k, certified = sec.rayleigh(x, k if k < k_hi else None), False
     if k is not None:
         k, certified = sec.settle(x, k, tol)
@@ -776,12 +776,14 @@ def landscape_check(
 
     Sampling interpolates the P1 eigenfunction at SAMPLES + 1 equispaced
     points per edge and skips points closer than h_eff to the Dirichlet set,
-    where both numerator and denominator vanish.
+    where both numerator and denominator vanish.  A given spectral result or
+    solution must be of g or of an equal graph; one of another graph raises
+    BadParameters.
     """
     if spectral is None:
         spectral = lowest_eigenpairs(g, modes, h_target, tol)
-    if solution is None:
-        solution = torsion_function(g)
+    _require_graph(g, spectral.mesh.graph, "spectrum")
+    solution = _solved(g, solution)
     arr, mesh, h = g.arrays, spectral.mesh, spectral.h_eff
     dist = np.array(list(g.dirichlet_distances().values()))
     # sample t of edge e at x = l t / SAMPLES, as edge-major flat arrays

@@ -8,15 +8,16 @@ guaranteed to move.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Union
 
-from .errors import DisconnectedGraph, PreconditionViolated, UnknownEdge
+import numpy as np
+
+from .errors import BadParameters, DisconnectedGraph, PreconditionViolated, UnknownEdge
 from .graph import DIRICHLET, NATURAL, Edge, MetricGraph, Vertex
-from .torsion import TorsionSolution, torsion_function
+from .torsion import TorsionSolution, _solved
 
 
 @dataclass(frozen=True)
@@ -91,6 +92,11 @@ class Prediction:
     factor: float | None = None
 
 
+def _positive(x) -> bool:
+    """Whether x is a positive finite int or float; a bool is neither."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x) and x > 0
+
+
 def _need_vertex(g: MetricGraph, vid: str) -> None:
     if vid not in g._index:
         raise PreconditionViolated(f"vertex {vid!r} does not exist")
@@ -118,20 +124,25 @@ def predicted_direction(
 ) -> Prediction | None:
     """Guaranteed direction of the rigidity change, or None when uncertified.
 
-    AddEdge only carries a guarantee when the torsion takes equal values at the
-    two endpoints, to 1e-9 of max(1, sup v); pass the graph (or a solved
-    torsion) to certify that.
+    None also for an AddEdge length, Lengthen delta or Scale factor that
+    apply() refuses.  AddEdge only carries a guarantee when the torsion takes
+    equal values at the two endpoints, to 1e-9 of max(1, sup v); pass the
+    graph (or a solved torsion) to certify that.  A solution given with a
+    graph must be of that graph or of an equal one; one of another graph
+    raises BadParameters.
     """
     if type(op) not in _OPS:
         return None
     _, direction = _OPS[type(op)]
+    amount = _AMOUNT.get(type(op))
+    if amount is not None and not _positive(getattr(op, amount)):
+        return None
     if isinstance(op, Scale):
         return Prediction(direction, op.factor ** 3)
     if isinstance(op, AddEdge) and op.u != op.w:
-        if solution is None:
-            if g is None:
-                return None
-            solution = torsion_function(g)
+        if solution is None and g is None:
+            return None
+        solution = _solved(solution.graph if g is None else g, solution)
         vu = solution.vertex_values.get(op.u)
         vw = solution.vertex_values.get(op.w)
         if vu is None or vw is None or not abs(vu - vw) <= 1e-9 * max(1.0, solution.sup.value):
@@ -193,7 +204,7 @@ def _attach_pendant(g: MetricGraph, op: AttachPendant) -> MetricGraph:
 def _add_edge(g: MetricGraph, op: AddEdge) -> MetricGraph:
     _need_vertex(g, op.u)
     _need_vertex(g, op.w)
-    if not (isinstance(op.length, (int, float)) and math.isfinite(op.length) and op.length > 0):
+    if not _positive(op.length):
         raise PreconditionViolated(f"new edge length must be positive, got {op.length!r}")
     eid = op.edge_id
     if eid is None:
@@ -209,7 +220,7 @@ def _add_edge(g: MetricGraph, op: AddEdge) -> MetricGraph:
 
 def _lengthen(g: MetricGraph, op: Lengthen) -> MetricGraph:
     e = _need_edge(g, op.edge)
-    if not (isinstance(op.delta, (int, float)) and math.isfinite(op.delta) and op.delta > 0):
+    if not _positive(op.delta):
         raise PreconditionViolated(f"lengthen needs delta > 0, got {op.delta!r}")
     edges = tuple(
         Edge(x.id, x.tail, x.head, x.length + float(op.delta)) if x.id == e.id else x
@@ -219,7 +230,7 @@ def _lengthen(g: MetricGraph, op: Lengthen) -> MetricGraph:
 
 
 def _scale(g: MetricGraph, op: Scale) -> MetricGraph:
-    if not (isinstance(op.factor, (int, float)) and math.isfinite(op.factor) and op.factor > 0):
+    if not _positive(op.factor):
         raise PreconditionViolated(f"scale needs a positive factor, got {op.factor!r}")
     c = float(op.factor)
     edges = tuple(Edge(e.id, e.tail, e.head, c * e.length) for e in g.edges)
@@ -250,9 +261,15 @@ _OPS = {
     Scale: (_scale, Direction.EXACT_SCALE),
     UnfoldParallel: (_unfold, Direction.STRICT_INCREASE),
 }
+# the numeric field of each operation that has one, which must be _positive
+_AMOUNT = {AddEdge: "length", Lengthen: "delta", Scale: "factor"}
 
 
 # -- reduction to a pumpkin chain -----------------------------------------
+
+# Largest chain reduce_to_pumpkin_chain builds, the budget of spectral.MAX_MESH_NODES:
+# star(2000) with distinct lengths needs 4,000,000 edges, 11 s to build; star(4000) runs out of memory.
+MAX_CHAIN_EDGES = 2_000_000
 
 
 def reduce_to_pumpkin_chain(g: MetricGraph) -> MetricGraph:
@@ -262,35 +279,33 @@ def reduce_to_pumpkin_chain(g: MetricGraph) -> MetricGraph:
     of the distance function at a vertex distance or an edge interior peak is
     glued to a point.  Every edge piece between consecutive levels is monotone
     in distance, so the quotient is a genuine pumpkin chain; the inradius and
-    the total length are preserved and the rigidity can only drop.
+    the total length are preserved and the rigidity can only drop.  The
+    chain's edges are counted first: more than MAX_CHAIN_EDGES raises
+    BadParameters (a star of k distinct lengths needs about k^2).
     """
-    g1 = g.glue_dirichlet()
-    dist = g1.dirichlet_distances()
-    raw = [dist[v.id] for v in g1.vertices]
-    for e in g1.edges:
-        raw.append(0.5 * (dist[e.tail] + dist[e.head] + e.length))
-    raw.sort()
+    arr, nv = g.arrays, len(g.vertex_ids)
+    dist = np.array(list(g.dirichlet_distances().values()))  # gluing the Dirichlet set changes none
+    values = np.concatenate((dist, 0.5 * (dist[arr.tail] + dist[arr.head] + arr.length)))
+    raw = np.sort(values).tolist()
     tol = 1e-9 * max(raw[-1], 1e-300)
     levels: list[float] = []
     for x in raw:
         if not levels or x - levels[-1] > tol:
             levels.append(x)
-
-    def level_of(x: float) -> int:
-        i = bisect.bisect_left(levels, x - tol)
-        if i >= len(levels) or abs(levels[i] - x) > tol:
-            raise AssertionError("distance value missed the level grid")
-        return i
-
-    mult = [0] * (len(levels) - 1)
-    for e in g1.edges:
-        iu = level_of(dist[e.tail])
-        iw = level_of(dist[e.head])
-        ip = level_of(0.5 * (dist[e.tail] + dist[e.head] + e.length))
-        for j in range(iu, ip):
-            mult[j] += 1
-        for j in range(iw, ip):
-            mult[j] += 1
+    grid = np.array(levels)
+    at = np.minimum(np.searchsorted(grid, values - tol), len(levels) - 1)
+    if (np.abs(grid[at] - values) > tol).any():
+        raise AssertionError("distance value missed the level grid")
+    # each edge runs up from both ends to its peak: one strand per level gap crossed
+    peak, steps = at[nv:], np.zeros(len(levels), dtype=np.int64)
+    for lo in (at[arr.tail], at[arr.head]):
+        np.add.at(steps, lo, 1)
+        np.add.at(steps, np.maximum(peak, lo), -1)
+    mult = np.cumsum(steps)[:-1].tolist()
+    if sum(mult) > MAX_CHAIN_EDGES:
+        raise BadParameters(
+            f"pumpkin chain needs {sum(mult)} edges, more than the {MAX_CHAIN_EDGES} allowed"
+        )
     verts = [Vertex("q0", DIRICHLET)]
     verts += [Vertex(f"q{j}", NATURAL) for j in range(1, len(levels))]
     edges = []

@@ -22,16 +22,17 @@ Refinement stops once a correction no longer changes the float64 solution
 (max|d| <= 2^-52 max|x|) or after MAX_REFINE steps.
 
 Rigidity has three independent routes: exact edgewise integration of v, the
-vertex-system identity, and the Dirichlet energy of v.  torsion_function checks
-the integral against the vertex identity and the Kirchhoff residual;
-rigidity() adds the energy route.  Each check holds to REL_TOL relative, and a
-mismatch raises rather than returning a number of unknown quality.
+vertex-system identity T = sum l^3/12 + weight.x/4, and the Dirichlet energy
+of v.  torsion_function checks the integral against the vertex identity and
+the Kirchhoff residual; rigidity() checks it against the energy.  Each check
+holds to REL_TOL relative, and a mismatch raises rather than returning a
+number of unknown quality.
 
-A TorsionSolution holds its graph and the solve: the vertex values and the
-coefficients b and c as float64 arrays in the order of the graph's ids and
-arrays.  Every route is evaluated on those arrays, each summed with
-math.fsum over .tolist() (an fsum over an ndarray is slower on small graphs).
-Only its vertex_values dict is built on demand.
+A TorsionSolution holds its graph, the vertex values and the coefficients b
+and c as float64 arrays in the order of the graph's ids and arrays, and the
+vertex system that gave them.  Every route is evaluated on those arrays,
+each summed with math.fsum over .tolist() (an fsum over an ndarray is slower
+on small graphs).  Only its vertex_values dict is built on demand.
 """
 
 from __future__ import annotations
@@ -218,10 +219,6 @@ class DiscreteSystem:
     def matrix(self) -> scipy.sparse.csc_array:
         return self.pattern.matrix(self.data)
 
-    def factor(self, data: np.ndarray) -> SymmetricFactor:
-        """LDL^T of the matrix with the given data on pattern, by the kernel dense names."""
-        return SymmetricFactor(self.pattern, data, self.dense)
-
     def residual(self, x: np.ndarray) -> np.ndarray:
         """weight - matrix @ x[:n], summed from the edge fluxes; x[n] must be 0."""
         n = len(self.order)
@@ -230,21 +227,12 @@ class DiscreteSystem:
         return self.weight - flux[:n]
 
 
-@dataclass(frozen=True)
-class DiscreteTorsion:
-    """values solves system.matrix @ values = system.weight (float64, indexed like
-    system.order); the torsion function takes half of it at each natural vertex."""
-
-    system: DiscreteSystem
-    values: np.ndarray
-    discrete_rigidity: float
-
-
 @dataclass(frozen=True, eq=False)
 class TorsionSolution:
     """v(x) = -x^2/2 + b[k] x + c[k] on edge k of graph, in the offset x from
     its tail; values[i] is v at vertex i.  Both follow graph's ids and arrays.
-    discrete is the vertex solve that gave them."""
+    system is the vertex system whose solution x gave them: v = x/2 at the
+    natural vertices, in system.order."""
 
     graph: MetricGraph
     values: np.ndarray
@@ -253,7 +241,7 @@ class TorsionSolution:
     rigidity: float
     sup: PointWitness
     kirchhoff_residual: float
-    discrete: DiscreteTorsion
+    system: DiscreteSystem
 
     @cached_property
     def vertex_values(self) -> dict[str, float]:
@@ -276,11 +264,12 @@ def assemble_discrete_system(g: MetricGraph) -> DiscreteSystem:
     return DiscreteSystem(order, pattern.fill(mu, -mu), weight, tail, head, arr.length, pattern, dense)
 
 
-def solve_discrete_torsion(g: MetricGraph) -> DiscreteTorsion:
+def solve_discrete_torsion(g: MetricGraph) -> tuple[DiscreteSystem, np.ndarray]:
+    """The vertex system of g and its solution x of matrix @ x = weight, in system.order."""
     sys = assemble_discrete_system(g)
     n = len(sys.order)
     if n == 0:
-        return DiscreteTorsion(sys, np.zeros(0), 0.0)
+        return sys, np.zeros(0)
     try:
         lu = SymmetricFactor(sys.pattern, sys.data, n <= DENSE_MAX)
     except SingularSystem as exc:
@@ -296,18 +285,17 @@ def solve_discrete_torsion(g: MetricGraph) -> DiscreteTorsion:
             break
     if not np.isfinite(sol).all():
         raise SingularSystem("vertex system produced non-finite values")
-    return DiscreteTorsion(sys, sol, float(sys.weight @ sol))
+    return sys, sol
 
 
 def torsion_function(g: MetricGraph) -> TorsionSolution:
     """Solve for the torsion function as edgewise quadratics over the graph's arrays."""
-    disc = solve_discrete_torsion(g)
-    sys = disc.system
+    sys, xv = solve_discrete_torsion(g)
     n = len(sys.order)
     arr = g.arrays
     ln = arr.length
     v = np.zeros(len(g.vertex_ids))
-    v[~arr.dirichlet] = 0.5 * disc.values
+    v[~arr.dirichlet] = 0.5 * xv
     vt, vh = v[arr.tail], v[arr.head]
     b = 0.5 * ln + (vh - vt) / ln
 
@@ -322,15 +310,29 @@ def torsion_function(g: MetricGraph) -> TorsionSolution:
     best = PointWitness(float(peak[k]), g.edge_ids[k], float(x[k]))
 
     cube = ln ** 3
-    t_edge = _integral(ln, cube, b, vt)
-    t_formula = math.fsum(cube.tolist()) / 12.0 + 0.25 * disc.discrete_rigidity
+    t_edge = math.fsum((-cube / 6.0 + 0.5 * b * ln * ln + vt * ln).tolist())  # sum of int_0^l v
+    t_formula = math.fsum(cube.tolist()) / 12.0 + 0.25 * float(sys.weight @ xv)
     _require_close("rigidity (edgewise integral)", t_edge, "rigidity (vertex identity)", t_formula)
     scale = max(1.0, best.value)
     if residual > REL_TOL * scale:
         raise CrossCheckMismatch(
             f"Kirchhoff residual {residual:.3e} exceeds {REL_TOL * scale:.3e}"
         )
-    return TorsionSolution(g, v, b, vt, t_edge, best, residual, disc)
+    return TorsionSolution(g, v, b, vt, t_edge, best, residual, sys)
+
+
+def _require_graph(g: MetricGraph, other: MetricGraph, what: str) -> None:
+    """BadParameters unless other is g or an equal graph."""
+    if not (other is g or other == g):
+        raise BadParameters(f"the {what} given is of another graph than the one asked about")
+
+
+def _solved(g: MetricGraph, solution: TorsionSolution | None) -> TorsionSolution:
+    """solution, which must be of g, or the torsion function of g when it is None."""
+    if solution is None:
+        return torsion_function(g)
+    _require_graph(g, solution.graph, "torsion solution")
+    return solution
 
 
 def _require_close(name_a: str, a: float, name_b: str, b: float) -> None:
@@ -338,20 +340,10 @@ def _require_close(name_a: str, a: float, name_b: str, b: float) -> None:
         raise CrossCheckMismatch(f"{name_a} = {a!r} disagrees with {name_b} = {b!r}")
 
 
-def _integral(l: np.ndarray, cube: np.ndarray, b: np.ndarray, c: np.ndarray) -> float:
-    """Sum over the edges of the integral of -x^2/2 + b x + c on [0, l]; cube = l^3."""
-    return math.fsum((-cube / 6.0 + 0.5 * b * l * l + c * l).tolist())
-
-
 def rigidity(sol: TorsionSolution) -> float:
-    """Total integral of the torsion function, cross-checked along every route."""
-    ln = sol.graph.arrays.length
-    cube = ln ** 3
-    t_edge = _integral(ln, cube, sol.b, sol.c)
-    _require_close("rigidity (integral of v)", t_edge, "rigidity (energy of v)", dirichlet_energy(sol))
-    t_formula = math.fsum(cube.tolist()) / 12.0 + 0.25 * sol.discrete.discrete_rigidity
-    _require_close("rigidity (integral of v)", t_edge, "rigidity (vertex identity)", t_formula)
-    _require_close("rigidity (integral of v)", t_edge, "stored rigidity", sol.rigidity)
+    """Total integral of the torsion function, cross-checked against its
+    Dirichlet energy; torsion_function checked the vertex identity."""
+    _require_close("rigidity (integral of v)", sol.rigidity, "rigidity (energy of v)", dirichlet_energy(sol))
     return sol.rigidity
 
 

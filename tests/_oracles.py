@@ -98,6 +98,31 @@ def bellman_ford_dirichlet(g) -> dict[str, float]:
     return dist
 
 
+def pumpkin_multiplicities(g) -> list[int]:
+    """Edges of each gap of the pumpkin chain of g, level by level.  The levels
+    are the Dirichlet distances of the vertices and of each edge's peak, merged
+    within 1e-9 of the largest; an edge gives one strand to every gap from
+    either end up to its peak."""
+    dist = bellman_ford_dirichlet(g)
+    peaks = [(dist[e.tail] + dist[e.head] + e.length) / 2.0 for e in g.edges]
+    raw = sorted(list(dist.values()) + peaks)
+    tol = 1e-9 * max(raw[-1], 1e-300)
+    levels = []
+    for x in raw:
+        if not levels or x - levels[-1] > tol:
+            levels.append(x)
+
+    def level(x):
+        return min(range(len(levels)), key=lambda i: abs(levels[i] - x))
+
+    mult = [0] * (len(levels) - 1)
+    for e, peak in zip(g.edges, peaks):
+        for end in (e.tail, e.head):
+            for j in range(level(dist[end]), level(peak)):
+                mult[j] += 1
+    return mult
+
+
 def _dense_fem(g, h: float):
     """P1 stiffness K, consistent mass M, free-node index map, node list.
 

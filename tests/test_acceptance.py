@@ -100,7 +100,7 @@ def test_criterion_2_rigidity_identity_battery():
             T = sol.rigidity
             assert rel_err(dirichlet_energy(sol), T) <= 1e-10
             cubes = math.fsum(e.length**3 for e in g.edges) / 12.0
-            formula = cubes + sol.discrete.discrete_rigidity / 4.0
+            formula = cubes + sol.system.weight @ sol.values[~g.arrays.dirichlet] / 2.0
             assert rel_err(formula, T) <= 1e-10
         assert time.perf_counter() - t0 < 30.0
 

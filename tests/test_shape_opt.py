@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from graphtorsion import (
     torsion_function,
     with_lengths,
 )
-from graphtorsion.families import lasso, path_dd, path_dn, random_graph, star
+from graphtorsion.families import caterpillar, lasso, path_dd, path_dn, random_graph, star
 from graphtorsion.shape_opt import (
     FLOOR_REACHED,
     MAX_ITERS_EXCEEDED,
@@ -219,6 +220,16 @@ def test_trajectory_json_lines():
     assert rows[0]["T"] == pytest.approx(traj.points[0].rigidity, rel=1e-15)
 
 
+def test_optimize_lines_are_pinned():
+    # every T and length of eight trajectories, as printed
+    pinned = json.loads((Path(__file__).parent / "data" / "optimize_lines.json").read_text())
+    graphs = {"star:3,[0.5,0.5,2.0]": star(3, [0.5, 0.5, 2.0]), "random_graph(3)": random_graph(3),
+              "caterpillar(3)": caterpillar(3), "lasso(1,3)": lasso(1, 3)}
+    runs = {f"{name} {objective}": optimize(g, objective).to_json_lines()
+            for name, g in graphs.items() for objective in ("max", "min")}
+    assert runs == pinned
+
+
 def test_gradient_names_the_first_edge_that_drifts():
     sol = torsion_function(lasso(1.0, 1.0))
     # on a long edge with small b and c the midpoint value cancels terms of size
@@ -227,4 +238,11 @@ def test_gradient_names_the_first_edge_that_drifts():
     bad = dataclasses.replace(sol, graph=lasso(1.0, 962511.6760188427),
                               **{k: np.array([getattr(sol, k)[0], v]) for k, v in arrays.items()})
     with pytest.raises(InconsistentInvariant, match="^dT/dl on edge 'e2' drifts along the edge"):
-        gradient(lasso(1.0, 1.0), bad)
+        gradient(bad.graph, bad)
+
+
+def test_gradient_refuses_a_solution_of_another_graph():
+    with pytest.raises(BadParameters):
+        gradient(star(3), torsion_function(lasso()))
+    sol = torsion_function(star(3))
+    assert gradient(star(3), sol) == gradient(sol.graph, sol)

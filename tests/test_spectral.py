@@ -584,6 +584,25 @@ def test_landscape_reuses_precomputed():
     assert h_eff == spec.h_eff
 
 
+def test_landscape_refuses_results_of_another_graph():
+    g, other = lasso(), star(3)
+    spec, sol = lowest_eigenpairs(g, k=2, h_target=1 / 32), torsion_function(g)
+    with pytest.raises(BadParameters):
+        landscape_check(g, modes=2, spectral=lowest_eigenpairs(other, k=2, h_target=1 / 32), solution=sol)
+    with pytest.raises(BadParameters):
+        landscape_check(g, modes=2, spectral=spec, solution=torsion_function(other))
+    # equal graphs built apart are the same graph
+    assert landscape_check(lasso(), modes=2, spectral=spec, solution=sol)[0] == landscape_check(
+        g, modes=2, spectral=spec, solution=sol)[0]
+
+
+def test_secular_lambda1_refuses_a_solution_of_another_graph():
+    # lasso's lambda_1 is 0.7074, star(3)'s pi^2/4
+    with pytest.raises(BadParameters):
+        secular_lambda1(star(3), torsion_function(lasso()))
+    assert secular_lambda1(star(3), torsion_function(star(3))) == secular_lambda1(star(3))
+
+
 def test_landscape_mode_metadata():
     g = make_graph(
         [("a", "dirichlet"), ("b", "natural")],
@@ -762,7 +781,7 @@ def test_both_kernels_match_the_oracles(natural, dense):
     # 60 unknowns go to LAPACK's Bunch-Kaufman, 70 to SuperLU
     g = _multigraph(natural, natural)
     sol = torsion_function(g)
-    assert sol.discrete.system.dense is dense
+    assert sol.system.dense is dense
     assert sol.rigidity == pytest.approx(float(exact_rigidity(g)), rel=1e-12)
     assert_exact_lambda1(g, secular_lambda1(g, sol))
 
@@ -772,9 +791,10 @@ def test_wide_length_ratio_keeps_superlu(monkeypatch):
     # pivot signs count eigenvalues, keep SuperLU past DENSE_RATIO
     g = random_graph(9, length_range=(1e-7, 1e7))
     made, real = [], torsion.SymmetricFactor
-    monkeypatch.setattr(torsion, "SymmetricFactor", lambda *args: made.append(args[2]) or real(*args))
+    for module in (torsion, spectral):
+        monkeypatch.setattr(module, "SymmetricFactor", lambda *args: made.append(args[2]) or real(*args))
     sol = torsion_function(g)
-    assert len(sol.discrete.system.order) <= torsion.DENSE_MAX and not sol.discrete.system.dense
+    assert len(sol.system.order) <= torsion.DENSE_MAX and not sol.system.dense
     assert made == [True]
     assert sol.rigidity == pytest.approx(float(exact_rigidity(g)), rel=1e-12)
     lam = secular_lambda1(g, sol)
@@ -795,7 +815,7 @@ def test_exactly_singular_secular_matrix_has_no_inertia(dense):
 
 def test_secular_matrix_tends_to_torsion_matrix():
     # A(k) refills the torsion matrix's pattern; c -> 1/l and d -> 0 as k -> 0
-    sys = torsion_function(random_graph(5)).discrete.system
+    sys = torsion_function(random_graph(5)).system
     sec = _Secular(sys, 0.0, math.inf)
     assert np.array_equal(sec.sys.pattern.indices, sys.matrix.indices)
     assert np.array_equal(sec.sys.pattern.indptr, sys.matrix.indptr)

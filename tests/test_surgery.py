@@ -1,15 +1,18 @@
 """Surgery operations: rewiring, direction predictions, chain reduction."""
 
 import math
+import time
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from _oracles import random_surgery_op
+from _oracles import pumpkin_multiplicities, random_surgery_op
 from graphtorsion import (
     AddDirichlet,
     AddEdge,
     AttachPendant,
+    BadParameters,
     Direction,
     Glue,
     Lengthen,
@@ -178,6 +181,27 @@ def test_add_edge_certification():
     )
 
 
+# Edge rejects a bool length, so no operation takes a bool as a number
+@pytest.mark.parametrize("op", [Lengthen("e1", -1.0), Lengthen("e1", math.inf), Scale(0.0), Scale(math.nan),
+                                Scale(-2.0), AddEdge("v1", "v1", -2.0), AddEdge("v0", "v1", 0.0),
+                                AddEdge("v0", "v1", True), AddEdge("v1", "v1", True), Lengthen("e1", True),
+                                Scale(True)])
+def test_no_prediction_for_refused_amounts(op):
+    with pytest.raises(PreconditionViolated):
+        apply(lasso(), op)
+    assert predicted_direction(op, lasso()) is None
+    assert predicted_direction(op) is None
+
+
+def test_add_edge_prediction_needs_the_solution_of_its_graph():
+    g, op = star(2, [1.0, 1.0]), AddEdge("v1", "v2", 1.0)
+    with pytest.raises(BadParameters):
+        predicted_direction(op, g, torsion_function(lasso()))
+    # an equal graph built apart is the same graph
+    assert predicted_direction(op, g, torsion_function(star(2, [1.0, 1.0]))) is not None
+    assert predicted_direction(op, None, torsion_function(g)) is not None
+
+
 def test_add_dirichlet_strictly_decreases():
     g = lasso(1.0, 1.0)
     assert T(apply(g, AddDirichlet("v1"))) < T(g) - 1e-9
@@ -279,6 +303,8 @@ def test_reduction_invariants_battery():
             assert len(chain.natural_vertices) <= n_nat + 1
 
         chain_profile(chain)
+        strands = Counter(int(e.tail[1:]) for e in chain.edges)
+        assert [strands[j] for j in range(len(chain.vertices) - 1)] == pumpkin_multiplicities(g)
 
 
 def test_reduction_of_peak_free_tree_keeps_vertex_budget():
@@ -296,3 +322,12 @@ def test_reduction_with_interior_peaks_adds_levels():
     assert len(chain.natural_vertices) <= len(g.natural_vertices) + 1 + 2
     assert T(chain) <= T(g) * (1.0 + 1e-9)
     assert chain.inradius().value == pytest.approx(g.inradius().value, rel=1e-9)
+
+
+def test_reduction_refuses_a_chain_past_the_edge_budget():
+    # star(k) with distinct lengths reduces to about k^2 edges: 2,250,000 here
+    g = star(1500, np.linspace(1.0, 2.0, 1500).tolist())
+    t0 = time.perf_counter()
+    with pytest.raises(BadParameters, match="2250000 edges"):
+        reduce_to_pumpkin_chain(g)
+    assert time.perf_counter() - t0 < 1.0

@@ -4,12 +4,12 @@ and landscape checks.
 
 secular_lambda1 returns the exact lowest Dirichlet eigenvalue from the
 secular matrix A(k) over the natural vertices, the torsion system's size and
-sparsity pattern, by Rayleigh functional iteration from the torsion function
-(its vertex values, and k from its Rayleigh quotient), one continuum law
-evaluation per shift serving the fill, A'(s) x and the next root's first
-Newton step; the pivot signs of one LDL^T of A(k (1 - DELTA)) certify it
-(Sylvester's law of inertia), or the count search of the P1 modes
-(_brackets) brackets it.
+sparsity pattern and storage, by Rayleigh functional iteration from the
+torsion function (its vertex values, and the first shift one Newton step
+below its Rayleigh quotient), one continuum law evaluation per shift serving
+the fill, A'(s) x and the next root's first Newton step; the pivot signs of one LDL^T of
+A(k (1 - DELTA)) certify it (Sylvester's law of inertia), or the count
+search of the P1 modes (_brackets) brackets it.
 No mesh is built, so lambda_1 carries no discretization error and costs a
 few vertex-sized factorizations.  The audit takes lambda_1 from here.
 
@@ -152,10 +152,10 @@ class SpectralResult:
 
     values holds one row per mode over all mesh nodes in the mesh's node
     order, the vertices and then the interior points of each edge in turn
-    (zeros at Dirichlet nodes), each mass-normalized; within a multiple
-    eigenvalue the first carries the whole integral and the rest integrate to
-    0.  The modes share
-    one bracketing search, so iterations repeats its count once per mode: the
+    (zeros at Dirichlet nodes), each mass-normalized and signed as
+    lowest_eigenpairs says; within a multiple eigenvalue the first carries the
+    whole integral and the rest integrate to 0.  The modes share one
+    bracketing search, so iterations repeats its count once per mode: the
     number of eigenvalue counts, each one factorization of the vertex-sized
     secular matrix.  integrals holds each mode's integral over the graph.
     """
@@ -194,8 +194,12 @@ def lowest_eigenpairs(
 
     Brackets on the count isolate the modes (_brackets); a bracket holding m
     of them gives m null vectors of the bounded system, and Rayleigh-Ritz on
-    the k vectors gives the eigenpairs and residuals.  NoConvergence when a Ritz value lies above its bracket: its
-    null vector was poor, and the value would be off by more than tol.
+    the k vectors gives the eigenpairs and residuals.  NoConvergence when a
+    Ritz value lies above its bracket: its null vector was poor, and the value
+    would be off by more than tol.  Each simple mode and each multiple
+    eigenvalue's first mode integrate to a positive number; a simple mode with
+    |int phi| <= 1e-10 sqrt(L) (0 up to rounding) has instead its first value
+    in node order within 1e-8 of its largest magnitude positive.
     """
     check_controls(h_target, tol)
     mesh = build_mesh(g, h_target)
@@ -267,18 +271,25 @@ def lowest_eigenpairs(
         raise NoConvergence(f"Ritz value {lams[i]!r} of mode {i + 1} lies above its bracket, whose top is {tops[i]!r}")
     # a basis of each multiple eigenvalue that the graph defines: an orthogonal
     # change of basis, so still M-orthonormal, whose first vector carries the
-    # whole integral and the rest integrate to 0; that first vector and the
-    # ground state integrate to a positive number
+    # whole integral and the rest integrate to 0
     basis_integrals, firsts = u @ t, np.cumsum(sizes) - sizes
     for first_mode, m in zip(firsts, sizes):
         if m > 1:
             block = v[:, first_mode:first_mode + m]
             block[:] = block @ np.linalg.qr((basis_integrals @ block)[:, None], mode="complete")[0]
     integrals = basis_integrals @ v
-    flip = [f for f, m in zip(firsts, sizes) if (f == 0 or m > 1) and integrals[f] < 0]
+    # the signs, on v where the integral decides; rounding leaves some 1e-11 on
+    # the integral of a mode odd about an edge's midpoint, whose values decide
+    zero = 1e-10 * math.sqrt(math.fsum(arr.length.tolist()))
+    ties = [f for f, m in zip(firsts.tolist(), sizes) if m == 1 and abs(integrals[f]) <= zero]
+    flip = [f for f in firsts.tolist() if integrals[f] < 0.0 and f not in ties]
     v[:, flip], integrals[flip] = -v[:, flip], -integrals[flip]
     values = v.T @ u
     del u
+    for f in ties:  # the 1e-8 keeps rounding from choosing between two peaks
+        at = np.abs(values[f])
+        if values[f, int(np.argmax(at >= (1.0 - 1e-8) * at.max()))] < 0.0:
+            values[f], integrals[f] = -values[f], -integrals[f]
     # ||K0 x - lam M0 x|| over the free nodes: each flux (x_t - x_h)/w, then each
     # segment's share at its tail and at its head, summed at an interior point,
     # and by a bincount over the edge ends at a vertex
@@ -658,26 +669,30 @@ def secular_lambda1(
     natural vertices (the torsion system's size), certified by its inertia.
 
     Rayleigh functional iteration, shifted to s = k (1 - DELTA), starts from
-    the torsion function v: its vertex values x, and p(x) sought from v's own
-    Rayleigh quotient T / int v^2 >= p(x)^2 (int v'^2 = T, and the edgewise
-    k-harmonic extension of x minimizes int u'^2 - k^2 int u^2) when that lies
-    below (pi/l_max)^2.  One continuum law evaluation per shift serves the
-    fill, A'(s) x and the first Newton step of the next root.  The iteration
-    stops once k moves by at most tol relative.  Its last factor is the
-    certificate (else one more factor at the final k (1 - DELTA)): no negative
-    pivot means no eigenvalue below s^2, and p(x)^2 >= lambda_1, so lambda_1
-    is bracketed to about 2 DELTA relative, as far as the float64 pivot signs
-    are right.  A 60-digit count confirms the bracket on random_graph seeds
-    0..199 at length ratios (max/min) up to 1e6; at wider ratios the signs can
-    be wrong (seed 64 at (1e-4, 1e4), ratio 4.1e7, returns a k with no
-    eigenvalue below k (1 + 1e-12)).  When the iteration settled on a higher
-    eigenvalue, the count search of the P1 modes (_brackets) on the continuum
-    law brackets sqrt(lambda_1) to K_FLOOR = 1e-13 in [(sup v)^(-1/2), s), by
-    the landscape bound lambda_1 sup v >= 1, and returns the top; an exactly
-    singular A(s) counts as one eigenvalue there.  When q has no root below
-    pi/l_max and A stays positive definite there, lambda_1 = (pi/l_max)^2.
-    The result is at least pi^2/(4 L^2) (Nicaise).  A given solution must be
-    of g or of an equal graph; one of another graph raises BadParameters.
+    the torsion function v: its vertex values x, and k_T^2 = T / int v^2 >=
+    p(x)^2 >= lambda_1, v's own Rayleigh quotient (int v'^2 = T, and the
+    edgewise k-harmonic extension of x minimizes int u'^2 - k^2 int u^2).
+    When k_T < pi/l_max, the first shift is k_T less the first Newton step of
+    the root search for p(x) (rayleigh's), one law evaluation where the whole
+    search took about four; else k = p(x) searched from the quotient of x's
+    piecewise-linear interpolant.  One continuum law evaluation per shift
+    serves the fill, A'(s) x and the first Newton step of the next root.  The
+    iteration stops once k moves by at most tol relative.  Its last factor is
+    the certificate (else one more factor at the final k (1 - DELTA)): no
+    negative pivot means no eigenvalue below s^2, and p(x)^2 >= lambda_1, so
+    lambda_1 is bracketed to about 2 DELTA relative, as far as the float64
+    pivot signs are right.  A 60-digit count confirms the bracket on
+    random_graph seeds 0..199 at length ratios (max/min) up to 1e6; at wider
+    ratios the signs can be wrong (seed 64 at (1e-4, 1e4), ratio 4.1e7,
+    returns a k with no eigenvalue below k (1 + 1e-12)).  When the iteration
+    settled on a higher eigenvalue, the count search of the P1 modes
+    (_brackets) on the continuum law brackets sqrt(lambda_1) to K_FLOOR =
+    1e-13 in [(sup v)^(-1/2), s), by the landscape bound lambda_1 sup v >= 1,
+    and returns the top; an exactly singular A(s) counts as one eigenvalue
+    there.  When q has no root below pi/l_max and A stays positive definite
+    there, lambda_1 = (pi/l_max)^2.  The result is at least pi^2/(4 L^2)
+    (Nicaise).  A given solution must be of g or of an equal graph; one of
+    another graph raises BadParameters.
     """
     check_controls(None, tol)
     solution = _solved(g, solution)
@@ -691,7 +706,15 @@ def secular_lambda1(
     square = ln @ ((vt * vt + vt * vh + vh * vh) / 3.0 + (vt + vh) * ln * ln / 12.0 + ln ** 4 / 120.0)
     k = math.sqrt(solution.rigidity / float(square))
     sec, x = _Secular(sys, k_lo, k_hi), np.append(solution.values[~arr.dirichlet], 0.0)
-    k, certified = sec.rayleigh(x, k if k < k_hi else None), False
+    if k >= k_hi:
+        k = sec.rayleigh(x)
+    else:  # rayleigh's first Newton step on (k_hi - k) q(.; x), from k_T toward p(x)
+        c, d, dc, dd = sec.law(k)
+        diff, both = (vt - vh) ** 2, vt * vt + vh * vh
+        val, der = float(c @ diff - d @ both), float(dc @ diff - dd @ both)
+        step = k - val / (der - val / (k_hi - k))
+        k = step if k_lo < step < k else k
+    certified = False
     if k is not None:
         k, certified = sec.settle(x, k, tol)
     top = k_hi if k is None else k

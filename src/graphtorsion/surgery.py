@@ -15,7 +15,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import BadParameters, DisconnectedGraph, PreconditionViolated, UnknownEdge
+from .errors import BadParameters, DuplicateId, NonPositiveLength, PreconditionViolated, UnknownEdge, ValidationError
 from .graph import DIRICHLET, NATURAL, Edge, MetricGraph, Vertex
 from .torsion import TorsionSolution, _solved
 
@@ -97,9 +97,10 @@ def _positive(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x) and x > 0
 
 
-def _need_vertex(g: MetricGraph, vid: str) -> None:
-    if vid not in g._index:
-        raise PreconditionViolated(f"vertex {vid!r} does not exist")
+def _need_vertices(g: MetricGraph, *vids: str) -> None:
+    for vid in vids:
+        if vid not in g._index:
+            raise PreconditionViolated(f"vertex {vid!r} does not exist")
 
 
 def _need_edge(g: MetricGraph, eid: str) -> Edge:
@@ -111,9 +112,10 @@ def _need_edge(g: MetricGraph, eid: str) -> Edge:
 
 def apply(g: MetricGraph, op: SurgeryOp) -> MetricGraph:
     try:
-        build, _ = _OPS[type(op)]
+        build, check, _ = _OPS[type(op)]
     except KeyError:
         raise PreconditionViolated(f"unknown operation {op!r}") from None
+    check(g, op)
     return build(g, op)
 
 
@@ -124,142 +126,186 @@ def predicted_direction(
 ) -> Prediction | None:
     """Guaranteed direction of the rigidity change, or None when uncertified.
 
-    None also for an AddEdge length, Lengthen delta or Scale factor that
-    apply() refuses.  AddEdge only carries a guarantee when the torsion takes
-    equal values at the two endpoints, to 1e-9 of max(1, sup v); pass the
-    graph (or a solved torsion) to certify that.  A solution given with a
-    graph must be of that graph or of an equal one; one of another graph
-    raises BadParameters.
+    None also where apply() refuses op: a bad AddEdge length, Lengthen delta
+    or Scale factor always, anything else when the graph is known (g or the
+    solution's), by apply()'s own check.  AddEdge only carries a guarantee
+    when the torsion takes equal values at the two endpoints, to 1e-9 of
+    max(1, sup v); pass the graph (or a solved torsion) to certify that.  A
+    solution given with a graph must be of that graph or of an equal one; one
+    of another graph raises BadParameters.
     """
-    if type(op) not in _OPS:
+    try:
+        _, check, direction = _OPS[type(op)]
+    except KeyError:
         return None
-    _, direction = _OPS[type(op)]
     amount = _AMOUNT.get(type(op))
     if amount is not None and not _positive(getattr(op, amount)):
         return None
+    graph = solution.graph if g is None and solution is not None else g
+    if graph is not None:
+        try:
+            check(graph, op)
+        except (PreconditionViolated, ValidationError):
+            return None
     if isinstance(op, Scale):
         return Prediction(direction, op.factor ** 3)
     if isinstance(op, AddEdge) and op.u != op.w:
-        if solution is None and g is None:
+        if graph is None:
             return None
-        solution = _solved(solution.graph if g is None else g, solution)
-        vu = solution.vertex_values.get(op.u)
-        vw = solution.vertex_values.get(op.w)
-        if vu is None or vw is None or not abs(vu - vw) <= 1e-9 * max(1.0, solution.sup.value):
+        solution = _solved(graph, solution)
+        vu, vw = solution.vertex_values[op.u], solution.vertex_values[op.w]
+        if not abs(vu - vw) <= 1e-9 * max(1.0, solution.sup.value):
             return None
     return Prediction(direction)
 
 
 # -- the individual operations --------------------------------------------
+# Each has a check, which raises where apply() refuses the operation and
+# builds no graph, and a builder for graphs that passed it.
+
+
+def _check_glue(g: MetricGraph, op: Glue) -> None:
+    if op.v == op.w:
+        raise PreconditionViolated("glue needs two distinct vertices")
+    _need_vertices(g, op.v, op.w)
+    bc_v, bc_w = g.vertex(op.v).bc, g.vertex(op.w).bc
+    if bc_v != bc_w:
+        raise PreconditionViolated(f"glue needs matching conditions, got {bc_v} and {bc_w}")
 
 
 def _glue(g: MetricGraph, op: Glue) -> MetricGraph:
-    if op.v == op.w:
-        raise PreconditionViolated("glue needs two distinct vertices")
-    _need_vertex(g, op.v)
-    _need_vertex(g, op.w)
-    if g.vertex(op.v).bc != g.vertex(op.w).bc:
-        raise PreconditionViolated(
-            f"glue needs matching conditions, got {g.vertex(op.v).bc} and {g.vertex(op.w).bc}"
-        )
     verts = tuple(v for v in g.vertices if v.id != op.w)
     sub = lambda x: op.v if x == op.w else x
     edges = tuple(Edge(e.id, sub(e.tail), sub(e.head), e.length) for e in g.edges)
     return MetricGraph(verts, edges)
 
 
-def _add_dirichlet(g: MetricGraph, op: AddDirichlet) -> MetricGraph:
-    _need_vertex(g, op.v)
+def _check_dirichlet(g: MetricGraph, op: AddDirichlet) -> None:
+    _need_vertices(g, op.v)
     if g.is_dirichlet(op.v):
         raise PreconditionViolated(f"vertex {op.v!r} is already Dirichlet")
+
+
+def _add_dirichlet(g: MetricGraph, op: AddDirichlet) -> MetricGraph:
     verts = tuple(Vertex(v.id, DIRICHLET) if v.id == op.v else v for v in g.vertices)
     return MetricGraph(verts, g.edges)
 
 
-def _attach_pendant(g: MetricGraph, op: AttachPendant) -> MetricGraph:
-    _need_vertex(g, op.at)
+def _check_pendant(g: MetricGraph, op: AttachPendant) -> None:
+    _need_vertices(g, op.at)
     if g.is_dirichlet(op.at):
         raise PreconditionViolated("pendant must meet the host at a natural vertex")
     if op.join not in op.vertices:
         raise PreconditionViolated(f"join vertex {op.join!r} is not a pendant vertex")
-    host_v = {v.id for v in g.vertices}
-    host_e = {e.id for e in g.edges}
-    new_ids = [x for x in op.vertices if x != op.join]
-    clash = (set(new_ids) & host_v) | ({e[0] for e in op.edges} & host_e)
+    pend, eids = set(op.vertices), [e[0] for e in op.edges]
+    if not all(isinstance(x, str) and x for x in (*(pend - {op.join}), *eids)):
+        raise ValidationError(f"pendant ids must be nonempty strings, got {op.vertices!r} and {eids!r}")
+    if len(pend) < len(op.vertices) or len(set(eids)) < len(eids):
+        raise DuplicateId(f"pendant ids repeat: vertices {list(op.vertices)}, edges {eids}")
+    clash = ((pend - {op.join}) & set(g.vertex_ids)) | (set(eids) & set(g.edge_ids))
     if clash:
         raise PreconditionViolated(f"pendant ids collide with host ids: {sorted(clash)}")
-    pend_set = set(op.vertices)
-    for eid, t, h, _l in op.edges:
-        if t not in pend_set or h not in pend_set:
+    near: dict[str, list[str]] = {x: [] for x in pend}
+    for eid, t, h, length in op.edges:
+        if t not in pend or h not in pend:
             raise PreconditionViolated(f"pendant edge {eid!r} leaves the pendant vertex set")
+        if not _positive(length):
+            raise NonPositiveLength(f"edge {eid!r}: length must be positive and finite, got {length!r}")
+        near[t].append(h)
+        near[h].append(t)
+    # the host is connected, so the new graph is when every pendant vertex reaches join
+    reached, stack = {op.join}, [op.join]
+    while stack:
+        for x in near[stack.pop()]:
+            if x not in reached:
+                reached.add(x)
+                stack.append(x)
+    if len(reached) < len(pend):
+        raise PreconditionViolated("pendant subgraph is not connected to its join vertex")
+
+
+def _attach_pendant(g: MetricGraph, op: AttachPendant) -> MetricGraph:
     sub = lambda x: op.at if x == op.join else x
-    verts = g.vertices + tuple(Vertex(x, NATURAL) for x in new_ids)
+    verts = g.vertices + tuple(Vertex(x, NATURAL) for x in op.vertices if x != op.join)
     edges = g.edges + tuple(Edge(eid, sub(t), sub(h), l) for eid, t, h, l in op.edges)
-    try:
-        return MetricGraph(verts, edges)
-    except DisconnectedGraph:  # the host is connected: the pendant does not hang from join
-        raise PreconditionViolated("pendant subgraph is not connected to its join vertex") from None
+    return MetricGraph(verts, edges)
+
+
+def _check_add_edge(g: MetricGraph, op: AddEdge) -> None:
+    _need_vertices(g, op.u, op.w)
+    if not _positive(op.length):
+        raise PreconditionViolated(f"new edge length must be positive, got {op.length!r}")
+    if op.edge_id is not None:
+        if not (isinstance(op.edge_id, str) and op.edge_id):
+            raise ValidationError(f"edge id must be a nonempty string, got {op.edge_id!r}")
+        if op.edge_id in g.edge_ids:
+            raise PreconditionViolated(f"edge id {op.edge_id!r} already in use")
 
 
 def _add_edge(g: MetricGraph, op: AddEdge) -> MetricGraph:
-    _need_vertex(g, op.u)
-    _need_vertex(g, op.w)
-    if not _positive(op.length):
-        raise PreconditionViolated(f"new edge length must be positive, got {op.length!r}")
     eid = op.edge_id
     if eid is None:
-        used = {e.id for e in g.edges}
+        used = set(g.edge_ids)
         k = len(used)
         while f"added{k}" in used:
             k += 1
         eid = f"added{k}"
-    elif any(e.id == eid for e in g.edges):
-        raise PreconditionViolated(f"edge id {eid!r} already in use")
     return MetricGraph(g.vertices, g.edges + (Edge(eid, op.u, op.w, float(op.length)),))
 
 
-def _lengthen(g: MetricGraph, op: Lengthen) -> MetricGraph:
+def _check_lengthen(g: MetricGraph, op: Lengthen) -> None:
     e = _need_edge(g, op.edge)
     if not _positive(op.delta):
         raise PreconditionViolated(f"lengthen needs delta > 0, got {op.delta!r}")
-    edges = tuple(
-        Edge(x.id, x.tail, x.head, x.length + float(op.delta)) if x.id == e.id else x
-        for x in g.edges
-    )
-    return MetricGraph(g.vertices, edges)
+    if not math.isfinite(e.length + float(op.delta)):
+        raise NonPositiveLength(f"edge {e.id!r}: lengthening by {op.delta!r} overflows its length")
+
+
+def _lengthen(g: MetricGraph, op: Lengthen) -> MetricGraph:
+    length = g.arrays.length.copy()
+    length[g._edge_index[op.edge]] += float(op.delta)
+    return g.with_edge_lengths(length.tolist())
+
+
+def _check_scale(g: MetricGraph, op: Scale) -> None:
+    if not _positive(op.factor):
+        raise PreconditionViolated(f"scale needs a positive factor, got {op.factor!r}")
+    c, length = float(op.factor), g.arrays.length
+    if not (math.isfinite(c * float(length.max())) and c * float(length.min()) > 0.0):
+        raise NonPositiveLength(f"scaling by {op.factor!r} takes an edge length out of the positive floats")
 
 
 def _scale(g: MetricGraph, op: Scale) -> MetricGraph:
-    if not _positive(op.factor):
-        raise PreconditionViolated(f"scale needs a positive factor, got {op.factor!r}")
-    c = float(op.factor)
-    edges = tuple(Edge(e.id, e.tail, e.head, c * e.length) for e in g.edges)
-    return MetricGraph(g.vertices, edges)
+    return g.with_edge_lengths((float(op.factor) * g.arrays.length).tolist())
+
+
+def _check_unfold(g: MetricGraph, op: UnfoldParallel) -> None:
+    if op.first == op.second:
+        raise PreconditionViolated("unfold needs two distinct edges")
+    e1, e2 = _need_edge(g, op.first), _need_edge(g, op.second)
+    if {e1.tail, e1.head} != {e2.tail, e2.head}:
+        raise PreconditionViolated(f"edges {op.first!r} and {op.second!r} do not share both endpoints")
+    if not math.isfinite(e1.length + e2.length):
+        raise NonPositiveLength(f"edges {op.first!r} and {op.second!r}: their total length overflows")
 
 
 def _unfold(g: MetricGraph, op: UnfoldParallel) -> MetricGraph:
-    if op.first == op.second:
-        raise PreconditionViolated("unfold needs two distinct edges")
-    e1 = _need_edge(g, op.first)
-    e2 = _need_edge(g, op.second)
-    if {e1.tail, e1.head} != {e2.tail, e2.head}:
-        raise PreconditionViolated(
-            f"edges {op.first!r} and {op.second!r} do not share both endpoints"
-        )
+    e1, e2 = g.edge(op.first), g.edge(op.second)
     merged = Edge(e1.id, e1.tail, e1.head, e1.length + e2.length)
     edges = tuple(merged if x.id == e1.id else x for x in g.edges if x.id != e2.id)
     return MetricGraph(g.vertices, edges)
 
 
-# builder and rigidity direction per operation; AddEdge's holds only when certified
+# builder, check and rigidity direction per operation; AddEdge's direction
+# holds only when certified
 _OPS = {
-    Glue: (_glue, Direction.NON_INCREASING),
-    AddDirichlet: (_add_dirichlet, Direction.STRICT_DECREASE),
-    AttachPendant: (_attach_pendant, Direction.NON_DECREASING),
-    AddEdge: (_add_edge, Direction.NON_DECREASING),
-    Lengthen: (_lengthen, Direction.STRICT_INCREASE),
-    Scale: (_scale, Direction.EXACT_SCALE),
-    UnfoldParallel: (_unfold, Direction.STRICT_INCREASE),
+    Glue: (_glue, _check_glue, Direction.NON_INCREASING),
+    AddDirichlet: (_add_dirichlet, _check_dirichlet, Direction.STRICT_DECREASE),
+    AttachPendant: (_attach_pendant, _check_pendant, Direction.NON_DECREASING),
+    AddEdge: (_add_edge, _check_add_edge, Direction.NON_DECREASING),
+    Lengthen: (_lengthen, _check_lengthen, Direction.STRICT_INCREASE),
+    Scale: (_scale, _check_scale, Direction.EXACT_SCALE),
+    UnfoldParallel: (_unfold, _check_unfold, Direction.STRICT_INCREASE),
 }
 # the numeric field of each operation that has one, which must be _positive
 _AMOUNT = {AddEdge: "length", Lengthen: "delta", Scale: "factor"}

@@ -5,21 +5,22 @@ vertices and satisfies continuity plus a zero-sum condition on inward
 derivatives at natural vertices.  Edgewise it is the quadratic
 v(x) = -x^2/2 + b x + c in the offset x from the edge tail; its values at the
 natural vertices come from one symmetric positive-definite vertex system, the
-weighted graph Laplacian over the natural vertices, held as a sparse matrix.
+weighted graph Laplacian over the natural vertices.
 
-The vertex system is factored once by one of two LDL^T kernels
-(SymmetricFactor).  A system of at most DENSE_MAX unknowns is filled into a
-dense array and factored by LAPACK's Bunch-Kaufman dsytrf, which takes a few
-microseconds where scipy.sparse's fixed cost per call is about a hundred.
-Every other system goes to SuperLU in symmetric mode: a minimum-degree
-ordering of A + A^T and no pivoting, in effect a minimum-degree LDL^T, so
-memory is linear in |V| on tree-like graphs.  The first solve is then refined
-with the same factor.  Each step takes the residual edge by edge from the
-fluxes (x_t - x_h)/l, which subtract nearby values before dividing, where A @ x
-would add terms of widely different lengths and lose the small ones; it
-solves for the correction and adds it.
-Refinement stops once a correction no longer changes the float64 solution
-(max|d| <= 2^-52 max|x|) or after MAX_REFINE steps.
+A system of at most DENSE_MAX unknowns is stored as its dense array from
+assembly on (SymPattern): one bincount of the edge terms fills it, with no
+sparse structure to sort, and LAPACK's Bunch-Kaufman dsytrf factors it
+(SymmetricFactor) in a few microseconds where scipy.sparse's fixed cost per
+call is about a hundred.  Every other system is stored as CSC data and goes
+to SuperLU in symmetric mode: a minimum-degree ordering of A + A^T and no
+pivoting, in effect a minimum-degree LDL^T, so memory is linear in |V| on
+tree-like graphs.  The first solve is then refined with the same factor.
+Each step takes the residual edge by edge from the fluxes (x_t - x_h)/l,
+which subtract nearby values before dividing, where A @ x would add terms of
+widely different lengths and lose the small ones; it solves for the
+correction and adds it.  Refinement stops once a correction no longer
+changes the float64 solution (max|d| <= 2^-52 max|x|) or after MAX_REFINE
+steps.
 
 Rigidity has three independent routes: exact edgewise integration of v, the
 vertex-system identity T = sum l^3/12 + weight.x/4, and the Dirichlet energy
@@ -59,87 +60,95 @@ from .graph import DIRICHLET, MetricGraph, PointWitness
 REL_TOL = 1e-10
 MAX_REFINE = 4  # refinement steps after the first solve; past them the cross-checks decide
 EPS = 2.0 ** -52  # float64 machine epsilon: a smaller relative correction changes nothing
-# The dense kernel's bounds (SymmetricFactor).  Measured with numpy 2.4.6,
-# scipy 1.17.1 and one BLAS thread on perfbench's multigraph_payload systems,
-# factor plus inertia, dense against SuperLU: 10 vs 142 us at 7 unknowns, 26
-# vs 212 at 63, 115 vs 387 at 175, 414 vs 530 at 280; a dense solve is slower
-# than SuperLU's from about 60 unknowns on (11 vs 8 us at 63).  Every torsion
-# solve of at most DENSE_MAX unknowns goes dense: on random_graph seeds
-# 0..149 at length ranges (1e-7, 1e7) and (1e-4, 1e4), the rigidity of the
-# refined dense solve meets the exact rational one to 8.8e-16 relative,
-# SuperLU's to 3.3e-15.  DENSE_RATIO bounds only the secular matrices, whose
-# pivot signs count eigenvalues: on random_graph seeds 0..199 the two
-# kernels' lambda_1 agree to 7e-16 at length ratios (max/min) up to 1e6 and
-# part beyond (3.7e-9 on seed 64 at ratio 4.1e7); at ratios up to 1e14 a
-# 60-digit count contradicts the dense kernel's lambda_1 on three seeds,
-# SuperLU's on two.
+# The bounds of the dense storage and kernel (SymPattern, SymmetricFactor).
+# Assembly, factor and inertia of perfbench's multigraph_payload systems,
+# dense against CSC and SuperLU (numpy 2.4.6, scipy 1.17.1, one BLAS thread):
+# 21 vs 93 us at 7 unknowns, 30 vs 115 at 63, 77 vs 224 at 175, 575 vs 321
+# at 280; a dense solve is slower from about 60 unknowns on (4 vs 3 us at
+# 63).  Every torsion solve of at most DENSE_MAX unknowns goes dense: on
+# random_graph seeds 0..149 at length ranges (1e-7, 1e7) and (1e-4, 1e4), the
+# rigidity of the refined dense solve meets the exact rational one to 8.8e-16
+# relative, SuperLU's to 3.3e-15.  DENSE_RATIO bounds only the secular
+# matrices, whose pivot signs count eigenvalues: on random_graph seeds 0..199
+# the two kernels' lambda_1 agree to 7e-16 at length ratios (max/min) up to
+# 1e6 and part beyond (3.7e-9 on seed 64 at ratio 4.1e7); at ratios up to
+# 1e14 a 60-digit count contradicts the dense kernel's lambda_1 on three
+# seeds, SuperLU's on two.
 DENSE_MAX = 64
 DENSE_RATIO = 1e6
 
 
 @dataclass(frozen=True)
 class SymPattern:
-    """Sparsity pattern of symmetric n x n CSC matrices summed over pairs (i[k], j[k]).
+    """Storage of symmetric n x n matrices summed over pairs (i[k], j[k]).
 
     Pair k adds diag[k] at (i,i) and (j,j) and off[k] at (i,j) and (j,i);
-    index n marks an eliminated end, whose entries are dropped.  The entries
-    are keyed by (column, row), sorted once with a stable argsort, and each
-    fill sums them with np.add.reduceat, so every matrix built on the pattern
-    has sorted indices, no duplicates and the same structure.
+    index n marks an eliminated end, whose terms go to a slot past the stored
+    entries and are dropped.  A fill is one np.bincount of the terms over
+    their slots, which adds an entry's terms in turn.  At most DENSE_MAX
+    unknowns the storage is the n x n array itself, flat, entry (r, c) at
+    c n + r, so the build sorts nothing; otherwise it is a CSC matrix's data,
+    its entries keyed by (column, row) and sorted once by argsort.  matrix
+    returns either as a CSC matrix with sorted indices and no duplicates, the
+    dense array converted on each call.
     """
 
     n: int
-    src: np.ndarray  # pair term of each kept entry, in (column, row) order
-    first: np.ndarray  # where each distinct entry opens in src
-    indices: np.ndarray
-    indptr: np.ndarray
+    size: int  # stored entries: n * n, or the CSC matrix's
+    pos: np.ndarray  # slot of each pair term in (diag, diag, off, off) order; size for a dropped one
+    indices: np.ndarray | None  # the CSC structure, None for the dense storage
+    indptr: np.ndarray | None
 
     @classmethod
     def build(cls, n: int, i: np.ndarray, j: np.ndarray) -> "SymPattern":
+        if n <= DENSE_MAX:
+            pos = np.concatenate((i * (n + 1), j * (n + 1), j * n + i, i * n + j))  # (i,i), (j,j), (i,j), (j,i)
+            cut_i, cut_j = i == n, j == n
+            pos[np.concatenate((cut_i, cut_j, cut_i | cut_j, cut_i | cut_j))] = n * n  # past every entry
+            return cls(n, n * n, pos, None, None)
         rows = np.concatenate((i, j, i, j))
         cols = np.concatenate((i, j, j, i))
         keep = ((rows < n) & (cols < n)).nonzero()[0]
         key = cols[keep] * n + rows[keep]
-        del rows, cols
-        perm = key.argsort(kind="stable")
+        perm = key.argsort()  # a fill adds an entry's terms in term order whatever the sort
         key = key[perm]
-        src = keep[perm]
         opens = np.empty(len(key), dtype=bool)  # where a new (column, row) entry begins
         opens[:1] = True
         np.not_equal(key[1:], key[:-1], out=opens[1:])
-        first = opens.nonzero()[0]
-        key = key[first]
+        col, row = np.divmod(key[opens], n)
+        pos = np.full(len(rows), len(col))
+        pos[keep[perm]] = opens.cumsum() - 1
         indptr = np.zeros(n + 1, dtype=np.int32)
-        np.bincount(key // n, minlength=n).cumsum(out=indptr[1:])
-        indices = (key % n).astype(np.int32)
-        return cls(n, src, first, indices, indptr)
+        np.bincount(col, minlength=n).cumsum(out=indptr[1:])
+        return cls(n, len(col), pos, row.astype(np.int32), indptr)
 
     def fill(self, diag: np.ndarray, off: np.ndarray) -> np.ndarray:
-        """The data array of the matrix with pair terms diag and off."""
-        return np.add.reduceat(np.concatenate((diag, diag, off, off))[self.src], self.first)
-
-    def matrix(self, data: np.ndarray) -> scipy.sparse.csc_array:
-        return scipy.sparse.csc_array((data, self.indices, self.indptr),
-                                      shape=(self.n, self.n), copy=False)
-
-    @cached_property
-    def flat(self) -> np.ndarray:
-        """Position c n + r of each stored entry (r, c) in a C-ordered n x n array."""
-        return np.repeat(np.arange(self.n) * self.n, np.diff(self.indptr)) + self.indices
+        """The stored entries of the matrix with pair terms diag and off."""
+        data = np.bincount(self.pos, np.concatenate((diag, diag, off, off)), self.size + 1)[:self.size]
+        return data.astype(float, copy=False)  # bincount of no terms counts in int64
 
     @cached_property
     def diagonal(self) -> np.ndarray:
-        """Position in the data array of entry (c, c), for each column c."""
-        return (self.flat % (self.n + 1) == 0).nonzero()[0]
+        """Slot of entry (c, c), for each column c."""
+        if self.indices is None:
+            return np.arange(self.n) * (self.n + 1)
+        return (self.indices == np.repeat(np.arange(self.n), np.diff(self.indptr))).nonzero()[0]
+
+    def matrix(self, data: np.ndarray) -> scipy.sparse.csc_array:
+        if self.indices is None:  # the matrix is symmetric, so its transpose reads the same
+            return scipy.sparse.csc_array(data.reshape(self.n, self.n))
+        return scipy.sparse.csc_array((data, self.indices, self.indptr),
+                                      shape=(self.n, self.n), copy=False)
 
 
 class SymmetricFactor:
     """LDL^T of the symmetric matrix with the given data on a SymPattern.
 
-    dense: LAPACK's Bunch-Kaufman dsytrf on the full array (lower), solved by
-    dsytrs.  D has 1x1 blocks and 2x2 blocks [[a, b], [b, c]], the latter
-    only where |a c| < 0.41 b^2, so each holds one negative eigenvalue.
-    Otherwise SuperLU in symmetric mode: a minimum-degree ordering of A + A^T
+    dense: LAPACK's Bunch-Kaufman dsytrf on a copy of the stored n x n array
+    (lower), which the pattern must hold, solved by dsytrs.  D has 1x1 blocks
+    and 2x2 blocks [[a, b], [b, c]], the latter only where |a c| < 0.41 b^2,
+    so each holds one negative eigenvalue.  Otherwise SuperLU in symmetric
+    mode on the pattern's CSC matrix: a minimum-degree ordering of A + A^T
     and diagonal pivots, in effect LDL^T, whose pivots are U's diagonal; only
     an exactly zero diagonal pivot moves off the diagonal (perm_r then
     differs from perm_c).  SingularSystem when the matrix is exactly
@@ -149,10 +158,8 @@ class SymmetricFactor:
     def __init__(self, pattern: SymPattern, data: np.ndarray, dense: bool):
         self.lu = None
         if dense:
-            a = np.zeros((pattern.n, pattern.n))
-            a.ravel()[pattern.flat] = data
-            # a is symmetric, so a.T is the same matrix in Fortran order, factored in place
-            self.ldu, self.ipiv, info = dsytrf(a.T, lower=1, overwrite_a=1)
+            # dsytrf factors a copy of the stored array, which must survive
+            self.ldu, self.ipiv, info = dsytrf(data.reshape(pattern.n, pattern.n), lower=1)
             if info > 0:
                 raise SingularSystem(f"matrix is exactly singular: zero pivot in row {info}")
         else:
@@ -191,19 +198,17 @@ class SymmetricFactor:
 class DiscreteSystem:
     """Vertex system over the natural vertices.
 
-    data holds the entries of a symmetric positive definite matrix on
-    pattern; matrix returns it in CSC form with sorted indices and no
-    duplicates.  Solving matrix @ g = weight gives the vertex unknowns.
-    weight[v] is the metric degree (loops twice).  Each edge adds 1/length to
-    the weighted graph Laplacian restricted to the natural vertices; a loop
-    couples a vertex to itself and cancels.  tail[k] and head[k] are the
-    unknowns at the ends of edge k, len(order) at a Dirichlet end, and
-    length[k] its length.  pattern holds the matrix's structure over the
-    non-loop edges, for other matrices of the same graph (the secular matrix),
-    and dense says which kernel factors them: at most DENSE_MAX unknowns and
-    lengths within a factor DENSE_RATIO of each other.  The system's own
-    matrix goes to the dense kernel at most DENSE_MAX unknowns, whatever the
-    lengths.
+    data holds the stored entries (SymPattern) of a symmetric positive
+    definite matrix on pattern; matrix returns it in CSC form.  Solving
+    matrix @ g = weight gives the vertex unknowns.  weight[v] is the metric
+    degree (loops twice).  Each edge adds 1/length to the weighted graph
+    Laplacian restricted to the natural vertices; a loop couples a vertex to
+    itself and cancels.  tail[k] and head[k] are the unknowns at the ends of
+    edge k, len(order) at a Dirichlet end, and length[k] its length.  pattern
+    serves the other matrices of the same graph (the secular matrix) too, and
+    dense says which kernel factors those: at most DENSE_MAX unknowns and
+    lengths within a factor DENSE_RATIO of each other, where the system's
+    own matrix goes dense at most DENSE_MAX unknowns whatever the lengths.
     """
 
     order: tuple[str, ...]

@@ -19,10 +19,12 @@ from graphtorsion import (
     PreconditionViolated,
     Scale,
     UnfoldParallel,
+    ValidationError,
     apply,
     make_graph,
     predicted_direction,
     reduce_to_pumpkin_chain,
+    surgery,
     torsion_function,
 )
 from graphtorsion.families import caterpillar, flower, lasso, random_graph, star
@@ -191,6 +193,69 @@ def test_no_prediction_for_refused_amounts(op):
         apply(lasso(), op)
     assert predicted_direction(op, lasso()) is None
     assert predicted_direction(op) is None
+
+
+# one operation per precondition apply() checks, each refused on lasso(): v0
+# Dirichlet, v1 natural, e1 from v0 to v1 and the loop e2 at v1
+_PENDANT = (("p0", "p1"), (("pe0", "p0", "p1", 0.5),), "p0", "v1")
+
+
+@pytest.mark.parametrize("op", [
+    Glue("v1", "v1"), Glue("zz", "v1"), Glue("v1", "zz"), Glue("v0", "v1"),
+    AddDirichlet("zz"), AddDirichlet("v0"),
+    AttachPendant(*_PENDANT[:3], "zz"), AttachPendant(*_PENDANT[:3], "v0"),
+    AttachPendant(*_PENDANT[:2], "px", "v1"), AttachPendant(("p0", "v0"), (), "p0", "v1"),
+    AttachPendant(_PENDANT[0], (("e1", "p0", "p1", 0.5),), "p0", "v1"),
+    AttachPendant(_PENDANT[0], (("pe0", "p0", "v1", 0.5),), "p0", "v1"),
+    AttachPendant(("p0", "p1", "p2"), (("pe0", "p1", "p2", 0.5),), "p0", "v1"),
+    AddEdge("zz", "zz", 1.0), AddEdge("zz", "v1", 1.0), AddEdge("v1", "zz", 1.0), AddEdge("v0", "v1", 1.0, "e2"),
+    Lengthen("nope", 1.0),
+    UnfoldParallel("e1", "e1"), UnfoldParallel("nope", "e2"), UnfoldParallel("e1", "nope"), UnfoldParallel("e1", "e2"),
+])
+def test_no_prediction_for_refused_operations(op):
+    g = lasso()
+    with pytest.raises(PreconditionViolated):
+        apply(g, op)
+    assert predicted_direction(op, g) is None
+    assert predicted_direction(op, None, torsion_function(g)) is None
+
+
+# apply() refuses these where it builds the graph, with the graph's own errors
+_HUGE = make_graph([("v0", "dirichlet"), ("v1", "natural")], [("e1", "v0", "v1", 1e308), ("e2", "v0", "v1", 1e308)])
+
+
+@pytest.mark.parametrize("g, op", [
+    (lasso(), AttachPendant(_PENDANT[0], (("pe0", "p0", "p1", 0.0),), "p0", "v1")),
+    (lasso(), AttachPendant(_PENDANT[0], (("pe0", "p0", "p1", math.inf),), "p0", "v1")),
+    (lasso(), AttachPendant(("p0", "p1", "p1"), _PENDANT[1], "p0", "v1")),
+    (lasso(), AttachPendant(_PENDANT[0], _PENDANT[1] + (("pe0", "p1", "p0", 0.5),), "p0", "v1")),
+    (lasso(), AttachPendant(("p0", ""), (("pe0", "p0", "", 0.5),), "p0", "v1")),
+    (lasso(), AttachPendant(_PENDANT[0], (("", "p0", "p1", 0.5),), "p0", "v1")),
+    (lasso(), AddEdge("v0", "v1", 1.0, "")),
+    (_HUGE, Lengthen("e1", 1e308)), (_HUGE, Scale(1e300)), (_HUGE, UnfoldParallel("e1", "e2")),
+])
+def test_no_prediction_where_the_new_graph_is_invalid(g, op):
+    with pytest.raises(ValidationError):
+        apply(g, op)
+    assert predicted_direction(op, g) is None
+
+
+def test_pendant_edges_in_any_order():
+    # a path of four pendant edges listed from its far end toward join
+    edges = tuple((f"pe{k}", f"p{k}", f"p{k + 1}", 0.5) for k in reversed(range(4)))
+    op = AttachPendant(tuple(f"p{k}" for k in range(5)), edges, "p0", "v1")
+    assert predicted_direction(op, lasso()).direction == Direction.NON_DECREASING
+    assert apply(lasso(), op).edge_ids == ("e1", "e2", "pe3", "pe2", "pe1", "pe0")
+
+
+def test_prediction_checks_build_no_graph(monkeypatch):
+    g, built = lasso(), []
+    real = surgery.MetricGraph.__init__
+    monkeypatch.setattr(surgery.MetricGraph, "__init__", lambda self, *a: built.append(1) or real(self, *a))
+    ops = [Glue("v0", "v1"), AddDirichlet("v1"), AttachPendant(*_PENDANT), AddEdge("v1", "v1", 1.0),
+           Lengthen("e1", 1.0), Scale(2.0), UnfoldParallel("e1", "e2")]
+    assert [predicted_direction(op, g) is None for op in ops] == [True] + [False] * 5 + [True]
+    assert built == []
 
 
 def test_add_edge_prediction_needs_the_solution_of_its_graph():

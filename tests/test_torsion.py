@@ -271,7 +271,8 @@ def test_long_path_stays_sparse():
 def _factor(m: np.ndarray, dense: bool) -> SymmetricFactor:
     """SymmetricFactor of the symmetric array m, on a pattern holding every entry."""
     pattern = SymPattern.build(len(m), *np.triu_indices(len(m)))
-    return SymmetricFactor(pattern, m.ravel()[pattern.flat], dense)
+    assert pattern.indices is None  # stored as the array itself, entry (r, c) at c n + r
+    return SymmetricFactor(pattern, m.ravel(order="F"), dense)
 
 
 @pytest.mark.parametrize("m", [[[0.0, 1.0], [1.0, 0.0]], [[1e-3, 1.0], [1.0, 1e-3]]])
@@ -304,7 +305,7 @@ def test_dense_inertia_matches_the_eigenvalues():
 
 def test_inertia_of_both_kernels_on_a_vertex_system():
     sys = assemble_discrete_system(random_graph(3))
-    data = sys.matrix.data.copy()
+    data = sys.data.copy()
     data[sys.pattern.diagonal] -= 1.5  # indefinite, still diagonally pivotable
     want = np.count_nonzero(np.linalg.eigvalsh(sys.matrix.toarray() - 1.5 * np.eye(len(sys.order))) < 0.0)
     assert 0 < want < len(sys.order)

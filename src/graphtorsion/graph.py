@@ -9,7 +9,8 @@ positive finite real.
 Ids plus index arrays are the primary form: ``vertex_ids``, ``edge_ids`` and
 ``arrays`` (tail, head, length, Dirichlet mask).  The Vertex and Edge objects in
 ``vertices`` and ``edges`` are built on first access; a graph made from objects
-keeps the ones it was given.
+keeps the ones it was given, while a graph derived by identifying vertices
+(Dirichlet gluing, surgery's Glue, the pumpkin chain) is built from arrays alone.
 """
 
 from __future__ import annotations
@@ -87,9 +88,9 @@ class MetricGraph:
     # -- validation ------------------------------------------------------
 
     def _build(self, vids: list, bcs: list, eids: list, tails: list, heads: list,
-               lengths: list) -> None:
-        """Check ids, ends, the Dirichlet set and connectivity of entries already checked
-        one by one; only when a set-wide check fails is the first bad entry looked for."""
+               lengths: list) -> "MetricGraph":
+        """Check the ids and ends of entries already checked one by one, then the whole
+        graph (_take); only when a set-wide check fails is the first bad entry looked for."""
         index = dict(zip(vids, range(len(vids))))
         try:
             if len(index) < len(vids) or len(set(eids)) < len(eids):
@@ -99,29 +100,25 @@ class MetricGraph:
             _first_unknown(vids, eids, tails, heads, index)
             raise
         dirichlet = np.array([bc == DIRICHLET for bc in bcs], dtype=bool)
-        if not dirichlet.any():
+        return self._take(index, eids, EdgeArrays(np.array(tail, dtype=np.int64), np.array(head, dtype=np.int64),
+                                                 np.array(lengths, dtype=np.float64), dirichlet))
+
+    def _take(self, index: dict[str, int], edge_ids, arrays: "EdgeArrays") -> "MetricGraph":
+        """Hold vertex positions by id, edge ids and valid index arrays after the checks
+        of a whole graph: a Dirichlet vertex, an edge, connectivity (isolated vertices too)."""
+        if not arrays.dirichlet.any():
             raise EmptyDirichletSet("graph has no Dirichlet vertex")
-        if not eids:
+        if not edge_ids:
             raise DisconnectedGraph("graph has no edges; a compact metric graph needs at least one")
-        # connectivity over the skeleton, isolated vertices included
-        adj, ends = _adjacency(tail, head, len(vids))
-        reached, stack = [False] * len(vids), [0]
-        reached[0] = True
-        while stack:
-            u = stack.pop()
-            for k in adj[u]:
-                w = ends[k] - u
-                if not reached[w]:
-                    reached[w] = True
-                    stack.append(w)
+        reached = _reached(arrays.tail.tolist(), arrays.head.tolist(), len(index), 0)
         if not all(reached):
-            missing = sorted(v for v, r in zip(vids, reached) if not r)
+            missing = sorted(v for v, r in zip(index, reached) if not r)
             raise DisconnectedGraph(f"graph is not connected; unreachable vertices {missing}")
-        self.vertex_ids: tuple[str, ...] = tuple(vids)
-        self.edge_ids: tuple[str, ...] = tuple(eids)
-        self.arrays = EdgeArrays(np.array(tail, dtype=np.int64), np.array(head, dtype=np.int64),
-                                 np.array(lengths, dtype=np.float64), dirichlet)
+        self.vertex_ids: tuple[str, ...] = tuple(index)
+        self.edge_ids: tuple[str, ...] = tuple(edge_ids)
+        self.arrays = arrays
         self._index = index
+        return self
 
     def with_edge_lengths(self, lengths: list[float]) -> "MetricGraph":
         """The same ids, ends and boundary tags with edge k of length lengths[k].
@@ -266,20 +263,27 @@ class MetricGraph:
 
     # -- Dirichlet gluing and 2-edge-connectivity ------------------------
 
+    def _quotient(self, rep: np.ndarray) -> "MetricGraph":
+        """Vertex i identified with vertex rep[i], where rep[rep[i]] = rep[i].  Kept
+        vertices keep their order and tags; edges keep their ids, order and lengths."""
+        a, keep = self.arrays, rep == np.arange(len(rep))
+        pos = np.cumsum(keep) - 1  # a kept vertex's position in the quotient
+        index = {v: j for j, v in enumerate(v for v, k in zip(self.vertex_ids, keep.tolist()) if k)}
+        return MetricGraph.__new__(MetricGraph)._take(
+            index, self.edge_ids, EdgeArrays(pos[rep[a.tail]], pos[rep[a.head]], a.length, a.dirichlet[keep]))
+
+    def _dirichlet_rep(self) -> np.ndarray:
+        """Every Dirichlet vertex onto the first, every natural vertex onto itself."""
+        d = self.arrays.dirichlet
+        return np.where(d, np.argmax(d), np.arange(len(d)))
+
     def glue_dirichlet(self) -> "MetricGraph":
         """Identify all Dirichlet vertices into one.  Total length is unchanged."""
-        dset = set(self.dirichlet_vertices)
-        keep = self.dirichlet_vertices[0]
-        rep = {vid: (keep if vid in dset else vid) for vid in self.vertex_ids}
-        verts = tuple(v for v in self.vertices if v.bc == NATURAL or v.id == keep)
-        edges = tuple(Edge(e.id, rep[e.tail], rep[e.head], e.length) for e in self.edges)
-        return MetricGraph(verts, edges)
+        return self._quotient(self._dirichlet_rep())
 
     def is_doubly_connected_after_glue(self) -> bool:
         """True when the graph, with V_D identified to a point, has no bridges."""
-        arr = self.arrays
-        rep = np.arange(len(self.vertex_ids))
-        rep[arr.dirichlet] = np.argmax(arr.dirichlet)  # every Dirichlet vertex onto the first
+        arr, rep = self.arrays, self._dirichlet_rep()
         return not _has_bridge_in(rep[arr.tail], rep[arr.head], len(self.vertex_ids))
 
     # -- serialization ---------------------------------------------------
@@ -345,6 +349,21 @@ def _adjacency(tail: list[int], head: list[int], n_vertices: int) -> tuple[list[
             adj[a].append(k)
             adj[b].append(k)
     return adj, [a + b for a, b in zip(tail, head)]
+
+
+def _reached(tail: list[int], head: list[int], n_vertices: int, start: int) -> list[bool]:
+    """reached[i]: whether the edges k = (tail[k], head[k]) join vertex i to vertex start."""
+    near: list[list[int]] = [[] for _ in range(n_vertices)]
+    for a, b in zip(tail, head):
+        near[a].append(b)
+        near[b].append(a)
+    reached, stack = [False] * n_vertices, [start]
+    while stack:
+        u = stack.pop()
+        if not reached[u]:
+            reached[u] = True
+            stack.extend(near[u])
+    return reached
 
 
 def _has_bridge_in(tail: np.ndarray, head: np.ndarray, n_vertices: int) -> bool:
@@ -442,9 +461,7 @@ def from_payload(payload: dict) -> MetricGraph:
         good = False
     if not good:
         _first_malformed(verts, edges)  # raises unless the set-wide check was too strict
-    g = MetricGraph.__new__(MetricGraph)
-    g._build(vids, bcs, eids, tails, heads, lengths)
-    return g
+    return MetricGraph.__new__(MetricGraph)._build(vids, bcs, eids, tails, heads, lengths)
 
 
 def loads(text: str) -> MetricGraph:

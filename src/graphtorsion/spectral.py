@@ -526,6 +526,12 @@ class _Continuum:
         return float(np.log(np.abs(np.sin(self.k * self.length) / self.k)).sum())
 
 
+def _q(terms: tuple, diff: np.ndarray, both: np.ndarray) -> tuple[float, float]:
+    """q(k; x) and dq/dk from the law's c, d, c', d' at k and x's (x_t - x_h)^2 and x_t^2 + x_h^2."""
+    c, d, dc, dd = terms
+    return float(c @ diff - d @ both), float(dc @ diff - dd @ both)
+
+
 class _Secular:
     """The secular matrix A(k) of a graph, on its torsion system's pattern.
 
@@ -593,12 +599,6 @@ class _Secular:
         p(x)^2 >= lambda_1."""
         xt, xh = x[self.sys.tail], x[self.sys.head]
         diff, both = (xt - xh) ** 2, xt * xt + xh * xh
-
-        def q(k: float, terms: tuple | None = None) -> tuple[float, float]:
-            """q(k; x) and dq/dk from the law's c, d, c' and d' at k."""
-            c, d, dc, dd = terms or self.law(k)
-            return float(c @ diff - d @ both), float(dc @ diff - dd @ both)
-
         if k is None:
             ln = self.sys.length
             k = math.sqrt(float(diff @ (1.0 / ln)) / float(ln @ (0.5 * both - diff / 6.0)))
@@ -606,7 +606,7 @@ class _Secular:
         if not lo < k < hi:
             k, terms = 0.5 * (lo + hi), None
         for _ in range(100):
-            val, der = q(k, terms)
+            val, der = _q(terms or self.law(k), diff, both)
             terms = None
             if val > 0.0:
                 lo = k
@@ -618,7 +618,7 @@ class _Secular:
             step = k - val / slope if slope < 0.0 else math.nan
             if hi == self.k_hi and step - k >= 0.5 * (hi - k):  # toward the open end: a sign change below k_hi?
                 hi *= 1.0 - 4.0 * EPS
-                if q(hi)[0] > 0.0:
+                if _q(self.law(hi), diff, both)[0] > 0.0:
                     return None
             if lo <= step <= hi and (step - k) ** 2 <= K_FLOOR * k * min(k, self.k_hi - k):
                 return step
@@ -709,9 +709,7 @@ def secular_lambda1(
     if k >= k_hi:
         k = sec.rayleigh(x)
     else:  # rayleigh's first Newton step on (k_hi - k) q(.; x), from k_T toward p(x)
-        c, d, dc, dd = sec.law(k)
-        diff, both = (vt - vh) ** 2, vt * vt + vh * vh
-        val, der = float(c @ diff - d @ both), float(dc @ diff - dd @ both)
+        val, der = _q(sec.law(k), (vt - vh) ** 2, vt * vt + vh * vh)
         step = k - val / (der - val / (k_hi - k))
         k = step if k_lo < step < k else k
     certified = False

@@ -16,7 +16,7 @@ from typing import Union
 import numpy as np
 
 from .errors import BadParameters, DuplicateId, NonPositiveLength, PreconditionViolated, UnknownEdge, ValidationError
-from .graph import DIRICHLET, NATURAL, Edge, MetricGraph, Vertex
+from .graph import DIRICHLET, NATURAL, Edge, EdgeArrays, MetricGraph, Vertex, _reached
 from .torsion import TorsionSolution, _solved
 
 
@@ -168,16 +168,14 @@ def _check_glue(g: MetricGraph, op: Glue) -> None:
     if op.v == op.w:
         raise PreconditionViolated("glue needs two distinct vertices")
     _need_vertices(g, op.v, op.w)
-    bc_v, bc_w = g.vertex(op.v).bc, g.vertex(op.w).bc
-    if bc_v != bc_w:
-        raise PreconditionViolated(f"glue needs matching conditions, got {bc_v} and {bc_w}")
+    if g.is_dirichlet(op.v) != g.is_dirichlet(op.w):
+        raise PreconditionViolated(f"glue needs matching conditions, got {g.vertex(op.v).bc} and {g.vertex(op.w).bc}")
 
 
 def _glue(g: MetricGraph, op: Glue) -> MetricGraph:
-    verts = tuple(v for v in g.vertices if v.id != op.w)
-    sub = lambda x: op.v if x == op.w else x
-    edges = tuple(Edge(e.id, sub(e.tail), sub(e.head), e.length) for e in g.edges)
-    return MetricGraph(verts, edges)
+    rep = np.arange(len(g.vertex_ids))
+    rep[g._position(op.w)] = g._position(op.v)
+    return g._quotient(rep)
 
 
 def _check_dirichlet(g: MetricGraph, op: AddDirichlet) -> None:
@@ -197,30 +195,22 @@ def _check_pendant(g: MetricGraph, op: AttachPendant) -> None:
         raise PreconditionViolated("pendant must meet the host at a natural vertex")
     if op.join not in op.vertices:
         raise PreconditionViolated(f"join vertex {op.join!r} is not a pendant vertex")
-    pend, eids = set(op.vertices), [e[0] for e in op.edges]
-    if not all(isinstance(x, str) and x for x in (*(pend - {op.join}), *eids)):
+    local, eids = {x: i for i, x in enumerate(op.vertices)}, [e[0] for e in op.edges]  # pendant positions
+    if not all(isinstance(x, str) and x for x in (*(local.keys() - {op.join}), *eids)):
         raise ValidationError(f"pendant ids must be nonempty strings, got {op.vertices!r} and {eids!r}")
-    if len(pend) < len(op.vertices) or len(set(eids)) < len(eids):
+    if len(local) < len(op.vertices) or len(set(eids)) < len(eids):
         raise DuplicateId(f"pendant ids repeat: vertices {list(op.vertices)}, edges {eids}")
-    clash = ((pend - {op.join}) & set(g.vertex_ids)) | (set(eids) & set(g.edge_ids))
+    clash = ((local.keys() - {op.join}) & set(g.vertex_ids)) | (set(eids) & set(g.edge_ids))
     if clash:
         raise PreconditionViolated(f"pendant ids collide with host ids: {sorted(clash)}")
-    near: dict[str, list[str]] = {x: [] for x in pend}
     for eid, t, h, length in op.edges:
-        if t not in pend or h not in pend:
+        if t not in local or h not in local:
             raise PreconditionViolated(f"pendant edge {eid!r} leaves the pendant vertex set")
         if not _positive(length):
             raise NonPositiveLength(f"edge {eid!r}: length must be positive and finite, got {length!r}")
-        near[t].append(h)
-        near[h].append(t)
     # the host is connected, so the new graph is when every pendant vertex reaches join
-    reached, stack = {op.join}, [op.join]
-    while stack:
-        for x in near[stack.pop()]:
-            if x not in reached:
-                reached.add(x)
-                stack.append(x)
-    if len(reached) < len(pend):
+    tail, head = [local[e[1]] for e in op.edges], [local[e[2]] for e in op.edges]
+    if not all(_reached(tail, head, len(local), local[op.join])):
         raise PreconditionViolated("pendant subgraph is not connected to its join vertex")
 
 
@@ -352,11 +342,7 @@ def reduce_to_pumpkin_chain(g: MetricGraph) -> MetricGraph:
         raise BadParameters(
             f"pumpkin chain needs {sum(mult)} edges, more than the {MAX_CHAIN_EDGES} allowed"
         )
-    verts = [Vertex("q0", DIRICHLET)]
-    verts += [Vertex(f"q{j}", NATURAL) for j in range(1, len(levels))]
-    edges = []
-    for j, m in enumerate(mult):
-        ln = levels[j + 1] - levels[j]
-        for k in range(m):
-            edges.append(Edge(f"r{j}_{k}", f"q{j}", f"q{j + 1}", ln))
-    return MetricGraph(tuple(verts), tuple(edges))
+    tail = np.repeat(np.arange(len(mult)), mult)
+    arrays = EdgeArrays(tail, tail + 1, np.repeat(np.diff(grid), mult), np.arange(len(levels)) == 0)
+    eids = [f"r{j}_{k}" for j, m in enumerate(mult) for k in range(m)]
+    return MetricGraph.__new__(MetricGraph)._take({f"q{j}": j for j in range(len(levels))}, eids, arrays)

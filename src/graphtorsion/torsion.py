@@ -71,9 +71,12 @@ EPS = 2.0 ** -52  # float64 machine epsilon: a smaller relative correction chang
 # relative, SuperLU's to 3.3e-15.  DENSE_RATIO bounds only the secular
 # matrices, whose pivot signs count eigenvalues: on random_graph seeds 0..199
 # the two kernels' lambda_1 agree to 7e-16 at length ratios (max/min) up to
-# 1e6 and part beyond (3.7e-9 on seed 64 at ratio 4.1e7); at ratios up to
-# 1e14 a 60-digit count contradicts the dense kernel's lambda_1 on three
-# seeds, SuperLU's on two.
+# 1e6.  Past that, against a 60-digit count (lambda_1 wrong unless within
+# 1e-12) on those seeds at lengths (1e-7, 1e7), this routing is wrong on 64,
+# 75, 113 and 170 and raises on 132 and 161, the dense kernel alone is wrong
+# on 9, 113, 161 (2.4e-4 low) and 170 and raises on 64; at (1e-5, 1e5) the
+# routing is wrong on 64 and 72, dense on 64; at (1e-4, 1e4) both on 64, 75.
+# SuperLU stays past the ratio: it turns the worst silent error into a typed one.
 DENSE_MAX = 64
 DENSE_RATIO = 1e6
 
@@ -206,9 +209,9 @@ class DiscreteSystem:
     itself and cancels.  tail[k] and head[k] are the unknowns at the ends of
     edge k, len(order) at a Dirichlet end, and length[k] its length.  pattern
     serves the other matrices of the same graph (the secular matrix) too, and
-    dense says which kernel factors those: at most DENSE_MAX unknowns and
-    lengths within a factor DENSE_RATIO of each other, where the system's
-    own matrix goes dense at most DENSE_MAX unknowns whatever the lengths.
+    dense says which kernel factors those: at most DENSE_MAX unknowns, as for
+    the system's own matrix, and lengths within a factor DENSE_RATIO, past
+    which SuperLU raises where the dense count can go silently wrong.
     """
 
     order: tuple[str, ...]

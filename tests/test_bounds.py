@@ -137,6 +137,16 @@ def test_audit_solve_failure_is_error_record(monkeypatch):
     assert "not settled" in report.record("polya_product").note
 
 
+@pytest.mark.parametrize("seed", [132, 161])
+def test_audit_unreadable_pivots_are_error_records(seed):
+    # lambda_1 raises NoConvergence: SuperLU pivoted off the diagonal of A(k)
+    report = audit(random_graph(seed, length_range=(1e-7, 1e7)))
+    assert report.lambda1 is None
+    assert [r.name for r in report.errored()] == ["polya_product", "landscape_inf", "kohler_jobin",
+                                                  "heat_sandwich"]
+    assert all("inertia cannot be read" in r.note for r in report.errored())
+
+
 def test_applicability_gating():
     # uneven lasso: not a tree, bridged, not a star, not equilateral
     report = audit(lasso(1.0, 2.0), h_target=1 / 16)

@@ -13,6 +13,7 @@ import pytest
 import graphtorsion
 from graphtorsion import CrossCheckMismatch, NoConvergence, load
 from graphtorsion.bounds import ERROR, VIOLATED, BoundRecord, BoundsReport
+from graphtorsion import families
 from graphtorsion.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -133,6 +134,16 @@ def test_grad_check_output(lasso_file, capsys):
         assert 3.5 <= r["halving_ratio"] <= 4.5
 
 
+def test_grad_check_text_rows(lasso_file, capsys):
+    rc, out, _ = run_cli(["grad-check", lasso_file, "--precision", "6"], capsys)
+    assert rc == 0
+    rows = graphtorsion.grad_check(load(lasso_file))
+    assert out.splitlines() == [
+        f"{r['edge']}: analytic {r['analytic']:.6g}  fd {r['fd']:.6g}  error {r['abs_error']:.6g}  "
+        f"ratio {r['halving_ratio']:.6g}" for r in rows]
+    assert [line.split(":")[0] for line in out.splitlines()] == ["e1", "e2"]
+
+
 def test_optimize_json_lines(tmp_path, capsys):
     f = tmp_path / "star.json"
     run_cli(["gen", "star:3", "--lengths", "0.5,0.5,2.0", "--out", str(f)], capsys)
@@ -152,6 +163,39 @@ def test_heat_check_text(tmp_path, capsys):
     assert rc == 0
     assert out.startswith("K=1")
     assert "rigidity = 0.0833333333333" in out
+
+
+def test_heat_check_json(tmp_path, capsys):
+    f = tmp_path / "dd.json"
+    run_cli(["gen", "path_DD", "--out", str(f)], capsys)
+    rc, out, _ = run_cli(["heat-check", str(f), "--modes", "3", "--h", "0.05", "--json"], capsys)
+    assert rc == 0
+    payload = json.loads(out)
+    assert list(payload) == ["eigenvalues", "terms", "partial_sums", "rigidity", "h_eff"]
+    want = graphtorsion.integrated_heat_content(load(f), modes=3, h_target=0.05).to_payload()
+    assert payload == want
+    assert len(payload["eigenvalues"]) == 3 and payload["rigidity"] == pytest.approx(1.0 / 12.0, rel=1e-12)
+    # the first term of the DD interval, 8/pi^4, from P1 modes at h = 0.05
+    assert payload["partial_sums"][0] == pytest.approx(8.0 / math.pi ** 4, rel=1e-2)
+
+
+@pytest.mark.parametrize("argv, graph", [
+    (["stower:2,2"], lambda: families.stower(2, 2)),
+    (["pumpkin_chain:2,3"], lambda: families.pumpkin_chain([2, 3])),
+    (["caterpillar:3"], lambda: families.caterpillar(3)),
+    (["random", "--seed", "0"], lambda: families.random_graph(0)),
+])
+def test_gen_matches_family_function(argv, graph, capsys):
+    rc, out, _ = run_cli(["gen", *argv], capsys)
+    assert rc == 0
+    assert out == graph().dumps() + "\n"
+
+
+@pytest.mark.parametrize("spec", ["star:x", "stower:1"])
+def test_gen_bad_family_spec(spec, capsys):
+    rc, out, err = run_cli(["gen", spec], capsys)
+    assert rc == 1 and out == ""
+    assert "bad family spec" in err
 
 
 def test_out_flag_suppresses_stdout(path_dn_file, tmp_path, capsys):
@@ -380,6 +424,17 @@ def test_bounds_error_exit_2(path_dn_file, capsys, monkeypatch):
     rc, _, err = run_cli(["bounds", path_dn_file], capsys)
     assert rc == 2
     assert "solver error in record" in err
+
+
+@pytest.mark.parametrize("seed", [132, 161])
+def test_bounds_unreadable_pivots_exit_2(seed, tmp_path, capsys):
+    # lambda_1 raises NoConvergence (SuperLU pivoted), so four records are errors
+    f = tmp_path / "wide.json"
+    f.write_text(families.random_graph(seed, length_range=(1e-7, 1e7)).dumps())
+    rc, out, err = run_cli(["bounds", str(f), "--json"], capsys)
+    assert rc == 2
+    assert json.loads(out)["lambda1"] is None
+    assert err.count("inertia cannot be read") == 4
 
 
 def test_bounds_needs_graph_or_batch(capsys):

@@ -786,6 +786,19 @@ def test_lambda1_factorization_budget_on_criterion6_battery(monkeypatch):
     assert max(per_graph) <= 18
 
 
+# random_graph(seed, (1e-7, 1e7)) on which SuperLU, the secular kernel past
+# DENSE_RATIO, moves a pivot off the diagonal; the dense kernel in its place
+# returns on both, and on 161 a lambda_1 2.4e-4 low by a 60-digit count
+UNREADABLE_PIVOT_SEEDS = [132, 161]
+
+
+@pytest.mark.parametrize("seed", UNREADABLE_PIVOT_SEEDS)
+def test_secular_unreadable_pivots_raise(seed):
+    g = random_graph(seed, length_range=(1e-7, 1e7))
+    with pytest.raises(NoConvergence, match="pivoted, so its inertia cannot be read"):
+        secular_lambda1(g)
+
+
 def test_secular_tol_zero_terminates():
     assert secular_lambda1(lasso(), tol=0.0) == pytest.approx(dense_secular_lambda1(lasso()), rel=1e-12)
 

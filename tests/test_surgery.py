@@ -249,13 +249,18 @@ def test_pendant_edges_in_any_order():
 
 
 def test_prediction_checks_build_no_graph(monkeypatch):
+    # every graph is built through __init__ or, from ids and arrays, through _take
     g, built = lasso(), []
-    real = surgery.MetricGraph.__init__
-    monkeypatch.setattr(surgery.MetricGraph, "__init__", lambda self, *a: built.append(1) or real(self, *a))
+    for name in ("__init__", "_take"):
+        real = getattr(surgery.MetricGraph, name)
+        monkeypatch.setattr(surgery.MetricGraph, name,
+                            lambda self, *a, real=real, name=name: built.append(name) or real(self, *a))
     ops = [Glue("v0", "v1"), AddDirichlet("v1"), AttachPendant(*_PENDANT), AddEdge("v1", "v1", 1.0),
            Lengthen("e1", 1.0), Scale(2.0), UnfoldParallel("e1", "e2")]
     assert [predicted_direction(op, g) is None for op in ops] == [True] + [False] * 5 + [True]
     assert built == []
+    apply(g, AddDirichlet("v1"))  # the spies do see a build
+    assert built == ["__init__", "_take"]
 
 
 def test_add_edge_prediction_needs_the_solution_of_its_graph():

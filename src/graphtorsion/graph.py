@@ -8,9 +8,9 @@ positive finite real.
 
 Ids plus index arrays are the primary form: ``vertex_ids``, ``edge_ids`` and
 ``arrays`` (tail, head, length, Dirichlet mask).  The Vertex and Edge objects in
-``vertices`` and ``edges`` are built on first access; a graph made from objects
-keeps the ones it was given, while a graph derived by identifying vertices
-(Dirichlet gluing, surgery's Glue, the pumpkin chain) is built from arrays alone.
+``vertices`` and ``edges`` are built on first access, a view no library path
+reads; a graph made from objects keeps them, and every graph derived (Dirichlet
+gluing, each surgery operation, reorient, the pumpkin chain) is built from arrays.
 """
 
 from __future__ import annotations
@@ -164,14 +164,17 @@ class MetricGraph:
     def _edge_index(self) -> dict[str, int]:
         return dict(zip(self.edge_ids, range(len(self.edge_ids))))
 
+    def _edge_position(self, eid: str) -> int:
+        try:
+            return self._edge_index[eid]
+        except (KeyError, TypeError):
+            raise UnknownEdge(f"no edge {eid!r}") from None
+
     def vertex(self, vid: str) -> Vertex:
         return self.vertices[self._position(vid)]
 
     def edge(self, eid: str) -> Edge:
-        try:
-            return self.edges[self._edge_index[eid]]
-        except (KeyError, TypeError):
-            raise UnknownEdge(f"no edge {eid!r}") from None
+        return self.edges[self._edge_position(eid)]
 
     @cached_property
     def dirichlet_vertices(self) -> tuple[str, ...]:
@@ -213,8 +216,9 @@ class MetricGraph:
 
     # -- distances and inradius -----------------------------------------
 
-    def _dijkstra(self, sources: Iterable[int], target: int = -1) -> list[float]:
-        """Shortest-path distance from the nearest source to every vertex, by index.
+    def _dijkstra(self, sources: Iterable[int] | None = None, target: int = -1) -> list[float]:
+        """Shortest-path distance from the nearest source, by default the nearest
+        Dirichlet vertex, to every vertex, by index.
 
         With a target, the search stops once the target's distance is final.
         """
@@ -223,7 +227,7 @@ class MetricGraph:
         length = a.length.tolist()
         dist = [math.inf] * len(adj)
         heap: list[tuple[float, int]] = []
-        for s in sources:
+        for s in a.dirichlet.nonzero()[0].tolist() if sources is None else sources:
             dist[s] = 0.0
             heap.append((0.0, s))
         heapq.heapify(heap)
@@ -243,8 +247,7 @@ class MetricGraph:
     def dirichlet_distances(self) -> dict[str, float]:
         """Exact multi-source shortest-path distance from every vertex to the Dirichlet set,
         by vertex id."""
-        dist = self._dijkstra(self.arrays.dirichlet.nonzero()[0].tolist())
-        return dict(zip(self.vertex_ids, dist))
+        return dict(zip(self.vertex_ids, self._dijkstra()))
 
     def distance_between(self, u: str, w: str) -> float:
         """Exact shortest-path distance between two vertices."""
@@ -253,8 +256,7 @@ class MetricGraph:
 
     def inradius(self) -> "PointWitness":
         """Largest distance to the Dirichlet set, with a witness point."""
-        arr = self.arrays
-        d = np.array(self._dijkstra(arr.dirichlet.nonzero()[0].tolist()))
+        arr, d = self.arrays, np.array(self._dijkstra())
         du, dw, ln = d[arr.tail], d[arr.head], arr.length
         peak = 0.5 * (du + dw + ln)
         k = int(np.argmax(peak))
@@ -419,13 +421,10 @@ def make_graph(
 
 def reorient(g: MetricGraph, edge_ids: Iterable[str]) -> MetricGraph:
     """Flip tail/head of the named edges.  The metric object is unchanged."""
-    flip = set(edge_ids)
-    for eid in flip:
-        g.edge(eid)
-    edges = tuple(
-        Edge(e.id, e.head, e.tail, e.length) if e.id in flip else e for e in g.edges
-    )
-    return MetricGraph(g.vertices, edges)
+    flip, a = [g._edge_position(eid) for eid in edge_ids], g.arrays
+    tail, head = a.tail.copy(), a.head.copy()
+    tail[flip], head[flip] = a.head[flip], a.tail[flip]
+    return MetricGraph.__new__(MetricGraph)._take(g._index, g.edge_ids, EdgeArrays(tail, head, a.length, a.dirichlet))
 
 
 def _first_malformed(verts: list, edges: list) -> None:

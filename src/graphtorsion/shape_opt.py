@@ -68,26 +68,25 @@ def grad_check(
     when the latter is 0).  The step must satisfy 0 < step < length/2 so both
     perturbed graphs stay valid.
     """
-    edges = [g.edge(eid) for eid in (g.edge_ids if edge_ids is None else edge_ids)]
-    steps = [1e-3 * e.length if step is None else step for e in edges]
-    for e, h in zip(edges, steps):
-        if not (0.0 < h < e.length / 2.0):
-            raise BadParameters(
-                f"step {h!r} outside (0, {e.length / 2.0!r}) for edge {e.id!r}"
-            )
+    eids = list(g.edge_ids if edge_ids is None else edge_ids)
+    lengths = g.arrays.length[[g._edge_position(eid) for eid in eids]].tolist()
+    steps = [1e-3 * ln if step is None else step for ln in lengths]
+    for eid, ln, h in zip(eids, lengths, steps):
+        if not (0.0 < h < ln / 2.0):
+            raise BadParameters(f"step {h!r} outside (0, {ln / 2.0!r}) for edge {eid!r}")
     grad = gradient(g)
 
-    def error(e, h: float) -> tuple[float, float]:
-        plus = torsion_function(with_lengths(g, {e.id: e.length + h})).rigidity
-        minus = torsion_function(with_lengths(g, {e.id: e.length - h})).rigidity
+    def error(eid: str, ln: float, h: float) -> tuple[float, float]:
+        plus = torsion_function(with_lengths(g, {eid: ln + h})).rigidity
+        minus = torsion_function(with_lengths(g, {eid: ln - h})).rigidity
         fd = (plus - minus) / (2.0 * h)
-        return fd, abs(fd - grad[e.id])
+        return fd, abs(fd - grad[eid])
 
     rows = []
-    for e, h in zip(edges, steps):
-        fd, err = error(e, h)
-        err_half = error(e, h / 2.0)[1]
-        rows.append({"edge": e.id, "analytic": grad[e.id], "fd": fd, "abs_error": err, "step": h,
+    for eid, ln, h in zip(eids, lengths, steps):
+        fd, err = error(eid, ln, h)
+        err_half = error(eid, ln, h / 2.0)[1]
+        rows.append({"edge": eid, "analytic": grad[eid], "fd": fd, "abs_error": err, "step": h,
                      "halving_ratio": err / err_half if err_half > 0.0 else math.inf})
     return rows
 
@@ -149,7 +148,7 @@ def optimize(
         raise BadParameters(f"objective must be 'max' or 'min', got {objective!r}")
     sign = 1.0 if objective == "max" else -1.0
     total = g.total_length()
-    n = len(g.edges)
+    n = len(g.edge_ids)
     if floor is None:
         floor = 1e-4 * total / n
     if not (floor > 0.0 and math.isfinite(floor)):

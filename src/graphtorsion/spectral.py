@@ -806,7 +806,7 @@ def landscape_check(
     _require_graph(g, spectral.mesh.graph, "spectrum")
     solution = _solved(g, solution)
     arr, mesh, h = g.arrays, spectral.mesh, spectral.h_eff
-    dist = np.array(list(g.dirichlet_distances().values()))
+    dist = np.array(g._dijkstra())
     # sample t of edge e at x = l t / SAMPLES, as edge-major flat arrays
     e = np.repeat(np.arange(len(arr.length)), SAMPLES + 1)
     ln = arr.length[e]

@@ -1,9 +1,9 @@
 """Graph surgery operations with their predicted effect on torsional rigidity.
 
 Each operation is a small frozen dataclass; apply() validates the operation's
-precondition against the concrete graph and returns a new graph, never
-mutating the input.  predicted_direction() reports which way the rigidity is
-guaranteed to move.
+precondition against the concrete graph's ids and arrays and builds a new graph
+from ids and arrays, never mutating the input.  predicted_direction() reports
+which way the rigidity is guaranteed to move.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Union
 import numpy as np
 
 from .errors import BadParameters, DuplicateId, NonPositiveLength, PreconditionViolated, UnknownEdge, ValidationError
-from .graph import DIRICHLET, NATURAL, Edge, EdgeArrays, MetricGraph, Vertex, _reached
+from .graph import DIRICHLET, NATURAL, EdgeArrays, MetricGraph, _reached
 from .torsion import TorsionSolution, _solved
 
 
@@ -39,7 +39,8 @@ class AttachPendant:
 
     vertices lists the pendant's vertex ids (all natural), edges its
     (id, tail, head, length) tuples over those ids; the pendant vertex
-    named by join is identified with the host vertex named by at.
+    named by join is identified with the host vertex named by at.  The other
+    pendant vertices, then the pendant edges, follow the host's in this order.
     """
 
     vertices: tuple[str, ...]
@@ -69,7 +70,7 @@ class Scale:
 
 @dataclass(frozen=True)
 class UnfoldParallel:
-    """Replace two parallel edges by one edge carrying their total length."""
+    """Replace two parallel edges by the first, in its place, carrying their total length."""
 
     first: str
     second: str
@@ -103,9 +104,9 @@ def _need_vertices(g: MetricGraph, *vids: str) -> None:
             raise PreconditionViolated(f"vertex {vid!r} does not exist")
 
 
-def _need_edge(g: MetricGraph, eid: str) -> Edge:
+def _need_edge(g: MetricGraph, eid: str) -> int:
     try:
-        return g.edge(eid)
+        return g._edge_position(eid)
     except UnknownEdge:
         raise PreconditionViolated(f"edge {eid!r} does not exist") from None
 
@@ -153,7 +154,7 @@ def predicted_direction(
         if graph is None:
             return None
         solution = _solved(graph, solution)
-        vu, vw = solution.vertex_values[op.u], solution.vertex_values[op.w]
+        vu, vw = solution.values[graph._position(op.u)], solution.values[graph._position(op.w)]
         if not abs(vu - vw) <= 1e-9 * max(1.0, solution.sup.value):
             return None
     return Prediction(direction)
@@ -169,7 +170,8 @@ def _check_glue(g: MetricGraph, op: Glue) -> None:
         raise PreconditionViolated("glue needs two distinct vertices")
     _need_vertices(g, op.v, op.w)
     if g.is_dirichlet(op.v) != g.is_dirichlet(op.w):
-        raise PreconditionViolated(f"glue needs matching conditions, got {g.vertex(op.v).bc} and {g.vertex(op.w).bc}")
+        bcs = (DIRICHLET, NATURAL) if g.is_dirichlet(op.v) else (NATURAL, DIRICHLET)
+        raise PreconditionViolated(f"glue needs matching conditions, got {bcs[0]} and {bcs[1]}")
 
 
 def _glue(g: MetricGraph, op: Glue) -> MetricGraph:
@@ -185,8 +187,9 @@ def _check_dirichlet(g: MetricGraph, op: AddDirichlet) -> None:
 
 
 def _add_dirichlet(g: MetricGraph, op: AddDirichlet) -> MetricGraph:
-    verts = tuple(Vertex(v.id, DIRICHLET) if v.id == op.v else v for v in g.vertices)
-    return MetricGraph(verts, g.edges)
+    a, d = g.arrays, g.arrays.dirichlet.copy()
+    d[g._position(op.v)] = True
+    return MetricGraph.__new__(MetricGraph)._take(g._index, g.edge_ids, EdgeArrays(a.tail, a.head, a.length, d))
 
 
 def _check_pendant(g: MetricGraph, op: AttachPendant) -> None:
@@ -200,7 +203,7 @@ def _check_pendant(g: MetricGraph, op: AttachPendant) -> None:
         raise ValidationError(f"pendant ids must be nonempty strings, got {op.vertices!r} and {eids!r}")
     if len(local) < len(op.vertices) or len(set(eids)) < len(eids):
         raise DuplicateId(f"pendant ids repeat: vertices {list(op.vertices)}, edges {eids}")
-    clash = ((local.keys() - {op.join}) & set(g.vertex_ids)) | (set(eids) & set(g.edge_ids))
+    clash = ((local.keys() - {op.join}) & g._index.keys()) | (set(eids) & g._edge_index.keys())
     if clash:
         raise PreconditionViolated(f"pendant ids collide with host ids: {sorted(clash)}")
     for eid, t, h, length in op.edges:
@@ -215,10 +218,14 @@ def _check_pendant(g: MetricGraph, op: AttachPendant) -> None:
 
 
 def _attach_pendant(g: MetricGraph, op: AttachPendant) -> MetricGraph:
-    sub = lambda x: op.at if x == op.join else x
-    verts = g.vertices + tuple(Vertex(x, NATURAL) for x in op.vertices if x != op.join)
-    edges = g.edges + tuple(Edge(eid, sub(t), sub(h), l) for eid, t, h, l in op.edges)
-    return MetricGraph(verts, edges)
+    a, n, new = g.arrays, len(g.vertex_ids), [x for x in op.vertices if x != op.join]
+    index = {**g._index, **dict(zip(new, range(n, n + len(new))))}
+    pos = lambda x: g._position(op.at) if x == op.join else index[x]  # the join may share a host vertex's id
+    tail, head = (np.array([pos(e[k]) for e in op.edges], dtype=np.int64) for k in (1, 2))
+    arrays = EdgeArrays(np.concatenate((a.tail, tail)), np.concatenate((a.head, head)),
+                        np.concatenate((a.length, [float(e[3]) for e in op.edges])),
+                        np.concatenate((a.dirichlet, np.zeros(len(new), dtype=bool))))
+    return MetricGraph.__new__(MetricGraph)._take(index, g.edge_ids + tuple(e[0] for e in op.edges), arrays)
 
 
 def _check_add_edge(g: MetricGraph, op: AddEdge) -> None:
@@ -228,32 +235,34 @@ def _check_add_edge(g: MetricGraph, op: AddEdge) -> None:
     if op.edge_id is not None:
         if not (isinstance(op.edge_id, str) and op.edge_id):
             raise ValidationError(f"edge id must be a nonempty string, got {op.edge_id!r}")
-        if op.edge_id in g.edge_ids:
+        if op.edge_id in g._edge_index:
             raise PreconditionViolated(f"edge id {op.edge_id!r} already in use")
 
 
 def _add_edge(g: MetricGraph, op: AddEdge) -> MetricGraph:
     eid = op.edge_id
     if eid is None:
-        used = set(g.edge_ids)
-        k = len(used)
-        while f"added{k}" in used:
+        k = len(g.edge_ids)
+        while f"added{k}" in g._edge_index:
             k += 1
         eid = f"added{k}"
-    return MetricGraph(g.vertices, g.edges + (Edge(eid, op.u, op.w, float(op.length)),))
+    a = g.arrays
+    arrays = EdgeArrays(np.append(a.tail, g._position(op.u)), np.append(a.head, g._position(op.w)),
+                        np.append(a.length, float(op.length)), a.dirichlet)
+    return MetricGraph.__new__(MetricGraph)._take(g._index, g.edge_ids + (eid,), arrays)
 
 
 def _check_lengthen(g: MetricGraph, op: Lengthen) -> None:
-    e = _need_edge(g, op.edge)
+    k = _need_edge(g, op.edge)
     if not _positive(op.delta):
         raise PreconditionViolated(f"lengthen needs delta > 0, got {op.delta!r}")
-    if not math.isfinite(e.length + float(op.delta)):
-        raise NonPositiveLength(f"edge {e.id!r}: lengthening by {op.delta!r} overflows its length")
+    if not math.isfinite(float(g.arrays.length[k]) + float(op.delta)):
+        raise NonPositiveLength(f"edge {op.edge!r}: lengthening by {op.delta!r} overflows its length")
 
 
 def _lengthen(g: MetricGraph, op: Lengthen) -> MetricGraph:
     length = g.arrays.length.copy()
-    length[g._edge_index[op.edge]] += float(op.delta)
+    length[g._edge_position(op.edge)] += float(op.delta)
     return g.with_edge_lengths(length.tolist())
 
 
@@ -272,18 +281,19 @@ def _scale(g: MetricGraph, op: Scale) -> MetricGraph:
 def _check_unfold(g: MetricGraph, op: UnfoldParallel) -> None:
     if op.first == op.second:
         raise PreconditionViolated("unfold needs two distinct edges")
-    e1, e2 = _need_edge(g, op.first), _need_edge(g, op.second)
-    if {e1.tail, e1.head} != {e2.tail, e2.head}:
+    i, j, a = _need_edge(g, op.first), _need_edge(g, op.second), g.arrays
+    if {a.tail[i], a.head[i]} != {a.tail[j], a.head[j]}:
         raise PreconditionViolated(f"edges {op.first!r} and {op.second!r} do not share both endpoints")
-    if not math.isfinite(e1.length + e2.length):
+    if not math.isfinite(float(a.length[i]) + float(a.length[j])):
         raise NonPositiveLength(f"edges {op.first!r} and {op.second!r}: their total length overflows")
 
 
 def _unfold(g: MetricGraph, op: UnfoldParallel) -> MetricGraph:
-    e1, e2 = g.edge(op.first), g.edge(op.second)
-    merged = Edge(e1.id, e1.tail, e1.head, e1.length + e2.length)
-    edges = tuple(merged if x.id == e1.id else x for x in g.edges if x.id != e2.id)
-    return MetricGraph(g.vertices, edges)
+    i, j, a = g._edge_position(op.first), g._edge_position(op.second), g.arrays
+    length = a.length.copy()
+    length[i] += length[j]
+    arrays = EdgeArrays(np.delete(a.tail, j), np.delete(a.head, j), np.delete(length, j), a.dirichlet)
+    return MetricGraph.__new__(MetricGraph)._take(g._index, g.edge_ids[:j] + g.edge_ids[j + 1:], arrays)
 
 
 # builder, check and rigidity direction per operation; AddEdge's direction
@@ -320,7 +330,7 @@ def reduce_to_pumpkin_chain(g: MetricGraph) -> MetricGraph:
     BadParameters (a star of k distinct lengths needs about k^2).
     """
     arr, nv = g.arrays, len(g.vertex_ids)
-    dist = np.array(list(g.dirichlet_distances().values()))  # gluing the Dirichlet set changes none
+    dist = np.array(g._dijkstra())  # gluing the Dirichlet set changes none
     values = np.concatenate((dist, 0.5 * (dist[arr.tail] + dist[arr.head] + arr.length)))
     raw = np.sort(values).tolist()
     tol = 1e-9 * max(raw[-1], 1e-300)

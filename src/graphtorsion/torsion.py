@@ -55,7 +55,7 @@ from .errors import (
     ValidationError,
     ZeroEnergy,
 )
-from .graph import DIRICHLET, MetricGraph, PointWitness
+from .graph import MetricGraph, PointWitness
 
 REL_TOL = 1e-10
 MAX_REFINE = 4  # refinement steps after the first solve; past them the cross-checks decide
@@ -368,33 +368,27 @@ def polya_quotient(g: MetricGraph, coeffs: Mapping[str, tuple[float, float, floa
 
     The test function is u(x) = a x^2 + b x + c on each edge, in the offset x
     from its tail, given as coeffs[edge id] = (a, b, c).  It must cover every
-    edge (BadParameters), be continuous across vertices and vanish at the
-    Dirichlet set, both checked here to 1e-9 of its endpoint scale
-    (ValidationError), and have positive Dirichlet energy (ZeroEnergy).
+    edge (BadParameters), be continuous across vertices and vanish at the Dirichlet
+    set to 1e-9 of the terms end values sum, max(1, |a| l^2 + |b| l + |c|) over the
+    edges (ValidationError), and have positive Dirichlet energy (ZeroEnergy).
     """
-    ends: dict[str, list[float]] = {v.id: [] for v in g.vertices}
-    for e in g.edges:
-        if e.id not in coeffs:
-            raise BadParameters(f"test function has no coefficients for edge {e.id!r}")
-        a, b, c = coeffs[e.id]
-        ends[e.tail].append(c)
-        ends[e.head].append(a * e.length * e.length + b * e.length + c)
-    scale = max(1.0, max(abs(x) for vals in ends.values() for x in vals))
-    for v in g.vertices:
-        vals = ends[v.id]
-        if v.bc == DIRICHLET:
-            vals = vals + [0.0]
-        if max(vals) - min(vals) > 1e-9 * scale:
-            raise ValidationError(
-                f"test function discontinuous or nonzero on Dirichlet vertex {v.id!r}"
-            )
-    total = 0.0
-    energy = 0.0
-    for e in g.edges:
-        a, b, c = coeffs[e.id]
-        l = e.length
-        total += a * l ** 3 / 3.0 + b * l * l / 2.0 + c * l
-        energy += 4.0 * a * a * l ** 3 / 3.0 + 2.0 * a * b * l * l + b * b * l
+    missing = [e for e in g.edge_ids if e not in coeffs]
+    if missing:
+        raise BadParameters(f"test function has no coefficients for edge {missing[0]!r}")
+    arr = g.arrays
+    (a, b, c), l = np.array([coeffs[e] for e in g.edge_ids], dtype=np.float64).T, arr.length
+    scale = max(1.0, float((np.abs(a) * l * l + np.abs(b) * l + np.abs(c)).max()))
+    hi, lo = np.where(arr.dirichlet, 0.0, -np.inf), np.where(arr.dirichlet, 0.0, np.inf)
+    at, ends = np.concatenate((arr.tail, arr.head)), np.concatenate((c, a * l * l + b * l + c))
+    np.maximum.at(hi, at, ends)
+    np.minimum.at(lo, at, ends)
+    gap = (hi - lo > 1e-9 * scale).nonzero()[0]
+    if len(gap):
+        raise ValidationError(
+            f"test function discontinuous or nonzero on Dirichlet vertex {g.vertex_ids[gap[0]]!r}"
+        )
+    total = math.fsum((a * l ** 3 / 3.0 + b * l * l / 2.0 + c * l).tolist())
+    energy = math.fsum((4.0 * a * a * l ** 3 / 3.0 + 2.0 * a * b * l * l + b * b * l).tolist())
     if energy <= 0.0 or energy < 1e-28 * scale * scale:
         raise ZeroEnergy("test function has (numerically) zero Dirichlet energy")
     return total * total / energy

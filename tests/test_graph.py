@@ -17,6 +17,7 @@ from graphtorsion import (
     EmptyDirichletSet,
     MetricGraph,
     NonPositiveLength,
+    UnknownEdge,
     UnknownVertex,
     ValidationError,
     Vertex,
@@ -379,6 +380,13 @@ def test_reorient_flips_named_edges_only():
     r = reorient(g, ["e2"])
     assert r.edge("e2").tail == "c" and r.edge("e2").head == "b"
     assert r.edge("e1").tail == "a" and r.edge("e1").head == "b"
+    assert reorient(g, ["e2", "e2"]) == r  # a repeated id flips its edge once
+
+
+def test_reorient_names_the_first_unknown_edge():
+    for ids, first in ((["e1", "x1", "x2", "x3"], "x1"), (["x3", "x2", "x1"], "x3")):
+        with pytest.raises(UnknownEdge, match=f"'{first}'"):
+            reorient(triangle(), ids)
 
 
 # -- random generator properties ------------------------------------------

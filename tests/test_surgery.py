@@ -1,5 +1,6 @@
 """Surgery operations: rewiring, direction predictions, chain reduction."""
 
+import json
 import math
 import time
 from collections import Counter
@@ -21,12 +22,20 @@ from graphtorsion import (
     UnfoldParallel,
     ValidationError,
     apply,
+    audit,
+    grad_check,
+    landscape_check,
+    lowest_eigenpairs,
     make_graph,
+    optimize,
+    polya_quotient,
     predicted_direction,
     reduce_to_pumpkin_chain,
+    reorient,
     surgery,
     torsion_function,
 )
+from graphtorsion.graph import Edge, Vertex, loads
 from graphtorsion.families import caterpillar, flower, lasso, random_graph, star
 
 
@@ -249,7 +258,8 @@ def test_pendant_edges_in_any_order():
 
 
 def test_prediction_checks_build_no_graph(monkeypatch):
-    # every graph is built through __init__ or, from ids and arrays, through _take
+    # every graph is built through __init__, from ids and arrays through _take, or,
+    # with its ids and ends kept, through with_edge_lengths
     g, built = lasso(), []
     for name in ("__init__", "_take"):
         real = getattr(surgery.MetricGraph, name)
@@ -260,7 +270,40 @@ def test_prediction_checks_build_no_graph(monkeypatch):
     assert [predicted_direction(op, g) is None for op in ops] == [True] + [False] * 5 + [True]
     assert built == []
     apply(g, AddDirichlet("v1"))  # the spies do see a build
-    assert built == ["__init__", "_take"]
+    assert built == ["_take"]
+
+
+def test_library_builds_no_vertex_or_edge_objects(monkeypatch):
+    # objects are a view for callers; no library path builds one from a graph it was given
+    made = []
+    for cls in (Vertex, Edge):
+        monkeypatch.setattr(cls, "__post_init__", lambda self, cls=cls: made.append(cls.__name__))
+    g = loads(json.dumps({
+        "vertices": [{"id": v, "bc": bc} for v, bc in
+                     (("v0", "dirichlet"), ("v1", "natural"), ("v2", "natural"), ("v3", "dirichlet"))],
+        "edges": [{"id": e, "from": t, "to": h, "length": ln} for e, t, h, ln in
+                  (("e1", "v0", "v1", 1.0), ("e2", "v1", "v2", 0.7), ("e3", "v2", "v1", 1.3),
+                   ("e4", "v2", "v3", 0.9), ("e5", "v2", "v2", 0.5))],
+    }))
+    ops = [Glue("v1", "v2"), Glue("v0", "v3"), AddDirichlet("v1"), AttachPendant(*_PENDANT),
+           AddEdge("v0", "v3", 1.0), AddEdge("v1", "v2", 1.0, "new"), AddEdge("v1", "v1", 1.0),
+           Lengthen("e1", 0.5), Scale(2.0), UnfoldParallel("e2", "e3"), UnfoldParallel("e3", "e2")]
+    for op in ops:
+        apply(g, op)
+        predicted_direction(op, g)
+    predicted_direction(Glue("v0", "v1"), g)  # refused, with the two conditions named
+    reorient(g, ["e1", "e5"])
+    grad_check(g)
+    optimize(g, max_iters=1)
+    sol = torsion_function(g)
+    polya_quotient(g, {e: (-0.5, b, c) for e, b, c in zip(g.edge_ids, sol.b.tolist(), sol.c.tolist())})
+    audit(g, h_target=0.05)
+    lowest_eigenpairs(g, 2, h_target=0.05)
+    landscape_check(g, modes=2, h_target=0.05)
+    reduce_to_pumpkin_chain(g)
+    assert made == []
+    assert (len(g.vertices), len(g.edges)) == (4, 5)  # the spies do see the view built
+    assert made == ["Vertex"] * 4 + ["Edge"] * 5
 
 
 def test_add_edge_prediction_needs_the_solution_of_its_graph():

@@ -346,6 +346,17 @@ def test_polya_quotient_maximized_by_torsion():
     assert q == pytest.approx(sol.rigidity, rel=REL)
 
 
+@pytest.mark.parametrize("length_range", [(1e-4, 1e4), (1e-7, 1e7)])
+def test_polya_quotient_accepts_the_torsion_function_at_wide_length_ranges(length_range):
+    # an end value a l^2 + b l + c that cancels terms far above sup v misses 0 by their
+    # rounding (3.8e-9 on seed 37 at (1e-4, 1e4)), so continuity is judged on their scale
+    for seed in range(60):
+        g = random_graph(seed, length_range=length_range)
+        sol = torsion_function(g)
+        q = polya_quotient(g, {e: (-0.5, b, c) for e, _, b, c in edge_quadratics(sol)})
+        assert q == pytest.approx(sol.rigidity, rel=1e-12, abs=0), seed
+
+
 def test_polya_quotient_other_functions_smaller():
     g = star(3, [1.0, 0.7, 1.5])
     t = T(g)

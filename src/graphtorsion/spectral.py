@@ -28,14 +28,14 @@ graph's spectrum decays like h^2.
 The mesh is held as a count of segments per edge.  Node i < |V| is the
 graph vertex vertices[i]; the interior points j = 1..n-1 of each edge
 follow, edge by edge, tail to head, as in the node list of the JSON payload.
-The solver writes each mode once, as one row in that node order.  On an edge
-a simple mode is r sin(j theta + phi) plus its continuity miss spread along
-the edge, one sine per point; a cluster of m modes shares one pair
-cos(j theta), sin(j theta).  The segments between interior points are
-contiguous slices of the rows, the pairs that join two edges having width 0,
-so the Rayleigh-Ritz products, the mode integrals and the residuals read the
-rows in place; the 2|E| segments that end at a vertex come in as small
-gathered arrays.
+A mode is held as its vertex values and, on each edge, an amplitude and a
+continuity miss (_Modes): x_t P[j] + b Q[j] + miss j/n at point j, with P
+and Q the discrete cosine and sine at its bracket's angle.  The Rayleigh-Ritz
+Gram matrices, the mode integrals and the signs come from closed-form sums
+over each edge's points, so a solve allocates nothing of the mesh's size.
+The rows in node order, and their residuals, are written when first read:
+a simple mode at one sine per point, a cluster of m modes from one pair
+cos(j theta), sin(j theta).
 
 One call factors a vertex-sized matrix at most MAX_COUNTS - 1 times in its
 count search and Rayleigh iteration (secular_lambda1's last certificate
@@ -48,7 +48,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -62,12 +62,15 @@ from .torsion import (EPS, DiscreteSystem, SymmetricFactor, TorsionSolution, _re
 
 DEFAULT_TOL = 1e-10
 MAX_COUNTS = 10000
-# Largest mesh build_mesh makes.  The eigenvectors and the Rayleigh-Ritz step
-# peak at about 104 bytes per node for one mode and 136 for three (numpy
-# allocations by tracemalloc, star(3) at 500k nodes), so the 16M nodes of
-# star(2, [1e-6, 1]) at the default h would need about 1.7 GB before the JSON
-# payload of spectrum --json, which takes several times more.
+# Largest mesh build_mesh makes.  A solve allocates nothing of the mesh's
+# size; reading the rows and their residuals (spectrum --json,
+# landscape_check) peaks at about 64 bytes per node for one mode and 80 for
+# three (numpy allocations by tracemalloc, star(3) at 500k nodes), so the 16M
+# nodes of star(2, [1e-6, 1]) at the default h would need about 1.3 GB before
+# the JSON payload of spectrum --json, which takes several times more.
 MAX_MESH_NODES = 2_000_000
+# Interior points per block when one mode's row is scanned for its sign.
+ROW_BLOCK = 8192
 # Rounding of the Rayleigh-Ritz products moves a Ritz value by some 1e-15
 # relative (at most 3.5e-15 above its bracket at tol = 0 on 160 test solves).
 RITZ_ROUND = 1e-12
@@ -150,26 +153,72 @@ def build_mesh(g: MetricGraph, h_target: float | None = None) -> Mesh:
 class SpectralResult:
     """Lowest eigenpairs of the Dirichlet pencil on a fixed mesh.
 
-    values holds one row per mode over all mesh nodes in the mesh's node
-    order, the vertices and then the interior points of each edge in turn
-    (zeros at Dirichlet nodes), each mass-normalized and signed as
-    lowest_eigenpairs says; within a multiple eigenvalue the first carries the
-    whole integral and the rest integrate to 0.  The modes share one
-    bracketing search, so iterations repeats its count once per mode: the
-    number of eigenvalue counts, each one factorization of the vertex-sized
-    secular matrix.  integrals holds each mode's integral over the graph.
+    eigenvalues, iterations and integrals are computed by the solve.  The
+    modes share one bracketing search, so iterations repeats its count once
+    per mode: the number of eigenvalue counts, each one factorization of the
+    vertex-sized secular matrix.  integrals holds each mode's integral over
+    the graph.  values and residuals are written on first read, from the
+    modes' vertex values and edge amplitudes: values holds one row per mode
+    over all mesh nodes in the mesh's node order, the vertices and then the
+    interior points of each edge in turn (zeros at Dirichlet nodes), each
+    mass-normalized and signed as lowest_eigenpairs says; within a multiple
+    eigenvalue the first carries the whole integral and the rest integrate
+    to 0.  residuals holds ||K0 x - lambda M0 x|| over the free nodes of each
+    row.
     """
 
     mesh: Mesh
     eigenvalues: tuple[float, ...]
-    values: np.ndarray
-    residuals: tuple[float, ...]
     iterations: tuple[int, ...]
     integrals: tuple[float, ...]
+    modes: _Modes = field(repr=False, compare=False)
 
     @property
     def h_eff(self) -> float:
         return self.mesh.h_eff
+
+    @functools.cached_property
+    def values(self) -> np.ndarray:
+        return self.modes.values()
+
+    @functools.cached_property
+    def residuals(self) -> tuple[float, ...]:
+        # each flux (x_t - x_h)/w, then each segment's share at its tail and at
+        # its head, summed at an interior point, and by a bincount over the edge
+        # ends at a vertex; the pairs of interior points that join two edges
+        # have w = 0
+        arr, n, nv = self.mesh.graph.arrays, self.mesh.segments_per_edge, len(self.mesh.graph.vertex_ids)
+        last = nv - 1 + np.cumsum(n - 1)
+        first = last - n + 2
+        we = arr.length / n
+        w = np.repeat(we, n - 1)[:-1]
+        w[last[:-1] - nv] = 0.0
+        inv = np.divide(1.0, w, out=np.zeros_like(w), where=w > 0.0)
+        seg_t, seg_h, we = np.concatenate((arr.tail, last)), np.concatenate((first, arr.head)), np.tile(we, 2)
+        resids, w6, we6, natural, ne = [], w / 6.0, we / 6.0, ~arr.dirichlet, len(n)
+        f, m, s, r = np.empty_like(w), np.empty_like(w), np.empty_like(w), np.empty(len(w) + 1)
+        for x, lam in zip(self.values, self.eigenvalues):
+            y0, y1, xt, xh = x[nv:-1], x[nv + 1:], x[seg_t], x[seg_h]
+            np.subtract(y0, y1, out=f)
+            f *= inv
+            np.multiply(w6, lam, out=m)
+            np.multiply(y0, 2.0, out=s)
+            s += y1
+            s *= m
+            np.subtract(f, s, out=r[:-1])  # f - m (2 y0 + y1)
+            r[-1] = 0.0
+            np.multiply(y1, 2.0, out=s)
+            s += y0
+            s *= m
+            s += f
+            r[1:] -= s  # f + m (y0 + 2 y1)
+            f_end, m_end = (xt - xh) / we, lam * we6
+            at_tail, at_head = f_end - m_end * (2.0 * xt + xh), -f_end - m_end * (xt + 2.0 * xh)
+            r[first - nv] += at_head[:ne]
+            r[last - nv] += at_tail[ne:]
+            ends = (np.bincount(arr.tail, at_tail[:ne], nv) + np.bincount(arr.head, at_head[ne:], nv))[natural]
+            resids.append(math.sqrt(r @ r + ends @ ends))
+        return tuple(resids)
 
     def to_payload(self) -> dict:
         mesh = self.mesh
@@ -194,85 +243,49 @@ def lowest_eigenpairs(
 
     Brackets on the count isolate the modes (_brackets); a bracket holding m
     of them gives m null vectors of the bounded system, and Rayleigh-Ritz on
-    the k vectors gives the eigenpairs and residuals.  NoConvergence when a
-    Ritz value lies above its bracket: its null vector was poor, and the value
-    would be off by more than tol.  Each simple mode and each multiple
-    eigenvalue's first mode integrate to a positive number; a simple mode with
-    |int phi| <= 1e-10 sqrt(L) (0 up to rounding) has instead its first value
-    in node order within 1e-8 of its largest magnitude positive.
+    the k vectors gives the eigenvalues, from Gram matrices summed edge by
+    edge in closed form (_Modes.gram), so the solve writes no array of the
+    mesh's size; the result writes the rows and their residuals when they are
+    first read.  NoConvergence when a Ritz value lies above its bracket: its
+    null vector was poor, and the value would be off by more than tol.  Each
+    simple mode and each multiple eigenvalue's first mode integrate to a
+    positive number; a simple mode with |int phi| <= 1e-10 sqrt(L) (0 up to
+    rounding) has instead its first value in node order within 1e-8 of its
+    largest magnitude positive, read from its own row, written block by block.
     """
     check_controls(h_target, tol)
     mesh = build_mesh(g, h_target)
     if k < 1:
         raise BadParameters("need at least one mode")
-    arr, nv, n = g.arrays, len(g.vertex_ids), mesh.segments_per_edge
-    nf = mesh.n_nodes - int(np.count_nonzero(arr.dirichlet))
+    arr, n = g.arrays, mesh.segments_per_edge
+    law, sys = _P1Law(mesh), assemble_discrete_system(g)
+    nf = len(sys.order) + int((n - 1).sum())
     if k > nf:
         raise BadParameters(f"asked for {k} modes but the mesh has only {nf} free nodes")
-    law, sys = _P1Law(mesh), assemble_discrete_system(g)
     sec = _Secular(sys, 0.0, math.inf, law)
     floor = (math.pi / (2.0 * math.fsum(sys.length.tolist()))) ** 2  # Nicaise: below every P1 eigenvalue
-    # the modes as rows in node order: the vertices, then the interior points
-    # j = 1..n-1 of each edge in turn; interior points i and i + 1 bound a
-    # segment of width w[i], or two edges (w[i] = 0)
-    spread = functools.partial(np.repeat, repeats=n - 1, axis=-1)
-    last = nv - 1 + np.cumsum(n - 1)
-    first = last - n + 2
-    j = np.arange(nv + 1.0, mesh.n_nodes + 1.0) - spread(first.astype(float))
-    at = np.full(nv, len(sys.order))  # each vertex's unknown, a zero row at a Dirichlet vertex
+    at = np.full(len(g.vertex_ids), len(sys.order))  # each vertex's unknown, a zero row at a Dirichlet vertex
     at[arr.tail], at[arr.head] = sys.tail, sys.head
-    u, sizes, tops = np.empty((k, mesh.n_nodes)), [], []
+    parts, lams, sizes, tops = [], [], [], []
     for lo, hi, m in _brackets(sec, k, tol, floor, 12.0 / float(law.width.min()) ** 2, nf):
-        lam = 0.5 * (lo + hi)
-        x, b, miss = _null_space(sys, law, lam, m)
-        s2, theta = law.angles(lam)
-        xt = x[sys.tail]
-        block = u[sum(sizes):sum(sizes) + m]
-        block[:, :nv] = x[at].T
-        inner = block[:, nv:]  # x_t P[j] + b Q[j] + miss j/n
-        z = spread(theta) * j
-        if m == 1:
-            # x_t cos(j theta) + b sin(j theta) = r sin(j theta + phi): one sine,
-            # with |phi| <= pi/2 so that the phase adds little to z's rounding
-            sign = np.where(b[:, 0] < 0.0, -1.0, 1.0)
-            z += spread(np.arctan2(sign * xt[:, 0], sign * b[:, 0]))
-            np.sin(z, out=inner[0])
-            inner *= spread(sign * np.hypot(xt[:, 0], b[:, 0]))
-        else:
-            np.multiply(spread(xt.T), np.cos(z), out=inner)
-            inner += spread(b.T) * np.sin(z)
-        if s2.max() >= 1.0:
-            past, p, q = law.past(s2, j, spread)
-            e = spread(np.arange(len(n)))[past]
-            inner[:, past[0]] = xt[e].T * p + b[e].T * q
-        inner += spread(miss.T / n) * j
+        lams.append(0.5 * (lo + hi))
+        x, b, miss = _null_space(sys, law, lams[-1], m)
+        parts.append((x[at], b, miss))
         sizes.append(m)
         tops += [hi] * m
-    # Rayleigh-Ritz on span(u): u^T K0 u = D^T W^-1 D with D = ut - uh, and
-    # M0 = (2 (ut^T W ut + uh^T W uh) + C + C^T) / 6 = (4 u^T T u + C + C^T) / 6, C = ut^T W uh,
-    # T the trapezoid weights; the segments between interior points are
-    # contiguous slices, the 2|E| that end at a vertex gathered columns
-    w, t = spread(law.width)[:-1], mesh.trapezoid_weights()
-    w[last[:-1] - nv] = 0.0
-    inv = np.divide(1.0, w, out=np.zeros_like(w), where=w > 0.0)
-    seg_t, seg_h = np.concatenate((arr.tail, last)), np.concatenate((first, arr.head))
-    we = np.tile(law.width, 2)
-    inner, ut, uh = u[:, nv:], u[:, seg_t], u[:, seg_h]
-    d, de = inner[:, :-1] - inner[:, 1:], ut - uh
-    cross = (inner[:, :-1] * w) @ inner[:, 1:].T + (ut * we) @ uh.T
-    stiff = (d * inv) @ d.T + (de / we) @ de.T
-    del d
-    lams, v = scipy.linalg.eigh(stiff, (4.0 * ((u * t) @ u.T) + cross + cross.T) / 6.0)
+    modes = _Modes(law, arr, lams, sizes, *(np.hstack(p) for p in zip(*parts)))
+    stiff, mass, basis_integrals = modes.gram()
+    ritz, v = scipy.linalg.eigh(stiff, mass)
     # each Ritz value lies above its eigenvalue, so above the bracket's bottom;
     # one above the top comes from a poor null vector
-    above = np.flatnonzero(lams > np.array(tops) * (1.0 + RITZ_ROUND))
+    above = np.flatnonzero(ritz > np.array(tops) * (1.0 + RITZ_ROUND))
     if len(above):
         i = int(above[0])
-        raise NoConvergence(f"Ritz value {lams[i]!r} of mode {i + 1} lies above its bracket, whose top is {tops[i]!r}")
+        raise NoConvergence(f"Ritz value {ritz[i]!r} of mode {i + 1} lies above its bracket, whose top is {tops[i]!r}")
     # a basis of each multiple eigenvalue that the graph defines: an orthogonal
     # change of basis, so still M-orthonormal, whose first vector carries the
     # whole integral and the rest integrate to 0
-    basis_integrals, firsts = u @ t, np.cumsum(sizes) - sizes
+    firsts = np.cumsum(sizes) - sizes
     for first_mode, m in zip(firsts, sizes):
         if m > 1:
             block = v[:, first_mode:first_mode + m]
@@ -283,33 +296,10 @@ def lowest_eigenpairs(
     zero = 1e-10 * math.sqrt(math.fsum(arr.length.tolist()))
     ties = [f for f, m in zip(firsts.tolist(), sizes) if m == 1 and abs(integrals[f]) <= zero]
     flip = [f for f in firsts.tolist() if integrals[f] < 0.0 and f not in ties]
+    flip += [f for f in ties if modes.first_peak(v[:, f]) < 0.0]
     v[:, flip], integrals[flip] = -v[:, flip], -integrals[flip]
-    values = v.T @ u
-    del u
-    for f in ties:  # the 1e-8 keeps rounding from choosing between two peaks
-        at = np.abs(values[f])
-        if values[f, int(np.argmax(at >= (1.0 - 1e-8) * at.max()))] < 0.0:
-            values[f], integrals[f] = -values[f], -integrals[f]
-    # ||K0 x - lam M0 x|| over the free nodes: each flux (x_t - x_h)/w, then each
-    # segment's share at its tail and at its head, summed at an interior point,
-    # and by a bincount over the edge ends at a vertex
-    resids, w6, we6, natural, ne = [], w / 6.0, we / 6.0, ~arr.dirichlet, len(n)
-    for x, lam in zip(values, lams):
-        y, xt, xh = x[nv:], x[seg_t], x[seg_h]
-        f, m = (y[:-1] - y[1:]) * inv, lam * w6
-        r = np.zeros(len(y))
-        r[:-1] = f - m * (2.0 * y[:-1] + y[1:])
-        r[1:] -= f + m * (y[:-1] + 2.0 * y[1:])
-        f, m = (xt - xh) / we, lam * we6
-        at_tail, at_head = f - m * (2.0 * xt + xh), -f - m * (xt + 2.0 * xh)
-        r[first - nv] += at_head[:ne]
-        r[last - nv] += at_tail[ne:]
-        ends = (np.bincount(arr.tail, at_tail[:ne], nv) + np.bincount(arr.head, at_head[ne:], nv))[natural]
-        resids.append(math.sqrt(r @ r + ends @ ends))
-    return SpectralResult(mesh, tuple(lams.tolist()), values, tuple(resids), (sec.counts,) * k,
-                          tuple(integrals.tolist()))
-
-
+    modes.rotation = v
+    return SpectralResult(mesh, tuple(ritz.tolist()), (sec.counts,) * k, tuple(integrals.tolist()), modes)
 def _brackets(sec: _Secular, k: int, tol: float, floor: float, top: float, total: int
               ) -> list[tuple[float, float, int]]:
     """(lo, hi, m): modes count(lo)+1 .. count(hi) lie in [lo, hi), m of them
@@ -448,19 +438,16 @@ class _P1Law:
         s2 = 0.25 * x / (1.0 + x / 6.0)
         return s2, 2.0 * np.arcsin(np.sqrt(np.minimum(s2, 1.0)))
 
-    def past(self, s2: np.ndarray, j: np.ndarray, spread
-             ) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray]:
-        """The points j of the edges past the band edge (indices into j, as
-        from nonzero) and P[j], Q[j] there, from angles(lam)'s s2; spread(a)
-        places a value a[e] of every edge at each of its points."""
-        past = spread(s2 >= 1.0).nonzero()
-        n, j = spread(self.n)[past], j[past]
-        eta = np.maximum(2.0 * np.arccosh(np.sqrt(spread(s2)[past])), np.finfo(float).tiny)  # the limit at 0
+    @staticmethod
+    def past(s2: np.ndarray, n: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """P[j] and Q[j] at points j of edges of n segments past the band edge,
+        from angles(lam)'s s2 there."""
+        eta = np.maximum(2.0 * np.arccosh(np.sqrt(s2)), np.finfo(float).tiny)  # the limit at 0
 
         def ratio(m):  # sinh(m eta) / sinh(n eta), 0 <= m <= n, without overflow
             return np.exp((m - n) * eta) * np.expm1(-2.0 * m * eta) / np.expm1(-2.0 * n * eta)
 
-        return past, (1 - 2 * (j % 2)) * ratio(n - j), (1 - 2 * ((n - j) % 2)) * ratio(j)
+        return (1 - 2 * (j % 2)) * ratio(n - j), (1 - 2 * ((n - j) % 2)) * ratio(j)
 
     def ends(self, lam: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """a, c1, the bases at j = 1, n - 1, n (rows of p and q) and theta on every edge."""
@@ -468,8 +455,9 @@ class _P1Law:
         j = np.stack((np.ones_like(self.n), self.n - 1, self.n))
         p, q = np.cos(j * theta), np.sin(j * theta)
         if s2.max() >= 1.0:
-            past, p_past, q_past = self.past(s2, j, functools.partial(np.broadcast_to, shape=j.shape))
-            p[past], q[past] = p_past, q_past
+            s2_j, n_j = np.broadcast_to(s2, j.shape), np.broadcast_to(self.n, j.shape)
+            past = (s2_j >= 1.0).nonzero()
+            p[past], q[past] = self.past(s2_j[past], n_j[past], j[past])
         return 1.0 / self.width + lam * self.width / 6.0, 1.0 - 2.0 * s2, p, q, theta
 
     def __call__(self, lam: float) -> tuple[np.ndarray, np.ndarray]:
@@ -482,6 +470,184 @@ class _P1Law:
         self.log_q = float(np.log(np.abs(q[2])).sum())
         c = a * q[0] / q[2]
         return c, c - a * (c1 - p[0]) - c * p[2]
+
+
+class _Modes:
+    """The modes of one solve, held as vertex values and edge amplitudes.
+
+    Basis mode i (the brackets' null vectors, in order) has the values
+    vertex_values[:, i] at the vertices (0 at a Dirichlet vertex) and, at
+    point j of edge e, cut into n segments, x_t P[j] + b Q[j] + gap j with
+    x_t = xt[i, e], b = b[i, e] and gap = miss/n, P and Q at its bracket's
+    lam (_P1Law).  Mode f of the result is sum_i rotation[i, f] basis_i.
+    Nothing here is of the mesh's size until rows are written.
+    """
+
+    def __init__(self, law: _P1Law, arr, lams: list[float], sizes: list[int],
+                 vertex_values: np.ndarray, b: np.ndarray, miss: np.ndarray):
+        self.law, self.lams = law, np.repeat(lams, sizes)
+        self.vertex_values = vertex_values
+        self.xt, self.b, self.gap = vertex_values[arr.tail].T, b.T, miss.T / law.n
+        # per bracket: its angles and the x_t, b and gap of its modes
+        self.terms = [(law.angles(lam), self.xt[lo:hi], self.b[lo:hi], self.gap[lo:hi])
+                      for lam, lo, hi in zip(lams, np.cumsum(sizes) - sizes, np.cumsum(sizes))]
+        self.inner = np.cumsum(law.n - 1)  # interior points up to each edge's last
+        self.rotation: np.ndarray | None = None
+
+    def points(self, edges: np.ndarray, counts: np.ndarray, j: np.ndarray, terms: list) -> np.ndarray:
+        """The rows of terms (as self.terms: angles, x_t, b, gap) at the points
+        j of runs of counts[r] points on the edges edges[r]."""
+        def spread(a):  # a value of every edge at each point of its runs
+            return np.repeat(a[..., edges], counts, axis=-1)
+
+        n, u, hi = self.law.n, np.empty((sum(len(t[1]) for t in terms), len(j))), 0
+        for (s2, theta), xt, b, gap in terms:
+            lo, hi = hi, hi + len(xt)
+            z = spread(theta)
+            z *= j
+            if hi - lo == 1:
+                # x_t cos(j theta) + b sin(j theta) = r sin(j theta + phi): one sine,
+                # with |phi| <= pi/2 so that the phase adds little to z's rounding
+                sign = np.where(b[0] < 0.0, -1.0, 1.0)
+                z += spread(np.arctan2(sign * xt[0], sign * b[0]))
+                np.sin(z, out=u[lo])
+                u[lo] *= spread(sign * np.hypot(xt[0], b[0]))
+            else:
+                np.multiply(spread(xt), np.cos(z), out=u[lo:hi])
+                np.sin(z, out=z)
+                z = spread(b) * z
+                u[lo:hi] += z
+            if s2[edges].max() >= 1.0:
+                past = spread(s2 >= 1.0).nonzero()[0]
+                p, q = self.law.past(spread(s2)[past], spread(n)[past], j[past])
+                e = spread(np.arange(len(n)))[past]
+                u[lo:hi, past] = xt[:, e] * p + b[:, e] * q
+            z = spread(gap)
+            z *= j
+            u[lo:hi] += z
+        return u
+
+    def edges(self, lo: int, hi: int) -> np.ndarray:
+        """The edges holding the interior points lo .. hi - 1, counted edge by
+        edge from 0 as in the mesh's node order after the vertices."""
+        return np.arange(np.searchsorted(self.inner, lo, side="right"),
+                         np.searchsorted(self.inner, hi - 1, side="right") + 1)
+
+    def interior(self, lo: int, hi: int, terms: list) -> np.ndarray:
+        """points() at the interior points lo .. hi - 1 (as in edges())."""
+        edges = self.edges(lo, hi)
+        first = self.inner[edges] - self.law.n[edges] + 1
+        counts = np.minimum(self.inner[edges], hi) - np.maximum(first, lo)
+        return self.points(edges, counts, np.arange(lo + 1.0, hi + 1.0) - np.repeat(first, counts), terms)
+
+    def values(self) -> np.ndarray:
+        """The modes' rows over every mesh node, in the mesh's node order."""
+        nv, r, total = len(self.vertex_values), self.rotation, int(self.inner[-1])
+        out = np.empty((r.shape[1], nv + total))
+        out[:, :nv] = (self.vertex_values @ r).T
+        for lo in range(0, total, ROW_BLOCK):
+            hi = min(lo + ROW_BLOCK, total)
+            np.matmul(r.T, self.interior(lo, hi, self.terms), out=out[:, nv + lo:nv + hi])
+        return out
+
+    def first_peak(self, f: np.ndarray) -> float:
+        """Of the combination f of the basis, the first value in node order
+        within 1e-8 of its largest magnitude: the 1e-8 keeps rounding from
+        choosing between two peaks.  Its row is written ROW_BLOCK interior
+        points at a time, at one sine per bracket, leaving out a bracket whose
+        share is below the row's rounding (EPS of the largest share), and
+        only in the blocks whose edges could reach that magnitude, by a bound
+        of each bracket's term on each edge, taken in descending order."""
+        terms, reach, at = [], [], 0
+        for angles, *coeffs in self.terms:
+            c, at = f[at:at + len(coeffs[0])], at + len(coeffs[0])
+            xt, b, gap = ((c @ a)[None] for a in coeffs)
+            terms.append((angles, xt, b, gap))
+            # |x_t P + b Q + gap j| on each edge: r below the band edge, |P|, |Q| <= 1 past it
+            amplitude = np.where(angles[0] < 1.0, np.hypot(xt[0], b[0]), np.abs(xt[0]) + np.abs(b[0]))
+            reach.append(amplitude + np.abs(gap[0]) * self.law.n)
+        share = [float(r.max()) for r in reach]
+        keep = [i for i, s in enumerate(share) if s > EPS * max(share)]
+        terms = [terms[i] for i in keep]
+        bound = (1.0 + 1e-12) * sum(reach[i] for i in keep)  # with room for the row's rounding
+        total = int(self.inner[-1])
+        block_bound = [float(bound[self.edges(lo, min(lo + ROW_BLOCK, total))].max())
+                       for lo in range(0, total, ROW_BLOCK)]
+
+        def row(i):  # the vertices (None), or block i of interior points
+            if i is None:
+                return self.vertex_values @ f
+            return self.interior(i * ROW_BLOCK, min((i + 1) * ROW_BLOCK, total), terms).sum(axis=0)
+
+        peaks = {None: float(np.abs(row(None)).max())}
+        for i in np.argsort([-b for b in block_bound], kind="stable").tolist():
+            if block_bound[i] < (1.0 - 1e-8) * max(peaks.values()):
+                break  # neither this block nor any after it reaches the peak
+            peaks[i] = float(np.abs(row(i)).max())
+        top = (1.0 - 1e-8) * max(peaks.values())
+        x = row(None if peaks[None] >= top else min(i for i in peaks if i is not None and peaks[i] >= top))
+        return float(x[np.argmax(np.abs(x) >= top)])
+
+    def gram(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The basis's stiffness and mass Gram matrices u^T K0 u, u^T M0 u and
+        integrals, summed edge by edge.
+
+        On each segment s = 0..n-1 of an edge, with differences d[s] =
+        u[s+1] - u[s] and sums m[s] = u[s] + u[s+1], K0 gives d d'/w and M0
+        (2 u u' + 2 u[s+1] u'[s+1] + u u'[s+1] + u[s+1] u') w/6 = m m' w/4 +
+        d d' w/12; the integral is m w/2.  Below the band edge d and m are
+        p cos(t theta) + q sin(t theta) + r + g t in t = s - (n-1)/2, from
+        H = (x_t - i b) exp(i n theta/2) and gam = miss/n: d has p, q =
+        -2 sin(theta/2) (Im H, Re H), r = gam, g = 0; m has p, q =
+        2 cos(theta/2) (Re H, -Im H), r = n gam, g = 2 gam.  Their products
+        sum over t in closed form (Dirichlet kernels D(phi) = sin(n phi/2) /
+        sin(phi/2) and the sum of t sin(t theta)), with (theta_a - theta_b)/2
+        from lam_a - lam_b rather than from the two angles, and D(0) = n,
+        which a cluster's shared angle meets.  An edge past the band edge at
+        some bracket's lam has all its n - 1 pinned sines below lam, so fewer
+        interior points than the eigenvalues below lam, and its points are
+        summed one by one."""
+        law, lams = self.law, self.lams
+        s2, theta = law.angles(lams[:, None])
+        summed = (s2 >= 1.0).any(axis=0)
+        e = (~summed).nonzero()[0]
+        n, w = law.n[e].astype(float), law.width[e]
+        half = 0.5 * theta[:, e]
+        sh, ch, sn, cn = np.sin(half), np.cos(half), np.sin(n * half), np.cos(n * half)
+        xt, b, gam = self.xt[:, e], self.b[:, e], self.gap[:, e]
+        re, im = xt * cn + b * sn, xt * sn - b * cn
+        d1 = sn / sh  # sum of cos(t theta)
+        e1 = 0.5 * (sn * ch - n * cn * sh) / (sh * sh)  # sum of t sin(t theta)
+        x = lams[:, None] * w * w
+        ds2 = 0.25 * w * w * (lams[:, None, None] - lams[None, :, None]) / ((1.0 + x / 6.0)[:, None] * (1.0 + x / 6.0))
+        across = half[:, None] + half  # (theta_a + theta_b)/2
+        below = np.arcsin(np.clip(ds2 / np.sin(across), -1.0, 1.0))  # (theta_a - theta_b)/2
+        minus = np.divide(np.sin(n * below), np.sin(below), out=np.broadcast_to(n, below.shape).copy(),
+                          where=below != 0.0)
+        plus = np.sin(n * across) / np.sin(across)
+        cc, ss = 0.5 * (minus + plus), 0.5 * (minus - plus)
+
+        def products(p, q, r, g):  # sum over t of the products of two modes' sequences, per edge
+            pr, qg = (p * d1)[:, None] * r, (q * e1)[:, None] * g
+            return (p[:, None] * p * cc + q[:, None] * q * ss + pr + pr.swapaxes(0, 1) + qg + qg.swapaxes(0, 1)
+                    + n * r[:, None] * r + n * (n * n - 1.0) / 12.0 * g[:, None] * g)
+
+        dd = products(-2.0 * sh * im, -2.0 * sh * re, gam, np.zeros_like(gam))
+        stiff, mass = dd @ (1.0 / w), products(2.0 * ch * re, -2.0 * ch * im, n * gam, 2.0 * gam) @ (0.25 * w)
+        mass += dd @ (w / 12.0)
+        integrals = (2.0 * ch * re * d1 + n * n * gam) @ (0.5 * w)
+        e = summed.nonzero()[0]
+        if len(e):
+            count = law.n[e] + 1
+            j = np.arange(count.sum(), dtype=float) - np.repeat(np.cumsum(count) - count, count)
+            u = self.points(e, count, j, self.terms)
+            seg = j[1:] > 0  # points j - 1 and j of one edge
+            d, m = (u[:, 1:] - u[:, :-1])[:, seg], (u[:, 1:] + u[:, :-1])[:, seg]
+            w = np.repeat(law.width[e], count)[1:][seg]
+            stiff += (d / w) @ d.T
+            mass += (m * (0.25 * w)) @ m.T + (d * (w / 12.0)) @ d.T
+            integrals += m @ (0.5 * w)
+        return stiff, mass, integrals
 
 
 # -- exact lambda_1 from the secular matrix ------------------------------------

@@ -371,12 +371,16 @@ def polya_quotient(g: MetricGraph, coeffs: Mapping[str, tuple[float, float, floa
     edge (BadParameters), be continuous across vertices and vanish at the Dirichlet
     set to 1e-9 of the terms end values sum, max(1, |a| l^2 + |b| l + |c|) over the
     edges (ValidationError), and have positive Dirichlet energy (ZeroEnergy).
+    A coefficient that is not finite raises ValidationError naming its edge.
     """
     missing = [e for e in g.edge_ids if e not in coeffs]
     if missing:
         raise BadParameters(f"test function has no coefficients for edge {missing[0]!r}")
     arr = g.arrays
     (a, b, c), l = np.array([coeffs[e] for e in g.edge_ids], dtype=np.float64).T, arr.length
+    bad = (~np.isfinite(a) | ~np.isfinite(b) | ~np.isfinite(c)).nonzero()[0]
+    if len(bad):
+        raise ValidationError(f"test function has a non-finite coefficient on edge {g.edge_ids[bad[0]]!r}")
     scale = max(1.0, float((np.abs(a) * l * l + np.abs(b) * l + np.abs(c)).max()))
     hi, lo = np.where(arr.dirichlet, 0.0, -np.inf), np.where(arr.dirichlet, 0.0, np.inf)
     at, ends = np.concatenate((arr.tail, arr.head)), np.concatenate((c, a * l * l + b * l + c))

@@ -222,6 +222,33 @@ def sparse_fem_eigenvalues(g, h: float, k: int) -> list[float]:
     return sorted(float(v) for v in vals)
 
 
+def p1_ritz(mesh, rows: np.ndarray):
+    """Rayleigh-Ritz of the P1 pencil on the span of explicit rows, one per
+    mode over a mesh's nodes in its node order (the vertices, then the
+    interior points of each edge from tail to head): the Gram matrices
+    rows^T K0 rows and rows^T M0 rows and each row's integral.  K0 gives
+    D^T W^-1 D with D the segment differences, and M0 = (4 rows^T T rows +
+    C + C^T) / 6 with C = rows_t^T W rows_h over the segments and T the
+    trapezoid weights.  The segments between interior points are contiguous
+    slices of the rows (width 0 where two edges meet), the 2|E| that end at
+    a vertex gathered columns."""
+    arr, n = mesh.graph.arrays, mesh.segments_per_edge
+    nv, we = len(mesh.graph.vertex_ids), arr.length / n
+    last = nv - 1 + np.cumsum(n - 1)
+    first = last - n + 2
+    w = np.repeat(we, n - 1)[:-1]
+    w[last[:-1] - nv] = 0.0
+    inv = np.divide(1.0, w, out=np.zeros_like(w), where=w > 0.0)
+    t = np.concatenate([np.bincount(np.concatenate([arr.tail, arr.head]), np.tile(0.5 * we, 2), nv),
+                        np.repeat(we, n - 1)])
+    seg_t, seg_h, we = np.concatenate((arr.tail, last)), np.concatenate((first, arr.head)), np.tile(we, 2)
+    inner, ut, uh = rows[:, nv:], rows[:, seg_t], rows[:, seg_h]
+    d, de = inner[:, :-1] - inner[:, 1:], ut - uh
+    cross = (inner[:, :-1] * w) @ inner[:, 1:].T + (ut * we) @ uh.T
+    stiff = (d * inv) @ d.T + (de / we) @ de.T
+    return stiff, (4.0 * ((rows * t) @ rows.T) + cross + cross.T) / 6.0, rows @ t
+
+
 def p1_mass(g, nodes: list[dict]):
     """Consistent P1 mass matrix M0 over the free nodes of a spectrum payload's
     ``nodes`` list, and the indices of those nodes.  Each edge chains its tail,

@@ -4,14 +4,16 @@ the exact lambda_1 from the secular matrix."""
 import dataclasses
 import json
 import math
+import tracemalloc
 from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from _oracles import exact_rigidity, fem_eigenvalues, p1_mass, p1_sine_eigenvalue, secular_count, sparse_fem_eigenvalues
-from _oracles import p1_stiffness
+from _oracles import p1_ritz, p1_stiffness
 from _oracles import secular_lambda1 as dense_secular_lambda1
 from graphtorsion import (
     BadParameters,
@@ -29,6 +31,7 @@ from graphtorsion import (
 )
 from graphtorsion.families import (
     caterpillar,
+    family_examples,
     flower,
     lasso,
     path_dd,
@@ -362,6 +365,67 @@ def test_fine_mesh_residuals(g):
     M0, free = p1_mass(g, res.to_payload()["nodes"])
     for lam, r, v in zip(res.eigenvalues, res.residuals, res.values[:, free]):
         assert r <= 1e-5 * lam * np.linalg.norm(M0 @ v)
+
+
+def _closed_form_battery():
+    for name, g in family_examples():
+        yield name, g, 4, None
+    for seed in range(30):
+        yield f"random{seed}", random_graph(seed), 6, None
+    for name, g in [("path_dn", path_dn()), ("star3", star(3)), ("flower3", flower(3)),
+                    ("pumpkin", pumpkin_chain([2, 3])), ("random40", random_graph(0, max_vertices=40, max_edges=60))]:
+        yield f"{name}@60k", g, 3, g.total_length() / 60_000
+    # lambda_10 w^2 = 13.9 on two edges: past the band edge, summed point by point
+    yield "star_band_edge", star(3, [1.0, 0.3, 1.5]), 10, 0.25
+    yield "star_near_degenerate", star(3, [1.0, 1.0 + 1e-7, 1.0 - 1e-7]), 3, 1 / 16
+
+
+@pytest.mark.parametrize("g, k, h", [case[1:] for case in _closed_form_battery()],
+                         ids=[case[0] for case in _closed_form_battery()])
+def test_closed_form_rayleigh_ritz_matches_the_row_oracle(g, k, h):
+    # the solve sums its Gram matrices and integrals edge by edge in closed form;
+    # Rayleigh-Ritz on the rows it writes afterwards, formed from the rows
+    # segment by segment, gives the same eigenvalues and integrals, and the rows
+    # are M-orthonormal
+    res = lowest_eigenpairs(g, k, h_target=h)
+    stiff, mass, integrals = p1_ritz(res.mesh, res.values)
+    ritz = scipy.linalg.eigh(stiff, mass, eigvals_only=True)
+    assert res.eigenvalues == pytest.approx(ritz, rel=1e-12, abs=0)
+    assert np.abs(np.array(res.integrals) - integrals).max() <= 1e-12 * np.abs(integrals).max()
+    assert np.abs(mass - np.eye(k)).max() <= 1e-12
+    # a simple mode's tie sign, chosen from blocks of its row, is the one the
+    # whole row gives
+    zero, lams = 1e-10 * math.sqrt(g.total_length()), np.array(res.eigenvalues)
+    for phi, integral, lam in zip(res.values, res.integrals, lams):
+        if abs(integral) <= zero and np.sum(np.abs(lams - lam) <= 1e-9 * lam) == 1:
+            at = np.abs(phi)
+            assert phi[np.argmax(at >= (1.0 - 1e-8) * at.max())] > 0.0
+
+
+def test_eigenvalue_path_allocates_nothing_mesh_sized():
+    # 10^6 nodes, where one row takes 8 MB: the solve writes none; path_dd's
+    # second mode integrates to 0, and its sign comes from its row block by block
+    g = path_dd([1.0])
+    tracemalloc.start()
+    try:
+        integrated_heat_content(g, 3, h_target=1e-6)
+        heat_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        res = lowest_eigenpairs(g, 3, h_target=1e-6)
+        assert len(res.eigenvalues) == 3
+        solve_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.mesh.n_nodes == 1_000_001
+    assert heat_peak < 1e6 and solve_peak < 1e6
+    assert abs(res.integrals[1]) <= 1e-10
+
+
+def test_rows_are_written_once_when_read():
+    res = lowest_eigenpairs(lasso(), 3, h_target=1 / 32)
+    assert "values" not in vars(res) and "residuals" not in vars(res)
+    assert res.values is res.values and res.residuals is res.residuals
+    assert res.values.shape == (3, res.mesh.n_nodes)
 
 
 @pytest.mark.parametrize("g, h", [

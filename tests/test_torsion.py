@@ -392,6 +392,16 @@ def test_polya_quotient_zero_function():
         polya_quotient(g, coeffs)
 
 
+@pytest.mark.parametrize("which, value", [(0, math.nan), (1, math.inf), (2, math.nan)], ids=["a", "b", "c"])
+def test_polya_quotient_rejects_non_finite_coefficients(which, value):
+    # nan or inf in one edge's a, b or c made the quotient nan, with no error
+    g = star(3, [1.0, 0.7, 1.5])
+    coeffs = {e: [-0.5, b, c] for e, _, b, c in edge_quadratics(torsion_function(g))}
+    coeffs["e2"][which] = value
+    with pytest.raises(ValidationError, match="'e2'"):
+        polya_quotient(g, coeffs)
+
+
 def test_polya_quotient_rejects_missing_edge():
     g = path_dn([1.0, 1.0])
     with pytest.raises(BadParameters, match="'e2'"):

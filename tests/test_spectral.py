@@ -367,21 +367,20 @@ def test_fine_mesh_residuals(g):
         assert r <= 1e-5 * lam * np.linalg.norm(M0 @ v)
 
 
-def _closed_form_battery():
-    for name, g in family_examples():
-        yield name, g, 4, None
-    for seed in range(30):
-        yield f"random{seed}", random_graph(seed), 6, None
-    for name, g in [("path_dn", path_dn()), ("star3", star(3)), ("flower3", flower(3)),
-                    ("pumpkin", pumpkin_chain([2, 3])), ("random40", random_graph(0, max_vertices=40, max_edges=60))]:
-        yield f"{name}@60k", g, 3, g.total_length() / 60_000
+CLOSED_FORM_BATTERY = (
+    [(name, g, 4, None) for name, g in family_examples()]
+    + [(f"random{seed}", random_graph(seed), 6, None) for seed in range(30)]
+    + [(f"{name}@60k", g, 3, g.total_length() / 60_000)
+       for name, g in [("path_dn", path_dn()), ("star3", star(3)), ("flower3", flower(3)),
+                       ("pumpkin", pumpkin_chain([2, 3])), ("random40", random_graph(0, max_vertices=40, max_edges=60))]]
     # lambda_10 w^2 = 13.9 on two edges: past the band edge, summed point by point
-    yield "star_band_edge", star(3, [1.0, 0.3, 1.5]), 10, 0.25
-    yield "star_near_degenerate", star(3, [1.0, 1.0 + 1e-7, 1.0 - 1e-7]), 3, 1 / 16
+    + [("star_band_edge", star(3, [1.0, 0.3, 1.5]), 10, 0.25),
+       ("star_near_degenerate", star(3, [1.0, 1.0 + 1e-7, 1.0 - 1e-7]), 3, 1 / 16)]
+)
 
 
-@pytest.mark.parametrize("g, k, h", [case[1:] for case in _closed_form_battery()],
-                         ids=[case[0] for case in _closed_form_battery()])
+@pytest.mark.parametrize("g, k, h", [case[1:] for case in CLOSED_FORM_BATTERY],
+                         ids=[case[0] for case in CLOSED_FORM_BATTERY])
 def test_closed_form_rayleigh_ritz_matches_the_row_oracle(g, k, h):
     # the solve sums its Gram matrices and integrals edge by edge in closed form;
     # Rayleigh-Ritz on the rows it writes afterwards, formed from the rows
@@ -400,6 +399,31 @@ def test_closed_form_rayleigh_ritz_matches_the_row_oracle(g, k, h):
         if abs(integral) <= zero and np.sum(np.abs(lams - lam) <= 1e-9 * lam) == 1:
             at = np.abs(phi)
             assert phi[np.argmax(at >= (1.0 - 1e-8) * at.max())] > 0.0
+
+
+def test_closed_form_gram_of_any_vertex_values_and_amplitudes():
+    # the edge sums hold for any modes of the P1 form, not only near-eigenvectors:
+    # random vertex values and amplitudes, each edge's miss closing it at its head
+    # (so of order 1, where the miss terms weigh), a double bracket and one past
+    # the band edge of the longer edges
+    g = random_graph(2)
+    mesh = build_mesh(g)
+    law, arr = spectral._P1Law(mesh), g.arrays
+    past = 12.0 / float(np.quantile(law.width, 0.7)) ** 2
+    lams, sizes = [0.3, 2.0, past], [1, 2, 1]
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((len(g.vertex_ids), 4)) * ~arr.dirichlet[:, None]
+    b = rng.standard_normal((len(arr.length), 4))
+    miss = np.empty_like(b)
+    for lam, lo, hi in zip(lams, np.cumsum(sizes) - sizes, np.cumsum(sizes)):
+        _, _, p, q, _ = law.ends(lam)
+        miss[:, lo:hi] = x[arr.head, lo:hi] - x[arr.tail, lo:hi] * p[2][:, None] - b[:, lo:hi] * q[2][:, None]
+    assert 0 < (past * law.width ** 2 >= 12.0).sum() < len(arr.length)
+    modes = spectral._Modes(law, arr, lams, sizes, x, b, miss)
+    modes.rotation = np.eye(4)
+    got, want = modes.gram(), p1_ritz(mesh, modes.values())
+    for a, c in zip(got, want):
+        assert np.abs(a - c).max() <= 1e-12 * np.abs(c).max()
 
 
 def test_eigenvalue_path_allocates_nothing_mesh_sized():

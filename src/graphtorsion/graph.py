@@ -7,10 +7,10 @@ connected, at least one edge, at least one Dirichlet vertex, every length a
 positive finite real.
 
 Ids plus index arrays are the primary form: ``vertex_ids``, ``edge_ids`` and
-``arrays`` (tail, head, length, Dirichlet mask).  The Vertex and Edge objects in
-``vertices`` and ``edges`` are built on first access, a view no library path
-reads; a graph made from objects keeps them, and every graph derived (Dirichlet
-gluing, each surgery operation, reorient, the pumpkin chain) is built from arrays.
+``arrays`` (tail, head, length, Dirichlet mask).  ``MetricGraph(...)``, ``make_graph``
+(so every family) and ``loads`` check and build from lists by one route, and every
+graph derived is built from arrays, so no library path builds a Vertex or Edge
+object: those in ``vertices`` and ``edges`` are a view built on first access.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import (
+    BadParameters,
     DisconnectedGraph,
     DuplicateId,
     EmptyDirichletSet,
@@ -44,10 +45,7 @@ class Vertex:
     bc: str
 
     def __post_init__(self) -> None:
-        if not isinstance(self.id, str) or not self.id:
-            raise ValidationError(f"vertex id must be a nonempty string, got {self.id!r}")
-        if self.bc not in (DIRICHLET, NATURAL):
-            raise ValidationError(f"vertex {self.id!r}: bc must be {DIRICHLET!r} or {NATURAL!r}, got {self.bc!r}")
+        _check_vertex(self.id, self.bc)
 
 
 @dataclass(frozen=True)
@@ -58,47 +56,65 @@ class Edge:
     length: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.id, str) or not self.id:
-            raise ValidationError(f"edge id must be a nonempty string, got {self.id!r}")
-        ln = self.length
-        if isinstance(ln, bool) or not isinstance(ln, (int, float)):
-            raise NonPositiveLength(f"edge {self.id!r}: length must be a number, got {ln!r}")
-        try:
-            ok = ln > 0 and math.isfinite(ln)
-        except OverflowError:  # an integer too large for a float
-            ok = False
-        if not ok:
-            raise NonPositiveLength(f"edge {self.id!r}: length must be positive and finite, got {ln!r}")
-        object.__setattr__(self, "length", float(ln))
+        object.__setattr__(self, "length", _checked_edge(self.id, self.length))
 
     @property
     def is_loop(self) -> bool:
         return self.tail == self.head
 
 
+def _check_vertex(vid, bc) -> None:
+    """The Vertex rules: a nonempty string id and a known boundary tag."""
+    if not isinstance(vid, str) or not vid:
+        raise ValidationError(f"vertex id must be a nonempty string, got {vid!r}")
+    if bc not in (DIRICHLET, NATURAL):
+        raise ValidationError(f"vertex {vid!r}: bc must be {DIRICHLET!r} or {NATURAL!r}, got {bc!r}")
+
+
+def _checked_edge(eid, ln) -> float:
+    """The Edge rules: a nonempty string id and a positive finite int or float length,
+    returned as a float."""
+    if not isinstance(eid, str) or not eid:
+        raise ValidationError(f"edge id must be a nonempty string, got {eid!r}")
+    if isinstance(ln, bool) or not isinstance(ln, (int, float)):
+        raise NonPositiveLength(f"edge {eid!r}: length must be a number, got {ln!r}")
+    try:
+        ok = ln > 0 and math.isfinite(ln)
+    except OverflowError:  # an integer too large for a float
+        ok = False
+    if not ok:
+        raise NonPositiveLength(f"edge {eid!r}: length must be positive and finite, got {ln!r}")
+    return float(ln)
+
+
 class MetricGraph:
     """Validated metric graph.  Construction raises on any malformed input."""
 
     def __init__(self, vertices: Iterable[Vertex], edges: Iterable[Edge]) -> None:
+        """Read the objects' ids, tags, ends and lengths into _build; the objects are not kept."""
         vertices, edges = tuple(vertices), tuple(edges)
         self._build([v.id for v in vertices], [v.bc for v in vertices], [e.id for e in edges],
                     [e.tail for e in edges], [e.head for e in edges], [e.length for e in edges])
-        self.__dict__.update(vertices=vertices, edges=edges)
 
     # -- validation ------------------------------------------------------
 
     def _build(self, vids: list, bcs: list, eids: list, tails: list, heads: list,
                lengths: list) -> "MetricGraph":
-        """Check the ids and ends of entries already checked one by one, then the whole
-        graph (_take); only when a set-wide check fails is the first bad entry looked for."""
-        index = dict(zip(vids, range(len(vids))))
+        """The one checked route from lists into a graph: a set-wide check of the entries,
+        ids and ends, then _take; the first error is looked for only when the set-wide
+        check fails, and the graph is built when there is none (it was too strict)."""
         try:
-            if len(index) < len(vids) or len(set(eids)) < len(eids):
-                raise KeyError
+            index = dict(zip(vids, range(len(vids))))
             tail, head = [index[t] for t in tails], [index[h] for h in heads]
-        except (KeyError, TypeError):
-            _first_unknown(vids, eids, tails, heads, index)
-            raise
+            good = (set(map(type, vids + eids)) <= {str} and "" not in index and "" not in eids
+                    and len(index) == len(vids) and len(set(eids)) == len(eids)
+                    and set(bcs) <= {DIRICHLET, NATURAL} and set(map(type, lengths)) <= {int, float}
+                    and (not lengths or min(lengths) > 0 and sum(lengths, 0.0) < math.inf))  # NaN fails
+        except (KeyError, TypeError, OverflowError):
+            good = False
+        if not good:  # with no error found, every id is a string and every end known
+            _first_error(vids, bcs, eids, tails, heads, lengths)
+            tail, head = [index[t] for t in tails], [index[h] for h in heads]
         dirichlet = np.array([bc == DIRICHLET for bc in bcs], dtype=bool)
         return self._take(index, eids, EdgeArrays(np.array(tail, dtype=np.int64), np.array(head, dtype=np.int64),
                                                  np.array(lengths, dtype=np.float64), dirichlet))
@@ -123,13 +139,11 @@ class MetricGraph:
     def with_edge_lengths(self, lengths: list[float]) -> "MetricGraph":
         """The same ids, ends and boundary tags with edge k of length lengths[k].
 
-        Only the lengths are checked, in edge order, as Edge checks them."""
-        length = np.array(lengths, dtype=np.float64)
-        bad = np.flatnonzero(~((length > 0.0) & np.isfinite(length)))
-        if len(bad):
-            k = int(bad[0])
-            raise NonPositiveLength(
-                f"edge {self.edge_ids[k]!r}: length must be positive and finite, got {lengths[k]!r}")
+        One length per edge (BadParameters), each checked in edge order as Edge
+        checks it."""
+        if len(lengths) != len(self.edge_ids):
+            raise BadParameters(f"need one length per edge: {len(self.edge_ids)} edges, got {len(lengths)} lengths")
+        length = np.array([_checked_edge(eid, ln) for eid, ln in zip(self.edge_ids, lengths)], dtype=np.float64)
         g = MetricGraph.__new__(MetricGraph)
         g.vertex_ids, g.edge_ids, g._index = self.vertex_ids, self.edge_ids, self._index
         g.arrays = EdgeArrays(self.arrays.tail, self.arrays.head, length, self.arrays.dirichlet)
@@ -139,11 +153,13 @@ class MetricGraph:
 
     @cached_property
     def vertices(self) -> tuple[Vertex, ...]:
-        return tuple(Vertex(d["id"], d["bc"]) for d in self.to_payload()["vertices"])
+        return tuple(map(Vertex, self.vertex_ids, [DIRICHLET if d else NATURAL for d in self.arrays.dirichlet.tolist()]))
 
     @cached_property
     def edges(self) -> tuple[Edge, ...]:
-        return tuple(Edge(d["id"], d["from"], d["to"], d["length"]) for d in self.to_payload()["edges"])
+        a, vids = self.arrays, self.vertex_ids
+        return tuple(map(Edge, self.edge_ids, [vids[t] for t in a.tail.tolist()], [vids[h] for h in a.head.tolist()],
+                         a.length.tolist()))
 
     def __eq__(self, other: object) -> bool:
         """Same ids, boundary tags, ends and lengths in the same order."""
@@ -305,20 +321,26 @@ class MetricGraph:
         return json.dumps(self.to_payload(), indent=indent)
 
 
-def _first_unknown(vids: list, eids: list, tails: list, heads: list, index: dict) -> None:
-    """Raise for the first duplicate id or unknown end, in entry order."""
-    seen: set[str] = set()
+def _first_error(vids: list, bcs: list, eids: list, tails: list, heads: list, lengths: list) -> None:
+    """Raise for the first bad entry: by the Vertex rules vertex by vertex, then by the
+    Edge rules edge by edge, then a duplicate vertex id, then edge by edge a duplicate
+    edge id or an unknown end."""
+    for vid, bc in zip(vids, bcs):
+        _check_vertex(vid, bc)
+    for eid, ln in zip(eids, lengths):
+        _checked_edge(eid, ln)
+    known: set[str] = set()
     for vid in vids:
-        if vid in seen:
+        if vid in known:
             raise DuplicateId(f"duplicate vertex id {vid!r}")
-        seen.add(vid)
-    seen = set()
+        known.add(vid)
+    seen: set[str] = set()
     for eid, tail, head in zip(eids, tails, heads):
         if eid in seen:
             raise DuplicateId(f"duplicate edge id {eid!r}")
         seen.add(eid)
         for end in (tail, head):
-            if not isinstance(end, str) or end not in index:
+            if not isinstance(end, str) or end not in known:
                 raise UnknownVertex(f"edge {eid!r} references unknown vertex {end!r}")
 
 
@@ -412,11 +434,12 @@ def make_graph(
     vertices: Iterable[tuple[str, str]],
     edges: Iterable[tuple[str, str, str, float]],
 ) -> MetricGraph:
-    """Build a graph from (id, bc) and (id, tail, head, length) tuples."""
-    return MetricGraph(
-        tuple(Vertex(i, bc) for i, bc in vertices),
-        tuple(Edge(i, t, h, ln) for i, t, h, ln in edges),
-    )
+    """Build a graph from (id, bc) and (id, tail, head, length) tuples, checked as
+    from_payload checks its lists; no Vertex or Edge object is made."""
+    vertices, edges = [(i, bc) for i, bc in vertices], [(i, t, h, ln) for i, t, h, ln in edges]
+    vids, bcs = [v[0] for v in vertices], [v[1] for v in vertices]
+    eids, tails, heads, lengths = ([e[k] for e in edges] for k in range(4))
+    return MetricGraph.__new__(MetricGraph)._build(vids, bcs, eids, tails, heads, lengths)
 
 
 def reorient(g: MetricGraph, edge_ids: Iterable[str]) -> MetricGraph:
@@ -428,18 +451,19 @@ def reorient(g: MetricGraph, edge_ids: Iterable[str]) -> MetricGraph:
 
 
 def _first_malformed(verts: list, edges: list) -> None:
-    """Raise for the first malformed vertex or edge entry, in entry order."""
+    """Raise for the first entry not an object with its keys, or with values the Vertex
+    or Edge rules reject, in entry order."""
     for i, item in enumerate(verts):
         if not isinstance(item, dict) or "id" not in item or "bc" not in item:
             raise ValidationError(f"vertex entry {i} must be an object with 'id' and 'bc'")
-        Vertex(item["id"], item["bc"])
+        _check_vertex(item["id"], item["bc"])
     for i, item in enumerate(edges):
         if not isinstance(item, dict):
             raise ValidationError(f"edge entry {i} must be an object")
         for key in ("id", "from", "to", "length"):
             if key not in item:
                 raise ValidationError(f"edge entry {i} is missing {key!r}")
-        Edge(item["id"], item["from"], item["to"], item["length"])
+        _checked_edge(item["id"], item["length"])
 
 
 def from_payload(payload: dict) -> MetricGraph:
@@ -453,13 +477,9 @@ def from_payload(payload: dict) -> MetricGraph:
     try:
         vids, bcs = [v["id"] for v in verts], [v["bc"] for v in verts]
         eids, tails, heads, lengths = ([e[key] for e in edges] for key in ("id", "from", "to", "length"))
-        good = (set(map(type, vids + eids)) <= {str} and "" not in vids + eids
-                and set(bcs) <= {DIRICHLET, NATURAL} and set(map(type, lengths)) <= {int, float}
-                and (not lengths or min(lengths) > 0 and sum(lengths, 0.0) < math.inf))  # NaN fails
-    except (KeyError, TypeError, OverflowError):
-        good = False
-    if not good:
-        _first_malformed(verts, edges)  # raises unless the set-wide check was too strict
+    except (KeyError, TypeError):
+        _first_malformed(verts, edges)
+        raise
     return MetricGraph.__new__(MetricGraph)._build(vids, bcs, eids, tails, heads, lengths)
 
 

@@ -153,6 +153,8 @@ def optimize(
         floor = 1e-4 * total / n
     if not (floor > 0.0 and math.isfinite(floor)):
         raise BadParameters(f"floor must be positive and finite, got {floor!r}")
+    if isinstance(max_iters, bool) or not isinstance(max_iters, int):
+        raise BadParameters(f"max_iters must be an int, got {max_iters!r}")
     if max_iters < 1:
         raise BadParameters(f"max_iters must be at least 1, got {max_iters!r}")
     lengths = g.arrays.length

@@ -255,6 +255,8 @@ def lowest_eigenpairs(
     """
     check_controls(h_target, tol)
     mesh = build_mesh(g, h_target)
+    if isinstance(k, bool) or not isinstance(k, int):
+        raise BadParameters(f"the number of modes must be an int, got {k!r}")
     if k < 1:
         raise BadParameters("need at least one mode")
     arr, n = g.arrays, mesh.segments_per_edge

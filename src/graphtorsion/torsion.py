@@ -363,6 +363,13 @@ def dirichlet_energy(sol: TorsionSolution) -> float:
 # -- piecewise-quadratic test functions -----------------------------------
 
 
+def _three_numbers(coefficients) -> bool:
+    try:
+        return np.array(coefficients, dtype=np.float64).shape == (3,)
+    except (ValueError, TypeError):  # ragged, or not numbers
+        return False
+
+
 def polya_quotient(g: MetricGraph, coeffs: Mapping[str, tuple[float, float, float]]) -> float:
     """(integral of u)^2 / (integral of u'^2); maximized by the torsion function.
 
@@ -371,11 +378,16 @@ def polya_quotient(g: MetricGraph, coeffs: Mapping[str, tuple[float, float, floa
     edge (BadParameters), be continuous across vertices and vanish at the Dirichlet
     set to 1e-9 of the terms end values sum, max(1, |a| l^2 + |b| l + |c|) over the
     edges (ValidationError), and have positive Dirichlet energy (ZeroEnergy).
-    A coefficient that is not finite raises ValidationError naming its edge.
+    Coefficients that are not three numbers, or a coefficient that is not finite,
+    raise ValidationError naming the first such edge.
     """
     missing = [e for e in g.edge_ids if e not in coeffs]
     if missing:
         raise BadParameters(f"test function has no coefficients for edge {missing[0]!r}")
+    malformed = [e for e in g.edge_ids if not _three_numbers(coeffs[e])]
+    if malformed:
+        e = malformed[0]
+        raise ValidationError(f"test function needs three numbers (a, b, c) on edge {e!r}, got {coeffs[e]!r}")
     arr = g.arrays
     (a, b, c), l = np.array([coeffs[e] for e in g.edge_ids], dtype=np.float64).T, arr.length
     bad = (~np.isfinite(a) | ~np.isfinite(b) | ~np.isfinite(c)).nonzero()[0]

@@ -1,7 +1,9 @@
 """Graph model: validation, metrics, distances, gluing, serialization."""
 
+import itertools
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from graphtorsion import (
 )
 from graphtorsion.families import (
     caterpillar,
+    family_examples,
     flower,
     lasso,
     path_dd,
@@ -233,6 +236,115 @@ def test_unhashable_end_is_unknown_vertex():
 def test_empty_path_rejected(family):
     with pytest.raises(BadParameters, match="a path needs at least one edge"):
         family([])
+
+
+# Fifteen faults on separate entries of one valid graph, each with the error it raises
+# alone, in the order in which the checks look: the Vertex rules vertex by vertex, the
+# Edge rules edge by edge, a duplicate vertex id, then edge by edge a duplicate edge id
+# or an unknown end, then the Dirichlet set and connectivity.  With two faults, the
+# earlier one's error is raised.
+FAULTS = [
+    ("empty vertex id", lambda v, e: v[1].update(id=""), ValidationError,
+     "vertex id must be a nonempty string, got ''"),
+    ("int vertex id", lambda v, e: v[2].update(id=7), ValidationError,
+     "vertex id must be a nonempty string, got 7"),
+    ("bad bc", lambda v, e: v[3].update(bc="robin"), ValidationError,
+     "vertex 'd': bc must be 'dirichlet' or 'natural', got 'robin'"),
+    ("negative length", lambda v, e: e[0].update(length=-1.0), NonPositiveLength,
+     "edge 'e1': length must be positive and finite, got -1.0"),
+    ("nan length", lambda v, e: e[1].update(length=math.nan), NonPositiveLength,
+     "edge 'e2': length must be positive and finite, got nan"),
+    ("bool length", lambda v, e: e[2].update(length=True), NonPositiveLength,
+     "edge 'e3': length must be a number, got True"),
+    ("str length", lambda v, e: e[3].update(length="1.0"), NonPositiveLength,
+     "edge 'e4': length must be a number, got '1.0'"),
+    ("huge length", lambda v, e: e[4].update(length=10 ** 400), NonPositiveLength,
+     f"edge 'e5': length must be positive and finite, got {10 ** 400}"),
+    ("empty edge id", lambda v, e: e[5].update(id=""), ValidationError,
+     "edge id must be a nonempty string, got ''"),
+    ("duplicate vertex id", lambda v, e: v.append(dict(id="b", bc="natural")), DuplicateId,
+     "duplicate vertex id 'b'"),
+    ("duplicate edge id", lambda v, e: e[6].update(id="e1"), DuplicateId, "duplicate edge id 'e1'"),
+    ("unknown end", lambda v, e: e[7].update(head="zz"), UnknownVertex,
+     "edge 'e8' references unknown vertex 'zz'"),
+    ("int end", lambda v, e: e[8].update(head=9), UnknownVertex, "edge 'e9' references unknown vertex 9"),
+    ("no dirichlet vertex", lambda v, e: v[0].update(bc="natural"), EmptyDirichletSet,
+     "graph has no Dirichlet vertex"),
+    ("disconnected", lambda v, e: v.append(dict(id="iso", bc="natural")), DisconnectedGraph,
+     "graph is not connected; unreachable vertices ['iso']"),
+]
+FAULT_CASES = [(f,) for f in range(len(FAULTS))] + list(itertools.combinations(range(len(FAULTS)), 2))
+
+
+def _faulty(faults):
+    """The vertex and edge entries of a valid graph with the named faults put in."""
+    v = [dict(id=i, bc="dirichlet" if i == "a" else "natural") for i in "abcd"]
+    ends = ("ab", "bc", "cd", "da", "ac", "bd", "ab", "bc", "cd")
+    e = [dict(id=f"e{k + 1}", tail=t, head=h, length=1.0) for k, (t, h) in enumerate(ends)]
+    for f in faults:
+        FAULTS[f][1](v, e)
+    return v, e
+
+
+ROUTES = {
+    "from_payload": lambda v, e: from_payload({"vertices": v, "edges": [
+        {"id": d["id"], "from": d["tail"], "to": d["head"], "length": d["length"]} for d in e]}),
+    "make_graph": lambda v, e: make_graph([(d["id"], d["bc"]) for d in v],
+                                          [(d["id"], d["tail"], d["head"], d["length"]) for d in e]),
+    "objects": lambda v, e: MetricGraph([Vertex(**d) for d in v], [Edge(**d) for d in e]),
+    "duck-typed objects": lambda v, e: MetricGraph([SimpleNamespace(**d) for d in v],
+                                                   [SimpleNamespace(**d) for d in e]),
+}
+
+
+def test_fault_battery_base_graph_is_valid():
+    graphs = [route(*_faulty(())) for route in ROUTES.values()]
+    assert all(g == graphs[0] for g in graphs) and graphs[0].total_length() == 9.0
+
+
+@pytest.mark.parametrize("route", ROUTES)
+@pytest.mark.parametrize("faults", FAULT_CASES, ids=lambda fs: " + ".join(FAULTS[f][0] for f in fs))
+def test_every_route_raises_the_first_fault(route, faults):
+    _, _, kind, message = FAULTS[faults[0]]
+    with pytest.raises(ValidationError) as info:
+        ROUTES[route](*_faulty(faults))
+    assert (type(info.value), str(info.value)) == (kind, message)
+
+
+def test_duck_typed_objects_are_checked():
+    # objects the library did not build are read as lists and checked as a payload is
+    n = SimpleNamespace
+    with pytest.raises(ValidationError, match="^vertex id must be a nonempty string, got ''$"):
+        MetricGraph([n(id="a", bc="dirichlet"), n(id="", bc="robin")], [n(id="e", tail="a", head="", length=-1.0)])
+
+
+def test_construction_builds_no_vertex_or_edge_objects(monkeypatch):
+    vertices = (Vertex("a", "dirichlet"), Vertex("b", "natural"))
+    edges = (Edge("e1", "a", "b", 1.0), Edge("e2", "b", "b", 0.5))
+    made = []
+    for cls in (Vertex, Edge):
+        monkeypatch.setattr(cls, "__post_init__", lambda self, cls=cls: made.append(cls.__name__))
+    family_examples()
+    random_graph(3)
+    path_dd([1e-5] * 1000)
+    make_graph([("a", "dirichlet"), ("b", "natural")], [("e1", "a", "b", 1.0)])
+    g = MetricGraph(vertices, edges)
+    assert made == []
+    assert g.edges == edges and made == ["Edge"] * 2  # the view is built, once, on first access
+    assert g.edges == edges and made == ["Edge"] * 2
+
+
+def test_with_edge_lengths_checks_count_and_entries():
+    g = star(3, [1, 2, 3])
+    with pytest.raises(BadParameters, match="^need one length per edge: 3 edges, got 1 lengths$"):
+        g.with_edge_lengths([2.0])
+    for bad in (["1", "2", "3"], [True, 2.0, 3.0]):
+        with pytest.raises(NonPositiveLength) as got:
+            g.with_edge_lengths(bad)
+        with pytest.raises(NonPositiveLength) as want:
+            Edge("e1", "v1", "c", bad[0])
+        assert str(got.value) == str(want.value)
+    assert g.with_edge_lengths([2, 2.0, np.float64(3.0)]).arrays.length.tolist() == [2.0, 2.0, 3.0]
 
 
 # -- basic metrics --------------------------------------------------------

@@ -204,7 +204,8 @@ def test_optimize_rejects_bad_parameters():
         optimize(lasso(), floor=-1.0)
     with pytest.raises(BadParameters):
         optimize(lasso(), floor=5.0)
-    for kwargs in ({"floor": float("nan")}, {"floor": float("inf")}, {"max_iters": 0}):
+    for kwargs in ({"floor": float("nan")}, {"floor": float("inf")}, {"max_iters": 0}, {"max_iters": 2.5},
+                   {"max_iters": True}):
         with pytest.raises(BadParameters):
             optimize(lasso(), **kwargs)
 

@@ -251,6 +251,16 @@ def test_solver_rejects_bad_iteration_controls(tol, monkeypatch):
         lowest_eigenpairs(lasso(), k=1, h_target=1 / 16, tol=tol)
 
 
+@pytest.mark.parametrize("call", [
+    lambda g: lowest_eigenpairs(g, 2.0), lambda g: lowest_eigenpairs(g, True), lambda g: landscape_check(g, 2.0),
+    lambda g: integrated_heat_content(g, 2.0)], ids=["eigenpairs", "eigenpairs-bool", "landscape", "heat"])
+def test_mode_count_must_be_an_int(call, monkeypatch):
+    # raised before the count search, not as a TypeError after the whole solve
+    monkeypatch.setattr(spectral, "_brackets", None)
+    with pytest.raises(BadParameters, match="^the number of modes must be an int, got (2.0|True)$"):
+        call(lasso())
+
+
 def test_ground_state_sign_and_payload():
     res = lowest_eigenpairs(star(3, [1.0, 1.0, 1.0]), 1, h_target=1 / 16)
     w = res.mesh.trapezoid_weights()

@@ -402,6 +402,18 @@ def test_polya_quotient_rejects_non_finite_coefficients(which, value):
         polya_quotient(g, coeffs)
 
 
+@pytest.mark.parametrize("bad", [(1.0, 2.0), "abc", ("x", 0.0, 0.0), 1.0])
+def test_polya_quotient_rejects_coefficients_not_three_numbers(bad):
+    # a pair or a string raised numpy's untyped ValueError
+    g = star(3, [1.0, 0.7, 1.5])
+    coeffs = {e: (-0.5, b, c) for e, _, b, c in edge_quadratics(torsion_function(g))}
+    coeffs["e2"] = coeffs["e3"] = bad
+    with pytest.raises(ValidationError, match=r"^test function needs three numbers \(a, b, c\) on edge 'e2'"):
+        polya_quotient(g, coeffs)
+    with pytest.raises(ValidationError, match="'e1'"):  # one number per edge of three edges was read as a, b, c
+        polya_quotient(g, dict.fromkeys(g.edge_ids, 1.0))
+
+
 def test_polya_quotient_rejects_missing_edge():
     g = path_dn([1.0, 1.0])
     with pytest.raises(BadParameters, match="'e2'"):

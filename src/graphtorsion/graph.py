@@ -93,8 +93,13 @@ class MetricGraph:
     def __init__(self, vertices: Iterable[Vertex], edges: Iterable[Edge]) -> None:
         """Read the objects' ids, tags, ends and lengths into _build; the objects are not kept."""
         vertices, edges = tuple(vertices), tuple(edges)
-        self._build([v.id for v in vertices], [v.bc for v in vertices], [e.id for e in edges],
-                    [e.tail for e in edges], [e.head for e in edges], [e.length for e in edges])
+        try:
+            lists = ([v.id for v in vertices], [v.bc for v in vertices], [e.id for e in edges],
+                     [e.tail for e in edges], [e.head for e in edges], [e.length for e in edges])
+        except AttributeError:
+            _first_bad_row(vertices, edges, tuples=False)
+            raise
+        self._build(*lists)
 
     # -- validation ------------------------------------------------------
 
@@ -436,7 +441,12 @@ def make_graph(
 ) -> MetricGraph:
     """Build a graph from (id, bc) and (id, tail, head, length) tuples, checked as
     from_payload checks its lists; no Vertex or Edge object is made."""
-    vertices, edges = [(i, bc) for i, bc in vertices], [(i, t, h, ln) for i, t, h, ln in edges]
+    vertices, edges = list(vertices), list(edges)
+    try:
+        vertices, edges = [(i, bc) for i, bc in vertices], [(i, t, h, ln) for i, t, h, ln in edges]
+    except (TypeError, ValueError):  # an entry that does not unpack
+        _first_bad_row(vertices, edges, tuples=True)
+        raise
     vids, bcs = [v[0] for v in vertices], [v[1] for v in vertices]
     eids, tails, heads, lengths = ([e[k] for e in edges] for k in range(4))
     return MetricGraph.__new__(MetricGraph)._build(vids, bcs, eids, tails, heads, lengths)
@@ -464,6 +474,23 @@ def _first_malformed(verts: list, edges: list) -> None:
             if key not in item:
                 raise ValidationError(f"edge entry {i} is missing {key!r}")
         _checked_edge(item["id"], item["length"])
+
+
+def _first_bad_row(vertices: list, edges: list, tuples: bool) -> None:
+    """Raise for the first vertex, then edge, that is not a tuple of its fields (tuples)
+    or an object with them as attributes, in entry order."""
+    for what, rows, fields in (("vertex", vertices, ("id", "bc")), ("edge", edges, ("id", "tail", "head", "length"))):
+        shape = f"{'a tuple' if tuples else 'an object with'} ({', '.join(fields)})"
+        for i, row in enumerate(rows):
+            if tuples:
+                try:
+                    ok = len(tuple(row)) == len(fields)
+                except TypeError:  # not iterable
+                    ok = False
+            else:
+                ok = all(hasattr(row, f) for f in fields)
+            if not ok:
+                raise ValidationError(f"{what} entry {i} must be {shape}, got {row!r}")
 
 
 def from_payload(payload: dict) -> MetricGraph:

@@ -23,7 +23,10 @@ Nicaise bound up; the same factor gives the determinant of the pencil up to a
 smooth factor, and regula falsi on it picks the next point to count.  Null
 vectors of a bounded system over the vertices and edges, and one
 Rayleigh-Ritz step, give the eigenpairs.  Eigenvalue error against the
-graph's spectrum decays like h^2.
+graph's spectrum decays like h^2.  What does not change with the point is
+built once per solve: the slots of the secular matrix's terms and the
+bounded system's CSC structure, so a count or a null vector takes the law at
+its point, one bincount and the factor.
 
 The mesh is held as a count of segments per edge.  Node i < |V| is the
 graph vertex vertices[i]; the interior points j = 1..n-1 of each edge
@@ -58,7 +61,7 @@ import scipy.sparse.linalg
 from .errors import BadParameters, NoConvergence, SingularSystem
 from .graph import MetricGraph
 from .torsion import (EPS, DiscreteSystem, SymmetricFactor, TorsionSolution, _require_graph, _solved,
-                      assemble_discrete_system, torsion_function)
+                      assemble_discrete_system, csc_slots, torsion_function)
 
 DEFAULT_TOL = 1e-10
 MAX_COUNTS = 10000
@@ -80,12 +83,24 @@ def default_h(g: MetricGraph) -> float:
     return float(g.arrays.length.min()) / 16.0
 
 
+def _finite(x) -> bool:
+    """x is an int or a float, not a bool, of finite value."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an integer too large for a float
+        return False
+
+
 def check_controls(h_target: float | None, tol: float = DEFAULT_TOL) -> None:
-    """Raise BadParameters for a mesh width or tolerance no solve can use."""
-    if h_target is not None and not (h_target > 0 and math.isfinite(h_target)):
-        raise BadParameters(f"h_target must be positive, got {h_target!r}")
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise BadParameters(f"tol must be finite and non-negative, got {tol!r}")
+    """Raise BadParameters for a mesh width or tolerance no solve can use: each
+    must be an int or a float (not a bool), finite, h_target positive and tol
+    non-negative."""
+    if h_target is not None and not (_finite(h_target) and h_target > 0):
+        raise BadParameters(f"h_target must be a positive finite number, got {h_target!r}")
+    if not (_finite(tol) and tol >= 0.0):
+        raise BadParameters(f"tol must be a finite non-negative number, got {tol!r}")
 
 
 @dataclass(frozen=True)
@@ -269,9 +284,10 @@ def lowest_eigenpairs(
     at = np.full(len(g.vertex_ids), len(sys.order))  # each vertex's unknown, a zero row at a Dirichlet vertex
     at[arr.tail], at[arr.head] = sys.tail, sys.head
     parts, lams, sizes, tops = [], [], [], []
+    slots = _bounded_slots(sys)
     for lo, hi, m in _brackets(sec, k, tol, floor, 12.0 / float(law.width.min()) ** 2, nf):
         lams.append(0.5 * (lo + hi))
-        x, b, miss = _null_space(sys, law, lams[-1], m)
+        x, b, miss = _null_space(sys, slots, law, lams[-1], m)
         parts.append((x[at], b, miss))
         sizes.append(m)
         tops += [hi] * m
@@ -379,8 +395,23 @@ def _brackets(sec: _Secular, k: int, tol: float, floor: float, top: float, total
     return out
 
 
-def _null_space(sys: DiscreteSystem, law: _P1Law, lam: float, width: int
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _bounded_slots(sys: DiscreteSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The CSC structure of the bounded system B of _null_space (csc_slots): the
+    slot of each of its terms, in the order _null_space lists them, and the
+    entries' indices and indptr.  Unknown i < n is natural vertex i of sys,
+    n + e the amplitude b_e, whose row is edge e's continuity; a Dirichlet end
+    (n + |E|) drops its terms."""
+    n, ne = len(sys.order), len(sys.tail)
+    size = n + ne
+    tail, head = (np.where(ends < n, ends, size) for ends in (sys.tail, sys.head))
+    amp, diag = n + np.arange(ne), np.arange(size)  # b_e, and the shift on every unknown
+    rows = np.concatenate((tail, tail, head, head, amp, amp, amp, diag))
+    cols = np.concatenate((tail, amp, tail, amp, tail, amp, head, diag))
+    return csc_slots(size, rows, cols)
+
+
+def _null_space(sys: DiscreteSystem, slots: tuple[np.ndarray, np.ndarray, np.ndarray], law: _P1Law, lam: float,
+                width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Orthonormal natural-vertex values x (with a row of zeros for the
     Dirichlet ends) and edge amplitudes b spanning the near-null space of the
     bounded system B at lam, by inverse iteration from a seeded block, and
@@ -392,21 +423,22 @@ def _null_space(sys: DiscreteSystem, law: _P1Law, lam: float, width: int
     miss/l.  So the continuity row of an edge is divided by its length l, and
     every row measures a flux: with unscaled rows inverse iteration put the
     miss on short edges, and the sixth mode of random_graph(29, length_range=
-    (1e-3, 1)) came out 2.9e-4 above its bracket at tol = 1e-6."""
+    (1e-3, 1)) came out 2.9e-4 above its bracket at tol = 1e-6.
+
+    B's CSC structure, slots = _bounded_slots(sys), is built once per solve;
+    each call evaluates the law's ends at lam, fills B's entries with one
+    bincount of its terms over their slots and hands them to SuperLU."""
     n, ne = len(sys.order), len(sys.tail)
-    a, c1, p, q, _ = law.ends(lam)
-    tail, head = (np.where(ends < n, ends, -1) for ends in (sys.tail, sys.head))  # -1: Dirichlet
-    amp, diag = n + np.arange(ne), np.arange(n + ne)  # b_e, and the continuity row of edge e
-    rows = np.concatenate((tail, tail, head, head, amp, amp, amp, diag))
-    cols = np.concatenate((tail, amp, tail, amp, tail, amp, head, diag))
+    pos, indices, indptr = slots
+    a, c1, p, q = law.ends(lam)
     vals = np.concatenate((a * (c1 - p[0]), -a * q[0], a * (c1 * p[2] - p[1]), a * (c1 * q[2] - q[1]),
                            *(np.stack((p[2], q[2], -np.ones(ne))) / sys.length)))
     # B + s I, s = sqrt(EPS) max|B|, has B's eigenvectors and a factor even where
     # lam is an eigenvalue to the last bit; a step shrinks the rest by s / |mu_2|.
     vals = np.append(vals, np.full(n + ne, math.sqrt(EPS) * np.abs(vals).max()))
-    keep = (rows >= 0) & (cols >= 0)
+    data = np.bincount(pos, vals, len(indices) + 1)[:len(indices)]
     try:
-        lu = scipy.sparse.linalg.splu(scipy.sparse.csc_array((vals[keep], (rows[keep], cols[keep]))))
+        lu = scipy.sparse.linalg.splu(scipy.sparse.csc_array((data, indices, indptr), shape=(n + ne, n + ne)))
     except RuntimeError:
         raise NoConvergence(f"the bounded system is exactly singular at lambda = {lam!r}") from None
     y = np.random.default_rng(0).standard_normal((n + ne, width))
@@ -433,10 +465,11 @@ class _P1Law:
     def __init__(self, mesh: Mesh):
         self.n = mesh.segments_per_edge
         self.width = mesh.graph.arrays.length / self.n
+        self.square, self.inverse = self.width ** 2, 1.0 / self.width
 
     def angles(self, lam: float) -> tuple[np.ndarray, np.ndarray]:
         """s2 and theta, pi past the band edge, on every edge."""
-        x = lam * self.width ** 2
+        x = lam * self.square
         s2 = 0.25 * x / (1.0 + x / 6.0)
         return s2, 2.0 * np.arcsin(np.sqrt(np.minimum(s2, 1.0)))
 
@@ -451,8 +484,8 @@ class _P1Law:
 
         return (1 - 2 * (j % 2)) * ratio(n - j), (1 - 2 * ((n - j) % 2)) * ratio(j)
 
-    def ends(self, lam: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """a, c1, the bases at j = 1, n - 1, n (rows of p and q) and theta on every edge."""
+    def ends(self, lam: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """a, c1 and the bases at j = 1, n - 1, n (rows of p and q) on every edge."""
         s2, theta = self.angles(lam)
         j = np.stack((np.ones_like(self.n), self.n - 1, self.n))
         p, q = np.cos(j * theta), np.sin(j * theta)
@@ -460,18 +493,32 @@ class _P1Law:
             s2_j, n_j = np.broadcast_to(s2, j.shape), np.broadcast_to(self.n, j.shape)
             past = (s2_j >= 1.0).nonzero()
             p[past], q[past] = self.past(s2_j[past], n_j[past], j[past])
-        return 1.0 / self.width + lam * self.width / 6.0, 1.0 - 2.0 * s2, p, q, theta
+        return self.inverse + lam * self.width / 6.0, 1.0 - 2.0 * s2, p, q
 
     def __call__(self, lam: float) -> tuple[np.ndarray, np.ndarray]:
         """Conductance c and end term d of every edge in A_h(lam).  The same
         angles leave on the law, for lam, inside: the eigenvalues below lam with
         both ends of an edge pinned, min(n - 1, ceil(n theta / pi) - 1) each;
-        and log_q: log |Q[n]| summed over the edges."""
-        a, c1, p, q, theta = self.ends(lam)
-        self.inside = int(np.minimum(self.n - 1, np.ceil(self.n * theta / math.pi) - 1).sum())
-        self.log_q = float(np.log(np.abs(q[2])).sum())
-        c = a * q[0] / q[2]
-        return c, c - a * (c1 - p[0]) - c * p[2]
+        and log_q: log |Q[n]| summed over the edges.
+
+        The counts call this once per point, so it takes the bases at j = 1
+        and n only, from cos and sin of theta and n theta, with the sinh form
+        on the edges past the band edge; c, d, inside and log_q are those of
+        ends(lam) to the bit.  The widths, their squares and inverses are
+        taken once per solve, when the law is made."""
+        s2, theta = self.angles(lam)
+        n_theta = self.n * theta
+        p1, q1, pn, qn = np.cos(theta), np.sin(theta), np.cos(n_theta), np.sin(n_theta)
+        if s2.max() >= 1.0:
+            past = (s2 >= 1.0).nonzero()[0]
+            s2_past, n_past = s2[past], self.n[past]
+            p1[past], q1[past] = self.past(s2_past, n_past, 1)
+            pn[past], qn[past] = self.past(s2_past, n_past, n_past)
+        a = self.inverse + lam * self.width / 6.0
+        self.inside = int(np.minimum(self.n - 1, np.ceil(n_theta / math.pi) - 1).sum())
+        self.log_q = float(np.log(np.abs(qn)).sum())
+        c = a * q1 / qn
+        return c, c - a * (1.0 - 2.0 * s2 - p1) - c * pn
 
 
 class _Modes:
@@ -719,7 +766,12 @@ class _Secular:
 
     def __init__(self, sys: DiscreteSystem, k_lo: float, k_hi: float, law=None):
         self.sys = sys
-        self.proper = (sys.tail != sys.head).nonzero()[0]
+        # the slot of each term of A(k) in its stored entries, or size (dropped):
+        # the pattern's c at (t, t), (h, h) and -c at (t, h), (h, t) of each
+        # edge, dropped for a loop or at a Dirichlet end, then -d at (t, t)
+        # and (h, h), dropped at a Dirichlet end
+        diagonal = np.append(sys.pattern.diagonal, sys.pattern.size)
+        self.slots = np.concatenate((sys.pattern.pos, diagonal[sys.tail], diagonal[sys.head]))
         self.k_lo, self.k_hi = k_lo, k_hi
         self.counts = 0  # factorizations spent after the first quotient
         self.law = law or _Continuum(sys.length)
@@ -730,14 +782,13 @@ class _Secular:
         self.counts += 1
 
     def fill(self, k: float) -> np.ndarray:
-        """The data array of A(k) on the torsion matrix's pattern."""
-        sys, n = self.sys, len(self.sys.order)
+        """The data array of A(k) on the torsion matrix's pattern: one bincount
+        of the law's c and d at k over the slots, which the secular matrix
+        builds once from the pattern."""
         c, d = self.law(k)[:2]
-        c = c[self.proper]
-        data = sys.pattern.fill(c, -c)
-        ends = np.bincount(sys.tail, d, minlength=n + 1) + np.bincount(sys.head, d, minlength=n + 1)
-        data[sys.pattern.diagonal] -= ends[:n]
-        return data
+        off, end = -c, -d
+        size = self.sys.pattern.size
+        return np.bincount(self.slots, np.concatenate((c, c, off, off, end, end)), size + 1)[:size]
 
     def factor(self, k: float) -> SymmetricFactor:
         """LDL^T of A(k) by the secular kernel; SingularSystem if exactly singular."""

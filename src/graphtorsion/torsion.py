@@ -87,7 +87,8 @@ class SymPattern:
 
     Pair k adds diag[k] at (i,i) and (j,j) and off[k] at (i,j) and (j,i);
     index n marks an eliminated end, whose terms go to a slot past the stored
-    entries and are dropped.  A fill is one np.bincount of the terms over
+    entries and are dropped.  The matrices are weighted Laplacians, off = -diag,
+    so a pair with i = j (a loop) adds nothing, and its terms are dropped too.  A fill is one np.bincount of the terms over
     their slots, which adds an entry's terms in turn.  At most DENSE_MAX
     unknowns the storage is the n x n array itself, flat, entry (r, c) at
     c n + r, so the build sorts nothing; otherwise it is a CSC matrix's data,
@@ -104,26 +105,15 @@ class SymPattern:
 
     @classmethod
     def build(cls, n: int, i: np.ndarray, j: np.ndarray) -> "SymPattern":
+        loop = i == j  # adds diag + diag + off + off = 0 at (i,i): dropped
+        cut_i, cut_j = (i == n) | loop, (j == n) | loop
         if n <= DENSE_MAX:
             pos = np.concatenate((i * (n + 1), j * (n + 1), j * n + i, i * n + j))  # (i,i), (j,j), (i,j), (j,i)
-            cut_i, cut_j = i == n, j == n
             pos[np.concatenate((cut_i, cut_j, cut_i | cut_j, cut_i | cut_j))] = n * n  # past every entry
             return cls(n, n * n, pos, None, None)
-        rows = np.concatenate((i, j, i, j))
-        cols = np.concatenate((i, j, j, i))
-        keep = ((rows < n) & (cols < n)).nonzero()[0]
-        key = cols[keep] * n + rows[keep]
-        perm = key.argsort()  # a fill adds an entry's terms in term order whatever the sort
-        key = key[perm]
-        opens = np.empty(len(key), dtype=bool)  # where a new (column, row) entry begins
-        opens[:1] = True
-        np.not_equal(key[1:], key[:-1], out=opens[1:])
-        col, row = np.divmod(key[opens], n)
-        pos = np.full(len(rows), len(col))
-        pos[keep[perm]] = opens.cumsum() - 1
-        indptr = np.zeros(n + 1, dtype=np.int32)
-        np.bincount(col, minlength=n).cumsum(out=indptr[1:])
-        return cls(n, len(col), pos, row.astype(np.int32), indptr)
+        i, j = np.where(cut_i, n, i), np.where(cut_j, n, j)
+        pos, indices, indptr = csc_slots(n, np.concatenate((i, j, i, j)), np.concatenate((i, j, j, i)))
+        return cls(n, len(indices), pos, indices, indptr)
 
     def fill(self, diag: np.ndarray, off: np.ndarray) -> np.ndarray:
         """The stored entries of the matrix with pair terms diag and off."""
@@ -142,6 +132,28 @@ class SymPattern:
             return scipy.sparse.csc_array(data.reshape(self.n, self.n))
         return scipy.sparse.csc_array((data, self.indices, self.indptr),
                                       shape=(self.n, self.n), copy=False)
+
+
+def csc_slots(n: int, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The CSC structure of the n x n matrices summed from terms at (rows[k], cols[k]):
+    the slot of each term among the stored entries, and the indices and indptr of
+    the entries, sorted by (column, row) once by argsort.  A term with a row or
+    column n goes to slot len(indices), past every entry, and is dropped.  A fill
+    is then one np.bincount of the terms over their slots, which adds an entry's
+    terms in term order whatever the sort."""
+    keep = ((rows < n) & (cols < n)).nonzero()[0]
+    key = cols[keep] * n + rows[keep]
+    perm = key.argsort()
+    key = key[perm]
+    opens = np.empty(len(key), dtype=bool)  # where a new (column, row) entry begins
+    opens[:1] = True
+    np.not_equal(key[1:], key[:-1], out=opens[1:])
+    col, row = np.divmod(key[opens], n)
+    pos = np.full(len(rows), len(col))
+    pos[keep[perm]] = opens.cumsum() - 1
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.bincount(col, minlength=n).cumsum(out=indptr[1:])
+    return pos, row.astype(np.int32), indptr
 
 
 class SymmetricFactor:
@@ -265,9 +277,8 @@ def assemble_discrete_system(g: MetricGraph) -> DiscreteSystem:
     tail, head = unknown[arr.tail], unknown[arr.head]
     weight = (np.bincount(tail, arr.length, minlength=n + 1)
               + np.bincount(head, arr.length, minlength=n + 1))[:n]
-    proper = tail != head  # a loop cancels from the matrix
-    pattern = SymPattern.build(n, tail[proper], head[proper])
-    mu = 1.0 / arr.length[proper]
+    pattern = SymPattern.build(n, tail, head)
+    mu = 1.0 / arr.length
     dense = n <= DENSE_MAX and float(arr.length.max()) <= DENSE_RATIO * float(arr.length.min())
     return DiscreteSystem(order, pattern.fill(mu, -mu), weight, tail, head, arr.length, pattern, dense)
 

@@ -318,6 +318,26 @@ def test_duck_typed_objects_are_checked():
         MetricGraph([n(id="a", bc="dirichlet"), n(id="", bc="robin")], [n(id="e", tail="a", head="", length=-1.0)])
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: MetricGraph([("a", "dirichlet")], []),
+     "vertex entry 0 must be an object with (id, bc), got ('a', 'dirichlet')"),
+    (lambda: MetricGraph([Vertex("a", "dirichlet"), Vertex("b", "natural")],
+                         [Edge("e", "a", "b", 1.0), ("f", "a", "b", 1.0)]),
+     "edge entry 1 must be an object with (id, tail, head, length), got ('f', 'a', 'b', 1.0)"),
+    (lambda: make_graph([("a", "dirichlet"), ("b", "natural", "x")], []),
+     "vertex entry 1 must be a tuple (id, bc), got ('b', 'natural', 'x')"),
+    (lambda: make_graph([("a", "dirichlet"), ("b", "natural")], [("e", "a", "b", 1.0), ("f", "a", "b")]),
+     "edge entry 1 must be a tuple (id, tail, head, length), got ('f', 'a', 'b')"),
+    (lambda: make_graph([("a", "dirichlet"), 7], []), "vertex entry 1 must be a tuple (id, bc), got 7"),
+], ids=["object-vertex-tuple", "object-edge-tuple", "vertex-3-tuple", "edge-3-tuple", "vertex-int"])
+def test_malformed_rows_name_their_entry(build, message):
+    # a row that is not the tuple or object a route reads is a ValidationError
+    # naming it, not an AttributeError or an unpacking ValueError
+    with pytest.raises(ValidationError) as info:
+        build()
+    assert (type(info.value), str(info.value)) == (ValidationError, message)
+
+
 def test_construction_builds_no_vertex_or_edge_objects(monkeypatch):
     vertices = (Vertex("a", "dirichlet"), Vertex("b", "natural"))
     edges = (Edge("e1", "a", "b", 1.0), Edge("e2", "b", "b", 0.5))

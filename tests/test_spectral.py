@@ -11,6 +11,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
+import scipy.sparse.linalg
 
 from _oracles import exact_rigidity, fem_eigenvalues, p1_mass, p1_sine_eigenvalue, secular_count, sparse_fem_eigenvalues
 from _oracles import p1_ritz, p1_stiffness
@@ -39,6 +41,7 @@ from graphtorsion.families import (
     pumpkin_chain,
     random_graph,
     star,
+    stower,
 )
 from graphtorsion import spectral, torsion
 from graphtorsion.spectral import DELTA, Mesh, _Secular, build_mesh, default_h
@@ -251,6 +254,18 @@ def test_solver_rejects_bad_iteration_controls(tol, monkeypatch):
         lowest_eigenpairs(lasso(), k=1, h_target=1 / 16, tol=tol)
 
 
+@pytest.mark.parametrize("controls", [{"h_target": True}, {"tol": True}, {"tol": "1e-10"}, {"tol": None},
+                                      {"h_target": "0.1"}, {"h_target": 10 ** 400}, {"tol": 10 ** 400}])
+def test_controls_must_be_numbers(controls, monkeypatch):
+    # a bool, a string or None is no width or tolerance: BadParameters before
+    # any count, as for a bad mode count, not a bool read as 1.0 or a TypeError
+    monkeypatch.setattr(spectral, "_brackets", None)
+    with pytest.raises(BadParameters, match="^(h_target|tol) must be a"):
+        lowest_eigenpairs(star(3), 1, **controls)
+    with pytest.raises(BadParameters, match="^(h_target|tol) must be a"):
+        audit(star(3), **controls)
+
+
 @pytest.mark.parametrize("call", [
     lambda g: lowest_eigenpairs(g, 2.0), lambda g: lowest_eigenpairs(g, True), lambda g: landscape_check(g, 2.0),
     lambda g: integrated_heat_content(g, 2.0)], ids=["eigenpairs", "eigenpairs-bool", "landscape", "heat"])
@@ -426,7 +441,7 @@ def test_closed_form_gram_of_any_vertex_values_and_amplitudes():
     b = rng.standard_normal((len(arr.length), 4))
     miss = np.empty_like(b)
     for lam, lo, hi in zip(lams, np.cumsum(sizes) - sizes, np.cumsum(sizes)):
-        _, _, p, q, _ = law.ends(lam)
+        _, _, p, q = law.ends(lam)
         miss[:, lo:hi] = x[arr.head, lo:hi] - x[arr.tail, lo:hi] * p[2][:, None] - b[:, lo:hi] * q[2][:, None]
     assert 0 < (past * law.width ** 2 >= 12.0).sum() < len(arr.length)
     modes = spectral._Modes(law, arr, lams, sizes, x, b, miss)
@@ -999,3 +1014,114 @@ def test_secular_matrix_tends_to_torsion_matrix():
     assert np.array_equal(near_zero.indices, sys.matrix.indices)
     assert np.array_equal(near_zero.indptr, sys.matrix.indptr)
     assert sec.fill(1e-9) == pytest.approx(sys.data, rel=1e-15)
+
+
+# -- the per-point work of the P1 solve --------------------------------------
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+@pytest.mark.parametrize("g", [g for _, g in family_examples()] + [random_graph(s) for s in range(30)])
+def test_p1_law_is_its_ends_to_the_bit(g):
+    # c, d, inside and log_q from cos and sin of theta and n theta alone equal,
+    # bit for bit, those from the bases at j = 1, n - 1, n of ends(): below the
+    # band edge on every edge, at one edge's band edge, past it on some edges
+    # and past it on every edge
+    law = spectral._P1Law(build_mesh(g))
+    band = 12.0 / law.square  # lam w^2 = 12 on each edge
+    lams = [0.5 * band.min(), float(np.median(band)), math.sqrt(band.min() * band.max()), 2.0 * band.max()]
+    lams += np.random.default_rng(0).uniform(0.0, 2.0 * band.max(), 4).tolist()
+    for lam in lams:
+        c, d = law(lam)
+        a, c1, p, q = law.ends(lam)
+        theta = law.angles(lam)[1]
+        c_ends = a * q[0] / q[2]
+        assert np.array_equal(_bits(c), _bits(c_ends))
+        assert np.array_equal(_bits(d), _bits(c_ends - a * (c1 - p[0]) - c_ends * p[2]))
+        assert law.inside == int(np.minimum(law.n - 1, np.ceil(law.n * theta / math.pi) - 1).sum())
+        assert _bits(law.log_q) == _bits(np.log(np.abs(q[2])).sum())
+
+
+def _coo_bounded(sys, law, lam):
+    """_null_space's bounded system assembled from (row, column, value) triples,
+    its duplicate entries summed by scipy's COO to CSC conversion."""
+    n, ne = len(sys.order), len(sys.tail)
+    a, c1, p, q = law.ends(lam)
+    tail, head = (np.where(ends < n, ends, -1) for ends in (sys.tail, sys.head))
+    amp, diag = n + np.arange(ne), np.arange(n + ne)
+    rows = np.concatenate((tail, tail, head, head, amp, amp, amp, diag))
+    cols = np.concatenate((tail, amp, tail, amp, tail, amp, head, diag))
+    vals = np.concatenate((a * (c1 - p[0]), -a * q[0], a * (c1 * p[2] - p[1]), a * (c1 * q[2] - q[1]),
+                           *(np.stack((p[2], q[2], -np.ones(ne))) / sys.length)))
+    vals = np.append(vals, np.full(n + ne, math.sqrt(torsion.EPS) * np.abs(vals).max()))
+    keep = (rows >= 0) & (cols >= 0)
+    return scipy.sparse.csc_array((vals[keep], (rows[keep], cols[keep])), shape=(n + ne, n + ne))
+
+
+_BOUNDED_GRAPHS = [lasso(), flower(3), stower(2, 2), pumpkin_chain([2, 3]), caterpillar(3), path_dd([1.0, 2.0]),
+                   star(4)] + [random_graph(s) for s in range(10)]
+
+
+@pytest.mark.parametrize("g", _BOUNDED_GRAPHS)
+def test_bounded_system_from_its_prebuilt_structure(g, monkeypatch):
+    # the bounded system _null_space hands to SuperLU, filled on the CSC
+    # structure built once per solve, is the one the triples give, entry for
+    # entry: below the band edge, at the solve's eigenvalues, past the band edge
+    mesh, sys = build_mesh(g), torsion.assemble_discrete_system(g)
+    law, slots = spectral._P1Law(mesh), spectral._bounded_slots(sys)
+    factored, splu = [], scipy.sparse.linalg.splu
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", lambda m: factored.append(m) or splu(m))
+    band = 12.0 / law.square
+    for lam in [0.5 * band.min(), *lowest_eigenpairs(g, 3).eigenvalues, 2.0 * band.max()]:
+        factored.clear()
+        spectral._null_space(sys, slots, law, lam, 1)
+        got, want = factored[0], _coo_bounded(sys, law, lam)
+        assert np.array_equal(got.indptr, want.indptr) and np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.toarray(), want.toarray())
+
+
+def test_bounded_graphs_have_loops_parallel_edges_and_dirichlet_ends():
+    arr = [g.arrays for g in _BOUNDED_GRAPHS]
+    assert sum(bool((a.tail == a.head).any()) for a in arr) >= 3
+    assert sum(len({(t, h) for t, h in zip(a.tail.tolist(), a.head.tolist())}) < len(a.tail) for a in arr) >= 3
+    assert all(a.dirichlet.any() for a in arr)
+
+
+def _assembled(sec, k):
+    """A(k) filled as c through the pattern, which drops a loop's, then each
+    end's d taken off the diagonal."""
+    sys, n = sec.sys, len(sec.sys.order)
+    c, d = sec.law(k)[:2]
+    data = sys.pattern.fill(c, -c)
+    ends = np.bincount(sys.tail, d, minlength=n + 1) + np.bincount(sys.head, d, minlength=n + 1)
+    data[sys.pattern.diagonal] -= ends[:n]
+    return data
+
+
+@pytest.mark.parametrize("dense", [True, False])
+def test_secular_fill_is_the_assembly_to_a_few_ulps(dense, monkeypatch):
+    # one bincount of c and d over slots built once per solve against the
+    # pattern fill plus the ends' bincounts: the sums are taken in another
+    # order, so an entry moves by a few ulps of its row's largest term
+    if not dense:
+        monkeypatch.setattr(torsion, "DENSE_MAX", -1)
+    worst = 0.0
+    for g in [g for _, g in family_examples()] + _STORAGE_GRAPHS:
+        sys = torsion.assemble_discrete_system(g)
+        n = len(sys.order)
+        assert (sys.pattern.indices is None) is dense
+        k_hi = math.pi / float(sys.length.max())
+        p1 = spectral._P1Law(build_mesh(g))
+        for law, points in ((None, [0.3 * k_hi, 0.9 * k_hi, 2.5 * k_hi]),
+                            (p1, [5.0, 12.0 / float(np.median(p1.square)), 24.0 / float(p1.square.min())])):
+            sec = _Secular(sys, 0.0, math.inf, law)
+            for x in points:
+                got, want = (sys.pattern.matrix(data).toarray() for data in (sec.fill(x), _assembled(sec, x)))
+                c, d = sec.law(x)[:2]
+                term = np.zeros(n + 1)
+                np.maximum.at(term, np.concatenate((sys.tail, sys.head)), np.tile(np.maximum(abs(c), abs(d)), 2))
+                err = np.abs(got - want).max(axis=1, initial=0.0) / (torsion.EPS * term[:n])
+                worst = max(worst, float(err.max(initial=0.0)))
+    assert worst <= 8.0

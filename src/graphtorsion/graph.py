@@ -4,7 +4,8 @@ A graph is a finite multigraph (loops and parallel edges allowed) whose edges
 carry positive lengths and whose vertices carry a boundary tag, either
 "dirichlet" or "natural".  Validation enforces the standing assumptions:
 connected, at least one edge, at least one Dirichlet vertex, every length a
-positive finite real.
+positive number.  The number, count and id rules (is_number, is_count, is_id)
+that every module judges a caller's values by live here.
 
 Ids plus index arrays are the primary form: ``vertex_ids``, ``edge_ids`` and
 ``arrays`` (tail, head, length, Dirichlet mask).  ``MetricGraph(...)``, ``make_graph``
@@ -63,26 +64,39 @@ class Edge:
         return self.tail == self.head
 
 
+def is_count(x) -> bool:
+    """The count rule: an int, not a bool."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def is_number(x) -> bool:
+    """The number rule: an int or a float, not a bool, and finite (an int too big for a float is not)."""
+    try:
+        return (isinstance(x, float) or is_count(x)) and math.isfinite(x)
+    except OverflowError:
+        return False
+
+
+def is_id(x) -> bool:
+    """The id rule: a nonempty str."""
+    return isinstance(x, str) and x != ""
+
+
 def _check_vertex(vid, bc) -> None:
-    """The Vertex rules: a nonempty string id and a known boundary tag."""
-    if not isinstance(vid, str) or not vid:
+    """The Vertex rules: an id and a known boundary tag."""
+    if not is_id(vid):
         raise ValidationError(f"vertex id must be a nonempty string, got {vid!r}")
     if bc not in (DIRICHLET, NATURAL):
         raise ValidationError(f"vertex {vid!r}: bc must be {DIRICHLET!r} or {NATURAL!r}, got {bc!r}")
 
 
 def _checked_edge(eid, ln) -> float:
-    """The Edge rules: a nonempty string id and a positive finite int or float length,
-    returned as a float."""
-    if not isinstance(eid, str) or not eid:
+    """The Edge rules: an id and a positive number as length, returned as a float."""
+    if not is_id(eid):
         raise ValidationError(f"edge id must be a nonempty string, got {eid!r}")
-    if isinstance(ln, bool) or not isinstance(ln, (int, float)):
+    if not (isinstance(ln, float) or is_count(ln)):
         raise NonPositiveLength(f"edge {eid!r}: length must be a number, got {ln!r}")
-    try:
-        ok = ln > 0 and math.isfinite(ln)
-    except OverflowError:  # an integer too large for a float
-        ok = False
-    if not ok:
+    if not (is_number(ln) and ln > 0):
         raise NonPositiveLength(f"edge {eid!r}: length must be positive and finite, got {ln!r}")
     return float(ln)
 
@@ -345,7 +359,7 @@ def _first_error(vids: list, bcs: list, eids: list, tails: list, heads: list, le
             raise DuplicateId(f"duplicate edge id {eid!r}")
         seen.add(eid)
         for end in (tail, head):
-            if not isinstance(end, str) or end not in known:
+            if not is_id(end) or end not in known:
                 raise UnknownVertex(f"edge {eid!r} references unknown vertex {end!r}")
 
 
@@ -453,7 +467,10 @@ def make_graph(
 
 
 def reorient(g: MetricGraph, edge_ids: Iterable[str]) -> MetricGraph:
-    """Flip tail/head of the named edges.  The metric object is unchanged."""
+    """Flip tail/head of the named edges.  The metric object is unchanged.  A str in
+    place of the iterable of ids raises BadParameters, an unknown id UnknownEdge."""
+    if isinstance(edge_ids, str):
+        raise BadParameters(f"edge_ids must be an iterable of edge ids, got the string {edge_ids!r}")
     flip, a = [g._edge_position(eid) for eid in edge_ids], g.arrays
     tail, head = a.tail.copy(), a.head.copy()
     tail[flip], head[flip] = a.head[flip], a.tail[flip]

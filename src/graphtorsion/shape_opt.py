@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import BadParameters, InconsistentInvariant
-from .graph import MetricGraph
+from .graph import MetricGraph, is_count, is_number
 from .torsion import TorsionSolution, _solved, torsion_function
 
 POINT_TOL = 1e-10
@@ -50,9 +50,10 @@ def gradient(
 
 
 def with_lengths(g: MetricGraph, lengths: Mapping[str, float]) -> MetricGraph:
-    """Copy of the graph with edge lengths replaced where the mapping says so."""
+    """Copy of the graph with edge lengths replaced where the mapping says so, each value
+    unconverted to with_edge_lengths (NonPositiveLength unless a positive number)."""
     old = g.arrays.length.tolist()
-    return g.with_edge_lengths([float(lengths.get(e, x)) for e, x in zip(g.edge_ids, old)])
+    return g.with_edge_lengths([lengths.get(e, x) for e, x in zip(g.edge_ids, old)])
 
 
 def grad_check(
@@ -65,14 +66,17 @@ def grad_check(
     finite difference fd at the step (default: 1e-3 of the edge's length),
     abs_error = |fd - analytic|, the step, and halving_ratio: abs_error over
     the error at half the step, about 4 for a second-order difference (inf
-    when the latter is 0).  The step must satisfy 0 < step < length/2 so both
-    perturbed graphs stay valid.
+    when the latter is 0).  The step must be a number (graph.is_number) with
+    0 < step < length/2, so both perturbed graphs stay valid, else BadParameters,
+    as for a str in place of the iterable of edge ids.
     """
+    if isinstance(edge_ids, str):
+        raise BadParameters(f"edge_ids must be an iterable of edge ids, got the string {edge_ids!r}")
     eids = list(g.edge_ids if edge_ids is None else edge_ids)
     lengths = g.arrays.length[[g._edge_position(eid) for eid in eids]].tolist()
     steps = [1e-3 * ln if step is None else step for ln in lengths]
     for eid, ln, h in zip(eids, lengths, steps):
-        if not (0.0 < h < ln / 2.0):
+        if not (is_number(h) and 0.0 < h < ln / 2.0):
             raise BadParameters(f"step {h!r} outside (0, {ln / 2.0!r}) for edge {eid!r}")
     grad = gradient(g)
 
@@ -142,7 +146,9 @@ def optimize(
     step at the nearest floor face, and backtracks (factor 0.5, at most 40
     halvings) until T improves in the chosen direction.  Stops when the
     projected gradient drops below 1e-8, a length reaches the floor,
-    a line search fails to improve, or max_iters runs out.
+    a line search fails to improve, or max_iters runs out.  BadParameters
+    unless floor is a positive number (graph.is_number) no edge is below and
+    max_iters a count (graph.is_count) of at least 1.
     """
     if objective not in ("max", "min"):
         raise BadParameters(f"objective must be 'max' or 'min', got {objective!r}")
@@ -151,12 +157,10 @@ def optimize(
     n = len(g.edge_ids)
     if floor is None:
         floor = 1e-4 * total / n
-    if not (floor > 0.0 and math.isfinite(floor)):
+    if not (is_number(floor) and floor > 0.0):
         raise BadParameters(f"floor must be positive and finite, got {floor!r}")
-    if isinstance(max_iters, bool) or not isinstance(max_iters, int):
-        raise BadParameters(f"max_iters must be an int, got {max_iters!r}")
-    if max_iters < 1:
-        raise BadParameters(f"max_iters must be at least 1, got {max_iters!r}")
+    if not (is_count(max_iters) and max_iters >= 1):
+        raise BadParameters(f"max_iters must be an int of at least 1, got {max_iters!r}")
     lengths = g.arrays.length
     if (lengths < floor).any():
         raise BadParameters("an edge is already below the floor")

@@ -59,7 +59,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .errors import BadParameters, NoConvergence, SingularSystem
-from .graph import MetricGraph
+from .graph import MetricGraph, is_count, is_number
 from .torsion import (EPS, DiscreteSystem, SymmetricFactor, TorsionSolution, _require_graph, _solved,
                       assemble_discrete_system, csc_slots, torsion_function)
 
@@ -83,23 +83,12 @@ def default_h(g: MetricGraph) -> float:
     return float(g.arrays.length.min()) / 16.0
 
 
-def _finite(x) -> bool:
-    """x is an int or a float, not a bool, of finite value."""
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        return False
-    try:
-        return math.isfinite(x)
-    except OverflowError:  # an integer too large for a float
-        return False
-
-
 def check_controls(h_target: float | None, tol: float = DEFAULT_TOL) -> None:
     """Raise BadParameters for a mesh width or tolerance no solve can use: each
-    must be an int or a float (not a bool), finite, h_target positive and tol
-    non-negative."""
-    if h_target is not None and not (_finite(h_target) and h_target > 0):
+    must be a number (graph.is_number), h_target positive and tol non-negative."""
+    if h_target is not None and not (is_number(h_target) and h_target > 0):
         raise BadParameters(f"h_target must be a positive finite number, got {h_target!r}")
-    if not (_finite(tol) and tol >= 0.0):
+    if not (is_number(tol) and tol >= 0.0):
         raise BadParameters(f"tol must be a finite non-negative number, got {tol!r}")
 
 
@@ -270,7 +259,7 @@ def lowest_eigenpairs(
     """
     check_controls(h_target, tol)
     mesh = build_mesh(g, h_target)
-    if isinstance(k, bool) or not isinstance(k, int):
+    if not is_count(k):
         raise BadParameters(f"the number of modes must be an int, got {k!r}")
     if k < 1:
         raise BadParameters("need at least one mode")

@@ -16,7 +16,7 @@ from typing import Union
 import numpy as np
 
 from .errors import BadParameters, DuplicateId, NonPositiveLength, PreconditionViolated, UnknownEdge, ValidationError
-from .graph import DIRICHLET, NATURAL, EdgeArrays, MetricGraph, _reached
+from .graph import DIRICHLET, NATURAL, EdgeArrays, MetricGraph, _checked_edge, _reached, is_id, is_number
 from .torsion import TorsionSolution, _solved
 
 
@@ -93,14 +93,9 @@ class Prediction:
     factor: float | None = None
 
 
-def _positive(x) -> bool:
-    """Whether x is a positive finite int or float; a bool is neither."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x) and x > 0
-
-
 def _need_vertices(g: MetricGraph, *vids: str) -> None:
     for vid in vids:
-        if vid not in g._index:
+        if not (is_id(vid) and vid in g._index):
             raise PreconditionViolated(f"vertex {vid!r} does not exist")
 
 
@@ -139,15 +134,14 @@ def predicted_direction(
         _, check, direction = _OPS[type(op)]
     except KeyError:
         return None
-    amount = _AMOUNT.get(type(op))
-    if amount is not None and not _positive(getattr(op, amount)):
-        return None
     graph = solution.graph if g is None and solution is not None else g
-    if graph is not None:
-        try:
+    try:
+        if type(op) in _AMOUNT:
+            _check_amount(op)
+        if graph is not None:
             check(graph, op)
-        except (PreconditionViolated, ValidationError):
-            return None
+    except (PreconditionViolated, ValidationError):
+        return None
     if isinstance(op, Scale):
         return Prediction(direction, op.factor ** 3)
     if isinstance(op, AddEdge) and op.u != op.w:
@@ -199,7 +193,7 @@ def _check_pendant(g: MetricGraph, op: AttachPendant) -> None:
     if op.join not in op.vertices:
         raise PreconditionViolated(f"join vertex {op.join!r} is not a pendant vertex")
     local, eids = {x: i for i, x in enumerate(op.vertices)}, [e[0] for e in op.edges]  # pendant positions
-    if not all(isinstance(x, str) and x for x in (*(local.keys() - {op.join}), *eids)):
+    if not all(map(is_id, (*(local.keys() - {op.join}), *eids))):
         raise ValidationError(f"pendant ids must be nonempty strings, got {op.vertices!r} and {eids!r}")
     if len(local) < len(op.vertices) or len(set(eids)) < len(eids):
         raise DuplicateId(f"pendant ids repeat: vertices {list(op.vertices)}, edges {eids}")
@@ -209,8 +203,7 @@ def _check_pendant(g: MetricGraph, op: AttachPendant) -> None:
     for eid, t, h, length in op.edges:
         if t not in local or h not in local:
             raise PreconditionViolated(f"pendant edge {eid!r} leaves the pendant vertex set")
-        if not _positive(length):
-            raise NonPositiveLength(f"edge {eid!r}: length must be positive and finite, got {length!r}")
+        _checked_edge(eid, length)
     # the host is connected, so the new graph is when every pendant vertex reaches join
     tail, head = [local[e[1]] for e in op.edges], [local[e[2]] for e in op.edges]
     if not all(_reached(tail, head, len(local), local[op.join])):
@@ -223,17 +216,16 @@ def _attach_pendant(g: MetricGraph, op: AttachPendant) -> MetricGraph:
     pos = lambda x: g._position(op.at) if x == op.join else index[x]  # the join may share a host vertex's id
     tail, head = (np.array([pos(e[k]) for e in op.edges], dtype=np.int64) for k in (1, 2))
     arrays = EdgeArrays(np.concatenate((a.tail, tail)), np.concatenate((a.head, head)),
-                        np.concatenate((a.length, [float(e[3]) for e in op.edges])),
+                        np.concatenate((a.length, [_checked_edge(e[0], e[3]) for e in op.edges])),
                         np.concatenate((a.dirichlet, np.zeros(len(new), dtype=bool))))
     return MetricGraph.__new__(MetricGraph)._take(index, g.edge_ids + tuple(e[0] for e in op.edges), arrays)
 
 
 def _check_add_edge(g: MetricGraph, op: AddEdge) -> None:
     _need_vertices(g, op.u, op.w)
-    if not _positive(op.length):
-        raise PreconditionViolated(f"new edge length must be positive, got {op.length!r}")
+    _check_amount(op)
     if op.edge_id is not None:
-        if not (isinstance(op.edge_id, str) and op.edge_id):
+        if not is_id(op.edge_id):
             raise ValidationError(f"edge id must be a nonempty string, got {op.edge_id!r}")
         if op.edge_id in g._edge_index:
             raise PreconditionViolated(f"edge id {op.edge_id!r} already in use")
@@ -248,34 +240,32 @@ def _add_edge(g: MetricGraph, op: AddEdge) -> MetricGraph:
         eid = f"added{k}"
     a = g.arrays
     arrays = EdgeArrays(np.append(a.tail, g._position(op.u)), np.append(a.head, g._position(op.w)),
-                        np.append(a.length, float(op.length)), a.dirichlet)
+                        np.append(a.length, _checked_edge(eid, op.length)), a.dirichlet)
     return MetricGraph.__new__(MetricGraph)._take(g._index, g.edge_ids + (eid,), arrays)
 
 
 def _check_lengthen(g: MetricGraph, op: Lengthen) -> None:
     k = _need_edge(g, op.edge)
-    if not _positive(op.delta):
-        raise PreconditionViolated(f"lengthen needs delta > 0, got {op.delta!r}")
-    if not math.isfinite(float(g.arrays.length[k]) + float(op.delta)):
+    _check_amount(op)
+    if not math.isfinite(float(g.arrays.length[k]) + op.delta):
         raise NonPositiveLength(f"edge {op.edge!r}: lengthening by {op.delta!r} overflows its length")
 
 
 def _lengthen(g: MetricGraph, op: Lengthen) -> MetricGraph:
     length = g.arrays.length.copy()
-    length[g._edge_position(op.edge)] += float(op.delta)
+    length[g._edge_position(op.edge)] += op.delta
     return g.with_edge_lengths(length.tolist())
 
 
 def _check_scale(g: MetricGraph, op: Scale) -> None:
-    if not _positive(op.factor):
-        raise PreconditionViolated(f"scale needs a positive factor, got {op.factor!r}")
-    c, length = float(op.factor), g.arrays.length
+    _check_amount(op)
+    c, length = op.factor, g.arrays.length
     if not (math.isfinite(c * float(length.max())) and c * float(length.min()) > 0.0):
         raise NonPositiveLength(f"scaling by {op.factor!r} takes an edge length out of the positive floats")
 
 
 def _scale(g: MetricGraph, op: Scale) -> MetricGraph:
-    return g.with_edge_lengths((float(op.factor) * g.arrays.length).tolist())
+    return g.with_edge_lengths((op.factor * g.arrays.length).tolist())
 
 
 def _check_unfold(g: MetricGraph, op: UnfoldParallel) -> None:
@@ -307,8 +297,15 @@ _OPS = {
     Scale: (_scale, _check_scale, Direction.EXACT_SCALE),
     UnfoldParallel: (_unfold, _check_unfold, Direction.STRICT_INCREASE),
 }
-# the numeric field of each operation that has one, which must be _positive
+# the numeric field of each operation that has one
 _AMOUNT = {AddEdge: "length", Lengthen: "delta", Scale: "factor"}
+
+
+def _check_amount(op: AddEdge | Lengthen | Scale) -> None:
+    """PreconditionViolated unless the operation's amount is a positive number (graph.is_number)."""
+    name = _AMOUNT[type(op)]
+    if not (is_number(getattr(op, name)) and getattr(op, name) > 0):
+        raise PreconditionViolated(f"{type(op).__name__} needs a positive finite {name}, got {getattr(op, name)!r}")
 
 
 # -- reduction to a pumpkin chain -----------------------------------------

@@ -55,7 +55,7 @@ from .errors import (
     ValidationError,
     ZeroEnergy,
 )
-from .graph import MetricGraph, PointWitness
+from .graph import MetricGraph, PointWitness, is_number
 
 REL_TOL = 1e-10
 MAX_REFINE = 4  # refinement steps after the first solve; past them the cross-checks decide
@@ -376,8 +376,8 @@ def dirichlet_energy(sol: TorsionSolution) -> float:
 
 def _three_numbers(coefficients) -> bool:
     try:
-        return np.array(coefficients, dtype=np.float64).shape == (3,)
-    except (ValueError, TypeError):  # ragged, or not numbers
+        return len(coefficients) == 3 and all(map(is_number, coefficients))
+    except TypeError:  # no length
         return False
 
 
@@ -389,8 +389,8 @@ def polya_quotient(g: MetricGraph, coeffs: Mapping[str, tuple[float, float, floa
     edge (BadParameters), be continuous across vertices and vanish at the Dirichlet
     set to 1e-9 of the terms end values sum, max(1, |a| l^2 + |b| l + |c|) over the
     edges (ValidationError), and have positive Dirichlet energy (ZeroEnergy).
-    Coefficients that are not three numbers, or a coefficient that is not finite,
-    raise ValidationError naming the first such edge.
+    Coefficients that are not three numbers (graph.is_number: ints or floats, not
+    bools, finite) raise ValidationError naming the first such edge.
     """
     missing = [e for e in g.edge_ids if e not in coeffs]
     if missing:
@@ -401,9 +401,6 @@ def polya_quotient(g: MetricGraph, coeffs: Mapping[str, tuple[float, float, floa
         raise ValidationError(f"test function needs three numbers (a, b, c) on edge {e!r}, got {coeffs[e]!r}")
     arr = g.arrays
     (a, b, c), l = np.array([coeffs[e] for e in g.edge_ids], dtype=np.float64).T, arr.length
-    bad = (~np.isfinite(a) | ~np.isfinite(b) | ~np.isfinite(c)).nonzero()[0]
-    if len(bad):
-        raise ValidationError(f"test function has a non-finite coefficient on edge {g.edge_ids[bad[0]]!r}")
     scale = max(1.0, float((np.abs(a) * l * l + np.abs(b) * l + np.abs(c)).max()))
     hi, lo = np.where(arr.dirichlet, 0.0, -np.inf), np.where(arr.dirichlet, 0.0, np.inf)
     at, ends = np.concatenate((arr.tail, arr.head)), np.concatenate((c, a * l * l + b * l + c))

@@ -149,11 +149,13 @@ def random_graph(
     """Random connected multigraph with log-uniform lengths and a nonempty Dirichlet set.
 
     Loops and parallel edges appear with noticeable frequency; each vertex is
-    Dirichlet with probability 0.3.  rng is a seed or a numpy Generator.
-    BadParameters unless max_vertices and max_edges are counts (graph.is_count)
-    with 2 <= max_vertices <= max_edges + 1 <= MAX_EDGES + 1 and length_range
-    is two positive numbers (graph.is_number).
+    Dirichlet with probability 0.3.  BadParameters unless rng is a seed (a
+    count by graph.is_count, at least 0) or a numpy Generator, max_vertices and
+    max_edges are counts with 2 <= max_vertices <= max_edges + 1 <= MAX_EDGES +
+    1, and length_range is two positive numbers (graph.is_number).
     """
+    if not (isinstance(rng, np.random.Generator) or (is_count(rng) and rng >= 0)):
+        raise BadParameters(f"rng must be a seed (an int from 0) or a numpy Generator, got {rng!r}")
     if not (is_count(max_vertices) and is_count(max_edges) and 2 <= max_vertices <= max_edges + 1 <= MAX_EDGES + 1):
         raise BadParameters(f"need counts 2 <= max_vertices <= max_edges + 1 <= {MAX_EDGES + 1}, "
                             f"got {max_vertices!r} and {max_edges!r}")
@@ -202,7 +204,7 @@ def family_generator(spec: str, lengths=None, seed: int | None = None) -> Metric
         if name == "caterpillar":
             return caterpillar(int(arg), lengths)
         if name == "random":
-            return random_graph(seed)
+            return random_graph(np.random.default_rng() if seed is None else seed)  # fresh entropy without a seed
     except (ValueError, TypeError) as exc:
         raise BadParameters(f"bad family spec {spec!r}: {exc}") from None
     raise BadParameters(f"unknown family {name!r}; known: {_FAMILY_HELP}")

@@ -158,8 +158,10 @@ class MetricGraph:
     def with_edge_lengths(self, lengths: list[float]) -> "MetricGraph":
         """The same ids, ends and boundary tags with edge k of length lengths[k].
 
-        One length per edge (BadParameters), each checked in edge order as Edge
-        checks it."""
+        lengths is a list, a tuple or a 1-d array of one length per edge, else
+        BadParameters; each is checked in edge order as Edge checks it."""
+        if not (isinstance(lengths, (list, tuple)) or isinstance(lengths, np.ndarray) and lengths.ndim == 1):
+            raise BadParameters(f"lengths must be a sequence of one length per edge, got {lengths!r}")
         if len(lengths) != len(self.edge_ids):
             raise BadParameters(f"need one length per edge: {len(self.edge_ids)} edges, got {len(lengths)} lengths")
         length = np.array([_checked_edge(eid, ln) for eid, ln in zip(self.edge_ids, lengths)], dtype=np.float64)

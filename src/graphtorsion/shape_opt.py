@@ -51,7 +51,10 @@ def gradient(
 
 def with_lengths(g: MetricGraph, lengths: Mapping[str, float]) -> MetricGraph:
     """Copy of the graph with edge lengths replaced where the mapping says so, each value
-    unconverted to with_edge_lengths (NonPositiveLength unless a positive number)."""
+    unconverted to with_edge_lengths (NonPositiveLength unless a positive number).
+    BadParameters unless lengths is a mapping of edge ids to lengths."""
+    if not isinstance(lengths, Mapping):
+        raise BadParameters(f"lengths must be a mapping of edge ids to lengths, got {lengths!r}")
     old = g.arrays.length.tolist()
     return g.with_edge_lengths([lengths.get(e, x) for e, x in zip(g.edge_ids, old)])
 

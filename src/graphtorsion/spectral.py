@@ -19,14 +19,20 @@ The pencil condenses exactly onto a secular matrix A_h(lambda) on the torsion
 system's pattern (_P1Law), whose negative pivots plus the Dirichlet modes
 inside the edges count the eigenvalues below lambda (Wittrick and Williams,
 Q. J. Mech. Appl. Math. 24, 1971).  The count brackets the modes, from the
-Nicaise bound up; the same factor gives the determinant of the pencil up to a
-smooth factor, and regula falsi on it picks the next point to count.  Null
-vectors of a bounded system over the vertices and edges, and one
-Rayleigh-Ritz step, give the eigenpairs.  Eigenvalue error against the
-graph's spectrum decays like h^2.  What does not change with the point is
-built once per solve: the slots of the secular matrix's terms and the
-bounded system's CSC structure, so a count or a null vector takes the law at
-its point, one bincount and the factor.
+Nicaise bound up, counting first at bounds on each mode from the edges as
+separate intervals, pinned and cut (_P1Law.bounds); the same factor gives
+the determinant of the pencil up to a slowly varying factor, and regula
+falsi on it picks the next point to count.  Null vectors of a bounded system
+over the vertices and edges, and one Rayleigh-Ritz step, give the
+eigenpairs.  Eigenvalue error against the graph's spectrum decays like h^2.
+What does not change with the point is built once per solve: the slots of
+the secular matrix's terms and the bounded system's storage, so a count or a
+null vector takes the law at its point, one bincount and the factor.  The
+secular matrix goes to the torsion system's kernel (torsion.SymmetricFactor);
+the bounded system, one unknown per natural vertex and per edge, is a square
+array factored by LAPACK's dgetrf up to BOUNDED_DENSE_MAX = 160 unknowns and
+a CSC matrix factored by SuperLU past it, where SuperLU is the faster (the
+table at BOUNDED_DENSE_MAX).
 
 The mesh is held as a count of segments per edge.  Node i < |V| is the
 graph vertex vertices[i]; the interior points j = 1..n-1 of each edge
@@ -51,12 +57,14 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .errors import BadParameters, NoConvergence, SingularSystem
 from .graph import MetricGraph, is_count, is_number
@@ -77,6 +85,13 @@ ROW_BLOCK = 8192
 # Rounding of the Rayleigh-Ritz products moves a Ritz value by some 1e-15
 # relative (at most 3.5e-15 above its bracket at tol = 0 on 160 test solves).
 RITZ_ROUND = 1e-12
+# Largest bounded system (_null_space) stored as its square array and factored
+# by LAPACK's dgetrf; a larger one is stored as CSC data and goes to SuperLU.
+# Factor plus three solves of perfbench's multigraph_payload systems, SuperLU
+# against dgetrf (numpy 2.4.6, scipy 1.17.1, one BLAS thread): 59 vs 6 us at
+# 22 unknowns, 92 vs 53 at 88, 168 vs 116 at 132, 190 vs 166 at 154, 208 vs
+# 214 at 176, 173 vs 364 at 220, 340 vs 565 at 264.
+BOUNDED_DENSE_MAX = 160
 
 
 def default_h(g: MetricGraph) -> float:
@@ -274,7 +289,7 @@ def lowest_eigenpairs(
     at[arr.tail], at[arr.head] = sys.tail, sys.head
     parts, lams, sizes, tops = [], [], [], []
     slots = _bounded_slots(sys)
-    for lo, hi, m in _brackets(sec, k, tol, floor, 12.0 / float(law.width.min()) ** 2, nf):
+    for lo, hi, m in _brackets(sec, k, tol, floor, 12.0 / float(law.width.min()) ** 2, nf, *law.bounds(k)):
         lams.append(0.5 * (lo + hi))
         x, b, miss = _null_space(sys, slots, law, lams[-1], m)
         parts.append((x[at], b, miss))
@@ -307,8 +322,10 @@ def lowest_eigenpairs(
     v[:, flip], integrals[flip] = -v[:, flip], -integrals[flip]
     modes.rotation = v
     return SpectralResult(mesh, tuple(ritz.tolist()), (sec.counts,) * k, tuple(integrals.tolist()), modes)
-def _brackets(sec: _Secular, k: int, tol: float, floor: float, top: float, total: int
-              ) -> list[tuple[float, float, int]]:
+
+
+def _brackets(sec: _Secular, k: int, tol: float, floor: float, top: float, total: int,
+              lower: Sequence[float] = (), upper: Sequence[float] = ()) -> list[tuple[float, float, int]]:
     """(lo, hi, m): modes count(lo)+1 .. count(hi) lie in [lo, hi), m of them
     among the lowest k, and hi - lo <= tol hi or no float lies between; m is
     at most the bounded system's size, which bounds a multiplicity.  A point
@@ -319,17 +336,22 @@ def _brackets(sec: _Secular, k: int, tol: float, floor: float, top: float, total
     below it).
 
     The count alone fixes each bracket; the next point only makes it shrink
-    faster.  A bracket wider than a factor 2 splits at its geometric mean.
-    Then each count is also a value of f = det A exp(law.log_q), continuous
-    across A's poles and zero exactly at the eigenvalues, read off the pivots
-    and the law; the next point is regula falsi on g = |f|^(1/j) for a count
-    jump j, the side taken from the count and not from a sign of f, kept
-    tol hi / 2 from both ends.  When the same end moves twice running, g at
-    the other end is scaled by 1 - g_new/g_old, or by 1/2 when that is not
-    positive (Anderson and Bjorck, BIT 13, 1973); the midpoint follows three
-    steps that did not halve the bracket (Dekker, Brent).  Where A is exactly
-    singular the point moves halfway to hi; a count outside its neighbours'
-    (rounding at an eigenvalue) is clamped."""
+    faster.  Bounds lower[j] <= lambda_(j+1) <= upper[j], when given, are
+    counted first where they fall inside mode j + 1's bracket, at lower[j]
+    (1 - tol/4) and upper[j] (1 + tol/4), so that each lands on its side of
+    the mode when the bound is the eigenvalue.  A bracket wider than a
+    factor 2 splits at its geometric mean.  Then each count is also a value
+    of f = det A exp(law.log_q), continuous across A's poles and zero exactly
+    at the eigenvalues, read off the pivots and the law; the next point is
+    regula falsi on g = |f|^(1/j) for a count jump j, the side taken from the
+    count and not from a sign of f, kept tol hi / 2 from both ends.  When the
+    same end moves twice running, g at the other end is scaled by 1 -
+    g_new/g_old, or by 1/2 when that is not positive (Anderson and Bjorck,
+    BIT 13, 1973); the midpoint follows three steps that did not halve the
+    bracket (Dekker, Brent).  Where A is exactly singular, x is an eigenvalue
+    to rounding: the points x (1 + tol/4) and then x (1 - tol/4) close a
+    bracket around it (at tol = 0 the point moves halfway to hi instead); a
+    count outside its neighbours' (rounding at an eigenvalue) is clamped."""
     law = sec.law
     unknowns = len(sec.sys.order) + len(sec.sys.length)
 
@@ -343,15 +365,23 @@ def _brackets(sec: _Secular, k: int, tol: float, floor: float, top: float, total
     c, f = count(floor)
     if c == 0:
         lams[0], logs[0] = floor, f
-    out, mode, seen = [], 1, 0
+    out, mode, seen, pole = [], 1, 0, math.nan
     while mode <= k:
         i = bisect.bisect_left(counts, mode)
         lo, hi, m = lams[i - 1], lams[i], min(counts[i], k) - counts[i - 1]
         if seen != mode:  # a new mode: no scaling, no widths yet
             seen, side, scale, widths = mode, None, [0.0, 0.0], []
+            below = lower[mode - 1] * (1.0 - 0.25 * tol) if mode <= len(lower) else 0.0
+            above = upper[mode - 1] * (1.0 + 0.25 * tol) if mode <= len(upper) else math.inf
         x, delta = 0.5 * (lo + hi), 0.5 * tol * hi
         if hi - lo <= tol * hi and m <= unknowns:
             x = lo  # done: nothing to count
+        elif lo < pole * (1.0 - 0.25 * tol) < pole < hi:
+            x = pole * (1.0 - 0.25 * tol)
+        elif lo < below < hi:
+            x = below
+        elif lo < above < hi:
+            x = above
         elif lo > 0.0 and hi > 2.0 * lo:
             x = math.sqrt(lo * hi)
         elif logs[i - 1] is not None and logs[i] is not None:
@@ -365,7 +395,11 @@ def _brackets(sec: _Secular, k: int, tol: float, floor: float, top: float, total
                     x = 0.5 * (lo + hi)
         c, at = None, lo
         while c is None and at < x < hi:
-            (c, f), at, x = count(x), x, 0.5 * (x + hi)
+            (c, f), at = count(x), x
+            if c is None:  # exactly singular: close a bracket around at
+                pole, x = at, at * (1.0 + 0.25 * tol)
+                if not at < x < hi:
+                    x = 0.5 * (at + hi)
         if c is None:
             out.append((lo, hi, m))
             mode = counts[i] + 1
@@ -384,23 +418,29 @@ def _brackets(sec: _Secular, k: int, tol: float, floor: float, top: float, total
     return out
 
 
-def _bounded_slots(sys: DiscreteSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The CSC structure of the bounded system B of _null_space (csc_slots): the
-    slot of each of its terms, in the order _null_space lists them, and the
-    entries' indices and indptr.  Unknown i < n is natural vertex i of sys,
-    n + e the amplitude b_e, whose row is edge e's continuity; a Dirichlet end
-    (n + |E|) drops its terms."""
+def _bounded_slots(sys: DiscreteSystem) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """The storage of the bounded system B of _null_space: the slot of each of
+    its terms, in the order _null_space lists them, and the indices and indptr
+    of its entries.  Unknown i < n is natural vertex i of sys, n + e the
+    amplitude b_e, whose row is edge e's continuity; a Dirichlet end (n + |E|)
+    drops its terms, to a slot past every entry.  At most BOUNDED_DENSE_MAX
+    unknowns B is stored as its square array, entry (r, c) at c (n + |E|) + r,
+    so the slots are flat positions with nothing to sort, and indices and
+    indptr are None, for LAPACK; otherwise as CSC data (csc_slots), for
+    SuperLU, the faster past that size (the table at BOUNDED_DENSE_MAX)."""
     n, ne = len(sys.order), len(sys.tail)
     size = n + ne
     tail, head = (np.where(ends < n, ends, size) for ends in (sys.tail, sys.head))
     amp, diag = n + np.arange(ne), np.arange(size)  # b_e, and the shift on every unknown
     rows = np.concatenate((tail, tail, head, head, amp, amp, amp, diag))
     cols = np.concatenate((tail, amp, tail, amp, tail, amp, head, diag))
+    if size <= BOUNDED_DENSE_MAX:
+        return np.where((rows == size) | (cols == size), size * size, cols * size + rows), None, None
     return csc_slots(size, rows, cols)
 
 
-def _null_space(sys: DiscreteSystem, slots: tuple[np.ndarray, np.ndarray, np.ndarray], law: _P1Law, lam: float,
-                width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _null_space(sys: DiscreteSystem, slots: tuple[np.ndarray, np.ndarray | None, np.ndarray | None], law: _P1Law,
+                lam: float, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Orthonormal natural-vertex values x (with a row of zeros for the
     Dirichlet ends) and edge amplitudes b spanning the near-null space of the
     bounded system B at lam, by inverse iteration from a seeded block, and
@@ -414,25 +454,42 @@ def _null_space(sys: DiscreteSystem, slots: tuple[np.ndarray, np.ndarray, np.nda
     miss on short edges, and the sixth mode of random_graph(29, length_range=
     (1e-3, 1)) came out 2.9e-4 above its bracket at tol = 1e-6.
 
-    B's CSC structure, slots = _bounded_slots(sys), is built once per solve;
-    each call evaluates the law's ends at lam, fills B's entries with one
-    bincount of its terms over their slots and hands them to SuperLU."""
+    B's storage, slots = _bounded_slots(sys), is built once per solve; each
+    call evaluates the law's ends at lam and fills B's entries with one
+    bincount of its terms over their slots.  Up to BOUNDED_DENSE_MAX unknowns
+    LAPACK's dgetrf factors the square array in place (LU with partial
+    pivoting) and dgetrs solves; past it SuperLU factors the CSC matrix, the
+    faster there (the table at BOUNDED_DENSE_MAX).  A block of one column is
+    normalized, a wider one orthonormalized by QR."""
     n, ne = len(sys.order), len(sys.tail)
-    pos, indices, indptr = slots
+    size, (pos, indices, indptr) = n + ne, slots
     a, c1, p, q = law.ends(lam)
     vals = np.concatenate((a * (c1 - p[0]), -a * q[0], a * (c1 * p[2] - p[1]), a * (c1 * q[2] - q[1]),
                            *(np.stack((p[2], q[2], -np.ones(ne))) / sys.length)))
     # B + s I, s = sqrt(EPS) max|B|, has B's eigenvectors and a factor even where
     # lam is an eigenvalue to the last bit; a step shrinks the rest by s / |mu_2|.
-    vals = np.append(vals, np.full(n + ne, math.sqrt(EPS) * np.abs(vals).max()))
-    data = np.bincount(pos, vals, len(indices) + 1)[:len(indices)]
+    vals = np.append(vals, np.full(size, math.sqrt(EPS) * np.abs(vals).max()))
+    stored = size * size if indices is None else len(indices)
+    data = np.bincount(pos, vals, stored + 1)[:stored]
     try:
-        lu = scipy.sparse.linalg.splu(scipy.sparse.csc_array((data, indices, indptr), shape=(n + ne, n + ne)))
+        if indices is None:
+            lu, piv, info = dgetrf(data.reshape(size, size).T, overwrite_a=1)  # the column-major array, in place
+            if info > 0:
+                raise RuntimeError("zero pivot")
+
+            def solve(y):
+                return dgetrs(lu, piv, y)[0]
+        else:
+            solve = scipy.sparse.linalg.splu(scipy.sparse.csc_array((data, indices, indptr), shape=(size, size))).solve
     except RuntimeError:
         raise NoConvergence(f"the bounded system is exactly singular at lambda = {lam!r}") from None
-    y = np.random.default_rng(0).standard_normal((n + ne, width))
+    y = np.random.default_rng(0).standard_normal((size, width))
     for _ in range(3):
-        y = np.linalg.qr(lu.solve(y))[0]
+        y = solve(y)
+        if width == 1:
+            y /= math.sqrt(float(y[:, 0] @ y[:, 0]))
+        else:
+            y = np.linalg.qr(y)[0]
     x, b = np.vstack((y[:n], np.zeros(width))), y[n:]
     return x, b, x[sys.head] - x[sys.tail] * p[2][:, None] - b * q[2][:, None]
 
@@ -454,7 +511,13 @@ class _P1Law:
     def __init__(self, mesh: Mesh):
         self.n = mesh.segments_per_edge
         self.width = mesh.graph.arrays.length / self.n
-        self.square, self.inverse = self.width ** 2, 1.0 / self.width
+        self.square, self.inverse, self.sixth = self.width ** 2, 1.0 / self.width, self.width / 6.0
+        self.j = np.stack((np.ones_like(self.n), self.n - 1, self.n))  # the points ends() takes
+        arr = mesh.graph.arrays
+        self.dirichlet_ends = arr.dirichlet[arr.tail].astype(int) + arr.dirichlet[arr.head]  # 0, 1 or 2 per edge
+        self.half_edges = 0.5 * len(self.n)
+        # below this lam, lam w^2 < 11 on every edge: s2 < 1 with room for rounding
+        self.below_band = 11.0 / float(self.square.max())
 
     def angles(self, lam: float) -> tuple[np.ndarray, np.ndarray]:
         """s2 and theta, pi past the band edge, on every edge."""
@@ -473,39 +536,63 @@ class _P1Law:
 
         return (1 - 2 * (j % 2)) * ratio(n - j), (1 - 2 * ((n - j) % 2)) * ratio(j)
 
+    def bounds(self, k: int) -> tuple[list[float], list[float]]:
+        """Lower and upper bounds on each of the k lowest eigenvalues, from
+        the edges as separate intervals (Courant-Fischer): with every natural
+        vertex cut into free ends the P1 space grows, so its j-th eigenvalue
+        is at most lambda_j; with every vertex pinned it shrinks, so its j-th
+        is at least lambda_j.  On an edge of n segments of width w these are
+        (12/w^2) s/(3 - 2 s), s = sin(theta/2)^2, at theta = j pi/n: 0 < j < n
+        pinned; cut, 0 < j < n between two Dirichlet ends, 0 <= j <= n
+        between two free ones, and theta = (j - 1/2) pi/n, 0 < j <= n, with
+        one of each.  A list is shorter than k when the intervals have fewer
+        eigenvalues."""
+        j, n, ends = np.arange(min(k, int(self.n.max())) + 1)[:, None], self.n, self.dirichlet_ends
+        s = np.sin(np.stack((j, j - 0.5)) * (0.5 * math.pi / n)) ** 2
+        whole, half = 12.0 / self.square * s / (3.0 - 2.0 * s)  # at theta = j pi/n and (j - 1/2) pi/n
+        inner = (0 < j) & (j < n)
+        kept = np.where(ends == 2, inner, np.where(ends == 1, (0 < j) & (j <= n), j <= n))
+        return np.sort(np.where(ends == 1, half, whole)[kept])[:k].tolist(), np.sort(whole[inner])[:k].tolist()
+
     def ends(self, lam: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """a, c1 and the bases at j = 1, n - 1, n (rows of p and q) on every edge."""
         s2, theta = self.angles(lam)
-        j = np.stack((np.ones_like(self.n), self.n - 1, self.n))
+        j = self.j
         p, q = np.cos(j * theta), np.sin(j * theta)
-        if s2.max() >= 1.0:
+        if lam >= self.below_band:
             s2_j, n_j = np.broadcast_to(s2, j.shape), np.broadcast_to(self.n, j.shape)
             past = (s2_j >= 1.0).nonzero()
             p[past], q[past] = self.past(s2_j[past], n_j[past], j[past])
-        return self.inverse + lam * self.width / 6.0, 1.0 - 2.0 * s2, p, q
+        return self.inverse + lam * self.sixth, 1.0 - 2.0 * s2, p, q
 
     def __call__(self, lam: float) -> tuple[np.ndarray, np.ndarray]:
         """Conductance c and end term d of every edge in A_h(lam).  The same
         angles leave on the law, for lam, inside: the eigenvalues below lam with
         both ends of an edge pinned, min(n - 1, ceil(n theta / pi) - 1) each;
-        and log_q: log |Q[n]| summed over the edges.
+        and log_q: log |Q[n]| summed over the edges, less (|E|/2) log lam.
+        det A_h(lam) exp(log_q) is then the determinant of the pencil K0 - lam
+        M0 up to a factor that varies slowly with lam: the eliminated interior
+        of each edge has determinant a^(n-1) Q[n]/Q[1], and Q[1] = sin(theta)
+        grows like w sqrt(lam).
 
         The counts call this once per point, so it takes the bases at j = 1
-        and n only, from cos and sin of theta and n theta, with the sinh form
-        on the edges past the band edge; c, d, inside and log_q are those of
-        ends(lam) to the bit.  The widths, their squares and inverses are
-        taken once per solve, when the law is made."""
+        and n only (the first and last rows of ends'), with the sinh form on
+        the edges past the band edge; c, d, inside and log_q are those of
+        ends(lam) to the bit.  The widths, their squares, inverses and sixths,
+        and the lam below which no edge is past the band edge, are taken once
+        per solve, when the law is made."""
         s2, theta = self.angles(lam)
-        n_theta = self.n * theta
-        p1, q1, pn, qn = np.cos(theta), np.sin(theta), np.cos(n_theta), np.sin(n_theta)
-        if s2.max() >= 1.0:
+        z = self.j[::2] * theta  # theta and n theta
+        (p1, pn), (q1, qn) = np.cos(z), np.sin(z)
+        if lam >= self.below_band:
             past = (s2 >= 1.0).nonzero()[0]
             s2_past, n_past = s2[past], self.n[past]
             p1[past], q1[past] = self.past(s2_past, n_past, 1)
             pn[past], qn[past] = self.past(s2_past, n_past, n_past)
-        a = self.inverse + lam * self.width / 6.0
-        self.inside = int(np.minimum(self.n - 1, np.ceil(n_theta / math.pi) - 1).sum())
-        self.log_q = float(np.log(np.abs(qn)).sum())
+        a = self.inverse + lam * self.sixth
+        # min(n - 1, ceil(n theta / pi) - 1) summed, the 1 taken once per edge
+        self.inside = int(np.minimum(self.n, np.ceil(z[1] / math.pi)).sum()) - len(self.n)
+        self.log_q = float(np.log(np.abs(qn)).sum()) - self.half_edges * math.log(lam)
         c = a * q1 / qn
         return c, c - a * (1.0 - 2.0 * s2 - p1) - c * pn
 

@@ -16,7 +16,8 @@ from typing import Union
 import numpy as np
 
 from .errors import BadParameters, DuplicateId, NonPositiveLength, PreconditionViolated, UnknownEdge, ValidationError
-from .graph import DIRICHLET, NATURAL, EdgeArrays, MetricGraph, _checked_edge, _reached, is_id, is_number
+from .graph import (DIRICHLET, NATURAL, EdgeArrays, MetricGraph, _checked_edge, _first_bad_row, _reached, is_id,
+                    is_number)
 from .torsion import TorsionSolution, _solved
 
 
@@ -186,15 +187,34 @@ def _add_dirichlet(g: MetricGraph, op: AddDirichlet) -> MetricGraph:
     return MetricGraph.__new__(MetricGraph)._take(g._index, g.edge_ids, EdgeArrays(a.tail, a.head, a.length, d))
 
 
+def _pendant_entries(op: AttachPendant) -> None:
+    """ValidationError naming the first pendant vertex that is not an id, or the
+    first edge that is not a tuple (id, tail, head, length) with ids at its
+    ends (graph._first_bad_row), before any rule unpacks or hashes them."""
+    try:
+        vertices, edges = list(op.vertices), list(op.edges)
+    except TypeError:  # not iterable
+        raise ValidationError(f"pendant vertices and edges must be lists, got {op.vertices!r} and {op.edges!r}"
+                              ) from None
+    for i, vid in enumerate(vertices):
+        if not is_id(vid):
+            raise ValidationError(f"pendant vertex entry {i} must be a nonempty string, got {vid!r}")
+    _first_bad_row([], edges, tuples=True)
+    for i, (_, tail, head, _) in enumerate(edges):
+        if not (is_id(tail) and is_id(head)):
+            raise ValidationError(f"pendant edge entry {i} must join two vertex ids, got {edges[i]!r}")
+
+
 def _check_pendant(g: MetricGraph, op: AttachPendant) -> None:
+    _pendant_entries(op)
     _need_vertices(g, op.at)
     if g.is_dirichlet(op.at):
         raise PreconditionViolated("pendant must meet the host at a natural vertex")
     if op.join not in op.vertices:
         raise PreconditionViolated(f"join vertex {op.join!r} is not a pendant vertex")
     local, eids = {x: i for i, x in enumerate(op.vertices)}, [e[0] for e in op.edges]  # pendant positions
-    if not all(map(is_id, (*(local.keys() - {op.join}), *eids))):
-        raise ValidationError(f"pendant ids must be nonempty strings, got {op.vertices!r} and {eids!r}")
+    if not all(map(is_id, eids)):
+        raise ValidationError(f"pendant edge ids must be nonempty strings, got {eids!r}")
     if len(local) < len(op.vertices) or len(set(eids)) < len(eids):
         raise DuplicateId(f"pendant ids repeat: vertices {list(op.vertices)}, edges {eids}")
     clash = ((local.keys() - {op.join}) & g._index.keys()) | (set(eids) & g._edge_index.keys())

@@ -77,6 +77,10 @@ EPS = 2.0 ** -52  # float64 machine epsilon: a smaller relative correction chang
 # on 9, 113, 161 (2.4e-4 low) and 170 and raises on 64; at (1e-5, 1e5) the
 # routing is wrong on 64 and 72, dense on 64; at (1e-4, 1e4) both on 64, 75.
 # SuperLU stays past the ratio: it turns the worst silent error into a typed one.
+# The P1 eigensolver's bounded system (spectral._null_space), one unknown per
+# natural vertex and per edge, has its own bound, spectral.BOUNDED_DENSE_MAX =
+# 160, measured the same way: LAPACK's LU (dgetrf) is still the faster at 154
+# unknowns (166 vs 190 us, factor plus three solves) and SuperLU from 176 on.
 DENSE_MAX = 64
 DENSE_RATIO = 1e6
 

@@ -85,6 +85,7 @@ PARAMETERS = {
     "random_graph max_edges": (lambda x: random_graph(0, max_edges=x), BadParameters, ()),
     "random_graph length_range low": (lambda x: random_graph(0, length_range=(x, 1.0)), BadParameters, ()),
     "random_graph length_range high": (lambda x: random_graph(0, length_range=(1.0, x)), BadParameters, ()),
+    "random_graph rng": (lambda x: random_graph(x), BadParameters, ("0", "10**400")),
 }
 
 
@@ -106,6 +107,25 @@ def test_a_string_is_not_a_list_of_ids():
             call()
     assert reorient(g, ("a", "b")) == reorient(reorient(g, ["a"]), iter(["b"]))
     assert [row["edge"] for row in grad_check(G, ("e2",))] == ["e2"]
+
+
+def test_random_graph_takes_a_seed_or_a_generator():
+    # -1 raised numpy's ValueError, "1" and 1.5 its TypeError
+    for bad in (-1, "1", 1.5, np.int64(3), None):
+        with pytest.raises(BadParameters, match="^rng must be a seed"):
+            random_graph(bad)
+    assert random_graph(np.random.default_rng(7)) == random_graph(7)
+
+
+@pytest.mark.parametrize("call", [lambda: G.with_edge_lengths(None), lambda: G.with_edge_lengths("12"),
+                                  lambda: G.with_edge_lengths({"e1": 1.0, "e2": 2.0}),
+                                  lambda: G.with_edge_lengths(np.float64(1.0)), lambda: with_lengths(G, [1.0, 2.0]),
+                                  lambda: with_lengths(G, None)],
+                         ids=["None", "str", "dict", "scalar", "list", "None-mapping"])
+def test_length_containers_are_judged_first(call):
+    # with_edge_lengths(None) raised a bare TypeError, with_lengths of a list a bare AttributeError
+    with pytest.raises(BadParameters, match="^lengths must be a"):
+        call()
 
 
 def test_random_graph_bounds():

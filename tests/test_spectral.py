@@ -523,12 +523,28 @@ def test_coarse_tol_still_returns_every_mode():
 
 @pytest.mark.parametrize("g", [path_dn(), star(3), flower(3)], ids=["path_dn", "star3", "flower3"])
 def test_count_budget_on_fine_meshes(g):
-    # from the Nicaise floor, a geometric split and regula falsi on the secular
-    # determinant; bisection from 0 took 135, 99 and 63 counts.  path_dn's
+    # from the Nicaise floor and the interval bounds, a geometric split and
+    # regula falsi on the secular determinant: 12, 8 and 3 counts; without the
+    # bounds 24, 20 and 12, and bisection from 0 took 135, 99 and 63.  path_dn's
     # lambda_1 sits 5.6e-11 relative above the floor, star(3) has a double
-    # lambda_2 = lambda_3 and flower(3) a triple lambda_1
+    # lambda_2 = lambda_3 and an exactly singular count at lambda_1, and
+    # flower(3) a triple lambda_1
     res = lowest_eigenpairs(g, 3, h_target=g.total_length() / 60_000)
-    assert res.iterations[0] <= 40
+    assert res.iterations[0] <= 15
+
+
+@pytest.mark.parametrize("g", [g for _, g in family_examples()] + [random_graph(s) for s in range(10)])
+def test_interval_bounds_hold(g):
+    # pinning every vertex shrinks the P1 space and cutting every natural vertex
+    # into free ends grows it, so the edges' interval eigenvalues bound each
+    # mode of the dense pencil from above and from below
+    h = g.total_length() / 200
+    law = spectral._P1Law(build_mesh(g, h))
+    lower, upper = law.bounds(6)
+    exact = fem_eigenvalues(g, h, 6)
+    assert len(lower) == 6 and len(upper) <= 6
+    assert all(lo <= lam * (1 + 1e-9) for lo, lam in zip(lower, exact))  # the dense solve rounds to ~1e-11
+    assert all(up >= lam * (1 - 1e-9) for up, lam in zip(upper, exact))
 
 
 def test_near_degenerate_cluster_split_on_a_fine_mesh():
@@ -547,9 +563,10 @@ def test_lambda1_above_the_nicaise_floor(seed):
 
 
 def test_count_budget_on_random_graphs():
-    # Anderson-Bjorck regula falsi took 1716 counts here, Illinois 2269; 5% margin
+    # 1518 counts here with the interval bounds, 1714 without; Illinois regula
+    # falsi took 2269 in place of Anderson-Bjorck's; 5% margin
     total = sum(lowest_eigenpairs(random_graph(seed), 5).iterations[0] for seed in range(30))
-    assert total <= 1800
+    assert total <= 1600
 
 
 def test_fine_mesh_modes_are_the_discrete_sines():
@@ -1041,7 +1058,7 @@ def test_p1_law_is_its_ends_to_the_bit(g):
         assert np.array_equal(_bits(c), _bits(c_ends))
         assert np.array_equal(_bits(d), _bits(c_ends - a * (c1 - p[0]) - c_ends * p[2]))
         assert law.inside == int(np.minimum(law.n - 1, np.ceil(law.n * theta / math.pi) - 1).sum())
-        assert _bits(law.log_q) == _bits(np.log(np.abs(q[2])).sum())
+        assert _bits(law.log_q) == _bits(np.log(np.abs(q[2])).sum() - 0.5 * len(law.n) * math.log(lam))
 
 
 def _coo_bounded(sys, law, lam):
@@ -1066,20 +1083,58 @@ _BOUNDED_GRAPHS = [lasso(), flower(3), stower(2, 2), pumpkin_chain([2, 3]), cate
 
 @pytest.mark.parametrize("g", _BOUNDED_GRAPHS)
 def test_bounded_system_from_its_prebuilt_structure(g, monkeypatch):
-    # the bounded system _null_space hands to SuperLU, filled on the CSC
-    # structure built once per solve, is the one the triples give, entry for
-    # entry: below the band edge, at the solve's eigenvalues, past the band edge
+    # the bounded system _null_space factors, filled on the storage built once
+    # per solve, is the one the triples give, entry for entry: the square array
+    # dgetrf gets and the CSC matrix SuperLU gets, below the band edge, at the
+    # solve's eigenvalues, past the band edge
     mesh, sys = build_mesh(g), torsion.assemble_discrete_system(g)
-    law, slots = spectral._P1Law(mesh), spectral._bounded_slots(sys)
-    factored, splu = [], scipy.sparse.linalg.splu
+    law = spectral._P1Law(mesh)
+    factored, splu, dgetrf = [], scipy.sparse.linalg.splu, spectral.dgetrf
     monkeypatch.setattr(scipy.sparse.linalg, "splu", lambda m: factored.append(m) or splu(m))
+    monkeypatch.setattr(spectral, "dgetrf", lambda a, **kw: factored.append(a.copy()) or dgetrf(a, **kw))
     band = 12.0 / law.square
-    for lam in [0.5 * band.min(), *lowest_eigenpairs(g, 3).eigenvalues, 2.0 * band.max()]:
-        factored.clear()
-        spectral._null_space(sys, slots, law, lam, 1)
-        got, want = factored[0], _coo_bounded(sys, law, lam)
-        assert np.array_equal(got.indptr, want.indptr) and np.array_equal(got.indices, want.indices)
-        assert np.array_equal(got.toarray(), want.toarray())
+    lams = [0.5 * band.min(), *lowest_eigenpairs(g, 3).eigenvalues, 2.0 * band.max()]
+    assert len(sys.order) + len(sys.tail) <= spectral.BOUNDED_DENSE_MAX
+    for dense in (True, False):
+        if not dense:
+            monkeypatch.setattr(spectral, "BOUNDED_DENSE_MAX", -1)
+        slots = spectral._bounded_slots(sys)
+        assert (slots[1] is None) is dense
+        for lam in lams:
+            factored.clear()
+            spectral._null_space(sys, slots, law, lam, 1)
+            got, want = factored[0], _coo_bounded(sys, law, lam)
+            if dense:
+                assert np.array_equal(got, want.toarray())
+            else:
+                assert np.array_equal(got.indptr, want.indptr) and np.array_equal(got.indices, want.indices)
+                assert np.array_equal(got.toarray(), want.toarray())
+
+
+@pytest.mark.parametrize("g", [g for _, g in family_examples()] + [random_graph(s) for s in range(30)])
+def test_bounded_kernels_agree(g, monkeypatch):
+    # LAPACK on the square array and SuperLU on the CSC matrix, each forced on
+    # every bracket of one solve: the same null vectors up to sign (each block
+    # column has unit norm) and the same eigenvalues
+    blocks, null_space = [], spectral._null_space
+    monkeypatch.setattr(spectral, "_null_space", lambda *args: blocks.append(null_space(*args)) or blocks[-1])
+    runs = []
+    for cut in (10**9, -1):
+        monkeypatch.setattr(spectral, "BOUNDED_DENSE_MAX", cut)
+        blocks.clear()
+        runs.append((lowest_eigenpairs(g, 5).eigenvalues, [np.vstack((x, b)) for x, b, _ in blocks]))
+    (dense, dense_blocks), (csc, csc_blocks) = runs
+    assert dense == pytest.approx(csc, rel=1e-13, abs=0.0)
+    assert len(dense_blocks) == len(csc_blocks)
+    for u, v in zip(dense_blocks, csc_blocks):
+        assert np.abs(u - v * np.sign(np.sum(u * v, axis=0))).max() <= 1e-12
+
+
+def test_long_path_bounded_system_is_stored_as_csc():
+    # the CI's 200-edge DD path keeps SuperLU exercised: 199 + 200 unknowns
+    sys = torsion.assemble_discrete_system(path_dd([0.005] * 200))
+    assert len(sys.order) + len(sys.tail) == 399 > spectral.BOUNDED_DENSE_MAX
+    assert spectral._bounded_slots(sys)[1] is not None
 
 
 def test_bounded_graphs_have_loops_parallel_edges_and_dirichlet_ends():

@@ -249,6 +249,20 @@ def test_no_prediction_where_the_new_graph_is_invalid(g, op):
     assert predicted_direction(op, g) is None
 
 
+@pytest.mark.parametrize("op, entry", [
+    (AttachPendant(_PENDANT[0], (("pe0", "p0", "p1"),), "p0", "v1"), "^edge entry 0 must be a tuple"),
+    (AttachPendant(("p0", ["p1"]), _PENDANT[1], "p0", "v1"), "^pendant vertex entry 1 must be"),
+    (AttachPendant(_PENDANT[0], _PENDANT[1] + (("pe1", "p1", ["p0"], 0.5),), "p0", "v1"), "^pendant edge entry 1 must"),
+    (AttachPendant(_PENDANT[0], 5, "p0", "v1"), "^pendant vertices and edges must be lists"),
+], ids=["three-fields", "unhashable-vertex", "unhashable-end", "not-iterable"])
+def test_malformed_pendant_entries_are_named(op, entry):
+    # a 3-field edge gave a bare ValueError and an unhashable id a bare TypeError,
+    # both from unpacking the rows before any rule
+    with pytest.raises(ValidationError, match=entry):
+        apply(lasso(), op)
+    assert predicted_direction(op, lasso()) is None
+
+
 def test_pendant_edges_in_any_order():
     # a path of four pendant edges listed from its far end toward join
     edges = tuple((f"pe{k}", f"p{k}", f"p{k + 1}", 0.5) for k in reversed(range(4)))

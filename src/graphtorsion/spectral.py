@@ -4,7 +4,7 @@ and landscape checks.
 
 secular_lambda1 returns the exact lowest Dirichlet eigenvalue from the
 secular matrix A(k) over the natural vertices, the torsion system's size and
-sparsity pattern and storage, by Rayleigh functional iteration from the
+sparsity pattern, by Rayleigh functional iteration from the
 torsion function (its vertex values, and the first shift one Newton step
 below its Rayleigh quotient), one continuum law evaluation per shift serving
 the fill, A'(s) x and the next root's first Newton step; the pivot signs of one LDL^T of
@@ -25,14 +25,11 @@ the determinant of the pencil up to a slowly varying factor, and regula
 falsi on it picks the next point to count.  Null vectors of a bounded system
 over the vertices and edges, and one Rayleigh-Ritz step, give the
 eigenpairs.  Eigenvalue error against the graph's spectrum decays like h^2.
-What does not change with the point is built once per solve: the slots of
-the secular matrix's terms and the bounded system's storage, so a count or a
-null vector takes the law at its point, one bincount and the factor.  The
-secular matrix goes to the torsion system's kernel (torsion.SymmetricFactor);
-the bounded system, one unknown per natural vertex and per edge, is a square
-array factored by LAPACK's dgetrf up to BOUNDED_DENSE_MAX = 160 unknowns and
-a CSC matrix factored by SuperLU past it, where SuperLU is the faster (the
-table at BOUNDED_DENSE_MAX).
+What does not change with the point is built once per solve: the storage
+(torsion.Storage) of the secular matrix, as DENSE_RATIO says, and of the
+bounded system, as BOUNDED_DENSE_MAX says, and the start blocks of the null
+vectors, so a count or a null vector takes the law at its point, one
+bincount and the factor its storage goes to.
 
 The mesh is held as a count of segments per edge.  Node i < |V| is the
 graph vertex vertices[i]; the interior points j = 1..n-1 of each edge
@@ -68,8 +65,8 @@ from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .errors import BadParameters, NoConvergence, SingularSystem
 from .graph import MetricGraph, is_count, is_number
-from .torsion import (EPS, DiscreteSystem, SymmetricFactor, TorsionSolution, _require_graph, _solved,
-                      assemble_discrete_system, csc_slots, torsion_function)
+from .torsion import (EPS, DiscreteSystem, Storage, SymmetricFactor, TorsionSolution, _require_graph, _solved,
+                      assemble_discrete_system, laplacian_terms, torsion_function)
 
 DEFAULT_TOL = 1e-10
 MAX_COUNTS = 10000
@@ -86,11 +83,13 @@ ROW_BLOCK = 8192
 # relative (at most 3.5e-15 above its bracket at tol = 0 on 160 test solves).
 RITZ_ROUND = 1e-12
 # Largest bounded system (_null_space) stored as its square array and factored
-# by LAPACK's dgetrf; a larger one is stored as CSC data and goes to SuperLU.
-# Factor plus three solves of perfbench's multigraph_payload systems, SuperLU
-# against dgetrf (numpy 2.4.6, scipy 1.17.1, one BLAS thread): 59 vs 6 us at
-# 22 unknowns, 92 vs 53 at 88, 168 vs 116 at 132, 190 vs 166 at 154, 208 vs
-# 214 at 176, 173 vs 364 at 220, 340 vs 565 at 264.
+# by LAPACK's dgetrf; a larger one is stored as CSC data and goes to SuperLU,
+# the faster there.  Factor plus three solves of perfbench's multigraph_payload
+# systems, SuperLU against dgetrf (numpy 2.4.6, scipy 1.17.1, one BLAS
+# thread): 59 vs 6 us at 22 unknowns, 92 vs 53 at 88, 168 vs 116 at 132, 190
+# vs 166 at 154, 208 vs 214 at 176, 173 vs 364 at 220, 340 vs 565 at 264.
+# torsion.DENSE_MAX sits below that crossing, so the bound is a constant of
+# its own.
 BOUNDED_DENSE_MAX = 160
 
 
@@ -287,11 +286,13 @@ def lowest_eigenpairs(
     floor = (math.pi / (2.0 * math.fsum(sys.length.tolist()))) ** 2  # Nicaise: below every P1 eigenvalue
     at = np.full(len(g.vertex_ids), len(sys.order))  # each vertex's unknown, a zero row at a Dirichlet vertex
     at[arr.tail], at[arr.head] = sys.tail, sys.head
-    parts, lams, sizes, tops = [], [], [], []
-    slots = _bounded_slots(sys)
+    parts, lams, sizes, tops, starts = [], [], [], [], {}
+    storage = _bounded_storage(sys)
     for lo, hi, m in _brackets(sec, k, tol, floor, 12.0 / float(law.width.min()) ** 2, nf, *law.bounds(k)):
         lams.append(0.5 * (lo + hi))
-        x, b, miss = _null_space(sys, slots, law, lams[-1], m)
+        if m not in starts:  # the seeded start block of each width, drawn once per solve
+            starts[m] = np.random.default_rng(0).standard_normal((storage.n, m))
+        x, b, miss = _null_space(sys, storage, law, lams[-1], starts[m])
         parts.append((x[at], b, miss))
         sizes.append(m)
         tops += [hi] * m
@@ -418,32 +419,25 @@ def _brackets(sec: _Secular, k: int, tol: float, floor: float, top: float, total
     return out
 
 
-def _bounded_slots(sys: DiscreteSystem) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
-    """The storage of the bounded system B of _null_space: the slot of each of
-    its terms, in the order _null_space lists them, and the indices and indptr
-    of its entries.  Unknown i < n is natural vertex i of sys, n + e the
-    amplitude b_e, whose row is edge e's continuity; a Dirichlet end (n + |E|)
-    drops its terms, to a slot past every entry.  At most BOUNDED_DENSE_MAX
-    unknowns B is stored as its square array, entry (r, c) at c (n + |E|) + r,
-    so the slots are flat positions with nothing to sort, and indices and
-    indptr are None, for LAPACK; otherwise as CSC data (csc_slots), for
-    SuperLU, the faster past that size (the table at BOUNDED_DENSE_MAX)."""
+def _bounded_storage(sys: DiscreteSystem) -> Storage:
+    """The storage of the bounded system B of _null_space, built with
+    BOUNDED_DENSE_MAX, its terms in the order _null_space lists them.
+    Unknown i < n is natural vertex i of sys, n + e the amplitude b_e, whose
+    row is edge e's continuity; a Dirichlet end (n + |E|) drops its terms."""
     n, ne = len(sys.order), len(sys.tail)
     size = n + ne
     tail, head = (np.where(ends < n, ends, size) for ends in (sys.tail, sys.head))
     amp, diag = n + np.arange(ne), np.arange(size)  # b_e, and the shift on every unknown
     rows = np.concatenate((tail, tail, head, head, amp, amp, amp, diag))
     cols = np.concatenate((tail, amp, tail, amp, tail, amp, head, diag))
-    if size <= BOUNDED_DENSE_MAX:
-        return np.where((rows == size) | (cols == size), size * size, cols * size + rows), None, None
-    return csc_slots(size, rows, cols)
+    return Storage.build(size, rows, cols, BOUNDED_DENSE_MAX)
 
 
-def _null_space(sys: DiscreteSystem, slots: tuple[np.ndarray, np.ndarray | None, np.ndarray | None], law: _P1Law,
-                lam: float, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _null_space(sys: DiscreteSystem, storage: Storage, law: _P1Law, lam: float,
+                start: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Orthonormal natural-vertex values x (with a row of zeros for the
     Dirichlet ends) and edge amplitudes b spanning the near-null space of the
-    bounded system B at lam, by inverse iteration from a seeded block, and
+    bounded system B at lam, by inverse iteration from the block start, and
     each edge's miss x_h - u[n].  Kirchhoff at each natural vertex sums
     a (c1 u[0] - u[1]) and a (c1 u[n] - u[n-1]) over the edge ends there;
     continuity is u[n] = x_h.  Off its eigenvalue by d, the null vector misses
@@ -454,36 +448,33 @@ def _null_space(sys: DiscreteSystem, slots: tuple[np.ndarray, np.ndarray | None,
     miss on short edges, and the sixth mode of random_graph(29, length_range=
     (1e-3, 1)) came out 2.9e-4 above its bracket at tol = 1e-6.
 
-    B's storage, slots = _bounded_slots(sys), is built once per solve; each
-    call evaluates the law's ends at lam and fills B's entries with one
-    bincount of its terms over their slots.  Up to BOUNDED_DENSE_MAX unknowns
-    LAPACK's dgetrf factors the square array in place (LU with partial
-    pivoting) and dgetrs solves; past it SuperLU factors the CSC matrix, the
-    faster there (the table at BOUNDED_DENSE_MAX).  A block of one column is
-    normalized, a wider one orthonormalized by QR."""
+    B's storage = _bounded_storage(sys) is built once per solve; each call
+    evaluates the law's ends at lam and fills B with one bincount of its
+    terms.  LAPACK's dgetrf factors the dense storage's array in place (LU
+    with partial pivoting) and dgetrs solves; SuperLU factors the CSC
+    storage's matrix.  A block of one column is normalized, a wider one
+    orthonormalized by QR."""
     n, ne = len(sys.order), len(sys.tail)
-    size, (pos, indices, indptr) = n + ne, slots
     a, c1, p, q = law.ends(lam)
     vals = np.concatenate((a * (c1 - p[0]), -a * q[0], a * (c1 * p[2] - p[1]), a * (c1 * q[2] - q[1]),
                            *(np.stack((p[2], q[2], -np.ones(ne))) / sys.length)))
     # B + s I, s = sqrt(EPS) max|B|, has B's eigenvectors and a factor even where
     # lam is an eigenvalue to the last bit; a step shrinks the rest by s / |mu_2|.
-    vals = np.append(vals, np.full(size, math.sqrt(EPS) * np.abs(vals).max()))
-    stored = size * size if indices is None else len(indices)
-    data = np.bincount(pos, vals, stored + 1)[:stored]
+    vals = np.append(vals, np.full(storage.n, math.sqrt(EPS) * np.abs(vals).max()))
+    data = storage.fill(vals)
     try:
-        if indices is None:
-            lu, piv, info = dgetrf(data.reshape(size, size).T, overwrite_a=1)  # the column-major array, in place
+        if storage.indices is None:
+            lu, piv, info = dgetrf(storage.array(data), overwrite_a=1)  # in place
             if info > 0:
                 raise RuntimeError("zero pivot")
 
             def solve(y):
                 return dgetrs(lu, piv, y)[0]
         else:
-            solve = scipy.sparse.linalg.splu(scipy.sparse.csc_array((data, indices, indptr), shape=(size, size))).solve
+            solve = scipy.sparse.linalg.splu(storage.matrix(data)).solve
     except RuntimeError:
         raise NoConvergence(f"the bounded system is exactly singular at lambda = {lam!r}") from None
-    y = np.random.default_rng(0).standard_normal((size, width))
+    y, width = start, start.shape[1]  # solve() leaves start as it is
     for _ in range(3):
         y = solve(y)
         if width == 1:
@@ -554,15 +545,22 @@ class _P1Law:
         kept = np.where(ends == 2, inner, np.where(ends == 1, (0 < j) & (j <= n), j <= n))
         return np.sort(np.where(ends == 1, half, whole)[kept])[:k].tolist(), np.sort(whole[inner])[:k].tolist()
 
-    def ends(self, lam: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """a, c1 and the bases at j = 1, n - 1, n (rows of p and q) on every edge."""
+    def bases(self, lam: float, j: np.ndarray) -> tuple[np.ndarray, ...]:
+        """s2, j theta and the bases P[j] and Q[j] at the points j, rows over
+        the edges: cos and sin of j theta, with the sinh form on the edges
+        past the band edge."""
         s2, theta = self.angles(lam)
-        j = self.j
-        p, q = np.cos(j * theta), np.sin(j * theta)
+        z = j * theta
+        p, q = np.cos(z), np.sin(z)
         if lam >= self.below_band:
             s2_j, n_j = np.broadcast_to(s2, j.shape), np.broadcast_to(self.n, j.shape)
             past = (s2_j >= 1.0).nonzero()
             p[past], q[past] = self.past(s2_j[past], n_j[past], j[past])
+        return s2, z, p, q
+
+    def ends(self, lam: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """a, c1 and the bases at j = 1, n - 1, n (rows of p and q) on every edge."""
+        s2, _, p, q = self.bases(lam, self.j)
         return self.inverse + lam * self.sixth, 1.0 - 2.0 * s2, p, q
 
     def __call__(self, lam: float) -> tuple[np.ndarray, np.ndarray]:
@@ -576,19 +574,11 @@ class _P1Law:
         grows like w sqrt(lam).
 
         The counts call this once per point, so it takes the bases at j = 1
-        and n only (the first and last rows of ends'), with the sinh form on
-        the edges past the band edge; c, d, inside and log_q are those of
-        ends(lam) to the bit.  The widths, their squares, inverses and sixths,
-        and the lam below which no edge is past the band edge, are taken once
-        per solve, when the law is made."""
-        s2, theta = self.angles(lam)
-        z = self.j[::2] * theta  # theta and n theta
-        (p1, pn), (q1, qn) = np.cos(z), np.sin(z)
-        if lam >= self.below_band:
-            past = (s2 >= 1.0).nonzero()[0]
-            s2_past, n_past = s2[past], self.n[past]
-            p1[past], q1[past] = self.past(s2_past, n_past, 1)
-            pn[past], qn[past] = self.past(s2_past, n_past, n_past)
+        and n only (the first and last rows of ends'); c, d, inside and log_q
+        are those of ends(lam) to the bit.  The widths, their squares,
+        inverses and sixths, and the lam below which no edge is past the band
+        edge, are taken once per solve, when the law is made."""
+        s2, z, (p1, pn), (q1, qn) = self.bases(lam, self.j[::2])  # z: theta and n theta
         a = self.inverse + lam * self.sixth
         # min(n - 1, ceil(n theta / pi) - 1) summed, the 1 taken once per edge
         self.inside = int(np.minimum(self.n, np.ceil(z[1] / math.pi)).sum()) - len(self.n)
@@ -783,6 +773,18 @@ DELTA = 1e-9  # the certificate factors A(k (1 - DELTA)) below the returned k
 # relative, more on graphs of many edges.
 K_FLOOR = 1e-13
 NEWTON_TOL = 64 * EPS  # a bracket this narrow (relative) ends the root search
+# Widest length ratio (max/min) at which a secular matrix may go to the dense
+# kernel; past it the matrix is stored as CSC data and goes to SuperLU
+# whatever its size.  On random_graph seeds 0..199 the dense and
+# SuperLU kernels' lambda_1 agree to 7e-16 at ratios up to 1e6.  Past that,
+# against a 60-digit count (lambda_1 wrong unless within 1e-12) on those
+# seeds at lengths (1e-7, 1e7), this routing is wrong on 64, 113 and 170 and
+# raises on 75 (out of factorizations), 132 and 161, the dense kernel alone is
+# wrong on 9, 113, 161 (2.4e-4 low) and 170 and raises on 64; at (1e-5, 1e5)
+# the routing is wrong on 64 and 72, dense on 64; at (1e-4, 1e4) both on 64,
+# 75.  SuperLU stays past the ratio: it turns the worst silent error into a
+# typed one.
+DENSE_RATIO = 1e6
 
 
 class _Continuum:
@@ -824,7 +826,8 @@ def _q(terms: tuple, diff: np.ndarray, both: np.ndarray) -> tuple[float, float]:
 
 
 class _Secular:
-    """The secular matrix A(k) of a graph, on its torsion system's pattern.
+    """The secular matrix A(k) of a graph, on its torsion system's storage
+    (CSC past DENSE_RATIO).
 
     A(k) is the weighted Laplacian over the natural vertices with conductance
     c = k/sin(kl) on each non-loop edge, less d = k tan(kl/2) on the diagonal
@@ -841,13 +844,14 @@ class _Secular:
     """
 
     def __init__(self, sys: DiscreteSystem, k_lo: float, k_hi: float, law=None):
-        self.sys = sys
-        # the slot of each term of A(k) in its stored entries, or size (dropped):
-        # the pattern's c at (t, t), (h, h) and -c at (t, h), (h, t) of each
-        # edge, dropped for a loop or at a Dirichlet end, then -d at (t, t)
-        # and (h, h), dropped at a Dirichlet end
-        diagonal = np.append(sys.pattern.diagonal, sys.pattern.size)
-        self.slots = np.concatenate((sys.pattern.pos, diagonal[sys.tail], diagonal[sys.head]))
+        self.sys, s = sys, sys.storage
+        if s.indices is None and float(sys.length.max()) > DENSE_RATIO * float(sys.length.min()):
+            s = Storage.build(s.n, *laplacian_terms(s.n, sys.tail, sys.head), -1)
+        # the storage's terms (c at (t, t), (h, h) and -c at (t, h), (h, t) of
+        # each edge), then -d at (t, t) and (h, h), dropped at a Dirichlet end
+        diagonal = np.append(s.diagonal, s.size)
+        self.storage = Storage(s.n, s.size, np.concatenate((s.pos, diagonal[sys.tail], diagonal[sys.head])),
+                               s.indices, s.indptr)
         self.k_lo, self.k_hi = k_lo, k_hi
         self.counts = 0  # factorizations spent after the first quotient
         self.law = law or _Continuum(sys.length)
@@ -858,17 +862,14 @@ class _Secular:
         self.counts += 1
 
     def fill(self, k: float) -> np.ndarray:
-        """The data array of A(k) on the torsion matrix's pattern: one bincount
-        of the law's c and d at k over the slots, which the secular matrix
-        builds once from the pattern."""
+        """The stored entries of A(k): one bincount of the law's c and d at k."""
         c, d = self.law(k)[:2]
         off, end = -c, -d
-        size = self.sys.pattern.size
-        return np.bincount(self.slots, np.concatenate((c, c, off, off, end, end)), size + 1)[:size]
+        return self.storage.fill(np.concatenate((c, c, off, off, end, end)))
 
     def factor(self, k: float) -> SymmetricFactor:
-        """LDL^T of A(k) by the secular kernel; SingularSystem if exactly singular."""
-        return SymmetricFactor(self.sys.pattern, self.fill(k), self.sys.dense)
+        """LDL^T of A(k) by its storage's kernel; SingularSystem if exactly singular."""
+        return SymmetricFactor(self.storage, self.fill(k))
 
     def inertia(self, k: float) -> tuple[int | None, float]:
         """The negative eigenvalues of A(k) and log |det A(k)| from the same

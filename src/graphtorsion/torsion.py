@@ -7,14 +7,12 @@ v(x) = -x^2/2 + b x + c in the offset x from the edge tail; its values at the
 natural vertices come from one symmetric positive-definite vertex system, the
 weighted graph Laplacian over the natural vertices.
 
-A system of at most DENSE_MAX unknowns is stored as its dense array from
-assembly on (SymPattern): one bincount of the edge terms fills it, with no
-sparse structure to sort, and LAPACK's Bunch-Kaufman dsytrf factors it
-(SymmetricFactor) in a few microseconds where scipy.sparse's fixed cost per
-call is about a hundred.  Every other system is stored as CSC data and goes
-to SuperLU in symmetric mode: a minimum-degree ordering of A + A^T and no
-pivoting, in effect a minimum-degree LDL^T, so memory is linear in |V| on
-tree-like graphs.  The first solve is then refined with the same factor.
+The system is held in a Storage, the n x n array or CSC data as DENSE_MAX
+says, filled by one bincount of the edge terms, and factored by the
+storage's kernel (SymmetricFactor): LAPACK's Bunch-Kaufman LDL^T for the
+array, SuperLU's minimum-degree LDL^T for the CSC matrix, whose memory is
+linear in |V| on tree-like graphs.  The first solve is then refined with
+the same factor.
 Each step takes the residual edge by edge from the fluxes (x_t - x_h)/l,
 which subtract nearby values before dividing, where A @ x would add terms of
 widely different lengths and lose the small ones; it solves for the
@@ -60,68 +58,62 @@ from .graph import MetricGraph, PointWitness, is_number
 REL_TOL = 1e-10
 MAX_REFINE = 4  # refinement steps after the first solve; past them the cross-checks decide
 EPS = 2.0 ** -52  # float64 machine epsilon: a smaller relative correction changes nothing
-# The bounds of the dense storage and kernel (SymPattern, SymmetricFactor).
-# Assembly, factor and inertia of perfbench's multigraph_payload systems,
-# dense against CSC and SuperLU (numpy 2.4.6, scipy 1.17.1, one BLAS thread):
-# 21 vs 93 us at 7 unknowns, 30 vs 115 at 63, 77 vs 224 at 175, 575 vs 321
-# at 280; a dense solve is slower from about 60 unknowns on (4 vs 3 us at
-# 63).  Every torsion solve of at most DENSE_MAX unknowns goes dense: on
-# random_graph seeds 0..149 at length ranges (1e-7, 1e7) and (1e-4, 1e4), the
-# rigidity of the refined dense solve meets the exact rational one to 8.8e-16
-# relative, SuperLU's to 3.3e-15.  DENSE_RATIO bounds only the secular
-# matrices, whose pivot signs count eigenvalues: on random_graph seeds 0..199
-# the two kernels' lambda_1 agree to 7e-16 at length ratios (max/min) up to
-# 1e6.  Past that, against a 60-digit count (lambda_1 wrong unless within
-# 1e-12) on those seeds at lengths (1e-7, 1e7), this routing is wrong on 64,
-# 75, 113 and 170 and raises on 132 and 161, the dense kernel alone is wrong
-# on 9, 113, 161 (2.4e-4 low) and 170 and raises on 64; at (1e-5, 1e5) the
-# routing is wrong on 64 and 72, dense on 64; at (1e-4, 1e4) both on 64, 75.
-# SuperLU stays past the ratio: it turns the worst silent error into a typed one.
-# The P1 eigensolver's bounded system (spectral._null_space), one unknown per
-# natural vertex and per edge, has its own bound, spectral.BOUNDED_DENSE_MAX =
-# 160, measured the same way: LAPACK's LU (dgetrf) is still the faster at 154
-# unknowns (166 vs 190 us, factor plus three solves) and SuperLU from 176 on.
+# Largest vertex system stored as its n x n array (Storage) and factored by
+# LAPACK's Bunch-Kaufman dsytrf (SymmetricFactor); a larger one is stored as
+# CSC data and factored by SuperLU.  Assembly, factor and inertia of
+# perfbench's multigraph_payload systems, dense against CSC and SuperLU
+# (numpy 2.4.6, scipy 1.17.1, one BLAS thread): 21 vs 93 us at 7 unknowns, 30
+# vs 115 at 63, 77 vs 224 at 175, 575 vs 321 at 280; a dense solve is slower
+# from about 60 unknowns on (4 vs 3 us at 63).  On random_graph seeds 0..149
+# at length ranges (1e-7, 1e7) and (1e-4, 1e4), the rigidity of the refined
+# dense solve meets the exact rational one to 8.8e-16 relative, SuperLU's to
+# 3.3e-15.  The secular matrices on the same storage add a rule of their own
+# (spectral.DENSE_RATIO).
 DENSE_MAX = 64
-DENSE_RATIO = 1e6
 
 
 @dataclass(frozen=True)
-class SymPattern:
-    """Storage of symmetric n x n matrices summed over pairs (i[k], j[k]).
+class Storage:
+    """Storage of the n x n matrices summed from terms at (rows[k], cols[k]).
 
-    Pair k adds diag[k] at (i,i) and (j,j) and off[k] at (i,j) and (j,i);
-    index n marks an eliminated end, whose terms go to a slot past the stored
-    entries and are dropped.  The matrices are weighted Laplacians, off = -diag,
-    so a pair with i = j (a loop) adds nothing, and its terms are dropped too.  A fill is one np.bincount of the terms over
-    their slots, which adds an entry's terms in turn.  At most DENSE_MAX
-    unknowns the storage is the n x n array itself, flat, entry (r, c) at
-    c n + r, so the build sorts nothing; otherwise it is a CSC matrix's data,
-    its entries keyed by (column, row) and sorted once by argsort.  matrix
-    returns either as a CSC matrix with sorted indices and no duplicates, the
-    dense array converted on each call.
+    A term with a row or column n (an eliminated unknown) goes to a slot past
+    the stored entries and is dropped.  A fill is one np.bincount of the terms
+    over their slots, which adds an entry's terms in term order.  Up to the
+    dense_max given to build, the storage is the n x n array itself, flat and
+    column-major, entry (r, c) at c n + r, so the build sorts nothing; past
+    it, the data of a CSC matrix, its entries keyed by (column, row) and
+    sorted once by argsort.  The kernels go by the storage: LAPACK factors
+    the array (indices None), SuperLU the CSC matrix.
     """
 
     n: int
     size: int  # stored entries: n * n, or the CSC matrix's
-    pos: np.ndarray  # slot of each pair term in (diag, diag, off, off) order; size for a dropped one
+    pos: np.ndarray  # slot of each term; size for a dropped one
     indices: np.ndarray | None  # the CSC structure, None for the dense storage
     indptr: np.ndarray | None
 
     @classmethod
-    def build(cls, n: int, i: np.ndarray, j: np.ndarray) -> "SymPattern":
-        loop = i == j  # adds diag + diag + off + off = 0 at (i,i): dropped
-        cut_i, cut_j = (i == n) | loop, (j == n) | loop
-        if n <= DENSE_MAX:
-            pos = np.concatenate((i * (n + 1), j * (n + 1), j * n + i, i * n + j))  # (i,i), (j,j), (i,j), (j,i)
-            pos[np.concatenate((cut_i, cut_j, cut_i | cut_j, cut_i | cut_j))] = n * n  # past every entry
-            return cls(n, n * n, pos, None, None)
-        i, j = np.where(cut_i, n, i), np.where(cut_j, n, j)
-        pos, indices, indptr = csc_slots(n, np.concatenate((i, j, i, j)), np.concatenate((i, j, j, i)))
-        return cls(n, len(indices), pos, indices, indptr)
+    def build(cls, n: int, rows: np.ndarray, cols: np.ndarray, dense_max: int) -> "Storage":
+        keep = (rows < n) & (cols < n)
+        if n <= dense_max:
+            return cls(n, n * n, np.where(keep, cols * n + rows, n * n), None, None)
+        keep = keep.nonzero()[0]
+        key = cols[keep] * n + rows[keep]
+        perm = key.argsort()
+        key = key[perm]
+        opens = np.empty(len(key), dtype=bool)  # where a new (column, row) entry begins
+        opens[:1] = True
+        np.not_equal(key[1:], key[:-1], out=opens[1:])
+        col, row = np.divmod(key[opens], n)
+        pos = np.full(len(rows), len(col))
+        pos[keep[perm]] = opens.cumsum() - 1
+        indptr = np.zeros(n + 1, dtype=np.int32)
+        np.bincount(col, minlength=n).cumsum(out=indptr[1:])
+        return cls(n, len(col), pos, row.astype(np.int32), indptr)
 
-    def fill(self, diag: np.ndarray, off: np.ndarray) -> np.ndarray:
-        """The stored entries of the matrix with pair terms diag and off."""
-        data = np.bincount(self.pos, np.concatenate((diag, diag, off, off)), self.size + 1)[:self.size]
+    def fill(self, terms: np.ndarray) -> np.ndarray:
+        """The stored entries of the matrix with the given terms, in the build's order."""
+        data = np.bincount(self.pos, terms, self.size + 1)[:self.size]
         return data.astype(float, copy=False)  # bincount of no terms counts in int64
 
     @cached_property
@@ -131,59 +123,54 @@ class SymPattern:
             return np.arange(self.n) * (self.n + 1)
         return (self.indices == np.repeat(np.arange(self.n), np.diff(self.indptr))).nonzero()[0]
 
+    def array(self, data: np.ndarray) -> np.ndarray:
+        """The n x n array of the dense storage's entries data, a view."""
+        return data.reshape(self.n, self.n).T
+
     def matrix(self, data: np.ndarray) -> scipy.sparse.csc_array:
-        if self.indices is None:  # the matrix is symmetric, so its transpose reads the same
-            return scipy.sparse.csc_array(data.reshape(self.n, self.n))
-        return scipy.sparse.csc_array((data, self.indices, self.indptr),
-                                      shape=(self.n, self.n), copy=False)
+        """The matrix of the stored entries data in CSC form."""
+        if self.indices is None:
+            return scipy.sparse.csc_array(self.array(data))
+        return scipy.sparse.csc_array((data, self.indices, self.indptr), shape=(self.n, self.n), copy=False)
 
 
-def csc_slots(n: int, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The CSC structure of the n x n matrices summed from terms at (rows[k], cols[k]):
-    the slot of each term among the stored entries, and the indices and indptr of
-    the entries, sorted by (column, row) once by argsort.  A term with a row or
-    column n goes to slot len(indices), past every entry, and is dropped.  A fill
-    is then one np.bincount of the terms over their slots, which adds an entry's
-    terms in term order whatever the sort."""
-    keep = ((rows < n) & (cols < n)).nonzero()[0]
-    key = cols[keep] * n + rows[keep]
-    perm = key.argsort()
-    key = key[perm]
-    opens = np.empty(len(key), dtype=bool)  # where a new (column, row) entry begins
-    opens[:1] = True
-    np.not_equal(key[1:], key[:-1], out=opens[1:])
-    col, row = np.divmod(key[opens], n)
-    pos = np.full(len(rows), len(col))
-    pos[keep[perm]] = opens.cumsum() - 1
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    np.bincount(col, minlength=n).cumsum(out=indptr[1:])
-    return pos, row.astype(np.int32), indptr
+def laplacian_terms(n: int, tail: np.ndarray, head: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and columns of the terms of a weighted Laplacian over n unknowns,
+    edge k joining unknowns tail[k] and head[k] (n at an eliminated end): its
+    weight at (t, t) and (h, h), then minus it at (t, h) and (h, t).  A loop
+    adds weight + weight - weight - weight = 0 at (t, t), so its terms go to
+    row n and are dropped."""
+    loop = tail == head
+    t, h = np.where(loop, n, tail), np.where(loop, n, head)
+    return np.concatenate((t, h, t, h)), np.concatenate((t, h, h, t))
 
 
 class SymmetricFactor:
-    """LDL^T of the symmetric matrix with the given data on a SymPattern.
+    """LDL^T of the symmetric matrix with the given data on a Storage.
 
-    dense: LAPACK's Bunch-Kaufman dsytrf on a copy of the stored n x n array
-    (lower), which the pattern must hold, solved by dsytrs.  D has 1x1 blocks
-    and 2x2 blocks [[a, b], [b, c]], the latter only where |a c| < 0.41 b^2,
-    so each holds one negative eigenvalue.  Otherwise SuperLU in symmetric
-    mode on the pattern's CSC matrix: a minimum-degree ordering of A + A^T
-    and diagonal pivots, in effect LDL^T, whose pivots are U's diagonal; only
-    an exactly zero diagonal pivot moves off the diagonal (perm_r then
-    differs from perm_c).  SingularSystem when the matrix is exactly
-    singular: a zero pivot in either kernel.
+    On the dense storage, LAPACK's Bunch-Kaufman dsytrf on a copy of the n x n
+    array (its upper triangle), solved by dsytrs.  D has 1x1 blocks and 2x2 blocks
+    [[a, b], [b, c]], the latter only where |a c| < 0.41 b^2, so each holds
+    one negative eigenvalue.  On the CSC storage, SuperLU in symmetric mode:
+    a minimum-degree ordering of A + A^T and diagonal pivots, in effect
+    LDL^T, whose pivots are U's diagonal; only an exactly zero diagonal pivot
+    moves off the diagonal (perm_r then differs from perm_c).
+    SingularSystem when the matrix is exactly singular: a zero pivot in
+    either kernel.
     """
 
-    def __init__(self, pattern: SymPattern, data: np.ndarray, dense: bool):
+    def __init__(self, storage: Storage, data: np.ndarray):
         self.lu = None
-        if dense:
-            # dsytrf factors a copy of the stored array, which must survive
-            self.ldu, self.ipiv, info = dsytrf(data.reshape(pattern.n, pattern.n), lower=1)
+        if storage.indices is None:
+            # dsytrf factors a copy of the stored array, which must survive, from
+            # its upper triangle (the transpose's lower): where parallel edges
+            # run both ways the two triangles' sums can differ in the last bit
+            self.ldu, self.ipiv, info = dsytrf(storage.array(data).T, lower=1)
             if info > 0:
                 raise SingularSystem(f"matrix is exactly singular: zero pivot in row {info}")
         else:
             try:
-                self.lu = scipy.sparse.linalg.splu(pattern.matrix(data), permc_spec="MMD_AT_PLUS_A",
+                self.lu = scipy.sparse.linalg.splu(storage.matrix(data), permc_spec="MMD_AT_PLUS_A",
                                                    diag_pivot_thresh=0.0, options={"SymmetricMode": True})
             except RuntimeError as exc:
                 raise SingularSystem(f"matrix is exactly singular: {exc}") from None
@@ -217,17 +204,15 @@ class SymmetricFactor:
 class DiscreteSystem:
     """Vertex system over the natural vertices.
 
-    data holds the stored entries (SymPattern) of a symmetric positive
-    definite matrix on pattern; matrix returns it in CSC form.  Solving
+    data holds the entries of a symmetric positive definite matrix on
+    storage, built with DENSE_MAX; matrix returns it in CSC form.  Solving
     matrix @ g = weight gives the vertex unknowns.  weight[v] is the metric
     degree (loops twice).  Each edge adds 1/length to the weighted graph
-    Laplacian restricted to the natural vertices; a loop couples a vertex to
-    itself and cancels.  tail[k] and head[k] are the unknowns at the ends of
-    edge k, len(order) at a Dirichlet end, and length[k] its length.  pattern
-    serves the other matrices of the same graph (the secular matrix) too, and
-    dense says which kernel factors those: at most DENSE_MAX unknowns, as for
-    the system's own matrix, and lengths within a factor DENSE_RATIO, past
-    which SuperLU raises where the dense count can go silently wrong.
+    Laplacian restricted to the natural vertices (laplacian_terms); a loop
+    couples a vertex to itself and cancels.  tail[k] and head[k] are the
+    unknowns at the ends of edge k, len(order) at a Dirichlet end, and
+    length[k] its length.  The secular matrix of the same graph reuses
+    storage.
     """
 
     order: tuple[str, ...]
@@ -236,12 +221,11 @@ class DiscreteSystem:
     tail: np.ndarray
     head: np.ndarray
     length: np.ndarray
-    pattern: SymPattern
-    dense: bool
+    storage: Storage
 
     @property
     def matrix(self) -> scipy.sparse.csc_array:
-        return self.pattern.matrix(self.data)
+        return self.storage.matrix(self.data)
 
     def residual(self, x: np.ndarray) -> np.ndarray:
         """weight - matrix @ x[:n], summed from the edge fluxes; x[n] must be 0."""
@@ -281,10 +265,10 @@ def assemble_discrete_system(g: MetricGraph) -> DiscreteSystem:
     tail, head = unknown[arr.tail], unknown[arr.head]
     weight = (np.bincount(tail, arr.length, minlength=n + 1)
               + np.bincount(head, arr.length, minlength=n + 1))[:n]
-    pattern = SymPattern.build(n, tail, head)
+    storage = Storage.build(n, *laplacian_terms(n, tail, head), DENSE_MAX)
     mu = 1.0 / arr.length
-    dense = n <= DENSE_MAX and float(arr.length.max()) <= DENSE_RATIO * float(arr.length.min())
-    return DiscreteSystem(order, pattern.fill(mu, -mu), weight, tail, head, arr.length, pattern, dense)
+    return DiscreteSystem(order, storage.fill(np.concatenate((mu, mu, -mu, -mu))), weight, tail, head, arr.length,
+                          storage)
 
 
 def solve_discrete_torsion(g: MetricGraph) -> tuple[DiscreteSystem, np.ndarray]:
@@ -294,7 +278,7 @@ def solve_discrete_torsion(g: MetricGraph) -> tuple[DiscreteSystem, np.ndarray]:
     if n == 0:
         return sys, np.zeros(0)
     try:
-        lu = SymmetricFactor(sys.pattern, sys.data, n <= DENSE_MAX)
+        lu = SymmetricFactor(sys.storage, sys.data)
     except SingularSystem as exc:
         raise SingularSystem(f"vertex system is singular: {exc}") from None
     x = np.zeros(n + 1)  # x[n] = 0 is the value at every Dirichlet end

@@ -1,7 +1,6 @@
 """Finite element spectra: meshes, eigenpairs, heat content, landscape bound;
 the exact lambda_1 from the secular matrix."""
 
-import dataclasses
 import json
 import math
 import tracemalloc
@@ -962,7 +961,7 @@ def test_both_kernels_match_the_oracles(natural, dense):
     # 60 unknowns go to LAPACK's Bunch-Kaufman, 70 to SuperLU
     g = _multigraph(natural, natural)
     sol = torsion_function(g)
-    assert sol.system.dense is dense
+    assert (_Secular(sol.system, 0.0, math.inf).storage.indices is None) is dense
     assert sol.rigidity == pytest.approx(float(exact_rigidity(g)), rel=1e-12)
     assert_exact_lambda1(g, secular_lambda1(g, sol))
 
@@ -972,10 +971,11 @@ def test_wide_length_ratio_keeps_superlu(monkeypatch):
     # pivot signs count eigenvalues, keep SuperLU past DENSE_RATIO
     g = random_graph(9, length_range=(1e-7, 1e7))
     made, real = [], torsion.SymmetricFactor
-    for module in (torsion, spectral):
-        monkeypatch.setattr(module, "SymmetricFactor", lambda *args: made.append(args[2]) or real(*args))
+    for module in (torsion, spectral):  # True for the dense storage
+        monkeypatch.setattr(module, "SymmetricFactor", lambda s, data: made.append(s.indices is None) or real(s, data))
     sol = torsion_function(g)
-    assert len(sol.system.order) <= torsion.DENSE_MAX and not sol.system.dense
+    assert len(sol.system.order) <= torsion.DENSE_MAX
+    assert _Secular(sol.system, 0.0, math.inf).storage.indices is not None
     assert made == [True]
     assert sol.rigidity == pytest.approx(float(exact_rigidity(g)), rel=1e-12)
     lam = secular_lambda1(g, sol)
@@ -984,6 +984,17 @@ def test_wide_length_ratio_keeps_superlu(monkeypatch):
     superlu = torsion_function(g)
     assert superlu.rigidity == pytest.approx(float(exact_rigidity(g)), rel=1e-12)
     assert secular_lambda1(g, superlu) == pytest.approx(lam, rel=1e-12)
+
+
+def test_wide_length_ratio_stores_the_secular_matrix_as_csc_once(monkeypatch):
+    # the secular matrix of a small graph past DENSE_RATIO is stored as CSC
+    # data when it is made, so no count converts a dense array; lambda_1 is
+    # the one a conversion at every count gave, to the bit
+    dense, matrix = [], torsion.Storage.matrix
+    monkeypatch.setattr(torsion.Storage, "matrix", lambda s, data: dense.append(s.indices is None) or matrix(s, data))
+    lam = secular_lambda1(random_graph(9, length_range=(1e-7, 1e7)))
+    assert dense and not any(dense)
+    assert lam.hex() == "0x1.e72d436e712f0p-43"
 
 
 # nine edge ends meet at one vertex of star(9), and nine parallel edges
@@ -1001,8 +1012,8 @@ def test_dense_and_csc_storage_agree(monkeypatch):
             sol = torsion_function(g)
             sec = _Secular(sol.system, 0.0, math.inf)
             k = 0.5 * math.pi / float(g.arrays.length.max())
-            assert (sol.system.pattern.indices is None) is (torsion.DENSE_MAX >= 0)
-            out.append((sol.system.matrix.toarray(), sec.sys.pattern.matrix(sec.fill(k)).toarray(),
+            assert (sol.system.storage.indices is None) is (torsion.DENSE_MAX >= 0)
+            out.append((sol.system.matrix.toarray(), sec.storage.matrix(sec.fill(k)).toarray(),
                         sol.rigidity, secular_lambda1(g, sol)))
         return out
 
@@ -1016,10 +1027,13 @@ def test_dense_and_csc_storage_agree(monkeypatch):
 
 
 @pytest.mark.parametrize("dense", [True, False])
-def test_exactly_singular_secular_matrix_has_no_inertia(dense):
+def test_exactly_singular_secular_matrix_has_no_inertia(dense, monkeypatch):
     # the natural middle vertex of the DD path gets c1 + c2 - d1 - d2 = 0
-    sys = dataclasses.replace(torsion.assemble_discrete_system(path_dd([1.0, 2.0])), dense=dense)
+    if not dense:
+        monkeypatch.setattr(torsion, "DENSE_MAX", -1)  # stored and factored as CSC
+    sys = torsion.assemble_discrete_system(path_dd([1.0, 2.0]))
     sec = _Secular(sys, 0.0, math.inf, law=lambda k: (np.ones(2), np.ones(2)))
+    assert (sec.storage.indices is None) is dense
     assert sec.inertia(1.0) == (None, 0.0)
 
 
@@ -1027,7 +1041,7 @@ def test_secular_matrix_tends_to_torsion_matrix():
     # A(k) refills the torsion matrix's pattern; c -> 1/l and d -> 0 as k -> 0
     sys = torsion_function(random_graph(5)).system
     sec = _Secular(sys, 0.0, math.inf)
-    near_zero = sec.sys.pattern.matrix(sec.fill(1e-9))
+    near_zero = sec.storage.matrix(sec.fill(1e-9))
     assert np.array_equal(near_zero.indices, sys.matrix.indices)
     assert np.array_equal(near_zero.indptr, sys.matrix.indptr)
     assert sec.fill(1e-9) == pytest.approx(sys.data, rel=1e-15)
@@ -1098,11 +1112,11 @@ def test_bounded_system_from_its_prebuilt_structure(g, monkeypatch):
     for dense in (True, False):
         if not dense:
             monkeypatch.setattr(spectral, "BOUNDED_DENSE_MAX", -1)
-        slots = spectral._bounded_slots(sys)
-        assert (slots[1] is None) is dense
+        storage = spectral._bounded_storage(sys)
+        assert (storage.indices is None) is dense
         for lam in lams:
             factored.clear()
-            spectral._null_space(sys, slots, law, lam, 1)
+            spectral._null_space(sys, storage, law, lam, np.ones((storage.n, 1)))
             got, want = factored[0], _coo_bounded(sys, law, lam)
             if dense:
                 assert np.array_equal(got, want.toarray())
@@ -1134,7 +1148,7 @@ def test_long_path_bounded_system_is_stored_as_csc():
     # the CI's 200-edge DD path keeps SuperLU exercised: 199 + 200 unknowns
     sys = torsion.assemble_discrete_system(path_dd([0.005] * 200))
     assert len(sys.order) + len(sys.tail) == 399 > spectral.BOUNDED_DENSE_MAX
-    assert spectral._bounded_slots(sys)[1] is not None
+    assert spectral._bounded_storage(sys).indices is not None
 
 
 def test_bounded_graphs_have_loops_parallel_edges_and_dirichlet_ends():
@@ -1145,13 +1159,13 @@ def test_bounded_graphs_have_loops_parallel_edges_and_dirichlet_ends():
 
 
 def _assembled(sec, k):
-    """A(k) filled as c through the pattern, which drops a loop's, then each
-    end's d taken off the diagonal."""
+    """A(k) filled as c through the torsion system's storage, which drops a
+    loop's, then each end's d taken off the diagonal."""
     sys, n = sec.sys, len(sec.sys.order)
     c, d = sec.law(k)[:2]
-    data = sys.pattern.fill(c, -c)
+    data = sys.storage.fill(np.concatenate((c, c, -c, -c)))
     ends = np.bincount(sys.tail, d, minlength=n + 1) + np.bincount(sys.head, d, minlength=n + 1)
-    data[sys.pattern.diagonal] -= ends[:n]
+    data[sys.storage.diagonal] -= ends[:n]
     return data
 
 
@@ -1166,14 +1180,14 @@ def test_secular_fill_is_the_assembly_to_a_few_ulps(dense, monkeypatch):
     for g in [g for _, g in family_examples()] + _STORAGE_GRAPHS:
         sys = torsion.assemble_discrete_system(g)
         n = len(sys.order)
-        assert (sys.pattern.indices is None) is dense
+        assert (sys.storage.indices is None) is dense
         k_hi = math.pi / float(sys.length.max())
         p1 = spectral._P1Law(build_mesh(g))
         for law, points in ((None, [0.3 * k_hi, 0.9 * k_hi, 2.5 * k_hi]),
                             (p1, [5.0, 12.0 / float(np.median(p1.square)), 24.0 / float(p1.square.min())])):
             sec = _Secular(sys, 0.0, math.inf, law)
             for x in points:
-                got, want = (sys.pattern.matrix(data).toarray() for data in (sec.fill(x), _assembled(sec, x)))
+                got, want = sec.storage.matrix(sec.fill(x)).toarray(), sys.storage.matrix(_assembled(sec, x)).toarray()
                 c, d = sec.law(x)[:2]
                 term = np.zeros(n + 1)
                 np.maximum.at(term, np.concatenate((sys.tail, sys.head)), np.tile(np.maximum(abs(c), abs(d)), 2))

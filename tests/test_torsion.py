@@ -52,7 +52,9 @@ from graphtorsion.families import (
 )
 from graphtorsion import torsion
 from graphtorsion.errors import SingularSystem
-from graphtorsion.torsion import REL_TOL, SymmetricFactor, SymPattern, _require_close, assemble_discrete_system
+from graphtorsion.spectral import _Secular
+from graphtorsion.torsion import (REL_TOL, Storage, SymmetricFactor, _require_close, assemble_discrete_system,
+                                  laplacian_terms)
 
 REL = 1e-10
 
@@ -269,10 +271,12 @@ def test_long_path_stays_sparse():
 
 
 def _factor(m: np.ndarray, dense: bool) -> SymmetricFactor:
-    """SymmetricFactor of the symmetric array m, on a pattern holding every entry."""
-    pattern = SymPattern.build(len(m), *np.triu_indices(len(m)))
-    assert pattern.indices is None  # stored as the array itself, entry (r, c) at c n + r
-    return SymmetricFactor(pattern, m.ravel(order="F"), dense)
+    """SymmetricFactor of the symmetric array m, on a storage holding every
+    entry: the array itself (LAPACK) when dense, else CSC data (SuperLU)."""
+    rows, cols = np.indices(m.shape).reshape(2, -1)
+    storage = Storage.build(len(m), rows, cols, len(m) if dense else -1)
+    assert (storage.indices is None) is dense
+    return SymmetricFactor(storage, storage.fill(m[rows, cols]))
 
 
 @pytest.mark.parametrize("m", [[[0.0, 1.0], [1.0, 0.0]], [[1e-3, 1.0], [1.0, 1e-3]]])
@@ -305,14 +309,16 @@ def test_dense_inertia_matches_the_eigenvalues():
 
 def test_inertia_of_both_kernels_on_a_vertex_system():
     sys = assemble_discrete_system(random_graph(3))
-    data = sys.data.copy()
-    data[sys.pattern.diagonal] -= 1.5  # indefinite, still diagonally pivotable
+    n, mu = len(sys.order), 1.0 / sys.length
     want = np.count_nonzero(np.linalg.eigvalsh(sys.matrix.toarray() - 1.5 * np.eye(len(sys.order))) < 0.0)
     assert 0 < want < len(sys.order)
-    for dense in (True, False):
-        negatives, log_det = SymmetricFactor(sys.pattern, data, dense).inertia()
+    for dense_max in (n, -1):  # the n x n array for LAPACK, CSC data for SuperLU
+        storage = Storage.build(n, *laplacian_terms(n, sys.tail, sys.head), dense_max)
+        data = storage.fill(np.concatenate((mu, mu, -mu, -mu)))
+        data[storage.diagonal] -= 1.5  # indefinite, still diagonally pivotable
+        negatives, log_det = SymmetricFactor(storage, data).inertia()
         assert negatives == want
-        assert log_det == pytest.approx(np.linalg.slogdet(sys.pattern.matrix(data).toarray())[1], rel=1e-12)
+        assert log_det == pytest.approx(np.linalg.slogdet(storage.matrix(data).toarray())[1], rel=1e-12)
 
 
 @pytest.mark.parametrize("dense", [True, False])
@@ -325,14 +331,30 @@ def test_exactly_singular_matrix_in_both_kernels(m, dense):
 def test_kernel_selection_rule(monkeypatch):
     # the solve kernel is chosen by size, the count kernel (dense) by size and length ratio
     made, real = [], torsion.SymmetricFactor
-    monkeypatch.setattr(torsion, "SymmetricFactor", lambda *args: made.append(args[2]) or real(*args))
+    monkeypatch.setattr(torsion, "SymmetricFactor", lambda *args: made.append(args[0].indices is None) or real(*args))
     for lengths, solve, count in [([1.0, 1e6], True, True), ([1.0, 2e6], True, False),
                                   ([1.0] * 65, True, True), ([1.0] * 66, False, False)]:  # 64 and 65 unknowns
         g = path_dd(lengths)
-        assert assemble_discrete_system(g).dense is count
+        assert (_Secular(assemble_discrete_system(g), 0.0, math.inf).storage.indices is None) is count
         made.clear()
         solve_discrete_torsion(g)
         assert made == [solve]
+
+
+def test_dense_and_csc_storage_of_one_term_list_agree():
+    # a non-symmetric list of terms, with repeated entries and terms dropped at
+    # row or column n: each storage gives the matrix the COO assembly gives
+    rng = np.random.default_rng(15)
+    n = 6
+    rows, cols = rng.integers(0, n + 1, size=(2, 60))
+    terms = rng.standard_normal(60)
+    keep = (rows < n) & (cols < n)
+    want = scipy.sparse.coo_array((terms[keep], (rows[keep], cols[keep])), shape=(n, n)).toarray()
+    assert not np.array_equal(want, want.T)
+    for dense_max in (n, -1):
+        storage = Storage.build(n, rows, cols, dense_max)
+        assert (storage.indices is None) is (dense_max == n)
+        assert np.array_equal(storage.matrix(storage.fill(terms)).toarray(), want)
 
 
 # -- variational characterization -----------------------------------------

@@ -25,11 +25,12 @@ the determinant of the pencil up to a slowly varying factor, and regula
 falsi on it picks the next point to count.  Null vectors of a bounded system
 over the vertices and edges, and one Rayleigh-Ritz step, give the
 eigenpairs.  Eigenvalue error against the graph's spectrum decays like h^2.
-What does not change with the point is built once per solve: the storage
-(torsion.Storage) of the secular matrix, as DENSE_RATIO says, and of the
-bounded system, as BOUNDED_DENSE_MAX says, and the start blocks of the null
-vectors, so a count or a null vector takes the law at its point, one
-bincount and the factor its storage goes to.
+What does not change with the point is built once per solve: the storages
+of the secular matrix and of the bounded system (torsion.Storage, the array
+or CSC data as torsion.DENSE_MAX says, and CSC for a secular matrix past
+DENSE_RATIO), and the start blocks of the null vectors, so a count or a
+null vector takes the law at its point, one bincount and the factor its
+storage goes to (torsion.SymmetricFactor, torsion.lu_solver).
 
 The mesh is held as a count of segments per edge.  Node i < |V| is the
 graph vertex vertices[i]; the interior points j = 1..n-1 of each edge
@@ -59,14 +60,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
-import scipy.sparse.linalg
-from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .errors import BadParameters, NoConvergence, SingularSystem
 from .graph import MetricGraph, is_count, is_number
 from .torsion import (EPS, DiscreteSystem, Storage, SymmetricFactor, TorsionSolution, _require_graph, _solved,
-                      assemble_discrete_system, laplacian_terms, torsion_function)
+                      assemble_discrete_system, laplacian_terms, lu_solver, torsion_function)
 
 DEFAULT_TOL = 1e-10
 MAX_COUNTS = 10000
@@ -82,15 +80,6 @@ ROW_BLOCK = 8192
 # Rounding of the Rayleigh-Ritz products moves a Ritz value by some 1e-15
 # relative (at most 3.5e-15 above its bracket at tol = 0 on 160 test solves).
 RITZ_ROUND = 1e-12
-# Largest bounded system (_null_space) stored as its square array and factored
-# by LAPACK's dgetrf; a larger one is stored as CSC data and goes to SuperLU,
-# the faster there.  Factor plus three solves of perfbench's multigraph_payload
-# systems, SuperLU against dgetrf (numpy 2.4.6, scipy 1.17.1, one BLAS
-# thread): 59 vs 6 us at 22 unknowns, 92 vs 53 at 88, 168 vs 116 at 132, 190
-# vs 166 at 154, 208 vs 214 at 176, 173 vs 364 at 220, 340 vs 565 at 264.
-# torsion.DENSE_MAX sits below that crossing, so the bound is a constant of
-# its own.
-BOUNDED_DENSE_MAX = 160
 
 
 def default_h(g: MetricGraph) -> float:
@@ -284,8 +273,6 @@ def lowest_eigenpairs(
         raise BadParameters(f"asked for {k} modes but the mesh has only {nf} free nodes")
     sec = _Secular(sys, 0.0, math.inf, law)
     floor = (math.pi / (2.0 * math.fsum(sys.length.tolist()))) ** 2  # Nicaise: below every P1 eigenvalue
-    at = np.full(len(g.vertex_ids), len(sys.order))  # each vertex's unknown, a zero row at a Dirichlet vertex
-    at[arr.tail], at[arr.head] = sys.tail, sys.head
     parts, lams, sizes, tops, starts = [], [], [], [], {}
     storage = _bounded_storage(sys)
     for lo, hi, m in _brackets(sec, k, tol, floor, 12.0 / float(law.width.min()) ** 2, nf, *law.bounds(k)):
@@ -293,7 +280,7 @@ def lowest_eigenpairs(
         if m not in starts:  # the seeded start block of each width, drawn once per solve
             starts[m] = np.random.default_rng(0).standard_normal((storage.n, m))
         x, b, miss = _null_space(sys, storage, law, lams[-1], starts[m])
-        parts.append((x[at], b, miss))
+        parts.append((x[sys.unknown], b, miss))
         sizes.append(m)
         tops += [hi] * m
     modes = _Modes(law, arr, lams, sizes, *(np.hstack(p) for p in zip(*parts)))
@@ -351,8 +338,12 @@ def _brackets(sec: _Secular, k: int, tol: float, floor: float, top: float, total
     BIT 13, 1973); the midpoint follows three steps that did not halve the
     bracket (Dekker, Brent).  Where A is exactly singular, x is an eigenvalue
     to rounding: the points x (1 + tol/4) and then x (1 - tol/4) close a
-    bracket around it (at tol = 0 the point moves halfway to hi instead); a
-    count outside its neighbours' (rounding at an eigenvalue) is clamped."""
+    bracket around it (at tol = 0 the point moves halfway to hi instead).  A
+    second exactly singular count in a row, in a bracket still wider than tol
+    (tol > 0), raises NoConvergence: float64 cannot place the eigenvalue
+    there, and stepping on by tol/4 either spends the factorizations or
+    leaves the bracket at a point the counts do not support.  A count outside
+    its neighbours' (rounding at an eigenvalue) is clamped."""
     law = sec.law
     unknowns = len(sec.sys.order) + len(sec.sys.length)
 
@@ -394,10 +385,12 @@ def _brackets(sec: _Secular, k: int, tol: float, floor: float, top: float, total
                 x = min(max(lo + (hi - lo) * (e if z > 0.0 else 1.0) / (1.0 + e), lo + delta), hi - delta)
                 if not lo < x < hi or hi - lo <= 2.0 * delta:  # also a NaN step
                     x = 0.5 * (lo + hi)
-        c, at = None, lo
+        c, at, start = None, lo, x
         while c is None and at < x < hi:
             (c, f), at = count(x), x
             if c is None:  # exactly singular: close a bracket around at
+                if at != start and tol > 0.0 and hi - lo > tol * hi:  # twice running: no bracket closes
+                    raise NoConvergence(f"A({pole!r}) and A({at!r}) are both exactly singular in [{lo!r}, {hi!r})")
                 pole, x = at, at * (1.0 + 0.25 * tol)
                 if not at < x < hi:
                     x = 0.5 * (at + hi)
@@ -420,17 +413,18 @@ def _brackets(sec: _Secular, k: int, tol: float, floor: float, top: float, total
 
 
 def _bounded_storage(sys: DiscreteSystem) -> Storage:
-    """The storage of the bounded system B of _null_space, built with
-    BOUNDED_DENSE_MAX, its terms in the order _null_space lists them.
-    Unknown i < n is natural vertex i of sys, n + e the amplitude b_e, whose
-    row is edge e's continuity; a Dirichlet end (n + |E|) drops its terms."""
+    """The storage of the bounded system B of _null_space, the array or CSC
+    data as torsion.DENSE_MAX says, its terms in the order _null_space lists
+    them.  Unknown i < n is natural vertex i of sys, n + e the amplitude b_e,
+    whose row is edge e's continuity; a Dirichlet end (n + |E|) drops its
+    terms."""
     n, ne = len(sys.order), len(sys.tail)
     size = n + ne
     tail, head = (np.where(ends < n, ends, size) for ends in (sys.tail, sys.head))
     amp, diag = n + np.arange(ne), np.arange(size)  # b_e, and the shift on every unknown
     rows = np.concatenate((tail, tail, head, head, amp, amp, amp, diag))
     cols = np.concatenate((tail, amp, tail, amp, tail, amp, head, diag))
-    return Storage.build(size, rows, cols, BOUNDED_DENSE_MAX)
+    return Storage.build(size, rows, cols)
 
 
 def _null_space(sys: DiscreteSystem, storage: Storage, law: _P1Law, lam: float,
@@ -449,11 +443,10 @@ def _null_space(sys: DiscreteSystem, storage: Storage, law: _P1Law, lam: float,
     (1e-3, 1)) came out 2.9e-4 above its bracket at tol = 1e-6.
 
     B's storage = _bounded_storage(sys) is built once per solve; each call
-    evaluates the law's ends at lam and fills B with one bincount of its
-    terms.  LAPACK's dgetrf factors the dense storage's array in place (LU
-    with partial pivoting) and dgetrs solves; SuperLU factors the CSC
-    storage's matrix.  A block of one column is normalized, a wider one
-    orthonormalized by QR."""
+    evaluates the law's ends at lam, fills B with one bincount of its terms
+    and factors it by its storage's kernel (torsion.lu_solver); an exactly
+    singular B raises NoConvergence.  A block of one column is normalized, a
+    wider one orthonormalized by QR."""
     n, ne = len(sys.order), len(sys.tail)
     a, c1, p, q = law.ends(lam)
     vals = np.concatenate((a * (c1 - p[0]), -a * q[0], a * (c1 * p[2] - p[1]), a * (c1 * q[2] - q[1]),
@@ -461,18 +454,9 @@ def _null_space(sys: DiscreteSystem, storage: Storage, law: _P1Law, lam: float,
     # B + s I, s = sqrt(EPS) max|B|, has B's eigenvectors and a factor even where
     # lam is an eigenvalue to the last bit; a step shrinks the rest by s / |mu_2|.
     vals = np.append(vals, np.full(storage.n, math.sqrt(EPS) * np.abs(vals).max()))
-    data = storage.fill(vals)
     try:
-        if storage.indices is None:
-            lu, piv, info = dgetrf(storage.array(data), overwrite_a=1)  # in place
-            if info > 0:
-                raise RuntimeError("zero pivot")
-
-            def solve(y):
-                return dgetrs(lu, piv, y)[0]
-        else:
-            solve = scipy.sparse.linalg.splu(storage.matrix(data)).solve
-    except RuntimeError:
+        solve = lu_solver(storage, storage.fill(vals))
+    except SingularSystem:
         raise NoConvergence(f"the bounded system is exactly singular at lambda = {lam!r}") from None
     y, width = start, start.shape[1]  # solve() leaves start as it is
     for _ in range(3):
@@ -779,11 +763,12 @@ NEWTON_TOL = 64 * EPS  # a bracket this narrow (relative) ends the root search
 # SuperLU kernels' lambda_1 agree to 7e-16 at ratios up to 1e6.  Past that,
 # against a 60-digit count (lambda_1 wrong unless within 1e-12) on those
 # seeds at lengths (1e-7, 1e7), this routing is wrong on 64, 113 and 170 and
-# raises on 75 (out of factorizations), 132 and 161, the dense kernel alone is
-# wrong on 9, 113, 161 (2.4e-4 low) and 170 and raises on 64; at (1e-5, 1e5)
-# the routing is wrong on 64 and 72, dense on 64; at (1e-4, 1e4) both on 64,
-# 75.  SuperLU stays past the ratio: it turns the worst silent error into a
-# typed one.
+# raises on 75 (A exactly singular twice running), 132 and 161, the dense
+# kernel alone is wrong on 9, 113, 161 (2.4e-4 low) and 170 and raises on 64;
+# at (1e-5, 1e5) the routing raises on 64 and 72 (twice singular), dense is
+# wrong on 64; at (1e-4, 1e4) both are wrong on 64, dense on 75, and the
+# routing raises on 75 (twice singular).  SuperLU stays past the ratio: it
+# turns the worst silent error into a typed one.
 DENSE_RATIO = 1e6
 
 

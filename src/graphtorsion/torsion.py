@@ -7,12 +7,13 @@ v(x) = -x^2/2 + b x + c in the offset x from the edge tail; its values at the
 natural vertices come from one symmetric positive-definite vertex system, the
 weighted graph Laplacian over the natural vertices.
 
-The system is held in a Storage, the n x n array or CSC data as DENSE_MAX
-says, filled by one bincount of the edge terms, and factored by the
-storage's kernel (SymmetricFactor): LAPACK's Bunch-Kaufman LDL^T for the
-array, SuperLU's minimum-degree LDL^T for the CSC matrix, whose memory is
-linear in |V| on tree-like graphs.  The first solve is then refined with
-the same factor.
+The system is held in a Storage, as every vertex-sized matrix is: the n x n
+array up to DENSE_MAX unknowns, CSC data past it.  One bincount of the edge
+terms fills it, and the storage's kernel factors it (SymmetricFactor):
+LAPACK's Bunch-Kaufman LDL^T for the array, SuperLU's minimum-degree LDL^T
+for the CSC matrix, whose memory is linear in |V| on tree-like graphs.
+lu_solver does the same for spectral's bounded system, which is not
+symmetric.  The first solve is then refined with the same factor.
 Each step takes the residual edge by edge from the fluxes (x_t - x_h)/l,
 which subtract nearby values before dividing, where A @ x would add terms of
 widely different lengths and lose the small ones; it solves for the
@@ -39,12 +40,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
-from scipy.linalg.lapack import dsytrf, dsytrs
+from scipy.linalg.lapack import dgetrf, dgetrs, dsytrf, dsytrs
 
 from .errors import (
     BadParameters,
@@ -58,18 +59,30 @@ from .graph import MetricGraph, PointWitness, is_number
 REL_TOL = 1e-10
 MAX_REFINE = 4  # refinement steps after the first solve; past them the cross-checks decide
 EPS = 2.0 ** -52  # float64 machine epsilon: a smaller relative correction changes nothing
-# Largest vertex system stored as its n x n array (Storage) and factored by
-# LAPACK's Bunch-Kaufman dsytrf (SymmetricFactor); a larger one is stored as
-# CSC data and factored by SuperLU.  Assembly, factor and inertia of
-# perfbench's multigraph_payload systems, dense against CSC and SuperLU
-# (numpy 2.4.6, scipy 1.17.1, one BLAS thread): 21 vs 93 us at 7 unknowns, 30
-# vs 115 at 63, 77 vs 224 at 175, 575 vs 321 at 280; a dense solve is slower
-# from about 60 unknowns on (4 vs 3 us at 63).  On random_graph seeds 0..149
-# at length ranges (1e-7, 1e7) and (1e-4, 1e4), the rigidity of the refined
-# dense solve meets the exact rational one to 8.8e-16 relative, SuperLU's to
-# 3.3e-15.  The secular matrices on the same storage add a rule of their own
-# (spectral.DENSE_RATIO).
-DENSE_MAX = 64
+# Largest vertex-sized matrix stored as its n x n array (Storage) and factored
+# by LAPACK (SymmetricFactor, lu_solver); a larger one is stored as CSC data
+# and factored by SuperLU.  One cut serves the torsion system, the secular
+# matrices of spectral (which add DENSE_RATIO) and its bounded system.  Times
+# in us, array / CSC, on perfbench's multigraph_payload graphs (numpy 2.4.6,
+# scipy 1.17.1, one BLAS thread, best of 9): the torsion solve (assembly,
+# factor, refinement), one count (fill, factor and inertia of A(k) at
+# k = pi/(2 l_max), or of A_h(lambda) below the band edge) and the bounded
+# system's fill, factor and three solves.
+#
+#   unknowns           7       70      112      160      182      196      210      252
+#   torsion solve  42/134  84/174  117/245  159/303  249/383  290/430  608/412 1021/527
+#   lambda_1 count 30/118  34/138   54/165   79/201  148/300  209/294  474/312  767/372
+#   P1 count       47/134  62/168   93/207  153/259  209/353  274/358  578/373  972/443
+#
+#   unknowns          22      88      132      154      160      176      198      220
+#   bounded        64/150 120/237  221/269  291/334  295/298  350/365  449/345  560/403
+#
+# The array is no slower up to the cut; the crossing lies between 196 and 210
+# unknowns for the symmetric matrices, between 176 and 198 for the bounded
+# system.  On random_graph seeds 0..149 at length ranges (1e-7, 1e7) and
+# (1e-4, 1e4), the rigidity of the refined dense solve meets the exact
+# rational one to 8.8e-16 relative, SuperLU's to 3.3e-15.
+DENSE_MAX = 160
 
 
 @dataclass(frozen=True)
@@ -79,11 +92,12 @@ class Storage:
     A term with a row or column n (an eliminated unknown) goes to a slot past
     the stored entries and is dropped.  A fill is one np.bincount of the terms
     over their slots, which adds an entry's terms in term order.  Up to the
-    dense_max given to build, the storage is the n x n array itself, flat and
-    column-major, entry (r, c) at c n + r, so the build sorts nothing; past
-    it, the data of a CSC matrix, its entries keyed by (column, row) and
-    sorted once by argsort.  The kernels go by the storage: LAPACK factors
-    the array (indices None), SuperLU the CSC matrix.
+    dense_max given to build (else DENSE_MAX, read when build runs), the
+    storage is the n x n array itself, flat and column-major, entry (r, c)
+    at c n + r, so the build sorts nothing; past it, the data of a CSC
+    matrix, its entries keyed by (column, row) and sorted once by argsort.
+    The kernels go by the storage: LAPACK factors the array (indices None),
+    SuperLU the CSC matrix.
     """
 
     n: int
@@ -93,9 +107,9 @@ class Storage:
     indptr: np.ndarray | None
 
     @classmethod
-    def build(cls, n: int, rows: np.ndarray, cols: np.ndarray, dense_max: int) -> "Storage":
+    def build(cls, n: int, rows: np.ndarray, cols: np.ndarray, dense_max: int | None = None) -> "Storage":
         keep = (rows < n) & (cols < n)
-        if n <= dense_max:
+        if n <= (DENSE_MAX if dense_max is None else dense_max):
             return cls(n, n * n, np.where(keep, cols * n + rows, n * n), None, None)
         keep = keep.nonzero()[0]
         key = cols[keep] * n + rows[keep]
@@ -148,13 +162,14 @@ def laplacian_terms(n: int, tail: np.ndarray, head: np.ndarray) -> tuple[np.ndar
 class SymmetricFactor:
     """LDL^T of the symmetric matrix with the given data on a Storage.
 
-    On the dense storage, LAPACK's Bunch-Kaufman dsytrf on a copy of the n x n
-    array (its upper triangle), solved by dsytrs.  D has 1x1 blocks and 2x2 blocks
-    [[a, b], [b, c]], the latter only where |a c| < 0.41 b^2, so each holds
-    one negative eigenvalue.  On the CSC storage, SuperLU in symmetric mode:
-    a minimum-degree ordering of A + A^T and diagonal pivots, in effect
-    LDL^T, whose pivots are U's diagonal; only an exactly zero diagonal pivot
-    moves off the diagonal (perm_r then differs from perm_c).
+    On the dense storage (up to DENSE_MAX unknowns), LAPACK's Bunch-Kaufman
+    dsytrf on a copy of the n x n array (its upper triangle), solved by
+    dsytrs.  D has 1x1 blocks and 2x2 blocks [[a, b], [b, c]], the latter
+    only where |a c| < 0.41 b^2, so each holds one negative eigenvalue.  On
+    the CSC storage, SuperLU in symmetric mode: a minimum-degree ordering of
+    A + A^T and diagonal pivots, in effect LDL^T, whose pivots are U's
+    diagonal; only an exactly zero diagonal pivot moves off the diagonal
+    (perm_r then differs from perm_c).
     SingularSystem when the matrix is exactly singular: a zero pivot in
     either kernel.
     """
@@ -200,19 +215,39 @@ class SymmetricFactor:
                 float(np.log(np.abs(single)).sum() + np.log(-det).sum()))
 
 
+def lu_solver(storage: Storage, data: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """The solve of the LU factor, with partial pivoting, of the matrix with
+    the given data on a Storage.
+
+    On the dense storage (up to DENSE_MAX unknowns), LAPACK's dgetrf on the
+    n x n array itself, in place (data is overwritten), solved by dgetrs; on
+    the CSC storage, SuperLU.  SingularSystem when the matrix is exactly
+    singular: a zero pivot in either kernel.
+    """
+    try:
+        if storage.indices is None:
+            lu, piv, info = dgetrf(storage.array(data), overwrite_a=1)
+            if info > 0:
+                raise RuntimeError(f"zero pivot in row {info}")
+            return lambda b: dgetrs(lu, piv, b)[0]
+        return scipy.sparse.linalg.splu(storage.matrix(data)).solve
+    except RuntimeError as exc:
+        raise SingularSystem(f"matrix is exactly singular: {exc}") from None
+
+
 @dataclass(frozen=True)
 class DiscreteSystem:
     """Vertex system over the natural vertices.
 
     data holds the entries of a symmetric positive definite matrix on
-    storage, built with DENSE_MAX; matrix returns it in CSC form.  Solving
-    matrix @ g = weight gives the vertex unknowns.  weight[v] is the metric
-    degree (loops twice).  Each edge adds 1/length to the weighted graph
-    Laplacian restricted to the natural vertices (laplacian_terms); a loop
-    couples a vertex to itself and cancels.  tail[k] and head[k] are the
+    storage, the array or CSC data as DENSE_MAX says; matrix returns it in
+    CSC form.  Solving matrix @ g = weight gives the vertex unknowns.
+    weight[v] is the metric degree (loops twice).  Each edge adds 1/length to
+    the weighted graph Laplacian restricted to the natural vertices
+    (laplacian_terms); a loop couples a vertex to itself and cancels.  tail[k] and head[k] are the
     unknowns at the ends of edge k, len(order) at a Dirichlet end, and
-    length[k] its length.  The secular matrix of the same graph reuses
-    storage.
+    length[k] its length; unknown[v] is vertex v's, len(order) at a Dirichlet
+    vertex.  The secular matrix of the same graph reuses storage.
     """
 
     order: tuple[str, ...]
@@ -222,6 +257,7 @@ class DiscreteSystem:
     head: np.ndarray
     length: np.ndarray
     storage: Storage
+    unknown: np.ndarray
 
     @property
     def matrix(self) -> scipy.sparse.csc_array:
@@ -265,10 +301,10 @@ def assemble_discrete_system(g: MetricGraph) -> DiscreteSystem:
     tail, head = unknown[arr.tail], unknown[arr.head]
     weight = (np.bincount(tail, arr.length, minlength=n + 1)
               + np.bincount(head, arr.length, minlength=n + 1))[:n]
-    storage = Storage.build(n, *laplacian_terms(n, tail, head), DENSE_MAX)
+    storage = Storage.build(n, *laplacian_terms(n, tail, head))
     mu = 1.0 / arr.length
     return DiscreteSystem(order, storage.fill(np.concatenate((mu, mu, -mu, -mu))), weight, tail, head, arr.length,
-                          storage)
+                          storage, unknown)
 
 
 def solve_discrete_torsion(g: MetricGraph) -> tuple[DiscreteSystem, np.ndarray]:

@@ -940,6 +940,23 @@ def test_secular_rejects_bad_controls_and_runs_out(monkeypatch):
         secular_lambda1(lasso())
 
 
+# random_graph(seed, length_range) whose A(k), in float64, is exactly singular
+# at two points in a row inside a bracket of the count search.  Stepping on by
+# tol/4 from each returned a lambda_1 that a 60-digit count refutes (seed 75 at
+# (1e-4, 1e4) too high, 64 and 72 at (1e-5, 1e5) too low) or spent every
+# factorization (75 at (1e-7, 1e7)).
+TWICE_SINGULAR_CASES = [(75, (1e-4, 1e4)), (64, (1e-5, 1e5)), (72, (1e-5, 1e5)), (75, (1e-7, 1e7))]
+
+
+@pytest.mark.parametrize("seed, length_range", TWICE_SINGULAR_CASES)
+def test_twice_singular_secular_matrix_raises(seed, length_range, monkeypatch):
+    spent, spend = [], _Secular.spend
+    monkeypatch.setattr(_Secular, "spend", lambda self: spent.append(1) or spend(self))
+    with pytest.raises(NoConvergence, match="both exactly singular"):
+        secular_lambda1(random_graph(seed, length_range=length_range))
+    assert len(spent) <= 100
+
+
 def _multigraph(seed: int, natural: int, dirichlet: int = 8, extra: int = 30,
                 length_range: tuple[float, float] = (0.1, 10.0)):
     """A random recursive tree plus extra edges (loops and parallel edges
@@ -957,8 +974,10 @@ def _multigraph(seed: int, natural: int, dirichlet: int = 8, extra: int = 30,
 
 
 @pytest.mark.parametrize("natural, dense", [(60, True), (70, False)])
-def test_both_kernels_match_the_oracles(natural, dense):
-    # 60 unknowns go to LAPACK's Bunch-Kaufman, 70 to SuperLU
+def test_both_kernels_match_the_oracles(natural, dense, monkeypatch):
+    # 60 unknowns go to LAPACK's Bunch-Kaufman, 70 with DENSE_MAX = -1 to SuperLU
+    if not dense:
+        monkeypatch.setattr(torsion, "DENSE_MAX", -1)
     g = _multigraph(natural, natural)
     sol = torsion_function(g)
     assert (_Secular(sol.system, 0.0, math.inf).storage.indices is None) is dense
@@ -1024,6 +1043,42 @@ def test_dense_and_csc_storage_agree(monkeypatch):
         assert (np.abs(fill_a - fill_b) <= 4 * np.spacing(np.abs(fill_a))).all()
         assert t_b == pytest.approx(t_a, rel=1e-14)
         assert lam_b == pytest.approx(lam_a, rel=1e-13)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_kernels_agree_up_to_the_cut(seed, monkeypatch):
+    # 121, 65 and 114 natural vertices, past 64 and up to the cut, so stored
+    # as arrays, against CSC storage and SuperLU: the torsion solve, lambda_1,
+    # the P1 eigenvalues and the count at every point the array's search
+    # counted.  The two kernels round log |det| differently, which can move a
+    # regula falsi step, so the searches need not count at the same points or
+    # as often.
+    g = random_graph(seed, max_vertices=200, max_edges=260)
+    counted, inertia = [], _Secular.inertia
+
+    def spy(sec, x):
+        counted.append((sec.law, x, inertia(sec, x)))
+        return counted[-1][2]
+
+    monkeypatch.setattr(_Secular, "inertia", spy)
+
+    def solve():
+        sol = torsion_function(g)
+        return sol, secular_lambda1(g, sol), lowest_eigenpairs(g, 4)
+
+    sol, lam, modes = solve()
+    assert 64 < len(sol.system.order) <= torsion.DENSE_MAX and sol.system.storage.indices is None
+    monkeypatch.setattr(torsion, "DENSE_MAX", -1)  # every storage CSC
+    points = counted[:]
+    csc, csc_lam, csc_modes = solve()
+    assert csc.system.storage.indices is not None
+    assert csc.rigidity == pytest.approx(sol.rigidity, rel=1e-14)
+    assert (np.abs(csc.b - sol.b) <= torsion.REL_TOL * np.maximum(np.abs(sol.b), g.arrays.length)).all()
+    assert csc_lam == pytest.approx(lam, rel=1e-12)
+    assert csc_modes.eigenvalues == pytest.approx(modes.eigenvalues, rel=1e-13, abs=0.0)
+    assert len(points) > 10
+    for law, x, (negatives, _) in points:
+        assert inertia(_Secular(csc.system, 0.0, math.inf, law), x)[0] == negatives
 
 
 @pytest.mark.parametrize("dense", [True, False])
@@ -1103,15 +1158,15 @@ def test_bounded_system_from_its_prebuilt_structure(g, monkeypatch):
     # solve's eigenvalues, past the band edge
     mesh, sys = build_mesh(g), torsion.assemble_discrete_system(g)
     law = spectral._P1Law(mesh)
-    factored, splu, dgetrf = [], scipy.sparse.linalg.splu, spectral.dgetrf
+    factored, splu, dgetrf = [], scipy.sparse.linalg.splu, torsion.dgetrf
     monkeypatch.setattr(scipy.sparse.linalg, "splu", lambda m: factored.append(m) or splu(m))
-    monkeypatch.setattr(spectral, "dgetrf", lambda a, **kw: factored.append(a.copy()) or dgetrf(a, **kw))
+    monkeypatch.setattr(torsion, "dgetrf", lambda a, **kw: factored.append(a.copy()) or dgetrf(a, **kw))
     band = 12.0 / law.square
     lams = [0.5 * band.min(), *lowest_eigenpairs(g, 3).eigenvalues, 2.0 * band.max()]
-    assert len(sys.order) + len(sys.tail) <= spectral.BOUNDED_DENSE_MAX
+    assert len(sys.order) + len(sys.tail) <= torsion.DENSE_MAX
     for dense in (True, False):
         if not dense:
-            monkeypatch.setattr(spectral, "BOUNDED_DENSE_MAX", -1)
+            monkeypatch.setattr(torsion, "DENSE_MAX", -1)
         storage = spectral._bounded_storage(sys)
         assert (storage.indices is None) is dense
         for lam in lams:
@@ -1130,11 +1185,16 @@ def test_bounded_kernels_agree(g, monkeypatch):
     # LAPACK on the square array and SuperLU on the CSC matrix, each forced on
     # every bracket of one solve: the same null vectors up to sign (each block
     # column has unit norm) and the same eigenvalues
-    blocks, null_space = [], spectral._null_space
+    blocks, null_space, bounded_storage = [], spectral._null_space, spectral._bounded_storage
     monkeypatch.setattr(spectral, "_null_space", lambda *args: blocks.append(null_space(*args)) or blocks[-1])
     runs = []
     for cut in (10**9, -1):
-        monkeypatch.setattr(spectral, "BOUNDED_DENSE_MAX", cut)
+        def forced(sys, cut=cut):  # the cut for the bounded system's storage alone
+            with monkeypatch.context() as m:
+                m.setattr(torsion, "DENSE_MAX", cut)
+                return bounded_storage(sys)
+
+        monkeypatch.setattr(spectral, "_bounded_storage", forced)
         blocks.clear()
         runs.append((lowest_eigenpairs(g, 5).eigenvalues, [np.vstack((x, b)) for x, b, _ in blocks]))
     (dense, dense_blocks), (csc, csc_blocks) = runs
@@ -1147,7 +1207,7 @@ def test_bounded_kernels_agree(g, monkeypatch):
 def test_long_path_bounded_system_is_stored_as_csc():
     # the CI's 200-edge DD path keeps SuperLU exercised: 199 + 200 unknowns
     sys = torsion.assemble_discrete_system(path_dd([0.005] * 200))
-    assert len(sys.order) + len(sys.tail) == 399 > spectral.BOUNDED_DENSE_MAX
+    assert len(sys.order) + len(sys.tail) == 399 > torsion.DENSE_MAX
     assert spectral._bounded_storage(sys).indices is not None
 
 

@@ -294,7 +294,7 @@ def test_dense_inertia_matches_the_eigenvalues():
     # symmetric indefinite matrices of every order the dense kernel takes
     rng = np.random.default_rng(14)
     blocks = 0
-    for n in range(1, 65):
+    for n in range(1, torsion.DENSE_MAX + 1):
         a = rng.standard_normal((n, n))
         m = a + a.T
         lu = _factor(m, dense=True)
@@ -333,7 +333,7 @@ def test_kernel_selection_rule(monkeypatch):
     made, real = [], torsion.SymmetricFactor
     monkeypatch.setattr(torsion, "SymmetricFactor", lambda *args: made.append(args[0].indices is None) or real(*args))
     for lengths, solve, count in [([1.0, 1e6], True, True), ([1.0, 2e6], True, False),
-                                  ([1.0] * 65, True, True), ([1.0] * 66, False, False)]:  # 64 and 65 unknowns
+                                  ([1.0] * 161, True, True), ([1.0] * 162, False, False)]:  # 160 and 161 unknowns
         g = path_dd(lengths)
         assert (_Secular(assemble_discrete_system(g), 0.0, math.inf).storage.indices is None) is count
         made.clear()

@@ -36,7 +36,6 @@ NOT_APPLICABLE = "not_applicable"
 ERROR = "error"
 
 ALWAYS = "always"
-TREE_ONLY = "tree_only"
 DOUBLY_CONNECTED_ONLY = "doubly_connected_only"
 ONE_DIRICHLET_ONLY = "one_dirichlet_only"
 TWO_DIRICHLET_ONLY = "two_dirichlet_only"

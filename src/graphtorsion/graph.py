@@ -145,7 +145,8 @@ class MetricGraph:
             raise EmptyDirichletSet("graph has no Dirichlet vertex")
         if not edge_ids:
             raise DisconnectedGraph("graph has no edges; a compact metric graph needs at least one")
-        reached = _reached(arrays.tail.tolist(), arrays.head.tolist(), len(index), 0)
+        near = _adjacency(arrays.tail.tolist(), arrays.head.tolist(), len(index))
+        reached = _reached(*near, 0)
         if not all(reached):
             missing = sorted(v for v, r in zip(index, reached) if not r)
             raise DisconnectedGraph(f"graph is not connected; unreachable vertices {missing}")
@@ -153,6 +154,7 @@ class MetricGraph:
         self.edge_ids: tuple[str, ...] = tuple(edge_ids)
         self.arrays = arrays
         self._index = index
+        self._near = near  # (adj, ends) of _adjacency, read by _dijkstra and the bridge test
         return self
 
     def with_edge_lengths(self, lengths: list[float]) -> "MetricGraph":
@@ -166,7 +168,7 @@ class MetricGraph:
             raise BadParameters(f"need one length per edge: {len(self.edge_ids)} edges, got {len(lengths)} lengths")
         length = np.array([_checked_edge(eid, ln) for eid, ln in zip(self.edge_ids, lengths)], dtype=np.float64)
         g = MetricGraph.__new__(MetricGraph)
-        g.vertex_ids, g.edge_ids, g._index = self.vertex_ids, self.edge_ids, self._index
+        g.vertex_ids, g.edge_ids, g._index, g._near = self.vertex_ids, self.edge_ids, self._index, self._near
         g.arrays = EdgeArrays(self.arrays.tail, self.arrays.head, length, self.arrays.dirichlet)
         return g
 
@@ -259,8 +261,7 @@ class MetricGraph:
 
         With a target, the search stops once the target's distance is final.
         """
-        a = self.arrays
-        adj, ends = _adjacency(a.tail.tolist(), a.head.tolist(), len(self.vertex_ids))
+        a, (adj, ends) = self.arrays, self._near
         length = a.length.tolist()
         dist = [math.inf] * len(adj)
         heap: list[tuple[float, int]] = []
@@ -311,19 +312,48 @@ class MetricGraph:
         return MetricGraph.__new__(MetricGraph)._take(
             index, self.edge_ids, EdgeArrays(pos[rep[a.tail]], pos[rep[a.head]], a.length, a.dirichlet[keep]))
 
-    def _dirichlet_rep(self) -> np.ndarray:
-        """Every Dirichlet vertex onto the first, every natural vertex onto itself."""
-        d = self.arrays.dirichlet
-        return np.where(d, np.argmax(d), np.arange(len(d)))
-
     def glue_dirichlet(self) -> "MetricGraph":
-        """Identify all Dirichlet vertices into one.  Total length is unchanged."""
-        return self._quotient(self._dirichlet_rep())
+        """Identify all Dirichlet vertices into the first.  Total length is unchanged."""
+        d = self.arrays.dirichlet
+        return self._quotient(np.where(d, np.argmax(d), np.arange(len(d))))
 
     def is_doubly_connected_after_glue(self) -> bool:
-        """True when the graph, with V_D identified to a point, has no bridges."""
-        arr, rep = self.arrays, self._dirichlet_rep()
-        return not _has_bridge_in(rep[arr.tail], rep[arr.head], len(self.vertex_ids))
+        """True when the graph, with V_D identified to a point, has no bridges.
+
+        The glued graph has the same edges.  An edge that is on a cycle of the
+        graph stays on a closed walk after gluing, so it is no bridge.  A bridge
+        of the graph cuts it, connected as every MetricGraph is, into two sides:
+        when both hold a Dirichlet vertex, gluing joins them and closes a cycle
+        through the edge (or makes it a loop); when one side holds none, that
+        side stays cut off, so the edge is a bridge of the glued graph too.  So
+        one DFS from vertex 0 on the graph itself decides: tree edge (p, u) is a
+        bridge when low[u] > index[p] (by edge, so a parallel edge closes a
+        cycle; loops are not in the lists), and u's subtree, one side, holds 0
+        or all of the Dirichlet vertices.
+        """
+        (adj, ends), below = self._near, self.arrays.dirichlet.tolist()  # below[u]: Dirichlet vertices under u
+        total, index, low = sum(below), [-1] * len(adj), [0] * len(adj)
+        index[0], counter, stack = 0, 1, [(0, -1, iter(adj[0]))]
+        while stack:
+            u, in_edge, it = stack[-1]
+            for k in it:
+                if k == in_edge:
+                    continue
+                w = ends[k] - u
+                if index[w] < 0:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append((w, k, iter(adj[w])))
+                    break
+                low[u] = min(low[u], index[w])  # back edge: fold in and keep consuming this frame
+            else:
+                stack.pop()
+                if stack:
+                    p = stack[-1][0]
+                    low[p], below[p] = min(low[p], low[u]), below[p] + below[u]
+                    if low[u] > index[p] and below[u] in (0, total):
+                        return False
+        return True
 
     # -- serialization ---------------------------------------------------
 
@@ -396,56 +426,18 @@ def _adjacency(tail: list[int], head: list[int], n_vertices: int) -> tuple[list[
     return adj, [a + b for a, b in zip(tail, head)]
 
 
-def _reached(tail: list[int], head: list[int], n_vertices: int, start: int) -> list[bool]:
-    """reached[i]: whether the edges k = (tail[k], head[k]) join vertex i to vertex start."""
-    near: list[list[int]] = [[] for _ in range(n_vertices)]
-    for a, b in zip(tail, head):
-        near[a].append(b)
-        near[b].append(a)
-    reached, stack = [False] * n_vertices, [start]
+def _reached(adj: list[list[int]], ends: list[int], start: int) -> list[bool]:
+    """reached[i]: whether the edges in the lists of _adjacency join vertex i to vertex start."""
+    reached, stack = [False] * len(adj), [start]
+    reached[start] = True
     while stack:
         u = stack.pop()
-        if not reached[u]:
-            reached[u] = True
-            stack.extend(near[u])
+        for k in adj[u]:
+            w = ends[k] - u
+            if not reached[w]:
+                reached[w] = True
+                stack.append(w)
     return reached
-
-
-def _has_bridge_in(tail: np.ndarray, head: np.ndarray, n_vertices: int) -> bool:
-    """Whether the multigraph on vertices 0..n_vertices-1 with edges k = (tail[k],
-    head[k]) has a bridge.  Loops are skipped; a parallel edge closes a cycle."""
-    adj, ends = _adjacency(tail.tolist(), head.tolist(), n_vertices)
-    index = [-1] * n_vertices
-    low = [0] * n_vertices
-    counter = 0
-    # iterative DFS, entering edge tracked by index so parallel edges work
-    for root in range(n_vertices):
-        if index[root] >= 0:
-            continue
-        index[root] = low[root] = counter
-        counter += 1
-        stack = [(root, -1, iter(adj[root]))]
-        while stack:
-            u, in_edge, it = stack[-1]
-            for k in it:
-                if k == in_edge:
-                    continue
-                w = ends[k] - u
-                if index[w] < 0:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append((w, k, iter(adj[w])))
-                    break
-                # back edge: fold in and keep consuming this frame
-                low[u] = min(low[u], index[w])
-            else:
-                stack.pop()
-                if stack:
-                    parent = stack[-1][0]
-                    low[parent] = min(low[parent], low[u])
-                    if low[u] > index[parent]:
-                        return True
-    return False
 
 
 # -- construction helpers -------------------------------------------------

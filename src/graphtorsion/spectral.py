@@ -68,14 +68,14 @@ from .torsion import (EPS, DiscreteSystem, Storage, SymmetricFactor, TorsionSolu
 
 DEFAULT_TOL = 1e-10
 MAX_COUNTS = 10000
-# Largest mesh build_mesh makes.  A solve allocates nothing of the mesh's
-# size; reading the rows and their residuals (spectrum --json,
-# landscape_check) peaks at about 64 bytes per node for one mode and 80 for
-# three (numpy allocations by tracemalloc, star(3) at 500k nodes), so the 16M
+# Largest mesh build_mesh makes.  A solve and landscape_check allocate nothing
+# of the mesh's size; reading the rows and their residuals (spectrum --json)
+# peaks at about 64 bytes per node for one mode and 80 for three (numpy
+# allocations by tracemalloc, star(3) at 500k nodes), so the 16M
 # nodes of star(2, [1e-6, 1]) at the default h would need about 1.3 GB before
 # the JSON payload of spectrum --json, which takes several times more.
 MAX_MESH_NODES = 2_000_000
-# Interior points per block when one mode's row is scanned for its sign.
+# Interior points per block when rows are written or scanned (sign, sup).
 ROW_BLOCK = 8192
 # Rounding of the Rayleigh-Ritz products moves a Ritz value by some 1e-15
 # relative (at most 3.5e-15 above its bracket at tol = 0 on 160 test solves).
@@ -291,7 +291,8 @@ def lowest_eigenpairs(
     above = np.flatnonzero(ritz > np.array(tops) * (1.0 + RITZ_ROUND))
     if len(above):
         i = int(above[0])
-        raise NoConvergence(f"Ritz value {ritz[i]!r} of mode {i + 1} lies above its bracket, whose top is {tops[i]!r}")
+        raise NoConvergence(f"Ritz value {float(ritz[i])!r} of mode {i + 1} lies above its bracket, "
+                            f"whose top is {tops[i]!r}")
     # a basis of each multiple eigenvalue that the graph defines: an orthogonal
     # change of basis, so still M-orthonormal, whose first vector carries the
     # whole integral and the rest integrate to 0
@@ -639,14 +640,30 @@ class _Modes:
         counts = np.minimum(self.inner[edges], hi) - np.maximum(first, lo)
         return self.points(edges, counts, np.arange(lo + 1.0, hi + 1.0) - np.repeat(first, counts), terms)
 
-    def values(self) -> np.ndarray:
-        """The modes' rows over every mesh node, in the mesh's node order."""
-        nv, r, total = len(self.vertex_values), self.rotation, int(self.inner[-1])
-        out = np.empty((r.shape[1], nv + total))
-        out[:, :nv] = (self.vertex_values @ r).T
+    def blocks(self):
+        """(lo, hi, rows): the modes' rows at the mesh nodes lo .. hi - 1, in
+        node order: the vertices, then ROW_BLOCK interior points at a time."""
+        nv, total = len(self.vertex_values), int(self.inner[-1])
+        yield 0, nv, (self.vertex_values @ self.rotation).T
         for lo in range(0, total, ROW_BLOCK):
             hi = min(lo + ROW_BLOCK, total)
-            np.matmul(r.T, self.interior(lo, hi, self.terms), out=out[:, nv + lo:nv + hi])
+            yield nv + lo, nv + hi, self.rotation.T @ self.interior(lo, hi, self.terms)
+
+    def values(self) -> np.ndarray:
+        """The modes' rows over every mesh node, in the mesh's node order."""
+        out = np.empty((self.rotation.shape[1], len(self.vertex_values) + int(self.inner[-1])))
+        for lo, hi, rows in self.blocks():
+            out[:, lo:hi] = rows
+        return out
+
+    def at(self, edges: np.ndarray, j: np.ndarray, vertices: np.ndarray) -> np.ndarray:
+        """The modes' values at point j[i] of edge edges[i] (0 at its tail, n at
+        its head), which is vertex vertices[i] where j[i] is 0 or n."""
+        out = (self.vertex_values[vertices] @ self.rotation).T
+        inside = ((j > 0) & (j < self.law.n[edges])).nonzero()[0]
+        if len(inside):
+            out[:, inside] = self.rotation.T @ self.points(edges[inside], np.ones_like(inside),
+                                                           j[inside].astype(np.float64), self.terms)
         return out
 
     def first_peak(self, f: np.ndarray) -> float:
@@ -1099,14 +1116,12 @@ def landscape_check(
     he = arr.length[e] / n
     s = np.minimum((x / he).astype(np.int64), n - 1)
     frac = x / he - s
-    # segment s of edge e joins nodes at and at + 1, or its tail at s = 0 and its head at s = n - 1
-    inner = mesh.segments_per_edge - 1
-    at = (len(g.vertex_ids) - 1 + np.cumsum(inner) - inner)[e] + s
     v = -0.5 * x * x + solution.b[e] * x + solution.c[e]
-    phi, lams = spectral.values, np.array(spectral.eigenvalues)[:, None]
-    ratio = np.abs((1.0 - frac) * phi[:, np.where(s == 0, arr.tail[e], at)]
-                   + frac * phi[:, np.where(s == n - 1, arr.head[e], at + 1)])
-    ratio /= lams * np.abs(phi).max(axis=1)[:, None] * v
+    # the P1 values at the nodes beside each sample from the modes, and each mode's sup block by block
+    lams, at = np.array(spectral.eigenvalues)[:, None], spectral.modes.at
+    sup = functools.reduce(np.maximum, (np.abs(rows).max(axis=1) for *_, rows in spectral.modes.blocks()))
+    ratio = np.abs((1.0 - frac) * at(e, s, arr.tail[e]) + frac * at(e, s + 1, arr.head[e]))
+    ratio /= lams * sup[:, None] * v
     best = ratio.argmax(axis=1)  # the first maximum in edge-then-sample order
     out = [LandscapeRatio(m, float(lams[m, 0]), float(ratio[m, i]), g.edge_ids[e[i]], float(x[i]))
            for m, i in enumerate(best.tolist())]

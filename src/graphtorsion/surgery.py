@@ -16,8 +16,8 @@ from typing import Union
 import numpy as np
 
 from .errors import BadParameters, DuplicateId, NonPositiveLength, PreconditionViolated, UnknownEdge, ValidationError
-from .graph import (DIRICHLET, NATURAL, EdgeArrays, MetricGraph, _checked_edge, _first_bad_row, _reached, is_id,
-                    is_number)
+from .graph import (DIRICHLET, NATURAL, EdgeArrays, MetricGraph, _adjacency, _checked_edge, _first_bad_row, _reached,
+                    is_id, is_number)
 from .torsion import TorsionSolution, _solved
 
 
@@ -226,7 +226,7 @@ def _check_pendant(g: MetricGraph, op: AttachPendant) -> None:
         _checked_edge(eid, length)
     # the host is connected, so the new graph is when every pendant vertex reaches join
     tail, head = [local[e[1]] for e in op.edges], [local[e[2]] for e in op.edges]
-    if not all(_reached(tail, head, len(local), local[op.join])):
+    if not all(_reached(*_adjacency(tail, head, len(local)), local[op.join])):
         raise PreconditionViolated("pendant subgraph is not connected to its join vertex")
 
 

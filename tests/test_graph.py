@@ -38,7 +38,7 @@ from graphtorsion.families import (
     random_graph,
     star,
 )
-from graphtorsion.graph import _has_bridge_in
+from graphtorsion import audit, graph
 
 
 def triangle():
@@ -453,16 +453,88 @@ def test_glue_dirichlet_makes_loops_from_dd_edges():
 
 
 def test_bridge_known_cases():
-    for g, bridged in [(lasso(), True), (caterpillar(3).glue_dirichlet(), False),
-                       (flower(3), False), (star(3).glue_dirichlet(), False)]:
-        assert _has_bridge_in(g.arrays.tail, g.arrays.head, len(g.vertex_ids)) is bridged
+    for g, bridged in [(lasso(), True), (caterpillar(3), False), (flower(3), False), (star(3), False)]:
+        assert g.is_doubly_connected_after_glue() is not bridged
+        assert brute_has_bridge(g.glue_dirichlet()) is bridged
 
 
 def test_bridge_matches_brute_force_on_battery():
     rng = np.random.default_rng(7)
     for _ in range(120):
-        g = random_graph(rng).glue_dirichlet()
-        assert _has_bridge_in(g.arrays.tail, g.arrays.head, len(g.vertex_ids)) == brute_has_bridge(g)
+        g = random_graph(rng)
+        assert g.is_doubly_connected_after_glue() == (not brute_has_bridge(g.glue_dirichlet()))
+
+
+def test_edges_between_dirichlet_vertices_are_no_bridges_after_gluing():
+    # each a-b edge is a bridge of the graph but a loop once a and b are glued
+    cases = [
+        (path_dd([1.0]), True),
+        (make_graph([("a", "dirichlet"), ("b", "dirichlet"), ("c", "dirichlet")],
+                    [("e1", "a", "b", 1.0), ("e2", "b", "c", 2.0)]), True),
+        (make_graph([("a", "dirichlet"), ("b", "dirichlet"), ("c", "natural"), ("d", "natural")],
+                    [("e1", "a", "b", 1.0), ("e2", "b", "c", 1.0), ("e3", "c", "d", 1.0), ("e4", "d", "b", 1.0)]),
+         True),
+        # a natural pendant at b stays a bridge
+        (make_graph([("a", "dirichlet"), ("b", "dirichlet"), ("c", "natural")],
+                    [("e1", "a", "b", 1.0), ("e2", "b", "c", 1.0)]), False),
+        # a natural vertex first: the search starts inside the pendant
+        (make_graph([("c", "natural"), ("a", "dirichlet"), ("b", "dirichlet")],
+                    [("e1", "a", "b", 1.0), ("e2", "c", "b", 1.0), ("e3", "a", "a", 1.0)]), False),
+    ]
+    for g, doubly in cases:
+        assert g.is_doubly_connected_after_glue() is doubly
+        assert brute_has_bridge(g.glue_dirichlet()) is not doubly
+
+
+def test_bridge_test_on_deep_paths():
+    # 10^5 edges: the search keeps its own stack, so depth is no limit
+    assert path_dd([1e-5] * 10**5).is_doubly_connected_after_glue()
+    assert not path_dn([1e-5] * 10**5).is_doubly_connected_after_glue()
+
+
+def _relabelled(g, rng):
+    """g with its vertices and edges in a random order and about half its edges
+    reversed; ids, tags and lengths kept."""
+    vs, es = g.vertices, g.edges
+    out = make_graph([(vs[i].id, vs[i].bc) for i in rng.permutation(len(vs))],
+                     [(es[k].id, es[k].tail, es[k].head, es[k].length) for k in rng.permutation(len(es))])
+    return reorient(out, [e for e in out.edge_ids if rng.random() < 0.5])
+
+
+@pytest.mark.parametrize("length_range", [(0.1, 10.0), (1e-7, 1e7)])
+def test_bridges_and_distances_do_not_depend_on_labels(length_range):
+    rng, new_root = np.random.default_rng(11), 0
+    for seed in range(200):
+        g = random_graph(seed, length_range=length_range)
+        h = _relabelled(g, rng)
+        new_root += h.vertex_ids[0] != g.vertex_ids[0]  # the bridge search starts elsewhere
+        assert h.is_doubly_connected_after_glue() == g.is_doubly_connected_after_glue()
+        assert h.inradius().value == pytest.approx(g.inradius().value, rel=1e-14)
+        want, got = g.dirichlet_distances(), h.dirichlet_distances()
+        assert got.keys() == want.keys()
+        for v, d in want.items():
+            assert got[v] == pytest.approx(d, rel=1e-14, abs=0.0)
+    assert new_root > 100
+
+
+def test_neighbour_lists_are_built_once_per_graph(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args[2])
+        return adjacency(*args)
+
+    adjacency, text = graph._adjacency, caterpillar(3).dumps()
+    monkeypatch.setattr(graph, "_adjacency", counted)
+    g = loads(text)
+    assert len(calls) == 1
+    audit(g)
+    g.inradius()
+    g.distance_between(*g.vertex_ids[:2])
+    longer = g.with_edge_lengths([2.0] * len(g.edge_ids))
+    longer.inradius()
+    assert longer.is_doubly_connected_after_glue()
+    assert len(calls) == 1
 
 
 def test_doubly_connected_classification():

@@ -607,8 +607,9 @@ def test_ritz_value_above_its_bracket_is_no_convergence(monkeypatch):
 
     null_space = spectral._null_space
     monkeypatch.setattr(spectral, "_null_space", spoilt)
-    with pytest.raises(NoConvergence, match="above its bracket"):
+    with pytest.raises(NoConvergence, match="above its bracket") as info:
         lowest_eigenpairs(path_dn(), 2, h_target=1 / 1000)
+    assert "np.float64" not in str(info.value)
 
 
 def test_tol_zero_terminates_on_a_fine_mesh():
@@ -743,6 +744,56 @@ def test_landscape_refuses_results_of_another_graph():
     # equal graphs built apart are the same graph
     assert landscape_check(lasso(), modes=2, spectral=spec, solution=sol)[0] == landscape_check(
         g, modes=2, spectral=spec, solution=sol)[0]
+
+
+def _landscape_from_rows(g, res, sol):
+    """(ratio, edge, offset) of each mode as landscape_check defines them, read
+    from the written rows: each sample between the two nodes beside it."""
+    rows, dist, h, first = res.values, g.dirichlet_distances(), res.h_eff, len(g.vertex_ids)
+    sup, best = np.abs(rows).max(axis=1), [(-1.0, None, None)] * len(rows)
+    for k, e in enumerate(g.edges):
+        n = int(res.mesh.segments_per_edge[k])
+        node = [g.vertex_ids.index(e.tail), *range(first, first + n - 1), g.vertex_ids.index(e.head)]
+        first += n - 1
+        for t in range(spectral.SAMPLES + 1):
+            x = e.length * t / spectral.SAMPLES
+            if min(dist[e.tail] + x, dist[e.head] + e.length - x) < h:
+                continue
+            s = min(int(x / (e.length / n)), n - 1)
+            frac, v = x / (e.length / n) - s, -0.5 * x * x + sol.b[k] * x + sol.c[k]
+            for m, row in enumerate(rows):
+                r = abs((1.0 - frac) * row[node[s]] + frac * row[node[s + 1]]) / (res.eigenvalues[m] * sup[m] * v)
+                if r > best[m][0]:
+                    best[m] = (r, e.id, x)
+    return best
+
+
+@pytest.mark.parametrize("h", [1 / 32, 0.6])
+def test_landscape_samples_match_the_rows(h):
+    # the values beside each sample come from the modes, not from the rows;
+    # h = 0.6 leaves edges of two segments, where every sample lies next to a vertex
+    for g in (lasso(), star(3, [1.0, 2.0, 0.5]), flower(2), random_graph(3), random_graph(8)):
+        res, sol = lowest_eigenpairs(g, 2, h_target=h), torsion_function(g)
+        got = landscape_check(g, 2, spectral=res, solution=sol)[0]
+        for r, (ratio, edge, offset) in zip(got, _landscape_from_rows(g, res, sol)):
+            assert (r.edge, r.offset) == (edge, offset)
+            assert r.max_ratio == pytest.approx(ratio, rel=1e-12)
+
+
+def test_landscape_check_writes_no_row():
+    # 1,875,001 nodes, whose three rows take 45 MB: the check reads the values
+    # beside its samples from the modes and each sup block by block
+    g = star(3)
+    tracemalloc.start()
+    try:
+        ratios, h_eff = landscape_check(g, 3, h_target=1.6e-6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert h_eff == pytest.approx(1.6e-6, rel=1e-12)  # 625,000 segments on each edge
+    assert peak < 10e6
+    assert [r.eigenvalue for r in ratios] == pytest.approx([math.pi ** 2 / 4, math.pi ** 2, math.pi ** 2], rel=1e-8)
+    assert all(0.0 < r.max_ratio <= 1.0 for r in ratios)
 
 
 def test_secular_lambda1_refuses_a_solution_of_another_graph():
